@@ -252,15 +252,6 @@ impl<E> Wheel<E> {
         if !self.ready.is_empty() || self.len == 0 {
             return;
         }
-        let drained = self.drain_min_slot(slab);
-        debug_assert!(drained, "ready empty with len > 0 implies filed entries");
-    }
-
-    /// Cascade until the minimal level-0 slot is drained into `ready`
-    /// (appended: each drained tick is strictly later than everything
-    /// already in the run, so the run stays `(t, seq)`-sorted). Returns
-    /// `false` when nothing is filed anywhere (slots and overflow empty).
-    fn drain_min_slot(&mut self, slab: &mut Slab) -> bool {
         loop {
             // Lowest non-empty level holds the globally minimal entry.
             let mut level = None;
@@ -271,10 +262,8 @@ impl<E> Wheel<E> {
                 }
             }
             let Some(l) = level else {
-                if self.overflow.is_empty() {
-                    return false;
-                }
                 // Wheel dry: re-file the overflow relative to its minimum.
+                debug_assert!(!self.overflow.is_empty());
                 let min_t = self.overflow.iter().map(|e| e.t).min().expect("nonempty");
                 self.cur = self.cur.max(min_t);
                 let pending = std::mem::take(&mut self.overflow);
@@ -305,7 +294,7 @@ impl<E> Wheel<E> {
                     self.ready.push_back(e);
                 }
                 self.spare.push(batch);
-                return true;
+                return;
             }
             // Cascade: advance to the slot's base time and re-file its
             // entries one level (or more) down.
@@ -342,19 +331,6 @@ impl<E> Wheel<E> {
         }
         // Everything pending is beyond the wheel horizon.
         self.overflow.iter().map(|e| e.t).min()
-    }
-
-    /// Minimal `(t, seq)` among filed entries. Filing is a function of `t`
-    /// alone, so every entry sharing the minimal expiry lives in the same
-    /// (minimal) slot — the tuple-min scan of that one slot is exact.
-    fn peek_filed_key(&self) -> Option<(u64, u64)> {
-        for (l, &bm) in self.occupied.iter().enumerate() {
-            if bm != 0 {
-                let slot = bm.trailing_zeros() as usize;
-                return self.slots[l][slot].iter().map(|e| (e.t, e.seq)).min();
-            }
-        }
-        self.overflow.iter().map(|e| (e.t, e.seq)).min()
     }
 
     fn reserve(&mut self, n: usize) {
@@ -492,11 +468,8 @@ impl Slab {
 /// A monotone discrete-event queue ordered by `(time, insertion order)`.
 pub struct EventQueue<E> {
     inner: Inner<E>,
-    /// Next internally assigned tie-break stamp (kept strictly above every
-    /// stamp ever stored, including external ones).
+    /// Next tie-break stamp (== total entries ever pushed).
     seq: u64,
-    /// Total entries ever pushed, independent of seq assignment.
-    pushed: u64,
     peak_len: usize,
     slab: Slab,
 }
@@ -526,7 +499,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             inner,
             seq: 0,
-            pushed: 0,
             peak_len: 0,
             slab: Slab::default(),
         }
@@ -544,18 +516,14 @@ impl<E> EventQueue<E> {
         self.slab.free.reserve(n.min(4096));
     }
 
-    fn push_entry(&mut self, t: Time, seq: u64, key: u64, item: E) {
+    fn push_entry(&mut self, t: Time, key: u64, item: E) {
         let e = Entry {
             t: t.as_ps(),
-            seq,
+            seq: self.seq,
             key,
             item,
         };
-        // Keep the internal counter strictly ahead of every seq ever
-        // stored, so interleaving external stamps (`push_at_seq`) with
-        // plain pushes can never mint a duplicate `(t, seq)`.
-        self.seq = self.seq.max(seq + 1);
-        self.pushed += 1;
+        self.seq += 1;
         match &mut self.inner {
             Inner::Wheel(w) => w.push(e, &mut self.slab),
             Inner::Heap(h) => h.push(HeapEntry(e)),
@@ -564,7 +532,7 @@ impl<E> EventQueue<E> {
     }
 
     pub fn push(&mut self, t: Time, item: E) {
-        self.push_entry(t, self.seq, NO_KEY, item);
+        self.push_entry(t, NO_KEY, item);
     }
 
     /// Push an entry that can later be removed with [`EventQueue::cancel`].
@@ -573,24 +541,7 @@ impl<E> EventQueue<E> {
     /// afterwards.
     pub fn push_cancelable(&mut self, t: Time, item: E) -> EvKey {
         let key = self.slab.alloc();
-        self.push_entry(t, self.seq, key.0, item);
-        key
-    }
-
-    /// Push with an externally assigned tie-break sequence instead of the
-    /// internal counter. The sharded façade owns one global counter and
-    /// stamps entries at creation time, so a cross-partition entry that
-    /// reaches its owner's queue late (via a window-barrier mailbox) still
-    /// dequeues in its original global `(t, seq)` position. Seqs need not
-    /// arrive monotonically — the backends order purely by the stamp.
-    pub fn push_at_seq(&mut self, t: Time, seq: u64, item: E) {
-        self.push_entry(t, seq, NO_KEY, item);
-    }
-
-    /// Cancelable variant of [`EventQueue::push_at_seq`].
-    pub fn push_cancelable_at_seq(&mut self, t: Time, seq: u64, item: E) -> EvKey {
-        let key = self.slab.alloc();
-        self.push_entry(t, seq, key.0, item);
+        self.push_entry(t, key.0, item);
         key
     }
 
@@ -679,54 +630,9 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
-    /// Total entries ever pushed.
+    /// Total entries ever pushed (== the dispatch sequence counter).
     pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Earliest *live* `(time, tie-break seq)` without removing it — the
-    /// key the sharded façade merges partition heads by. Dead entries at
-    /// the head are drained as a side effect, exactly as in
-    /// [`EventQueue::peek_time`].
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        loop {
-            let (t, seq, key) = match &mut self.inner {
-                Inner::Wheel(w) => match w.ready.front() {
-                    Some(e) => (e.t, e.seq, e.key),
-                    // Filed entries are never dead (cancellation removes
-                    // them physically), so this needs no skip loop.
-                    None => return w.peek_filed_key().map(|(t, s)| (Time(t), s)),
-                },
-                Inner::Heap(h) => {
-                    let e = &h.peek()?.0;
-                    (e.t, e.seq, e.key)
-                }
-            };
-            if !self.slab.entry_dead(key) {
-                return Some((Time(t), seq));
-            }
-            let e = self.pop_raw().expect("head exists");
-            self.slab.retire(e.key);
-        }
-    }
-
-    /// Pre-cascade every filed entry due strictly before `horizon` into
-    /// the sorted ready run, so subsequent `pop`s and `peek_key`s inside
-    /// the horizon touch only the run head. This is the only `EventQueue`
-    /// operation worth off-loading to a worker thread: it is pure
-    /// restructuring — draining never reorders (each drained tick appends
-    /// strictly after the run tail, and later pushes still merge into the
-    /// run by `(t, seq)`), so *any* horizon is sound. Heap backend: no-op
-    /// (the heap has no cascade cost to pay down).
-    pub fn prepare(&mut self, horizon: Time) {
-        if let Inner::Wheel(w) = &mut self.inner {
-            while let Some(t) = w.peek_filed() {
-                if t >= horizon.as_ps() {
-                    break;
-                }
-                w.drain_min_slot(&mut self.slab);
-            }
-        }
+        self.seq
     }
 }
 
@@ -994,116 +900,6 @@ mod tests {
             }
             assert_eq!(wheel.peek_time(), heap.peek_time(), "step {step}");
             assert_eq!(wheel.len(), heap.len(), "step {step}");
-        }
-    }
-
-    /// `peek_key` must agree with the reference heap's `(t, seq)` head
-    /// under the same churn that exercises `peek_time`, including lazy
-    /// dead-marked ready/heap prefixes.
-    #[test]
-    fn peek_key_matches_heap_under_cancel_churn() {
-        let mut rng = seeded_rng(777);
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::reference_heap();
-        let mut live: Vec<(EvKey, EvKey)> = Vec::new();
-        let mut now = 0u64;
-        for step in 0..20_000u64 {
-            let r = rng.random::<f64>();
-            if r < 0.5 || wheel.is_empty() {
-                let t = now + rng.random_range(0..64u64) * 1000;
-                let kw = wheel.push_cancelable(Time(t), step);
-                let kh = heap.push_cancelable(Time(t), step);
-                live.push((kw, kh));
-            } else if r < 0.75 && !live.is_empty() {
-                let i = rng.random_range(0..live.len());
-                let (kw, kh) = live.swap_remove(i);
-                assert_eq!(wheel.cancel(kw), heap.cancel(kh));
-            } else {
-                let a = wheel.pop();
-                assert_eq!(a, heap.pop(), "step {step}");
-                if let Some((t, _)) = a {
-                    now = t.as_ps();
-                }
-            }
-            assert_eq!(wheel.peek_key(), heap.peek_key(), "step {step}");
-        }
-    }
-
-    /// External seq stamps (the sharded façade's global counter) must give
-    /// the exact dequeue order of a single queue that assigned the same
-    /// stamps internally — even when they arrive out of stamp order, the
-    /// way window-barrier mailbox drains deliver them.
-    #[test]
-    fn external_seq_interleave_matches_serial_order() {
-        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-            let mut rng = seeded_rng(31337);
-            // Model: a global stream of (t, seq) stamps; a random suffix of
-            // same-time cohorts is delivered late ("mailed") after newer
-            // direct pushes already landed.
-            let mut serial = EventQueue::with_backend(backend);
-            let mut ext = EventQueue::with_backend(backend);
-            let mut stamps: Vec<(u64, u64)> = Vec::new();
-            let mut t = 0u64;
-            for seq in 0..4_000u64 {
-                t += rng.random_range(0..3u64) * 500;
-                stamps.push((t, seq));
-            }
-            for &(t, seq) in &stamps {
-                serial.push(Time(t), seq);
-            }
-            // Deliver direct entries first, then the "mailed" ones with
-            // their original (smaller) seqs.
-            let mut mailed = Vec::new();
-            for &(t, seq) in &stamps {
-                if rng.random::<f64>() < 0.25 {
-                    mailed.push((t, seq));
-                } else {
-                    ext.push_at_seq(Time(t), seq, seq);
-                }
-            }
-            for (t, seq) in mailed {
-                ext.push_at_seq(Time(t), seq, seq);
-            }
-            loop {
-                let a = serial.pop();
-                assert_eq!(a, ext.pop(), "{backend:?}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// `prepare` is pure restructuring: pops after an arbitrary-horizon
-    /// prepare (with further pushes landing mid-stream) match an
-    /// unprepared twin byte-for-byte.
-    #[test]
-    fn prepare_never_reorders() {
-        let mut rng = seeded_rng(2024);
-        let mut plain = EventQueue::new();
-        let mut prep = EventQueue::new();
-        let mut now = 0u64;
-        let mut id = 0u64;
-        for step in 0..30_000 {
-            let r = rng.random::<f64>();
-            if r < 0.5 || plain.is_empty() {
-                let t = now + rng.random_range(0..5_000_000u64);
-                plain.push(Time(t), id);
-                prep.push(Time(t), id);
-                id += 1;
-            } else if r < 0.6 {
-                // Horizons from "nothing" to "everything".
-                let h = now + rng.random_range(0..20_000_000u64);
-                prep.prepare(Time(h));
-            } else {
-                let a = plain.pop();
-                assert_eq!(a, prep.pop(), "step {step}");
-                if let Some((t, _)) = a {
-                    now = t.as_ps();
-                }
-            }
-            assert_eq!(plain.peek_key(), prep.peek_key(), "step {step}");
-            assert_eq!(plain.len(), prep.len(), "step {step}");
         }
     }
 

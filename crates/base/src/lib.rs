@@ -24,7 +24,6 @@ pub mod eventq;
 pub mod fxhash;
 pub mod json;
 pub mod prop;
-pub mod shardq;
 pub mod stats;
 pub mod units;
 
@@ -32,6 +31,5 @@ pub use dist::{exponential, gen_pareto, seeded_rng, GenPareto};
 pub use eventq::{EvKey, EventQueue, QueueBackend};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::Json;
-pub use shardq::{ShardQueueProfile, ShardedEventQueue};
 pub use stats::{Cdf, Histogram, LogHistogram, OnlineStats, Summary};
 pub use units::{Bytes, Dur, Rate, Time};

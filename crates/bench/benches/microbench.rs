@@ -9,7 +9,7 @@
 //! regression gate: the timer wheel must not be slower than the reference
 //! heap on the simulator's event pattern (enforced with `--enforce`).
 
-use silo_base::{seeded_rng, Bytes, Dur, EventQueue, QueueBackend, Rate, ShardedEventQueue, Time};
+use silo_base::{seeded_rng, Bytes, Dur, EventQueue, Rate, Time};
 use silo_flowsim::{waterfill, Allocator};
 use silo_netcalc::{backlog_bound, Curve, ServiceCurve};
 use silo_pacer::{Batch, BucketChain, PacedBatcher, TokenBucket};
@@ -313,81 +313,6 @@ fn bench_timer_cancel(h: &mut Harness) -> (f64, f64) {
     (tomb_ns, canc_ns)
 }
 
-/// The sharded engine's cut-packet flow in miniature: a 4-partition
-/// windowed merge under the simulator's rolling churn, with one push in
-/// eight crossing a partition cut through the mailbox path (mailed at a
-/// barrier, re-queued with its original seq). Returns ns per op.
-fn sharded_churn(ops: usize) -> (f64, u64, u64) {
-    use rand::Rng;
-    let mut q: ShardedEventQueue<u64> =
-        ShardedEventQueue::new(4, QueueBackend::Wheel, Dur::from_ns(500), 1);
-    let mut rng = seeded_rng(99);
-    let mut now = 0u64;
-    for i in 0..4096u64 {
-        let shard = (i % 4) as usize;
-        q.push(shard, Time(now + rng.random_range(1..1_200_000)), i);
-    }
-    let t0 = Instant::now();
-    for i in 0..ops {
-        let (t, _) = q.pop().expect("queue stays warm");
-        now = t.as_ps();
-        let shard = i % 4;
-        let t_new = Time(now + 1_200_000 + rng.random_range(0..1_200_000));
-        if i % 8 == 0 {
-            // A cut crossing: owned by the neighbour partition.
-            q.mail((shard + 1) % 4, t_new, i as u64);
-        } else {
-            q.push(shard, t_new, i as u64);
-        }
-    }
-    let ns = t0.elapsed().as_nanos() as f64 / ops as f64;
-    (ns, q.mailed(), q.barriers())
-}
-
-/// The naive alternative the mailbox design replaces: every partition
-/// shares one queue behind a global lock, every operation takes it.
-fn locked_churn(ops: usize) -> f64 {
-    use rand::Rng;
-    let q = std::sync::Mutex::new(EventQueue::new());
-    let mut rng = seeded_rng(99);
-    let mut now = 0u64;
-    for i in 0..4096u64 {
-        q.lock()
-            .unwrap()
-            .push(Time(now + rng.random_range(1..1_200_000)), i);
-    }
-    let t0 = Instant::now();
-    for i in 0..ops {
-        let (t, _) = q.lock().unwrap().pop().expect("queue stays warm");
-        now = t.as_ps();
-        let t_new = Time(now + 1_200_000 + rng.random_range(0..1_200_000));
-        q.lock().unwrap().push(t_new, i as u64);
-    }
-    t0.elapsed().as_nanos() as f64 / ops as f64
-}
-
-fn bench_partition_merge(h: &mut Harness) -> (f64, f64) {
-    let ops = if h.quick { 200_000 } else { 2_000_000 };
-    let (shard_ns, mailed, barriers) = sharded_churn(ops);
-    println!(
-        "{:<44} {shard_ns:>12.1} ns/op   ({ops} ops, {mailed} mailed, {barriers} barriers)",
-        "eventq/partition_merge_4x"
-    );
-    h.results
-        .push(("eventq/partition_merge_4x".into(), shard_ns));
-    assert!(
-        mailed > 0 && barriers > 0,
-        "the churn must exercise the mailbox and barrier machinery"
-    );
-    let lock_ns = locked_churn(ops);
-    println!(
-        "{:<44} {lock_ns:>12.1} ns/op   ({ops} ops)",
-        "eventq/global_lock_queue"
-    );
-    h.results.push(("eventq/global_lock_queue".into(), lock_ns));
-    (shard_ns, lock_ns)
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Cargo's bench runner passes --bench through; ignore it.
@@ -406,14 +331,15 @@ fn main() {
     let (wheel_ns, heap_ns) = bench_eventq(&mut h);
     let (tomb_ns, canc_ns) = bench_timer_cancel(&mut h);
     let (plain_ns, co_ns) = bench_void_coalesce(&mut h);
-    let (shard_ns, lock_ns) = bench_partition_merge(&mut h);
     // Machine-independent regression gates (ratios, so CI hardware
     // variance doesn't matter):
-    // 1. The timer wheel must stay within 2x of the reference heap on the
-    //    simulator's event pattern (it is expected to be *faster*; 2x
-    //    headroom absorbs CI noise).
+    // 1. The timer wheel must beat the reference heap on the simulator's
+    //    event pattern: it is the default backend only because it is
+    //    faster (ratio ~0.8 on this churn of 8-byte entries; 3.7x
+    //    events/sec on the simnet grid, whose entries are 100+ bytes), so
+    //    a wheel that merely ties has lost its reason to exist.
     let ratio = wheel_ns / heap_ns;
-    println!("eventq wheel/heap ratio: {ratio:.2} (gate: < 2.0)");
+    println!("eventq wheel/heap ratio: {ratio:.2} (gate: < 1.0)");
     // 2. Cancellation must beat the tombstone scheme by >= 1.3x on the
     //    RTO re-arm pattern — the win the simulator's cancel_timers
     //    default is predicated on.
@@ -424,15 +350,9 @@ fn main() {
     //    the simnet `coalesce_voids` default is predicated on.
     let void_gain = plain_ns / co_ns;
     println!("pacer per-chunk/coalesced void-drain gain: {void_gain:.2}x (gate: >= 2.0)");
-    // 4. The 4-way windowed merge (mailboxes + K-way head scan) must stay
-    //    within 3x of a global-lock queue per op — the per-event price of
-    //    lock-free partitions between barriers. If the merge overhead blows
-    //    past that, the sharded engine's premise is dead.
-    let merge_ratio = shard_ns / lock_ns;
-    println!("eventq partition-merge/global-lock ratio: {merge_ratio:.2} (gate: < 3.0)");
     if h.enforce {
-        if ratio >= 2.0 {
-            eprintln!("REGRESSION: timer wheel {ratio:.2}x slower than reference heap");
+        if ratio >= 1.0 {
+            eprintln!("REGRESSION: timer wheel no faster than the reference heap ({ratio:.2}x)");
             std::process::exit(1);
         }
         if cancel_gain < 1.3 {
@@ -444,12 +364,6 @@ fn main() {
         if void_gain < 2.0 {
             eprintln!(
                 "REGRESSION: void coalescing only {void_gain:.2}x over per-chunk emission (need 2x)"
-            );
-            std::process::exit(1);
-        }
-        if merge_ratio >= 3.0 {
-            eprintln!(
-                "REGRESSION: partition merge {merge_ratio:.2}x over a global-lock queue (need < 3x)"
             );
             std::process::exit(1);
         }

@@ -30,13 +30,6 @@ pub struct Args {
     /// engine, for the CI coalesce-differential (trace-diff) gate.
     /// Physics and observer streams are byte-identical either way.
     pub no_coalesce: bool,
-    /// Within-cell partition count (`SimConfig::shards`); 1 = serial
-    /// engine. Outputs are byte-identical at every value (the CI
-    /// shard-differential gate diffs the traces).
-    pub shards: u32,
-    /// Worker threads for the sharded engine's window-prepare pass
-    /// (`SimConfig::shard_threads`); never affects outputs.
-    pub shard_threads: usize,
     /// Record windowed telemetry (`SimConfig::telemetry`, 1 ms windows)
     /// and write the deterministic `silo-telemetry-v1` JSONL to this
     /// path. Physics are unchanged (the simnet telemetry suite asserts
@@ -61,65 +54,62 @@ impl Default for Args {
             trace: None,
             trace_perfetto: None,
             no_coalesce: false,
-            shards: 1,
-            shard_threads: 1,
             telemetry: None,
             telemetry_openmetrics: None,
         }
     }
 }
 
+/// Every flag [`Args::try_parse`] accepts, for error messages.
+const KNOWN_FLAGS: &str = "--scale --seed --duration-ms --runs --occupancy --threads --profile \
+     --audit --no-coalesce --trace --trace-perfetto --telemetry --telemetry-openmetrics";
+
+fn number<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
+    val.parse()
+        .map_err(|_| format!("{key}: cannot parse {val:?} as a number; known: {KNOWN_FLAGS}"))
+}
+
 impl Args {
-    /// Parse `--key value` pairs from `std::env::args`; unknown keys
-    /// panic with a usage hint.
+    /// Parse `std::env::args`; on a bad command line print the error and
+    /// exit with status 2.
     pub fn parse() -> Args {
-        let mut a = Args::default();
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            if key == "--profile" {
-                a.profile = true;
-                i += 1;
-                continue;
-            }
-            if key == "--audit" {
-                a.audit = true;
-                i += 1;
-                continue;
-            }
-            if key == "--no-coalesce" {
-                a.no_coalesce = true;
-                i += 1;
-                continue;
-            }
-            let val = argv.get(i + 1).unwrap_or_else(|| {
-                panic!("missing value for {key}");
-            });
+        Args::try_parse(&argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parse `--key value` pairs and bare switches. An unknown flag, a
+    /// missing value or an unparsable number is an `Err` that names the
+    /// flag and lists the known ones.
+    pub fn try_parse(argv: &[String]) -> Result<Args, String> {
+        let mut a = Args::default();
+        let mut it = argv.iter();
+        while let Some(key) = it.next() {
+            let key = key.as_str();
+            let mut val = || {
+                it.next()
+                    .ok_or_else(|| format!("missing value for {key}; known: {KNOWN_FLAGS}"))
+            };
             match key {
-                "--scale" => a.scale = val.parse().expect("--scale takes a float"),
-                "--seed" => a.seed = val.parse().expect("--seed takes an integer"),
-                "--duration-ms" => {
-                    a.duration_ms = val.parse().expect("--duration-ms takes an integer")
-                }
-                "--runs" => a.runs = val.parse().expect("--runs takes an integer"),
-                "--occupancy" => a.occupancy = val.parse().expect("--occupancy takes a float"),
-                "--threads" => a.threads = val.parse().expect("--threads takes an integer"),
-                "--trace" => a.trace = Some(val.clone()),
-                "--trace-perfetto" => a.trace_perfetto = Some(val.clone()),
-                "--shards" => a.shards = val.parse().expect("--shards takes an integer"),
-                "--shard-threads" => {
-                    a.shard_threads = val.parse().expect("--shard-threads takes an integer")
-                }
-                "--telemetry" => a.telemetry = Some(val.clone()),
-                "--telemetry-openmetrics" => a.telemetry_openmetrics = Some(val.clone()),
-                other => panic!(
-                    "unknown flag {other}; known: --scale --seed --duration-ms --runs --occupancy --threads --profile --audit --no-coalesce --trace --trace-perfetto --shards --shard-threads --telemetry --telemetry-openmetrics"
-                ),
+                "--profile" => a.profile = true,
+                "--audit" => a.audit = true,
+                "--no-coalesce" => a.no_coalesce = true,
+                "--scale" => a.scale = number(key, val()?)?,
+                "--seed" => a.seed = number(key, val()?)?,
+                "--duration-ms" => a.duration_ms = number(key, val()?)?,
+                "--runs" => a.runs = number(key, val()?)?,
+                "--occupancy" => a.occupancy = number(key, val()?)?,
+                "--threads" => a.threads = number(key, val()?)?,
+                "--trace" => a.trace = Some(val()?.clone()),
+                "--trace-perfetto" => a.trace_perfetto = Some(val()?.clone()),
+                "--telemetry" => a.telemetry = Some(val()?.clone()),
+                "--telemetry-openmetrics" => a.telemetry_openmetrics = Some(val()?.clone()),
+                other => return Err(format!("unknown flag {other}; known: {KNOWN_FLAGS}")),
             }
-            i += 2;
         }
-        a
+        Ok(a)
     }
 
     /// Flight-recorder tracing requested by any flag?
@@ -139,6 +129,43 @@ impl Args {
             crate::runner::auto_threads(cells)
         } else {
             self.threads.min(cells.max(1))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        Args::try_parse(&argv)
+    }
+
+    #[test]
+    fn accepts_every_kind_of_flag() {
+        let a = parse(&[
+            "--scale", "0.1", "--audit", "--runs", "2", "--trace", "t.jsonl",
+        ])
+        .expect("valid command line");
+        assert_eq!(a.scale, 0.1);
+        assert!(a.audit);
+        assert_eq!(a.runs, 2);
+        assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(a.seed, Args::default().seed);
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors_that_name_the_flag() {
+        for (argv, needle) in [
+            (&["--bogus"][..], "unknown flag --bogus"),
+            (&["--seed"][..], "missing value for --seed"),
+            (&["--runs", "many"][..], "--runs: cannot parse \"many\""),
+            (&["--shards", "4"][..], "unknown flag --shards"),
+        ] {
+            let err = parse(argv).expect_err("must be rejected");
+            assert!(err.contains(needle), "{argv:?}: {err}");
+            assert!(err.contains(KNOWN_FLAGS), "{argv:?} must list the flags");
         }
     }
 }

@@ -3,7 +3,7 @@
 //! engine win over the tombstone scheme, and sweep-level parallel speedup —
 //! written to `BENCH_simnet.json` in the current directory.
 //!
-//! Ten phases run the **same** `(mode × seed)` cell grid:
+//! Eight phases run the **same** `(mode × seed)` cell grid:
 //!
 //! 1. `heap/t1`           — reference heap backend, one thread;
 //! 2. `wheel_nocancel/t1` — timer wheel, tombstone timers (the
@@ -13,20 +13,15 @@
 //! 4. `wheel/t1`          — timer wheel + cancelable timers + event diet
 //!    (the default engine), one thread;
 //! 5. `wheel/tN`          — default engine, one worker per core;
-//! 6. `shard4/t1`         — within-cell sharded engine (4 rack
-//!    partitions, windowed merge), prepare pass inline;
-//! 7. `shard4/pN`         — same, prepare pass on worker threads;
-//! 8. `spawned/t1`        — default engine through the always-spawning
-//!    worker pool (the pre-inline-fast-path runner baseline);
-//! 9. `audit/t1`          — default engine with the invariant-audit layer
+//! 6. `audit/t1`          — default engine with the invariant-audit layer
 //!    on (its wall-clock overhead and counters go into the report);
-//! 10. `trace/t1`         — default engine with the flight recorder on
-//!     (its wall-clock overhead and event counts go into the report);
-//! 11. `telemetry/t1`     — default engine with the windowed telemetry
-//!     recorder on (1 ms windows; its wall-clock overhead goes into the
-//!     report and is asserted under 15%).
+//! 7. `trace/t1`          — default engine with the flight recorder on
+//!    (its wall-clock overhead and event counts go into the report);
+//! 8. `telemetry/t1`      — default engine with the windowed telemetry
+//!    recorder on (1 ms windows; its wall-clock overhead goes into the
+//!    report and is asserted under 15%).
 //!
-//! Physical results are asserted byte-identical across all eleven phases
+//! Physical results are asserted byte-identical across all eight phases
 //! (this binary doubles as an end-to-end equivalence check); engine
 //! counters are additionally identical wherever the engine config matches.
 //!
@@ -38,9 +33,7 @@
 
 use silo_base::QueueBackend;
 use silo_bench::ns2::{ns2_cells, run_ns2_cell_with_engine, EngineOpts, Ns2Cell};
-use silo_bench::{
-    auto_threads, run_cells_timed, run_cells_timed_spawned, Args, BenchCell, BenchReport,
-};
+use silo_bench::{auto_threads, run_cells_timed, Args, BenchCell, BenchReport};
 use silo_simnet::TransportMode;
 use std::time::Instant;
 
@@ -66,36 +59,10 @@ struct Phase {
 }
 
 fn run_phase(tag: &str, cells: &[Ns2Cell], args: &Args, eng: EngineOpts, threads: usize) -> Phase {
-    run_phase_inner(tag, cells, args, eng, threads, false)
-}
-
-/// `run_phase` through the always-spawning worker pool — the pre-fast-path
-/// runner, for the `spawned/t1` before/after comparison.
-fn run_phase_spawned(
-    tag: &str,
-    cells: &[Ns2Cell],
-    args: &Args,
-    eng: EngineOpts,
-    threads: usize,
-) -> Phase {
-    run_phase_inner(tag, cells, args, eng, threads, true)
-}
-
-fn run_phase_inner(
-    tag: &str,
-    cells: &[Ns2Cell],
-    args: &Args,
-    eng: EngineOpts,
-    threads: usize,
-    spawned: bool,
-) -> Phase {
     let t0 = Instant::now();
-    let cell_fn = |_: usize, c: &Ns2Cell| run_ns2_cell_with_engine(c, args, eng);
-    let timed = if spawned {
-        run_cells_timed_spawned(cells, threads, cell_fn)
-    } else {
-        run_cells_timed(cells, threads, cell_fn)
-    };
+    let timed = run_cells_timed(cells, threads, |_, c| {
+        run_ns2_cell_with_engine(c, args, eng)
+    });
     let total_wall_s = t0.elapsed().as_secs_f64();
     let mut bench_cells = Vec::with_capacity(cells.len());
     let mut canonical = Vec::with_capacity(cells.len());
@@ -182,8 +149,6 @@ fn profile_smoke(args: &Args) -> ! {
     let eng = EngineOpts {
         audit: true,
         telemetry: true,
-        shards: args.shards.max(1),
-        shard_threads: args.shard_threads,
         ..EngineOpts::default()
     };
     let (_, m) = run_ns2_cell_with_engine(&cell, args, eng);
@@ -296,15 +261,6 @@ fn main() {
         telemetry: true,
         ..wheel
     };
-    let shard_eng = EngineOpts { shards: 4, ..wheel };
-    // Exercise the threaded prepare pass even on a 1-core host (the
-    // byte-identity assert is the point; the wall number is caveated in
-    // the notes).
-    let prep_threads = cores.max(2);
-    let shard_eng_n = EngineOpts {
-        shard_threads: prep_threads,
-        ..shard_eng
-    };
     let heap1 = run_phase("heap/t1", &cells, &args, heap, 1);
     let base1 = run_phase("wheel_nocancel/t1", &cells, &args, nocancel, 1);
     let nodiet1 = run_phase("coalesce_off/t1", &cells, &args, nodiet, 1);
@@ -316,15 +272,6 @@ fn main() {
         wheel,
         par_threads,
     );
-    let shard1 = run_phase("shard4/t1", &cells, &args, shard_eng, 1);
-    let shardn = run_phase(
-        &format!("shard4/p{prep_threads}"),
-        &cells,
-        &args,
-        shard_eng_n,
-        1,
-    );
-    let spawned1 = run_phase_spawned("spawned/t1", &cells, &args, wheel, 1);
     let audit1 = run_phase("audit/t1", &cells, &args, audit_eng, 1);
     let trace1 = run_phase("trace/t1", &cells, &args, trace_eng, 1);
     let telemetry1 = run_phase("telemetry/t1", &cells, &args, telemetry_eng, 1);
@@ -359,26 +306,6 @@ fn main() {
     assert_eq!(
         wheel1.canonical, wheeln.canonical,
         "thread count changed results"
-    );
-    // Within-cell sharding (the windowed merge engine) is a pure
-    // wall-clock lever: full canonical results — engine counters
-    // included — must be byte-identical to the serial engine at every
-    // partition and prepare-thread count.
-    assert_eq!(
-        shard1.canonical, wheel1.canonical,
-        "4-way sharding changed results"
-    );
-    assert_eq!(
-        shardn.canonical, wheel1.canonical,
-        "sharded prepare threads changed results"
-    );
-    // The runner's t1 inline fast path is result-identical to the
-    // spawned pool it replaced, and may not be slower (small tolerance
-    // for wall-clock noise: the win is one thread create/join plus a
-    // mutex round-trip per sweep).
-    assert_eq!(
-        spawned1.canonical, wheel1.canonical,
-        "the spawned worker pool changed results"
     );
     // The invariant-audit layer is pure observation: same physics, same
     // engine counters, and zero unattributed violations on healthy cells.
@@ -428,16 +355,6 @@ fn main() {
     let silo_cancel_speedup = base1.report.cells[0].wall_s / wheel1.report.cells[0].wall_s;
     let peak_reduction = 1.0 - wheel1.peak_sum as f64 / base1.peak_sum.max(1) as f64;
     let parallel_speedup = wheel1.report.total_wall_s / wheeln.report.total_wall_s;
-    // Sharding works within a cell, so its speedups are per-cell wall
-    // ratios; the inline-runner win is sweep-level (the orchestration
-    // itself is what changed).
-    let shard_speedup_t1 = wheel1.report.cell_wall_s() / shard1.report.cell_wall_s();
-    let shard_speedup_tn = wheel1.report.cell_wall_s() / shardn.report.cell_wall_s();
-    let t1_inline_speedup = spawned1.report.total_wall_s / wheel1.report.total_wall_s;
-    assert!(
-        t1_inline_speedup > 0.95,
-        "the t1 inline fast path regressed vs the spawned pool ({t1_inline_speedup:.3}x)"
-    );
     let audit_overhead = audit1.report.cell_wall_s() / wheel1.report.cell_wall_s();
     let trace_overhead = trace1.report.cell_wall_s() / wheel1.report.cell_wall_s();
     let telemetry_overhead = telemetry1.report.cell_wall_s() / wheel1.report.cell_wall_s();
@@ -452,16 +369,11 @@ fn main() {
          elided pulls) {:.2}x events/sec in pre-diet units ({:.2}x on the Silo \
          cell; {:.2}x fewer dispatches); wheel-vs-heap events/sec gain {:.2}x; \
          {}-thread sweep speedup {:.2}x over 1 thread on a {}-core host; \
-         4-way within-cell sharding {:.2}x wall-clock ({:.2}x with {} prepare \
-         threads) — the windowed merge dispatches in serial order by \
-         construction, so ~1.0x is the honest expectation on this host and \
-         the win is the byte-identity it proves; t1 inline runner {:.2}x over \
-         the spawned pool; \
          invariant audit {:.2}x wall-clock, {} events checked, {} violations \
          ({} unattributed); flight recorder {:.2}x wall-clock, {} events retained \
          ({} evicted from rings); windowed telemetry {:.2}x wall-clock at 1 ms \
          windows ({} windows recorded); physics byte-identical across engines, \
-         backends, thread counts, shard counts, diet on/off, audit on/off, \
+         backends, thread counts, diet on/off, audit on/off, \
          trace on/off and telemetry on/off",
         cancel_speedup,
         silo_cancel_speedup,
@@ -474,10 +386,6 @@ fn main() {
         par_threads,
         parallel_speedup,
         cores,
-        shard_speedup_t1,
-        shard_speedup_tn,
-        prep_threads,
-        t1_inline_speedup,
         audit_overhead,
         audit1.audit_events,
         audit1.audit_violations,
@@ -530,15 +438,6 @@ fn main() {
         "  \"parallel_speedup_t{par_threads}\": {parallel_speedup:.3},\n"
     ));
     out.push_str(&format!(
-        "  \"shard_speedup_shards4_t1\": {shard_speedup_t1:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"shard_speedup_shards4_p{prep_threads}\": {shard_speedup_tn:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"t1_inline_speedup\": {t1_inline_speedup:.3},\n"
-    ));
-    out.push_str(&format!(
         "  \"audit_wall_overhead\": {audit_overhead:.3},\n"
     ));
     out.push_str(&format!(
@@ -581,9 +480,6 @@ fn main() {
         &nodiet1,
         &wheel1,
         &wheeln,
-        &shard1,
-        &shardn,
-        &spawned1,
         &audit1,
         &trace1,
         &telemetry1,

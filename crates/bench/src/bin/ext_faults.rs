@@ -77,8 +77,6 @@ fn main() {
     let results = run_cells(&cells, args.effective_threads(cells.len()), |i, sc| {
         let mut cfg = SimConfig::new(TransportMode::Silo, dur, args.seed);
         cfg.faults = sc.plan.clone();
-        cfg.shards = args.shards;
-        cfg.shard_threads = args.shard_threads;
         if args.audit {
             cfg.audit = Some(AuditConfig::default());
         }

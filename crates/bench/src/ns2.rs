@@ -104,13 +104,6 @@ pub struct EngineOpts {
     /// — one event per void chunk, one pull per batch boundary — for the
     /// `void_coalesce` before/after phase.
     pub coalesce: bool,
-    /// Within-cell partition count (`SimConfig::shards`). Like every
-    /// other knob here, byte-identical physics at any value; only
-    /// wall-clock moves.
-    pub shards: u32,
-    /// Window-prepare worker threads for the sharded engine
-    /// (`SimConfig::shard_threads`).
-    pub shard_threads: usize,
 }
 
 impl Default for EngineOpts {
@@ -122,23 +115,13 @@ impl Default for EngineOpts {
             trace: false,
             telemetry: false,
             coalesce: true,
-            shards: 1,
-            shard_threads: 1,
         }
     }
 }
 
 /// Execute one cell: place a population and run the packet simulator.
 pub fn run_ns2_cell(cell: &Ns2Cell, args: &Args) -> (Vec<NsTenant>, Metrics) {
-    run_ns2_cell_with_engine(
-        cell,
-        args,
-        EngineOpts {
-            shards: args.shards,
-            shard_threads: args.shard_threads,
-            ..EngineOpts::default()
-        },
-    )
+    run_ns2_cell_with_engine(cell, args, EngineOpts::default())
 }
 
 /// [`run_ns2_cell`] with explicit engine knobs — the simnet
@@ -167,8 +150,6 @@ pub fn run_ns2_cell_with_engine(
     cfg.cancel_timers = eng.cancel_timers;
     cfg.coalesce_voids = eng.coalesce;
     cfg.elide_nic_pulls = eng.coalesce;
-    cfg.shards = eng.shards;
-    cfg.shard_threads = eng.shard_threads;
     if eng.audit {
         cfg.audit = Some(silo_simnet::AuditConfig::default());
     }

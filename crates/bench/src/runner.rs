@@ -51,8 +51,7 @@ where
     if threads <= 1 {
         // One worker (or one cell): run inline on the caller thread.
         // Spawning a scoped worker here costs a thread create/join plus a
-        // mutex round-trip per sweep for zero parallelism — measured as
-        // the `parallel_speedup_t1 ≈ 0.96` regression on 1-core hosts.
+        // mutex round-trip per sweep for zero parallelism.
         return cells
             .iter()
             .enumerate()
@@ -66,20 +65,6 @@ where
             })
             .collect();
     }
-    run_cells_timed_spawned(cells, threads, f)
-}
-
-/// The always-spawning worker pool behind [`run_cells_timed`]. Public only
-/// for before/after benchmarking of the `threads == 1` inline fast path
-/// (the `bench_simnet` `runner/t1` comparison); sweeps should call
-/// [`run_cells_timed`], which picks the right strategy.
-pub fn run_cells_timed_spawned<T, R, F>(cells: &[T], threads: usize, f: F) -> Vec<Timed<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, Timed<R>)>> = Mutex::new(Vec::with_capacity(cells.len()));
     std::thread::scope(|scope| {
@@ -237,21 +222,6 @@ mod tests {
             let par = run_cells(&cells, threads, |i, &c| (i as u64) * 1_000 + c * c);
             assert_eq!(serial, par, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn inline_t1_matches_spawned_t1() {
-        let cells: Vec<u64> = (0..31).collect();
-        let f = |i: usize, c: &u64| (i as u64) ^ c.wrapping_mul(2654435761);
-        let inline: Vec<u64> = run_cells(&cells, 1, f);
-        let spawned: Vec<u64> = run_cells_timed_spawned(&cells, 1, f)
-            .into_iter()
-            .map(|t| t.result)
-            .collect();
-        assert_eq!(inline, spawned);
-        // Single cell also takes the inline path, whatever the thread ask.
-        let one = [7u64];
-        assert_eq!(run_cells(&one, 64, f), run_cells(&one, 1, f));
     }
 
     #[test]

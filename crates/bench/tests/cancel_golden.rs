@@ -25,8 +25,6 @@ fn small_args() -> Args {
         trace: None,
         trace_perfetto: None,
         no_coalesce: false,
-        shards: 1,
-        shard_threads: 1,
         telemetry: None,
         telemetry_openmetrics: None,
     }

@@ -46,8 +46,6 @@ fn small_args(threads: usize) -> Args {
         trace: None,
         trace_perfetto: None,
         no_coalesce: false,
-        shards: 1,
-        shard_threads: 1,
         telemetry: None,
         telemetry_openmetrics: None,
     }
@@ -66,28 +64,6 @@ fn sweep_results_are_byte_identical_across_thread_counts() {
         assert_eq!(
             serial, par,
             "sweep results diverged between 1 and {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn sweep_results_are_byte_identical_across_shard_counts() {
-    // Same bar as the thread-count test, but for the within-cell sharded
-    // engine: partitioning a cell (and adding prepare worker threads) is a
-    // pure wall-clock choice, never a physics one.
-    let modes = [TransportMode::Silo, TransportMode::Tcp];
-    let serial = sweep_fingerprint(&run_ns2_sweep(&modes, &small_args(1)));
-    assert!(serial.contains("\"messages\":[{"));
-    for (shards, shard_threads) in [(2, 1), (4, 1), (4, 4)] {
-        let args = Args {
-            shards,
-            shard_threads,
-            ..small_args(1)
-        };
-        let sharded = sweep_fingerprint(&run_ns2_sweep(&modes, &args));
-        assert_eq!(
-            serial, sharded,
-            "sweep results diverged at shards={shards} threads={shard_threads}"
         );
     }
 }

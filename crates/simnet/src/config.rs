@@ -206,19 +206,6 @@ pub struct SimConfig {
     /// would change where the clamp lands; untargeted hosts keep the
     /// fast path even under an active plan.
     pub elide_nic_pulls: bool,
-    /// Within-cell partition count for the sharded engine. `1` (the
-    /// default) is the serial engine; `> 1` splits the topology into
-    /// rack-contiguous shards ([`silo_topology::PartitionMap`]) with one
-    /// event queue each, merged under conservative time windows
-    /// (lookahead = cut-link propagation delay). Outputs are
-    /// byte-identical at every shard count — the global `(time, seq)`
-    /// dispatch order is reproduced exactly, cross-partition packets ride
-    /// window-barrier mailboxes. Clamped to the rack count.
-    pub shards: u32,
-    /// Worker threads for the sharded engine's window-prepare pass
-    /// (`1` = everything on the caller thread). Thread count never
-    /// affects outputs.
-    pub shard_threads: usize,
     /// Injected failures ([`FaultPlan`]). Empty (the default) is a strict
     /// no-op: no events are scheduled and every metric is byte-identical
     /// to a run without the fault layer.
@@ -281,8 +268,6 @@ impl SimConfig {
             cancel_timers: true,
             coalesce_voids: true,
             elide_nic_pulls: true,
-            shards: 1,
-            shard_threads: 1,
             faults: FaultPlan::default(),
             audit: None,
             trace: None,

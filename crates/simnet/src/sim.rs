@@ -14,10 +14,10 @@ use crate::telemetry::TelemetrySink;
 use crate::trace::{PktMeta, PktTag, TraceSink};
 use rand::rngs::StdRng;
 use silo_base::{
-    exponential, seeded_rng, Bytes, Dur, EvKey, FxHashMap, LogHistogram, ShardedEventQueue, Time,
+    exponential, seeded_rng, Bytes, Dur, EvKey, EventQueue, FxHashMap, LogHistogram, Time,
 };
 use silo_pacer::{Batch, FrameKind, PacedBatcher, TokenBucket, VoidChunks};
-use silo_topology::{HostId, PartitionMap, PortId, Topology};
+use silo_topology::{HostId, PortId, Topology};
 use silo_workload::EtcWorkload;
 
 /// Events the engine dispatches.
@@ -121,18 +121,8 @@ pub struct Sim {
     tenants: Vec<TenantSpec>,
     rng: StdRng,
     now: Time,
-    /// Pending events, ordered by global `(time, push sequence)` — one
-    /// timer wheel per topology partition behind a merge façade that
-    /// reproduces the serial dequeue order exactly at any shard count
-    /// (locked down by `silo_base::shardq`'s differential tests and the
-    /// serial-vs-sharded suite). `cfg.shards == 1` collapses to the
-    /// single-queue fast path.
-    events: ShardedEventQueue<Ev>,
-    /// Rack-contiguous topology partition backing `events` (trivial at
-    /// one shard).
-    part: PartitionMap,
-    /// `part.shards() > 1`: gates owner computation off the serial path.
-    sharded: bool,
+    /// Pending events, dispatched in `(time, push sequence)` order.
+    events: EventQueue<Ev>,
     /// Hosts targeted by a pacer stall/drift fault window — the only
     /// hosts whose idle-pacer fast-forward must be disabled (the clamp
     /// lands on *armed* pulls; see `Sim::fast_forward`).
@@ -313,14 +303,7 @@ impl Sim {
                 .collect(),
             ..Metrics::default()
         };
-        let part = PartitionMap::build(&topo, cfg.shards as usize);
-        let sharded = part.shards() > 1;
-        let mut events = ShardedEventQueue::new(
-            part.shards(),
-            cfg.queue,
-            part.lookahead(),
-            cfg.shard_threads,
-        );
+        let mut events = EventQueue::with_backend(cfg.queue);
         let num_hosts = topo.num_hosts();
         let num_switch_ports = topo.num_ports();
         // Topology-derived occupancy bound: at steady state each directed
@@ -374,12 +357,10 @@ impl Sim {
             )
         });
         let trace = cfg.trace.as_ref().map(|tc| TraceSink::new(tc, num_hosts));
-        let telemetry = cfg.telemetry.as_ref().map(|tc| {
-            // The queue's own wall-clock profile rides along with the
-            // engine self-profile (both pure observation).
-            events.enable_profile();
-            TelemetrySink::new(tc, cfg.duration, ntenants, ports.len(), part.shards())
-        });
+        let telemetry = cfg
+            .telemetry
+            .as_ref()
+            .map(|tc| TelemetrySink::new(tc, cfg.duration, ntenants, ports.len()));
         Sim {
             topo,
             cfg,
@@ -387,8 +368,6 @@ impl Sim {
             rng,
             now: Time::ZERO,
             events,
-            part,
-            sharded,
             nic_fault_targets,
             ports,
             conns: Vec::new(),
@@ -427,76 +406,12 @@ impl Sim {
 
     fn push(&mut self, t: Time, ev: Ev) {
         self.profile.scheduled[ev.kind() as usize] += 1;
-        let shard = if self.sharded { self.ev_owner(&ev) } else { 0 };
-        self.events.push(shard, t, ev);
+        self.events.push(t, ev);
     }
 
     fn push_cancelable(&mut self, t: Time, ev: Ev) -> EvKey {
         self.profile.scheduled[ev.kind() as usize] += 1;
-        let shard = if self.sharded { self.ev_owner(&ev) } else { 0 };
-        self.events.push_cancelable(shard, t, ev)
-    }
-
-    /// Owning partition of a port: switch/NIC ports by the partition map,
-    /// the simulator's synthetic loopback ports (appended after
-    /// `topo.num_ports()`, one per host — a `Sim` convention the map
-    /// doesn't know) by their host.
-    #[inline]
-    fn owner_of_port(&self, p: PortId) -> usize {
-        let nports = self.topo.num_ports();
-        if (p.0 as usize) < nports {
-            self.part.owner_of_port(p)
-        } else {
-            self.part.owner_of_host(p.0 as usize - nports)
-        }
-    }
-
-    /// Owning partition of an event — the shard whose queue holds it.
-    /// Wire events follow the port/host that handles them; workload
-    /// generators follow the VM's host; global coordination events
-    /// (hose epochs, OLDI bursts that fan out tenant-wide, fault
-    /// strikes) are pinned to shard 0.
-    fn ev_owner(&self, ev: &Ev) -> usize {
-        match *ev {
-            Ev::Arrive(id) => {
-                let pkt = &self.arena[id];
-                let hops = self.hops(pkt.path);
-                if pkt.hop < hops.len() {
-                    self.owner_of_port(hops[pkt.hop])
-                } else {
-                    // Terminal arrival: delivered at the receiving host.
-                    let c = &self.conns[pkt.conn as usize];
-                    let h = match pkt.kind {
-                        PktKind::Data => c.dst_host,
-                        PktKind::Ack => c.src_host,
-                    };
-                    self.part.owner_of_host(h.0 as usize)
-                }
-            }
-            Ev::PortFree(p) => self.owner_of_port(p),
-            Ev::NicPull { host, .. } => self.part.owner_of_host(host as usize),
-            Ev::Rto { conn, .. } | Ev::PaceResume { conn } => {
-                let h = self.conns[conn as usize].src_host;
-                self.part.owner_of_host(h.0 as usize)
-            }
-            Ev::EtcArrival { vm } => self
-                .part
-                .owner_of_host(self.vms[vm as usize].host.0 as usize),
-            Ev::BulkStart { src, .. } => self
-                .part
-                .owner_of_host(self.vms[src as usize].host.0 as usize),
-            Ev::Oldi { .. }
-            | Ev::PoissonMsg { .. }
-            | Ev::HoseEpoch
-            | Ev::FaultStart(_)
-            | Ev::FaultEnd(_) => 0,
-        }
-    }
-
-    /// `(cross-partition deliveries, window barriers)` of the sharded
-    /// queue — diagnostics for the differential suites.
-    pub fn shard_stats(&self) -> (u64, u64) {
-        (self.events.mailed(), self.events.barriers())
+        self.events.push_cancelable(t, ev)
     }
 
     fn path(&mut self, src: HostId, dst: HostId) -> PathId {
@@ -990,8 +905,7 @@ impl Sim {
             // Re-arming supersedes the pending timer: remove it instead of
             // leaving a tombstone to bloat the queue until it expires.
             if let Some(k) = self.conns[conn as usize].rto_key.take() {
-                let shard = self.rto_shard(conn);
-                if self.events.cancel(shard, k) {
+                if self.events.cancel(k) {
                     self.profile.cancelled[EvKind::Rto as usize] += 1;
                 }
             }
@@ -1003,25 +917,12 @@ impl Sim {
     }
 
     fn disarm_rto(&mut self, conn: u32) {
-        let shard = self.rto_shard(conn);
         let c = &mut self.conns[conn as usize];
         c.rto_marker += 1;
         if let Some(k) = c.rto_key.take() {
-            if self.events.cancel(shard, k) {
+            if self.events.cancel(k) {
                 self.profile.cancelled[EvKind::Rto as usize] += 1;
             }
-        }
-    }
-
-    /// Shard whose queue holds connection `conn`'s RTO timer (RTOs are
-    /// always armed on the sender's host partition).
-    #[inline]
-    fn rto_shard(&self, conn: u32) -> usize {
-        if self.sharded {
-            self.part
-                .owner_of_host(self.conns[conn as usize].src_host.0 as usize)
-        } else {
-            0
         }
     }
 
@@ -1188,12 +1089,7 @@ impl Sim {
         };
         if self.cfg.cancel_timers {
             if let Some(k) = self.nics[host].pull_key.take() {
-                let shard = if self.sharded {
-                    self.part.owner_of_host(host)
-                } else {
-                    0
-                };
-                if self.events.cancel(shard, k) {
+                if self.events.cancel(k) {
                     self.profile.cancelled[EvKind::NicPull as usize] += 1;
                 }
             }
@@ -1523,21 +1419,6 @@ impl Sim {
         // within-instant service point and flips drop/occupancy decisions
         // whenever events collide on the tx-time grid (see DESIGN.md).
         self.push(t_free, Ev::PortFree(port));
-        if self.sharded {
-            // This is the one site where a packet crosses a partition cut:
-            // a link whose egress port and next hop live in different
-            // shards (ToR uplinks, by the rack-contiguous partitioning).
-            // The arrival rides the destination's window-barrier mailbox;
-            // conservative lookahead (`t_arrive ≥ now + prop ≥ window
-            // end`) guarantees it is never due inside the current window.
-            let origin = self.owner_of_port(port);
-            let dest = self.ev_owner(&Ev::Arrive(id));
-            if dest != origin {
-                self.profile.scheduled[EvKind::Arrive as usize] += 1;
-                self.events.mail(dest, t_arrive, Ev::Arrive(id));
-                return;
-            }
-        }
         self.push(t_arrive, Ev::Arrive(id));
     }
 
@@ -2118,7 +1999,6 @@ impl Sim {
         }
         self.tenant_up[ti as usize] = false;
         for &ci in &self.tenant_conns[ti as usize].clone() {
-            let shard = self.rto_shard(ci);
             let c = &mut self.conns[ci as usize];
             c.wr_end = c.una; // abandon everything not yet acknowledged
             c.msgs.clear();
@@ -2126,7 +2006,7 @@ impl Sim {
             c.rto_marker += 1; // disarm any pending RTO
             let key = c.rto_key.take();
             if let Some(k) = key {
-                if self.events.cancel(shard, k) {
+                if self.events.cancel(k) {
                     self.profile.cancelled[EvKind::Rto as usize] += 1;
                 }
             }
@@ -2170,8 +2050,7 @@ impl Sim {
             c.rto_marker += 1;
             let key = c.rto_key.take();
             if let Some(k) = key {
-                let shard = self.rto_shard(ci);
-                if self.events.cancel(shard, k) {
+                if self.events.cancel(k) {
                     self.profile.cancelled[EvKind::Rto as usize] += 1;
                 }
             }
@@ -2305,16 +2184,12 @@ impl Sim {
             let kind = ev.kind() as usize;
             self.profile.fired[kind] += 1;
             // Sampled dispatch self-profile: every 64th event pays two
-            // clock reads, attributed to the owning shard by the same map
-            // that routes the event. Wall-clock only — never sim state.
+            // clock reads. Wall-clock only — never sim state.
             let ticked = self
                 .telemetry
                 .as_mut()
                 .is_some_and(|tel| tel.dispatch_tick());
-            let sample = ticked.then(|| {
-                let shard = if self.sharded { self.ev_owner(&ev) } else { 0 };
-                (shard, std::time::Instant::now())
-            });
+            let sample = ticked.then(std::time::Instant::now);
             match ev {
                 Ev::Arrive(id) => self.on_arrive(id),
                 Ev::PortFree(p) => self.on_port_free(p),
@@ -2338,10 +2213,10 @@ impl Sim {
                 Ev::FaultStart(i) => self.on_fault_start(i),
                 Ev::FaultEnd(i) => self.on_fault_end(i),
             }
-            if let Some((shard, t0)) = sample {
+            if let Some(t0) = sample {
                 let ns = t0.elapsed().as_nanos() as u64;
                 if let Some(tel) = self.telemetry.as_mut() {
-                    tel.dispatch_span(kind, shard, ns);
+                    tel.dispatch_span(kind, ns);
                 }
             }
         }
@@ -2436,9 +2311,7 @@ impl Sim {
                 ));
             }
             if let Some(tel) = self.telemetry.take() {
-                let qprof = self.events.profile();
-                self.metrics.telemetry =
-                    Some(tel.finish(labels, &self.metrics.fault_windows, qprof));
+                self.metrics.telemetry = Some(tel.finish(labels, &self.metrics.fault_windows));
             }
         }
         self.metrics.clone()

@@ -32,17 +32,13 @@
 //! trace rings' `retained + dropped == recorded`.
 //!
 //! The **self-profile** is the one deliberately non-deterministic part:
-//! wall-clock spans for the sharded engine's K-way merge, barrier
-//! mailbox drains and `prepare` pre-drains (from
-//! [`silo_base::shardq::ShardQueueProfile`]) plus sampled per-event-kind
-//! dispatch time attributed to the owning shard. It is kept out of the
-//! deterministic exports ([`TelemetryLog::to_jsonl`] /
-//! [`TelemetryLog::to_openmetrics`]) and rendered separately
-//! ([`SelfProfile::to_table`]), so `silo-top diff` on two same-seed runs
-//! is always byte-clean.
+//! the dispatch loop's wall time plus sampled per-event-kind dispatch
+//! time. It is kept out of the deterministic exports
+//! ([`TelemetryLog::to_jsonl`] / [`TelemetryLog::to_openmetrics`]) and
+//! rendered separately ([`SelfProfile::to_table`]), so `silo-top diff` on
+//! two same-seed runs is always byte-clean.
 
 use crate::metrics::{EvKind, FaultWindow, LATENCY_HIST_SUB_BITS};
-use silo_base::shardq::ShardQueueProfile;
 use silo_base::{Dur, LogHistogram, Time};
 use std::time::Instant;
 
@@ -114,85 +110,46 @@ pub struct GlobalWindow {
     pub wire_void_bytes: u64,
 }
 
-/// Wall-clock self-profile of the engine, aggregated per shard. All
-/// values are host wall time — **not** deterministic, and therefore
-/// excluded from the deterministic exports.
+/// Wall-clock self-profile of the engine. All values are host wall
+/// time — **not** deterministic, and therefore excluded from the
+/// deterministic exports.
 #[derive(Debug, Clone, Default)]
 pub struct SelfProfile {
     /// Total wall time of the dispatch loop (`Sim::run_inner`).
     pub wall_ns: u64,
-    /// Sampled wall time in the sharded queue's K-way head merge
-    /// (every 64th pop; 0 in single-shard runs, which skip the merge).
-    pub merge_ns: u64,
-    pub merge_samples: u64,
-    /// Window barriers taken by the sharded queue.
-    pub barriers: u64,
-    /// Per-shard mailbox drain wall time at barriers.
-    pub drain_ns: Vec<u64>,
-    /// Per-shard `prepare` pre-drain wall time.
-    pub prepare_ns: Vec<u64>,
-    /// Per-shard, per-event-kind dispatch wall time (sampled: every 64th
-    /// dispatched event is timed; sums are raw sampled time, not scaled).
-    pub dispatch_ns: Vec<[u64; EvKind::COUNT]>,
+    /// Per-event-kind dispatch wall time (sampled: every 64th dispatched
+    /// event is timed; sums are raw sampled time, not scaled).
+    pub dispatch_ns: [u64; EvKind::COUNT],
     /// Sample counts matching `dispatch_ns`.
-    pub dispatch_samples: Vec<[u64; EvKind::COUNT]>,
+    pub dispatch_samples: [u64; EvKind::COUNT],
 }
 
 impl SelfProfile {
-    /// Total sampled dispatch time across shards and kinds.
+    /// Total sampled dispatch time across kinds.
     pub fn dispatch_total_ns(&self) -> u64 {
-        self.dispatch_ns.iter().map(|a| a.iter().sum::<u64>()).sum()
+        self.dispatch_ns.iter().sum()
     }
 
-    /// One shard's instrumented span total (drain + prepare + sampled
-    /// dispatch). Each term is wall time measured on the dispatch
-    /// thread, so the per-shard sums are bounded by `wall_ns` whenever
-    /// prepare runs inline (`shard_threads == 1`).
-    pub fn shard_total_ns(&self, shard: usize) -> u64 {
-        self.drain_ns.get(shard).copied().unwrap_or(0)
-            + self.prepare_ns.get(shard).copied().unwrap_or(0)
-            + self
-                .dispatch_ns
-                .get(shard)
-                .map(|a| a.iter().sum::<u64>())
-                .unwrap_or(0)
-    }
-
-    /// Aligned text table for `--profile` output and the DESIGN.md
-    /// ROADMAP-item-1 baseline.
+    /// Aligned text table for `--profile` output.
     pub fn to_table(&self) -> String {
-        let shards = self.dispatch_ns.len().max(1);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "engine self-profile: wall {:.3} ms, merge {:.3} ms sampled ({} samples), {} barriers\n",
+        let mut out = format!(
+            "engine self-profile: wall {:.3} ms, sampled dispatch {:.1} us ({} samples)\n",
             self.wall_ns as f64 / 1e6,
-            self.merge_ns as f64 / 1e6,
-            self.merge_samples,
-            self.barriers
-        ));
+            self.dispatch_total_ns() as f64 / 1e3,
+            self.dispatch_samples.iter().sum::<u64>()
+        );
         out.push_str(&format!(
-            "{:<8} {:>12} {:>12} {:>14} {:>12}  top event kinds (sampled us)\n",
-            "shard", "drain_us", "prepare_us", "dispatch_us", "samples"
+            "{:<12} {:>14} {:>12}\n",
+            "event", "dispatch_us", "samples"
         ));
-        for s in 0..shards {
-            let d = self.dispatch_ns.get(s).copied().unwrap_or_default();
-            let n = self.dispatch_samples.get(s).copied().unwrap_or_default();
-            let mut kinds: Vec<(usize, u64)> = d.iter().copied().enumerate().collect();
-            kinds.sort_by_key(|&(i, v)| (std::cmp::Reverse(v), i));
-            let top: Vec<String> = kinds
-                .iter()
-                .take(3)
-                .filter(|&&(_, v)| v > 0)
-                .map(|&(i, v)| format!("{} {:.1}", EvKind::ALL[i].label(), v as f64 / 1e3))
-                .collect();
+        let mut kinds: Vec<usize> = (0..EvKind::COUNT).collect();
+        kinds.sort_by_key(|&i| (std::cmp::Reverse(self.dispatch_ns[i]), i));
+        for i in kinds.into_iter().filter(|&i| self.dispatch_samples[i] > 0) {
             out.push_str(&format!(
-                "{:<8} {:>12.1} {:>12.1} {:>14.1} {:>12}  {}\n",
-                s,
-                self.drain_ns.get(s).copied().unwrap_or(0) as f64 / 1e3,
-                self.prepare_ns.get(s).copied().unwrap_or(0) as f64 / 1e3,
-                d.iter().sum::<u64>() as f64 / 1e3,
-                n.iter().sum::<u64>(),
-                top.join(", ")
+                "{:<12} {:>14.1} {:>12}\n",
+                EvKind::ALL[i].label(),
+                self.dispatch_ns[i] as f64 / 1e3,
+                self.dispatch_samples[i]
             ));
         }
         out
@@ -233,8 +190,8 @@ pub struct TelemetrySink {
     wall_start: Option<Instant>,
     wall_ns: u64,
     ev_count: u64,
-    dispatch_ns: Vec<[u64; EvKind::COUNT]>,
-    dispatch_samples: Vec<[u64; EvKind::COUNT]>,
+    dispatch_ns: [u64; EvKind::COUNT],
+    dispatch_samples: [u64; EvKind::COUNT],
 }
 
 impl TelemetrySink {
@@ -243,7 +200,6 @@ impl TelemetrySink {
         duration: Dur,
         ntenants: usize,
         nports: usize,
-        nshards: usize,
     ) -> TelemetrySink {
         let interval_ps = cfg.interval.as_ps().max(1);
         let nwindows = duration.as_ps().div_ceil(interval_ps).max(1);
@@ -267,8 +223,8 @@ impl TelemetrySink {
             wall_start: None,
             wall_ns: 0,
             ev_count: 0,
-            dispatch_ns: vec![[0; EvKind::COUNT]; nshards.max(1)],
-            dispatch_samples: vec![[0; EvKind::COUNT]; nshards.max(1)],
+            dispatch_ns: [0; EvKind::COUNT],
+            dispatch_samples: [0; EvKind::COUNT],
         }
     }
 
@@ -432,18 +388,16 @@ impl TelemetrySink {
 
     /// Record one sampled dispatch span.
     #[inline]
-    pub fn dispatch_span(&mut self, kind: usize, shard: usize, ns: u64) {
-        self.dispatch_ns[shard][kind] += ns;
-        self.dispatch_samples[shard][kind] += 1;
+    pub fn dispatch_span(&mut self, kind: usize, ns: u64) {
+        self.dispatch_ns[kind] += ns;
+        self.dispatch_samples[kind] += 1;
     }
 
-    /// Flush the remaining windows and assemble the log. `shardq` is the
-    /// sharded queue's own wall-clock profile when one was collected.
+    /// Flush the remaining windows and assemble the log.
     pub fn finish(
         mut self,
         port_labels: Vec<String>,
         fault_windows: &[FaultWindow],
-        shardq: Option<ShardQueueProfile>,
     ) -> TelemetryLog {
         while self.cur < self.nwindows {
             self.close_current();
@@ -467,19 +421,11 @@ impl TelemetrySink {
                 }
             }
         }
-        let mut profile = SelfProfile {
+        let self_profile = SelfProfile {
             wall_ns: self.wall_ns,
             dispatch_ns: self.dispatch_ns,
             dispatch_samples: self.dispatch_samples,
-            ..SelfProfile::default()
         };
-        if let Some(q) = shardq {
-            profile.merge_ns = q.merge_ns;
-            profile.merge_samples = q.merge_samples;
-            profile.barriers = q.barriers;
-            profile.drain_ns = q.drain_ns;
-            profile.prepare_ns = q.prepare_ns;
-        }
         TelemetryLog {
             interval: Dur(self.interval_ps),
             windows: self.nwindows,
@@ -488,7 +434,7 @@ impl TelemetrySink {
             global: self.global_series,
             window_faults,
             port_labels,
-            self_profile: profile,
+            self_profile,
         }
     }
 }
@@ -813,7 +759,6 @@ mod tests {
             Dur::from_ms(windows * interval_ms),
             2,
             3,
-            1,
         )
     }
 
@@ -825,7 +770,7 @@ mod tests {
         s.msg_done(Time::from_us(1600), 0, 7_000_000, Some(-250));
         s.msg_done(Time::from_us(3999), 1, 1_000_000, None);
         s.rto(Time::from_ms(4), 1); // horizon edge clamps into window 3
-        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[], None);
+        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[]);
         assert_eq!(log.windows, 4);
         assert_eq!(log.tenants[0].len(), 4);
         assert_eq!(log.sum_goodput(0), 1500);
@@ -849,7 +794,7 @@ mod tests {
         s.port_enqueue(Time::from_us(20), 1, 4500, true, true);
         s.port_enqueue(Time::from_us(30), 1, 4500, false, false); // tail drop
         s.port_tx(Time::from_us(40), 1, Dur::from_us(1), 1500, 3000);
-        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[], None);
+        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[]);
         assert_eq!(log.ports[1][0].drops, 1);
         assert_eq!(log.ports[1][0].ce_marks, 1);
         assert_eq!(log.ports[1][0].tx_bytes, 1500);
@@ -871,7 +816,6 @@ mod tests {
         let log = s.finish(
             vec!["a".into(), "b".into(), "c".into()],
             &[fw(0, 1500, 3500), fw(1, 2000, 2000), fw(2, 0, 1000)],
-            None,
         );
         // Fault 0 spans windows 1..=3; zero-length fault 1 gets exactly
         // one window; fault 2 ends exactly on the w1 boundary and is
@@ -888,7 +832,7 @@ mod tests {
         let mut s = sink(2, 1);
         s.goodput(Time::from_us(10), 0, 42);
         s.port_enqueue(Time::from_us(10), 2, 100, true, false);
-        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[], None);
+        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[]);
         let a = log.to_jsonl();
         let b = log.to_jsonl();
         assert_eq!(a, b);
@@ -904,7 +848,7 @@ mod tests {
     fn openmetrics_ends_with_eof_and_timestamps_are_fixed_point() {
         let mut s = sink(2, 1);
         s.goodput(Time::from_us(10), 0, 42);
-        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[], None);
+        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[]);
         let om = log.to_openmetrics();
         assert!(om.ends_with("# EOF\n"));
         assert!(om.contains("silo_goodput_bytes{tenant=\"0\"} 42 0.001000\n"));
@@ -915,7 +859,7 @@ mod tests {
     fn perfetto_counters_are_well_formed() {
         let mut s = sink(1, 1);
         s.msg_done(Time::from_us(10), 0, 5_000_000, Some(2_000_000));
-        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[], None);
+        let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[]);
         let p = log.to_perfetto();
         assert!(p.contains("\"ph\":\"C\""));
         assert!(p.contains("tenant0 margin_ns"));

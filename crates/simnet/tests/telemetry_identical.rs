@@ -4,7 +4,7 @@
 //! Telemetry is pure observation, and this suite is the proof: a
 //! telemetry-on run must be byte-identical to a telemetry-off run in
 //! every other observer (canonical metrics, flight-recorder log, audit
-//! counters) across transports, shard counts and fault plans; and every
+//! counters) across transports and fault plans; and every
 //! series must be *conservative* — the sum over windows equals the
 //! end-of-run `Metrics` total bit-exactly, the windowed analogue of the
 //! trace rings' `retained + dropped == recorded`.
@@ -16,9 +16,8 @@ use silo_simnet::{
 };
 use silo_topology::{HostId, Topology, TreeParams};
 
-/// Four racks of four servers (the shard suite's topology): enough racks
-/// for a real 4-way partition and an oversubscribed ToR uplink so the
-/// cut links actually queue.
+/// Four racks of four servers (the `serial_golden` topology) with an
+/// oversubscribed ToR uplink so cross-rack traffic actually queues.
 fn racked_topo() -> Topology {
     Topology::build(TreeParams {
         pods: 1,
@@ -70,15 +69,8 @@ fn faults() -> FaultPlan {
         .link_down(Time::from_ms(10), Some(Time::from_ms(15)), 2)
 }
 
-fn run(
-    mode: TransportMode,
-    shards: u32,
-    telemetry: bool,
-    plan: FaultPlan,
-    observers: bool,
-) -> Metrics {
+fn run(mode: TransportMode, telemetry: bool, plan: FaultPlan, observers: bool) -> Metrics {
     let mut cfg = SimConfig::new(mode, Dur::from_ms(20), 7);
-    cfg.shards = shards;
     cfg.faults = plan;
     if telemetry {
         cfg.telemetry = Some(TelemetryConfig::default());
@@ -109,31 +101,26 @@ fn telemetry_observes_without_perturbing_physics() {
         TransportMode::Tcp,
         TransportMode::Dctcp,
     ] {
-        for shards in [1u32, 4] {
-            for plan in [FaultPlan::new(), faults()] {
-                let off = observed(&run(mode, shards, false, plan.clone(), true));
-                let m = run(mode, shards, true, plan, true);
-                let on = observed(&m);
-                assert_eq!(
-                    on, off,
-                    "telemetry moved an observer: mode={mode:?} shards={shards}"
-                );
-                let log = m.telemetry.as_ref().expect("telemetry-on run");
-                assert_eq!(log.windows, 20, "20 ms at 1 ms windows");
-                assert!(
-                    log.tenants
-                        .iter()
-                        .any(|s| s.iter().any(|w| w.completions > 0)),
-                    "mode={mode:?}: some window must complete messages"
-                );
-            }
+        for plan in [FaultPlan::new(), faults()] {
+            let off = observed(&run(mode, false, plan.clone(), true));
+            let m = run(mode, true, plan, true);
+            let on = observed(&m);
+            assert_eq!(on, off, "telemetry moved an observer: mode={mode:?}");
+            let log = m.telemetry.as_ref().expect("telemetry-on run");
+            assert_eq!(log.windows, 20, "20 ms at 1 ms windows");
+            assert!(
+                log.tenants
+                    .iter()
+                    .any(|s| s.iter().any(|w| w.completions > 0)),
+                "mode={mode:?}: some window must complete messages"
+            );
         }
     }
 }
 
 #[test]
 fn telemetry_stays_out_of_serializations() {
-    let m = run(TransportMode::Silo, 1, true, FaultPlan::new(), false);
+    let m = run(TransportMode::Silo, true, FaultPlan::new(), false);
     assert!(
         !m.canonical_json().contains("telemetry"),
         "telemetry must not enter the fingerprint"
@@ -152,7 +139,7 @@ fn every_series_conserves_the_end_of_run_totals() {
         TransportMode::Dctcp,
     ] {
         for plan in [FaultPlan::new(), faults()] {
-            let m = run(mode, 1, true, plan, false);
+            let m = run(mode, true, plan, false);
             let log = m.telemetry.as_ref().expect("telemetry log");
             for t in 0..2 {
                 assert_eq!(
@@ -184,26 +171,12 @@ fn every_series_conserves_the_end_of_run_totals() {
     }
 }
 
-/// Sharding must not move a single windowed sample: the deterministic
-/// JSONL of a 4-shard run equals the serial run's byte-for-byte.
-#[test]
-fn windowed_series_are_shard_invariant() {
-    for plan in [FaultPlan::new(), faults()] {
-        let serial = run(TransportMode::Silo, 1, true, plan.clone(), false);
-        let sharded = run(TransportMode::Silo, 4, true, plan, false);
-        assert_eq!(
-            serial.telemetry.as_ref().expect("log").to_jsonl(),
-            sharded.telemetry.as_ref().expect("log").to_jsonl(),
-        );
-    }
-}
-
 /// The margin series actually bites: the guaranteed tenant's windows
 /// carry margins, and a ToR outage mid-run produces fault-attributed
 /// windows overlapping the realized fault interval.
 #[test]
 fn margins_and_fault_attribution_populate() {
-    let m = run(TransportMode::Silo, 1, true, faults(), false);
+    let m = run(TransportMode::Silo, true, faults(), false);
     let log = m.telemetry.as_ref().expect("log");
     assert!(
         log.tenants[0].iter().any(|w| w.margin_min_ps.is_some()),
@@ -228,45 +201,20 @@ fn margins_and_fault_attribution_populate() {
     );
 }
 
-/// Engine self-profile smoke (ROADMAP item 1 baseline): under 4 shards
-/// the merge, barrier-drain and dispatch spans are all nonzero, and the
-/// instrumented time never exceeds the dispatch loop's wall time.
+/// Engine self-profile smoke: the loop is timed, sampled dispatch spans
+/// land, and the sampled time never exceeds the loop's wall time.
 #[test]
 fn self_profile_spans_are_nonzero_and_bounded() {
-    let m = run(TransportMode::Silo, 4, true, FaultPlan::new(), false);
+    let m = run(TransportMode::Silo, true, FaultPlan::new(), false);
     let p = &m.telemetry.as_ref().expect("log").self_profile;
     assert!(p.wall_ns > 0, "dispatch loop must be timed");
-    assert!(p.barriers > 0, "4-shard run must hit window barriers");
-    assert!(p.merge_samples > 0, "sampled merges must land");
-    assert!(p.merge_ns > 0, "merge span must accumulate");
-    assert!(
-        p.drain_ns.iter().any(|&n| n > 0),
-        "cross-rack traffic must time mailbox drains"
-    );
     assert!(p.dispatch_total_ns() > 0, "dispatch spans must accumulate");
-    assert_eq!(p.dispatch_ns.len(), 4, "per-shard dispatch attribution");
     assert!(
-        p.dispatch_ns
-            .iter()
-            .filter(|a| a.iter().sum::<u64>() > 0)
-            .count()
-            >= 2,
-        "dispatch time must attribute to multiple shards"
-    );
-    // Every span is measured inline on the dispatch thread
-    // (shard_threads=1), so the instrumented total is bounded by wall.
-    let instrumented: u64 = (0..4).map(|s| p.shard_total_ns(s)).sum::<u64>() + p.merge_ns;
-    assert!(
-        instrumented <= p.wall_ns,
-        "instrumented {instrumented} ns exceeds wall {} ns",
+        p.dispatch_total_ns() <= p.wall_ns,
+        "sampled {} ns exceeds wall {} ns",
+        p.dispatch_total_ns(),
         p.wall_ns
     );
-    // The serial engine keeps the loop timed but never merges or drains.
-    let serial = run(TransportMode::Silo, 1, true, FaultPlan::new(), false);
-    let sp = &serial.telemetry.as_ref().expect("log").self_profile;
-    assert!(sp.wall_ns > 0);
-    assert_eq!(sp.barriers, 0);
-    assert_eq!(sp.merge_samples, 0);
 }
 
 /// Window geometry follows the config: a non-default interval yields

@@ -21,8 +21,6 @@
 //! packet traverses NIC-to-NIC, which is the path Silo's delay guarantee
 //! covers (paper Fig. 3).
 
-mod partition;
 mod tree;
 
-pub use partition::PartitionMap;
 pub use tree::{HostId, Level, LinkId, NodeId, PortId, PortInfo, Topology, TreeParams};
