@@ -15,11 +15,28 @@
 //! and mixes horizons from tens of nanoseconds (wire frames) to
 //! milliseconds (RTOs, hose epochs). A comparison heap pays `O(log n)`
 //! sift work — on 100+ byte entries — for every push *and* pop. The wheel
-//! files each entry by the most-significant bit in which its expiry
-//! differs from the current time (`6` bits per level, `8` levels,
-//! `2^48` ps ≈ 281 s of horizon), so a push is O(1) and an entry cascades
-//! through at most 7 slots over its whole lifetime. Slot vectors are
-//! recycled through a pool, so steady-state operation allocates nothing.
+//! files each entry by the most-significant bit in which its expiry's
+//! *tick* (`2^10` ps ≈ 1 ns) differs from the current time's (`6` bits per
+//! level, `8` levels, `2^58` ps ≈ 80 h of horizon), so a push is O(1) and
+//! an entry cascades through at most 7 slots over its whole lifetime. A
+//! level-0 slot is one tick, not one instant: the drain sorts it by
+//! `(t, seq)`, which is what keeps the order exact on the coarser grid.
+//! Slot vectors are recycled through a pool, so steady-state operation
+//! allocates nothing.
+//!
+//! # Lanes
+//!
+//! Most simulator events are not timers: an egress port's `PortFree` and
+//! `Arrive` events, and a NIC's frame arrivals, are each pushed in
+//! non-decreasing time order by their source. [`EventQueue::push_lane`]
+//! appends such an event to its source's FIFO under the shared `seq`
+//! counter, and `pop` returns the `(t, seq)`-minimum of a small binary
+//! heap over the lane heads and the wheel's head — the same total order,
+//! without filing and re-filing each event through the wheel levels. A
+//! lane push that would break its lane's order falls back to the general
+//! path, so the contract above never depends on the caller being right.
+//! The wheel is only primed up to the earliest lane head, so `cur` never
+//! runs ahead of the instant being dispatched.
 //!
 //! # Cancellation
 //!
@@ -29,7 +46,7 @@
 //! tracks its exact position, so a cancel is an O(1) `swap_remove` — the
 //! entry never cascades, never reaches the head, and costs nothing after
 //! the cancel. Positions inside slot vectors carry no ordering (level-0
-//! slots are sorted by `seq` at drain time; higher levels re-file by
+//! slots are sorted by `(t, seq)` at drain time; higher levels re-file by
 //! expiry), so the swap cannot perturb the dequeue order. Entries already
 //! drained into the `ready` run — and everything under the reference heap
 //! backend, which has no O(1) delete — fall back to a lazy tombstone:
@@ -39,10 +56,21 @@
 //! this replaces, which the differential suite below proves. `len()` and
 //! `peak_len()` count *live* entries only, so the queue's high-water mark
 //! reflects real pending work rather than tombstone bloat.
+//!
+//! [`EventQueue::rearm`] is `cancel` + `push_cancelable` in one call. A
+//! timer moved by microseconds against a horizon of milliseconds nearly
+//! always maps to the slot it already sits in; the entry's `(t, seq,
+//! item)` are then overwritten where it lies. Slot positions carry no
+//! order, so this is indistinguishable from the swap-remove and re-file
+//! it replaces.
 
 use crate::units::Time;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// Wheel granularity: expiries are filed by `t >> TICK_BITS` (1.024 ns).
+const TICK_BITS: u32 = 10;
 const BITS: u32 = 6;
 const SLOTS: usize = 1 << BITS; // 64
 const LEVELS: usize = 8;
@@ -107,12 +135,15 @@ struct Wheel<E> {
     slots: Vec<Vec<Vec<Entry<E>>>>,
     /// Per-level occupancy bitmaps (bit `i` set ⇔ `slots[level][i]` nonempty).
     occupied: [u64; LEVELS],
-    /// Lower bound on every stored expiry; advances monotonically on pop.
+    /// Lower bound on every filed expiry; advances monotonically as slots
+    /// are drained. It sits on the base of the last drained slot (a tick
+    /// boundary), not on an entry's own stamp: only its tick is ever
+    /// compared, and an entry due before it merges into `ready` instead.
     cur: u64,
     /// Entries drained from the minimal slot, sorted by `(t, seq)`, ready
     /// to pop before the wheel is consulted again.
     ready: VecDeque<Entry<E>>,
-    /// Entries beyond the wheel horizon (`cur + 2^48` ps); re-filed when
+    /// Entries beyond the wheel horizon (`cur + 2^58` ps); re-filed when
     /// the wheel runs dry.
     overflow: Vec<Entry<E>>,
     /// Recycled slot vectors: steady state never allocates.
@@ -137,14 +168,14 @@ impl<E> Wheel<E> {
 
     #[inline]
     fn digit(t: u64, level: usize) -> usize {
-        ((t >> (BITS * level as u32)) & MASK) as usize
+        ((t >> (TICK_BITS + BITS * level as u32)) & MASK) as usize
     }
 
     /// Level at which `t` is filed relative to `cur`: the bit-group of the
     /// most significant differing bit. `LEVELS` means "overflow".
     #[inline]
     fn level_of(&self, t: u64) -> usize {
-        let diff = t ^ self.cur;
+        let diff = (t ^ self.cur) >> TICK_BITS;
         if diff == 0 {
             0
         } else {
@@ -220,19 +251,19 @@ impl<E> Wheel<E> {
         self.len -= 1;
     }
 
+    /// An entry due before `cur` (a zero-delay or past-stamp push — the
+    /// NIC batcher pops stamps up to a whole batch window ahead of the
+    /// pushes that follow) can never be filed in the wheel; it merges
+    /// into `ready`, as does anything due no later than the drained
+    /// batch, keeping the (t, seq) order exact.
+    #[inline]
+    fn merges_into_ready(&self, t: u64) -> bool {
+        t < self.cur || self.ready.back().is_some_and(|back| t <= back.t)
+    }
+
     fn push(&mut self, e: Entry<E>, slab: &mut Slab) {
         self.len += 1;
-        // An entry due before `cur` (a zero-delay or past-stamp push — the
-        // NIC batcher pops stamps up to a whole batch window ahead of the
-        // pushes that follow) can never be filed in the wheel; it merges
-        // into `ready`, as does anything due no later than the drained
-        // batch, keeping the (t, seq) order exact.
-        let into_ready = e.t < self.cur
-            || match self.ready.back() {
-                Some(back) => e.t <= back.t,
-                None => false,
-            };
-        if into_ready {
+        if self.merges_into_ready(e.t) {
             let pos = self.ready.partition_point(|r| (r.t, r.seq) < (e.t, e.seq));
             if e.key != NO_KEY {
                 // Entries merged straight into `ready` have no stable
@@ -245,10 +276,16 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Ensure `ready` holds the minimal pending entries (if any exist).
+    /// Ensure `ready` holds the wheel's minimal entries, if any of them can
+    /// be due by `limit` (the earliest lane head, or `u64::MAX`): the
+    /// minimal occupied slot is drained or cascaded only while its base
+    /// time is `<= limit`. A slot's base bounds every entry in it — and,
+    /// being the minimal slot, every filed entry — from below, so when
+    /// this returns with `ready` empty nothing in the wheel is due by
+    /// `limit`, and `cur` has not moved past `limit`.
     /// Only live entries ever sit in wheel slots — cancellation removes
     /// its target on the spot — so cascades never move dead weight.
-    fn prime(&mut self, slab: &mut Slab) {
+    fn prime_until(&mut self, limit: u64, slab: &mut Slab) {
         if !self.ready.is_empty() || self.len == 0 {
             return;
         }
@@ -265,6 +302,9 @@ impl<E> Wheel<E> {
                 // Wheel dry: re-file the overflow relative to its minimum.
                 debug_assert!(!self.overflow.is_empty());
                 let min_t = self.overflow.iter().map(|e| e.t).min().expect("nonempty");
+                if min_t > limit {
+                    return;
+                }
                 self.cur = self.cur.max(min_t);
                 let pending = std::mem::take(&mut self.overflow);
                 for e in pending {
@@ -275,18 +315,22 @@ impl<E> Wheel<E> {
             // Minimal occupied slot at that level. Occupied slots are never
             // below the current digit (that would mean a past expiry).
             let slot = self.occupied[l].trailing_zeros() as usize;
-            debug_assert!(slot >= Self::digit(self.cur, l) || l == 0);
+            debug_assert!(slot >= Self::digit(self.cur, l));
+            let shift = TICK_BITS + BITS * l as u32;
+            let base = (self.cur & !((1u64 << (shift + BITS)) - 1)) | ((slot as u64) << shift);
+            if base > limit {
+                return;
+            }
             let mut batch = std::mem::replace(
                 &mut self.slots[l][slot],
                 self.spare.pop().unwrap_or_default(),
             );
             self.occupied[l] &= !(1 << slot);
+            self.cur = self.cur.max(base);
             if l == 0 {
-                // Level-0 slots are a single picosecond: every entry shares
-                // one expiry, so FIFO order is just the insertion sequence.
-                self.cur = batch[0].t;
-                batch.sort_unstable_by_key(|e| e.seq);
-                debug_assert!(batch.iter().all(|e| e.t == self.cur));
+                // A level-0 slot is one tick wide: its entries may differ
+                // in their low bits, so (t, seq) order comes from a sort.
+                batch.sort_unstable_by_key(|e| (e.t, e.seq));
                 for e in batch.drain(..) {
                     if e.key != NO_KEY {
                         slab.set_loc(e.key, Loc::Untracked);
@@ -296,11 +340,7 @@ impl<E> Wheel<E> {
                 self.spare.push(batch);
                 return;
             }
-            // Cascade: advance to the slot's base time and re-file its
-            // entries one level (or more) down.
-            let base = (self.cur & !((1u64 << (BITS * (l as u32 + 1))) - 1))
-                | ((slot as u64) << (BITS * l as u32));
-            self.cur = self.cur.max(base);
+            // Cascade: re-file the slot's entries one level (or more) down.
             for e in batch.drain(..) {
                 self.file(e, slab);
             }
@@ -309,10 +349,19 @@ impl<E> Wheel<E> {
     }
 
     fn pop(&mut self, slab: &mut Slab) -> Option<Entry<E>> {
-        self.prime(slab);
+        self.prime_until(u64::MAX, slab);
         let e = self.ready.pop_front()?;
         self.len -= 1;
         Some(e)
+    }
+
+    /// Would [`Wheel::push`] file an entry due at `t` into exactly
+    /// `slots[level][slot]`? (The test behind the in-place re-arm.)
+    #[inline]
+    fn files_into(&self, t: u64, level: u8, slot: u8) -> bool {
+        !self.merges_into_ready(t)
+            && self.level_of(t) == level as usize
+            && Self::digit(t, level as usize) == slot as usize
     }
 
     /// Earliest expiry among *filed* entries (slots + overflow), without
@@ -340,6 +389,59 @@ impl<E> Wheel<E> {
         while self.spare.len() < 16 {
             self.spare.push(Vec::with_capacity(n.min(256)));
         }
+    }
+}
+
+/// One event waiting in a lane (never cancelable, so no key).
+#[derive(Debug)]
+struct LaneEntry<E> {
+    t: u64,
+    seq: u64,
+    item: E,
+}
+
+/// Per-source FIFOs merged by a heap over their heads (module docs,
+/// "Lanes"). Each FIFO is in `(t, seq)` order by construction, so the
+/// minimum over the heads is the minimum over every lane entry.
+#[derive(Debug)]
+struct Lanes<E> {
+    fifos: Vec<VecDeque<LaneEntry<E>>>,
+    /// `(t, seq, lane)` of the front of every non-empty FIFO (`seq` is
+    /// unique, so `lane` never decides a comparison).
+    heads: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    len: usize,
+}
+
+impl<E> Lanes<E> {
+    fn new() -> Lanes<E> {
+        Lanes {
+            fifos: Vec::new(),
+            heads: BinaryHeap::new(),
+            len: 0,
+        }
+    }
+
+    /// `(t, seq)` of the earliest lane entry.
+    #[inline]
+    fn head(&self) -> Option<(u64, u64)> {
+        self.heads.peek().map(|&Reverse((t, seq, _))| (t, seq))
+    }
+
+    /// Remove the earliest lane entry; its successor (if any) takes its
+    /// place in the heap with one sift-down.
+    fn pop(&mut self) -> Option<(Time, E)> {
+        let mut top = self.heads.peek_mut()?;
+        let lane = top.0 .2;
+        let fifo = &mut self.fifos[lane as usize];
+        let e = fifo.pop_front().expect("heads lists non-empty lanes only");
+        match fifo.front() {
+            Some(next) => *top = Reverse((next.t, next.seq, lane)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        self.len -= 1;
+        Some((Time(e.t), e.item))
     }
 }
 
@@ -468,6 +570,8 @@ impl Slab {
 /// A monotone discrete-event queue ordered by `(time, insertion order)`.
 pub struct EventQueue<E> {
     inner: Inner<E>,
+    /// Monotone per-source FIFOs; always empty under the heap backend.
+    lanes: Lanes<E>,
     /// Next tie-break stamp (== total entries ever pushed).
     seq: u64,
     peak_len: usize,
@@ -498,6 +602,7 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             inner,
+            lanes: Lanes::new(),
             seq: 0,
             peak_len: 0,
             slab: Slab::default(),
@@ -545,6 +650,74 @@ impl<E> EventQueue<E> {
         key
     }
 
+    /// Push an entry whose source — lane `lane` — pushes in non-decreasing
+    /// time order (an egress port's wakeups, a NIC's frame arrivals).
+    /// Ordering is identical to [`EventQueue::push`]: the entry takes the
+    /// next `seq` stamp either way. Returns whether the lane's order held;
+    /// when it did not, the entry went through the general path instead.
+    /// Lane numbers are dense small integers chosen by the caller.
+    pub fn push_lane(&mut self, lane: usize, t: Time, item: E) -> bool {
+        if matches!(self.inner, Inner::Heap(_)) {
+            self.push(t, item);
+            return true;
+        }
+        let t = t.as_ps();
+        if lane >= self.lanes.fifos.len() {
+            self.lanes.fifos.resize_with(lane + 1, VecDeque::new);
+        }
+        let fifo = &mut self.lanes.fifos[lane];
+        match fifo.back() {
+            Some(back) if t < back.t => {
+                self.push(Time(t), item);
+                return false;
+            }
+            Some(_) => {}
+            None => self.lanes.heads.push(Reverse((t, self.seq, lane as u32))),
+        }
+        fifo.push_back(LaneEntry {
+            t,
+            seq: self.seq,
+            item,
+        });
+        self.seq += 1;
+        self.lanes.len += 1;
+        self.peak_len = self.peak_len.max(self.len());
+        true
+    }
+
+    /// Move a pending cancelable entry: exactly [`EventQueue::cancel`]
+    /// followed by [`EventQueue::push_cancelable`], returning the new key
+    /// and what `cancel` would have returned (`false` for a stale key —
+    /// the push still happens).
+    ///
+    /// Under the wheel backend, when the new expiry files into the slot
+    /// the entry already sits in, the entry is overwritten in place (and
+    /// keeps its key) instead of being unlinked and filed again.
+    pub fn rearm(&mut self, key: EvKey, t: Time, item: E) -> (EvKey, bool) {
+        let (idx, gen) = key.unpack();
+        if let (
+            Inner::Wheel(w),
+            Some(&Slot {
+                gen: live_gen,
+                alive: true,
+                loc: Loc::Slot { level, slot, idx },
+            }),
+        ) = (&mut self.inner, self.slab.slots.get(idx as usize))
+        {
+            if live_gen == gen && w.files_into(t.as_ps(), level, slot) {
+                let e = &mut w.slots[level as usize][slot as usize][idx as usize];
+                debug_assert_eq!(e.key, key.0, "back-pointer pointed at a different entry");
+                e.t = t.as_ps();
+                e.seq = self.seq;
+                e.item = item;
+                self.seq += 1;
+                return (key, true);
+            }
+        }
+        let was_live = self.cancel(key);
+        (self.push_cancelable(t, item), was_live)
+    }
+
     /// Cancel a pending cancelable entry. Returns `true` if the entry was
     /// still live (it will never be returned by `pop`); `false` if the key
     /// is stale — already popped or already cancelled.
@@ -577,6 +750,14 @@ impl<E> EventQueue<E> {
 
     pub fn pop(&mut self) -> Option<(Time, E)> {
         loop {
+            if let (Inner::Wheel(w), Some(head)) = (&mut self.inner, self.lanes.head()) {
+                // The wheel's head matters only if it is due by the
+                // earliest lane entry; otherwise it stays unprimed.
+                w.prime_until(head.0, &mut self.slab);
+                if w.ready.front().is_none_or(|r| head < (r.t, r.seq)) {
+                    return self.lanes.pop();
+                }
+            }
             let e = self.pop_raw()?;
             if e.key == NO_KEY || self.slab.retire(e.key) {
                 return Some((Time(e.t), e.item));
@@ -591,6 +772,16 @@ impl<E> EventQueue<E> {
     /// scanning its minimal slot instead of cascading it down — repeated
     /// "anything due yet?" polls leave the structure untouched.
     pub fn peek_time(&mut self) -> Option<Time> {
+        let lane = self.lanes.head().map(|(t, _)| Time(t));
+        let timer = self.peek_timer();
+        match (lane, timer) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// [`EventQueue::peek_time`] over everything that is not in a lane.
+    fn peek_timer(&mut self) -> Option<Time> {
         loop {
             let (t, key) = match &mut self.inner {
                 Inner::Wheel(w) => match w.ready.front() {
@@ -618,7 +809,7 @@ impl<E> EventQueue<E> {
             Inner::Wheel(w) => w.len,
             Inner::Heap(h) => h.len(),
         };
-        raw - self.slab.dead
+        raw + self.lanes.len - self.slab.dead
     }
 
     pub fn is_empty(&self) -> bool {
@@ -978,5 +1169,254 @@ mod tests {
         }
         assert_eq!(wheel.len(), 0);
         assert_eq!(heap.len(), 0);
+    }
+    /// One step of a queue script. Stamps are offsets from the last popped
+    /// time; a negative offset is a past stamp.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Op {
+        Push(i64),
+        Lane(u8, i64),
+        Arm(i64),
+        /// Index (modulo) into every key issued so far, live or stale.
+        Cancel(u8),
+        Rearm(u8, i64),
+        Pop,
+    }
+
+    /// Run `ops` against the wheel — lanes and `rearm` included — and
+    /// against the reference heap driven through plain `push` and
+    /// `cancel` + `push_cancelable` only. After every step the two must
+    /// agree on `len`, `peak_len`, `pushed` and `peek_time`, and every pop
+    /// (plus the final drain) must return the same entry.
+    fn run_script(ops: &[Op]) -> Result<(), String> {
+        let mut wheel = EventQueue::new();
+        let mut heap = EventQueue::reference_heap();
+        let mut keys: Vec<(EvKey, EvKey)> = Vec::new();
+        let mut now = 0u64;
+        let at = |now: u64, d: i64| Time(now.saturating_add_signed(d));
+        for (i, op) in ops.iter().enumerate() {
+            let id = i as u64;
+            match *op {
+                Op::Push(d) => {
+                    wheel.push(at(now, d), id);
+                    heap.push(at(now, d), id);
+                }
+                Op::Lane(lane, d) => {
+                    wheel.push_lane(lane as usize, at(now, d), id);
+                    heap.push(at(now, d), id);
+                }
+                Op::Arm(d) => {
+                    let kw = wheel.push_cancelable(at(now, d), id);
+                    let kh = heap.push_cancelable(at(now, d), id);
+                    keys.push((kw, kh));
+                }
+                Op::Cancel(k) if !keys.is_empty() => {
+                    let (kw, kh) = keys[k as usize % keys.len()];
+                    if wheel.cancel(kw) != heap.cancel(kh) {
+                        return Err(format!("step {i}: cancel liveness differs"));
+                    }
+                }
+                Op::Rearm(k, d) if !keys.is_empty() => {
+                    let slot = k as usize % keys.len();
+                    let (kw, kh) = keys[slot];
+                    let (kw2, live) = wheel.rearm(kw, at(now, d), id);
+                    let live_h = heap.cancel(kh);
+                    let kh2 = heap.push_cancelable(at(now, d), id);
+                    if live != live_h {
+                        return Err(format!("step {i}: rearm liveness differs"));
+                    }
+                    keys[slot] = (kw2, kh2);
+                }
+                Op::Cancel(_) | Op::Rearm(..) => {}
+                Op::Pop => {
+                    let (a, b) = (wheel.pop(), heap.pop());
+                    if a != b {
+                        return Err(format!("step {i}: popped {a:?}, heap popped {b:?}"));
+                    }
+                    if let Some((t, _)) = a {
+                        now = t.as_ps();
+                    }
+                }
+            }
+            let w = (wheel.len(), wheel.peak_len(), wheel.pushed());
+            let h = (heap.len(), heap.peak_len(), heap.pushed());
+            if w != h {
+                return Err(format!("step {i}: (len, peak, pushed) {w:?} vs heap {h:?}"));
+            }
+            let (pw, ph) = (wheel.peek_time(), heap.peek_time());
+            if pw != ph {
+                return Err(format!("step {i}: peek {pw:?} vs heap {ph:?}"));
+            }
+        }
+        loop {
+            let (a, b) = (wheel.pop(), heap.pop());
+            if a != b {
+                return Err(format!("drain: popped {a:?}, heap popped {b:?}"));
+            }
+            if a.is_none() {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Mixed horizons: same instant, within one wheel tick, wire-scale,
+    /// timer-scale, an RTO moved by microseconds, past stamps, beyond the
+    /// wheel horizon.
+    fn gen_offset(rng: &mut impl Rng) -> i64 {
+        let mut below = |n: u64| rng.random_range(0..n) as i64;
+        match below(12) {
+            0 => 0,
+            1 => below(1_024),
+            2..=5 => below(2_000_000),
+            6 => below(50_000_000),
+            7 | 8 => 10_000_000_000 + below(3_000_000),
+            9 => -below(5_000_000),
+            10 => below(2_000_000_000),
+            _ => (1 << 59) + below(1_000),
+        }
+    }
+
+    fn gen_op(rng: &mut impl Rng) -> Op {
+        match rng.random_range(0..20u32) {
+            0..=1 => Op::Push(gen_offset(rng)),
+            // Few lanes, so a lane often holds several entries and a
+            // random stamp often lands behind its tail (the fallback).
+            2..=6 => Op::Lane(rng.random_range(0..4u8), gen_offset(rng)),
+            7..=8 => Op::Arm(gen_offset(rng)),
+            9 => Op::Cancel(rng.random_range(0..255u8)),
+            10..=12 => Op::Rearm(rng.random_range(0..255u8), gen_offset(rng)),
+            _ => Op::Pop,
+        }
+    }
+
+    #[test]
+    fn lanes_and_rearm_match_reference_heap_on_random_churn() {
+        let mut rng = seeded_rng(20_14);
+        let ops: Vec<Op> = (0..60_000).map(|_| gen_op(&mut rng)).collect();
+        run_script(&ops).unwrap();
+    }
+
+    /// Any op sequence: the wheel with lanes and `rearm` is observably the
+    /// heap built from plain `push` / `cancel` + `push_cancelable`.
+    #[test]
+    fn prop_any_script_matches_reference_heap() {
+        crate::prop::forall(
+            "eventq script matches the reference heap",
+            |rng| {
+                let n = rng.random_range(1..120usize);
+                (0..n).map(|_| gen_op(rng)).collect::<Vec<Op>>()
+            },
+            |ops| {
+                crate::prop::shrink_vec(ops, |op| match *op {
+                    Op::Lane(_, d) => vec![Op::Push(d)],
+                    Op::Rearm(k, d) if d != 0 => vec![Op::Rearm(k, 0), Op::Rearm(k, d / 2)],
+                    Op::Push(d) | Op::Arm(d) if d != 0 => vec![Op::Push(0), Op::Push(d / 2)],
+                    _ => Vec::new(),
+                })
+            },
+            |ops| run_script(ops),
+        );
+    }
+
+    #[test]
+    fn lane_push_breaking_order_falls_back_and_stays_ordered() {
+        let mut q = EventQueue::new();
+        assert!(q.push_lane(3, Time(5_000), "a"));
+        assert!(
+            q.push_lane(3, Time(5_000), "b"),
+            "equal stamps keep the lane"
+        );
+        assert!(q.push_lane(0, Time(4_000), "c"));
+        assert!(!q.push_lane(3, Time(100), "d"), "behind the lane's tail");
+        assert!(
+            q.push_lane(3, Time(9_000), "e"),
+            "the lane itself is intact"
+        );
+        q.push(Time(5_000), "f");
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.peek_time(), Some(Time(100)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, v)| v).collect();
+        assert_eq!(order, vec!["d", "c", "a", "b", "f", "e"]);
+        // Under the heap every lane push is a plain push.
+        let mut h = EventQueue::reference_heap();
+        assert!(h.push_lane(3, Time(5_000), "a"));
+        assert!(h.push_lane(3, Time(100), "d"));
+        assert_eq!(h.pop(), Some((Time(100), "d")));
+    }
+
+    /// A timer far ahead must not drag `cur` past the lane traffic in
+    /// front of it: timers armed while lanes drain stay filed (and so
+    /// physically cancelable) instead of piling into the `ready` run.
+    #[test]
+    fn lanes_keep_the_wheel_unprimed_behind_a_far_timer() {
+        let mut q = EventQueue::new();
+        q.push(Time(10_000_000_000), u64::MAX);
+        for i in 0..100u64 {
+            q.push_lane(0, Time(i * 1_000_000), i);
+            assert_eq!(q.pop(), Some((Time(i * 1_000_000), i)));
+            let k = q.push_cancelable(Time(i * 1_000_000 + 5_000_000_000), i);
+            let Inner::Wheel(w) = &q.inner else {
+                unreachable!()
+            };
+            assert!(w.ready.is_empty(), "wheel was primed past the lane head");
+            assert!(q.cancel(k));
+            assert_eq!(q.slab.dead, 0, "cancel of a filed timer is physical");
+        }
+    }
+
+    /// A re-arm to an *earlier* stamp that the drained `ready` run already
+    /// spans must merge into the run, even when the stamp shares the tick
+    /// (the level-0 slot) the entry is filed in.
+    #[test]
+    fn rearm_behind_the_ready_tail_is_not_done_in_place() {
+        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
+            let mut q = EventQueue::with_backend(backend);
+            // One tick: stamps 1024..2048 ps.
+            q.push(Time(1_100), 0u32);
+            q.push(Time(1_300), 1);
+            q.push(Time(1_700), 2);
+            assert_eq!(q.pop(), Some((Time(1_100), 0)));
+            // Past the drained cohort's tail, so filed — in the same slot.
+            let k = q.push_cancelable(Time(1_900), 3);
+            let (_, live) = q.rearm(k, Time(1_500), 4);
+            assert!(live);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let want = vec![(Time(1_300), 1), (Time(1_500), 4), (Time(1_700), 2)];
+            assert_eq!(order, want, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn rearm_in_place_other_slot_ready_run_and_stale_key() {
+        for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
+            let in_place = backend == QueueBackend::Wheel;
+            let mut q = EventQueue::with_backend(backend);
+            q.push(Time(40), 0u32);
+            let r = q.push_cancelable(Time(40), 1);
+            let k = q.push_cancelable(Time(10_000_000_000), 2);
+            // Same slot: a 10 ms timer moved by a microsecond.
+            let (k2, live) = q.rearm(k, Time(10_001_000_000), 3);
+            assert!(live);
+            assert_eq!(k2 == k, in_place, "{backend:?}: in-place keeps the key");
+            // Another slot: moved by 10 ms.
+            let (k3, live) = q.rearm(k2, Time(20_000_000_000), 4);
+            assert!(live);
+            assert_ne!(k3, k2, "{backend:?}: a re-file issues a fresh key");
+            assert!(!q.cancel(k2), "the superseded key is stale");
+            // The `ready` run: popping the head drains the t=40 cohort.
+            assert_eq!(q.pop(), Some((Time(40), 0)));
+            let (r2, live) = q.rearm(r, Time(50), 5);
+            assert!(live);
+            assert_eq!((q.len(), q.pushed()), (2, 6));
+            assert_eq!(q.pop(), Some((Time(50), 5)));
+            // Stale key: nothing to cancel, the push still happens.
+            let (r3, live) = q.rearm(r2, Time(60), 6);
+            assert!(!live);
+            assert_eq!(q.pop(), Some((Time(60), 6)));
+            assert!(!q.cancel(r3));
+            assert_eq!(q.pop(), Some((Time(20_000_000_000), 4)));
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.peak_len(), 3);
+        }
     }
 }

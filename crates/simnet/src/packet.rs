@@ -1,7 +1,6 @@
 //! Packets and their routing state.
 
 use silo_base::{Bytes, Time};
-use silo_topology::PortId;
 
 /// Handle to an interned egress-port list in the simulator's path table.
 /// Packets and connections carry this 4-byte id instead of a shared
@@ -21,10 +20,14 @@ pub enum PktKind {
     Ack,
 }
 
-/// One packet in flight. `path` names the precomputed egress-port list
-/// from the source NIC to the destination (interned in the simulator's
-/// path table, shared per connection); `hop` is the index of the *next*
-/// port to traverse.
+/// One packet in flight (64 bytes). `path` names the precomputed
+/// egress-port list from the source NIC to the destination (interned in
+/// the simulator's path table, shared per connection).
+///
+/// The arena copy is written at creation and read at NIC pull and at
+/// delivery. What changes hop by hop travels in [`Hop`] with the event
+/// and the port FIFO entry, so `hop` and `enq_at` here keep their
+/// creation-time values (`0`, `Time::ZERO`) for the whole flight.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
     pub conn: u32,
@@ -45,35 +48,50 @@ pub struct Packet {
     pub prio: u8,
     /// When the segment was handed to the wire path (for delay metrics).
     pub sent_at: Time,
-    /// When the packet entered its current port FIFO (set by
-    /// `PortState::enqueue`; read only by the flight recorder for
-    /// head-of-line wait spans — never by the physics).
+    /// Creation-time value only; the live one is `QueuedPkt::enq_at`.
     pub enq_at: Time,
     pub path: PathId,
+    /// Creation-time value only; the live one is [`Hop::hop`].
     pub hop: usize,
 }
 
-impl Packet {
-    /// The next port this packet must traverse along `path` (its resolved
-    /// port list), or `None` at destination.
-    pub fn next_port(&self, path: &[PortId]) -> Option<PortId> {
-        path.get(self.hop).copied()
-    }
-
-    /// True once every hop of `path` is done (the packet is at its
-    /// destination).
-    pub fn arrived(&self, path: &[PortId]) -> bool {
-        self.hop >= path.len()
-    }
-}
-
 /// Handle to a packet slot in a [`PktArena`]. Four bytes instead of the
-/// ~96-byte [`Packet`]: events, port FIFOs and the NIC stamp queue carry
+/// 64-byte [`Packet`]: events, port FIFOs and the NIC stamp queue carry
 /// the handle, so an event dispatch moves one index instead of the whole
 /// struct, and the packet bytes stay put in the arena for the packet's
 /// entire flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PktId(u32);
+
+/// The per-hop routing header: everything a transit hop needs to queue,
+/// serialize and forward a packet. It rides in `Ev::Arrive` and in the
+/// port FIFO entry, so a switch hop reads and writes port state only and
+/// never touches the packet's arena slot.
+#[derive(Debug, Clone, Copy)]
+pub struct Hop {
+    pub id: PktId,
+    pub path: PathId,
+    /// Wire size (payload + headers).
+    pub size: Bytes,
+    /// Index into `path` of the *next* port to traverse.
+    pub hop: u16,
+    /// 802.1q priority (0 high, 1 low).
+    pub prio: u8,
+}
+
+impl Hop {
+    /// The header of `pkt` (interned as `id`) about to traverse port
+    /// `hop` of its path.
+    pub fn of(id: PktId, pkt: &Packet, hop: u16) -> Hop {
+        Hop {
+            id,
+            path: pkt.path,
+            size: pkt.size,
+            hop,
+            prio: pkt.prio,
+        }
+    }
+}
 
 /// Slab of in-flight packets with a LIFO free list. Allocation order is
 /// fully deterministic (`Vec` growth plus LIFO reuse), so two identical
@@ -187,6 +205,13 @@ mod tests {
             path: PathId(0),
             hop: 0,
         }
+    }
+
+    /// The sizes the docs (and the per-event cost model) quote.
+    #[test]
+    fn packet_is_64_bytes_and_its_hop_header_24() {
+        assert_eq!(std::mem::size_of::<Packet>(), 64);
+        assert_eq!(std::mem::size_of::<Hop>(), 24);
     }
 
     #[test]

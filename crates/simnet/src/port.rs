@@ -1,7 +1,7 @@
 //! Switch egress-port model: tail-drop FIFO with two 802.1q priority
 //! levels, optional DCTCP ECN marking, and optional HULL phantom queues.
 
-use crate::packet::PktId;
+use crate::packet::{Hop, PathId, PktId};
 use silo_base::{Bytes, Dur, Rate, Time};
 use std::collections::VecDeque;
 
@@ -36,17 +36,20 @@ impl PhantomQueue {
     }
 }
 
-/// A packet sitting in a port FIFO: the arena handle plus its wire size
-/// (duplicated here so occupancy accounting never touches the arena).
+/// A packet sitting in a port FIFO: its per-hop header (arena handle, wire
+/// size, route position — so neither occupancy accounting nor forwarding
+/// touches the arena) and when it was queued.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedPkt {
-    pub id: PktId,
-    pub size: Bytes,
+    pub hdr: Hop,
+    /// When the packet entered this FIFO. Read only by the flight
+    /// recorder and telemetry for head-of-line wait — never by the physics.
+    pub enq_at: Time,
 }
 
 /// Outcome of [`PortState::enqueue`]. The port decides; the caller owns
-/// the packet state and applies the decision (sets `enq_at`, the CE
-/// mark) through the arena — the port never dereferences the handle.
+/// the packet state and applies the CE mark through the arena — the port
+/// never dereferences the handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enqueue {
     Accepted {
@@ -114,10 +117,24 @@ impl PortState {
         }
     }
 
+    /// [`PortState::enqueue_hop`] for a caller with no route to carry (the
+    /// port unit tests and the repo benchmark's port kernel).
+    pub fn enqueue(&mut self, now: Time, id: PktId, size: Bytes, prio: u8) -> Enqueue {
+        let hdr = Hop {
+            id,
+            path: PathId(0),
+            size,
+            hop: 0,
+            prio,
+        };
+        self.enqueue_hop(now, hdr)
+    }
+
     /// Try to enqueue; decides tail drop and ECN/phantom marking from the
     /// wire size alone. Returns the decision for the caller to apply to
     /// the arena-resident packet.
-    pub fn enqueue(&mut self, now: Time, id: PktId, size: Bytes, prio: u8) -> Enqueue {
+    pub fn enqueue_hop(&mut self, now: Time, hdr: Hop) -> Enqueue {
+        let size = hdr.size;
         if self.queued_bytes + size.as_u64() > self.buffer.as_u64() {
             self.drops += 1;
             return Enqueue::Dropped;
@@ -138,8 +155,8 @@ impl PortState {
             self.max_queued = self.queued_bytes;
             self.max_at = now;
         }
-        let prio = (prio as usize).min(1);
-        self.queues[prio].push_back(QueuedPkt { id, size });
+        let prio = (hdr.prio as usize).min(1);
+        self.queues[prio].push_back(QueuedPkt { hdr, enq_at: now });
         self.nonempty |= 1 << prio;
         Enqueue::Accepted { mark_ce }
     }
@@ -154,7 +171,7 @@ impl PortState {
         if self.queues[i].is_empty() {
             self.nonempty &= !(1 << i);
         }
-        self.queued_bytes -= p.size.as_u64();
+        self.queued_bytes -= p.hdr.size.as_u64();
         Some(p)
     }
 
@@ -203,7 +220,6 @@ mod tests {
         let id = a.alloc(pkt(size, prio));
         match p.enqueue(now, id, Bytes(size), prio) {
             Enqueue::Accepted { mark_ce } => {
-                a[id].enq_at = now;
                 if mark_ce {
                     a[id].ce = true;
                 }
@@ -235,9 +251,13 @@ mod tests {
         assert!(offer(&mut p, &mut a, Time::ZERO, 1000, 1));
         assert!(offer(&mut p, &mut a, Time::ZERO, 1500, 0));
         let first = p.dequeue().unwrap();
-        assert_eq!(a[first.id].prio, 0, "high priority preempts");
-        assert_eq!(first.size, Bytes(1500), "queue entry carries the wire size");
-        assert_eq!(a[p.dequeue().unwrap().id].prio, 1);
+        assert_eq!(first.hdr.prio, 0, "high priority preempts");
+        assert_eq!(
+            first.hdr.size,
+            Bytes(1500),
+            "queue entry carries the wire size"
+        );
+        assert_eq!(a[p.dequeue().unwrap().hdr.id].prio, 1);
         assert!(p.dequeue().is_none());
         assert_eq!(p.queued_bytes, 0);
     }
@@ -250,7 +270,7 @@ mod tests {
         for _ in 0..3 {
             assert!(offer(&mut p, &mut a, Time::ZERO, 1500, 0));
         }
-        let marks: Vec<bool> = (0..3).map(|_| a[p.dequeue().unwrap().id].ce).collect();
+        let marks: Vec<bool> = (0..3).map(|_| a[p.dequeue().unwrap().hdr.id].ce).collect();
         assert_eq!(marks, vec![false, false, true]);
     }
 
@@ -268,10 +288,10 @@ mod tests {
         for _ in 0..200 {
             assert!(offer(&mut p, &mut a, now, 1500, 0));
             let got = p.dequeue().unwrap();
-            if a[got.id].ce {
+            if a[got.hdr.id].ce {
                 marked += 1;
             }
-            a.free(got.id);
+            a.free(got.hdr.id);
             now += line.tx_time(Bytes(1500));
         }
         assert!(marked > 0, "phantom queue must mark at sustained line rate");

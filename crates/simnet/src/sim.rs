@@ -7,7 +7,7 @@ use crate::faults::FaultKind;
 use crate::metrics::{
     EvKind, EventProfile, FaultWindow, Metrics, MsgRecord, Violation, LATENCY_HIST_SUB_BITS,
 };
-use crate::packet::{Packet, PathId, PktArena, PktId, PktKind};
+use crate::packet::{Hop, Packet, PathId, PktArena, PktId, PktKind};
 use crate::port::{Enqueue, PhantomQueue, PortState};
 use crate::tcp::{MsgBound, TcpConn};
 use crate::telemetry::TelemetrySink;
@@ -23,10 +23,10 @@ use silo_workload::EtcWorkload;
 /// Events the engine dispatches.
 #[derive(Debug)]
 enum Ev {
-    /// A packet finished traversing hop `pkt.hop − 1` and arrives at the
-    /// next node (or its destination). Carries the arena handle: the
-    /// dispatch moves 4 bytes, the packet itself stays put in the slab.
-    Arrive(PktId),
+    /// A packet finished traversing hop `hop − 1` and arrives at the next
+    /// node (or its destination). Carries the per-hop header, so a transit
+    /// hop forwards without touching the packet's arena slot.
+    Arrive(Hop),
     /// An egress port finished a transmission.
     PortFree(PortId),
     /// DMA-completion / soft-timer pull of the next paced batch.
@@ -155,8 +155,8 @@ pub struct Sim {
     batch_scratch: Batch<PktId>,
     /// In-flight packet slab: a packet's bytes live here from creation to
     /// delivery (or drop); events, port FIFOs and the NIC stamp queue
-    /// carry 4-byte [`PktId`] handles, so per-event packet touch is an
-    /// index deref instead of a ~96-byte struct move.
+    /// carry [`PktId`] handles. Touched at creation, NIC pull and
+    /// delivery; transit hops work from the [`Hop`] header alone.
     arena: PktArena,
     // ---- fault injection (all dormant when the plan is empty) ----
     /// `!cfg.faults.is_empty()`: gates every fault check off the hot path.
@@ -409,9 +409,49 @@ impl Sim {
         self.events.push(t, ev);
     }
 
-    fn push_cancelable(&mut self, t: Time, ev: Ev) -> EvKey {
+    /// Push an event whose source pushes in non-decreasing time order
+    /// (`lane` is one of the `*_lane` numbers below).
+    fn push_lane(&mut self, lane: usize, t: Time, ev: Ev) {
         self.profile.scheduled[ev.kind() as usize] += 1;
-        self.events.push_cancelable(t, ev)
+        let in_order = self.events.push_lane(lane, t, ev);
+        debug_assert!(in_order, "lane {lane} went back in time at {t:?}");
+    }
+
+    /// A port's `PortFree` wakeups are due at its successive `t_free`s: a
+    /// transmission starts only once `now >= busy_until`, the previous one.
+    #[inline]
+    fn port_free_lane(&self, port: PortId) -> usize {
+        port.0 as usize
+    }
+
+    /// A port's `Arrive`s are due at `t_free + prop`: the same sequence
+    /// shifted by the port's constant propagation delay.
+    #[inline]
+    fn port_arrive_lane(&self, port: PortId) -> usize {
+        self.ports.len() + port.0 as usize
+    }
+
+    /// A paced NIC's `Arrive`s are due at `frame start + tx + prop`: frames
+    /// of one batch are laid end to end, and a batch starts no earlier
+    /// than `busy_until`, the end of the one before.
+    #[inline]
+    fn nic_arrive_lane(&self, host: usize) -> usize {
+        2 * self.ports.len() + host
+    }
+
+    /// Arm a superseding timer: one logical cancel (when `key` still names
+    /// a pending event) and one logical schedule, as a single re-arm.
+    fn rearm(&mut self, key: Option<EvKey>, t: Time, ev: Ev) -> EvKey {
+        let kind = ev.kind() as usize;
+        self.profile.scheduled[kind] += 1;
+        let Some(key) = key else {
+            return self.events.push_cancelable(t, ev);
+        };
+        let (key, was_live) = self.events.rearm(key, t, ev);
+        if was_live {
+            self.profile.cancelled[kind] += 1;
+        }
+        key
     }
 
     fn path(&mut self, src: HostId, dst: HostId) -> PathId {
@@ -902,14 +942,10 @@ impl Sim {
             (c.rto_marker, base + c.rto(self.cfg.min_rto))
         };
         if self.cfg.cancel_timers {
-            // Re-arming supersedes the pending timer: remove it instead of
+            // Re-arming supersedes the pending timer: move it instead of
             // leaving a tombstone to bloat the queue until it expires.
-            if let Some(k) = self.conns[conn as usize].rto_key.take() {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::Rto as usize] += 1;
-                }
-            }
-            let key = self.push_cancelable(at, Ev::Rto { conn, marker });
+            let old = self.conns[conn as usize].rto_key;
+            let key = self.rearm(old, at, Ev::Rto { conn, marker });
             self.conns[conn as usize].rto_key = Some(key);
         } else {
             self.push(at, Ev::Rto { conn, marker });
@@ -982,15 +1018,13 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn send_from_vm(&mut self, vm: u32, id: PktId) {
-        // Copy the ~96-byte struct once for the reads below; the arena
-        // slot stays the single source of truth for the flight.
+        // Copy the 64-byte struct once for the reads below.
         let pkt = self.arena[id];
         let first_port = self.hops(pkt.path)[0];
         if self.is_loopback(first_port) {
             // Same-host delivery through the vswitch: serialized at the
             // loopback port, never paced (it does not cross the NIC).
-            self.arena[id].hop = 0;
-            self.enqueue_port(first_port, id);
+            self.enqueue_port(first_port, Hop::of(id, &pkt, 0));
             return;
         }
         if self.cfg.mode.paced() {
@@ -1037,8 +1071,7 @@ impl Sim {
                 self.arm_nic(host, at);
             }
         } else {
-            self.arena[id].hop = 0;
-            self.enqueue_port(first_port, id);
+            self.enqueue_port(first_port, Hop::of(id, &pkt, 0));
         }
     }
 
@@ -1088,12 +1121,8 @@ impl Sim {
             marker,
         };
         if self.cfg.cancel_timers {
-            if let Some(k) = self.nics[host].pull_key.take() {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::NicPull as usize] += 1;
-                }
-            }
-            let key = self.push_cancelable(at, ev);
+            let old = self.nics[host].pull_key;
+            let key = self.rearm(old, at, ev);
             self.nics[host].pull_key = Some(key);
         } else {
             self.push(at, ev);
@@ -1222,9 +1251,10 @@ impl Sim {
                         t.nic_data(start, tx, m);
                     }
                 }
-                self.arena[id].hop = 1; // the NIC wire is hop 0
+                // The NIC wire is hop 0.
                 let arrive = f.start + link.tx_time(f.size) + prop;
-                self.push(arrive, Ev::Arrive(id));
+                let lane = self.nic_arrive_lane(h);
+                self.push_lane(lane, arrive, Ev::Arrive(Hop::of(id, &pkt, 1)));
             } else if let Some(gap_end) = f.gap_end {
                 // A coalesced void run: one frame stands for the whole
                 // gap. Observers must see the exact per-chunk frames an
@@ -1288,7 +1318,8 @@ impl Sim {
     // Switch fabric
     // ------------------------------------------------------------------
 
-    fn enqueue_port(&mut self, port: PortId, id: PktId) {
+    fn enqueue_port(&mut self, port: PortId, hdr: Hop) {
+        let id = hdr.id;
         if self.faults_on {
             if let Some(f) = self.port_fault(port) {
                 // Black hole: the packet reached a dead port.
@@ -1305,22 +1336,16 @@ impl Sim {
             }
         }
         let now = self.now;
-        let (size, prio8) = {
-            let p = &self.arena[id];
-            (p.size, p.prio)
-        };
-        let prio = (prio8 as usize).min(1);
+        let size = hdr.size;
+        let prio = (hdr.prio as usize).min(1);
         let ps = &mut self.ports[port.0 as usize];
-        // The port rules on the handle + wire size alone; the decision is
-        // applied to the arena-resident packet here.
-        let decision = ps.enqueue(now, id, size, prio8);
+        // The port rules on the header alone; a CE mark is applied to the
+        // arena-resident packet here.
+        let decision = ps.enqueue_hop(now, hdr);
         let queued = ps.queued_bytes;
         let accepted = matches!(decision, Enqueue::Accepted { .. });
-        if let Enqueue::Accepted { mark_ce } = decision {
-            self.arena[id].enq_at = now;
-            if mark_ce {
-                self.arena[id].ce = true;
-            }
+        if let Enqueue::Accepted { mark_ce: true } = decision {
+            self.arena[id].ce = true;
         }
         if let Some(a) = self.audit.as_mut() {
             a.on_enqueue(now, port.0 as usize, size.as_u64(), prio, queued, accepted);
@@ -1359,24 +1384,24 @@ impl Sim {
 
     fn start_tx(&mut self, port: PortId) {
         let now = self.now;
-        let (t_free, t_arrive, id, size) = {
+        let (t_free, t_arrive, q) = {
             let ps = &mut self.ports[port.0 as usize];
             let Some(q) = ps.dequeue() else {
                 return;
             };
-            let tx = ps.rate.tx_time(q.size);
+            let tx = ps.rate.tx_time(q.hdr.size);
             ps.busy_time += tx;
-            ps.tx_bytes += q.size.as_u64();
+            ps.tx_bytes += q.hdr.size.as_u64();
             ps.tx_packets += 1;
             let prop = ps.prop;
             let t_free = now + tx;
             ps.busy_until = t_free;
             ps.wakeup_armed = true;
-            (t_free, t_free + prop, q.id, q.size)
+            (t_free, t_free + prop, q)
         };
-        self.arena[id].hop += 1;
+        let (id, size) = (q.hdr.id, q.hdr.size);
         if self.audit.is_some() {
-            let prio = (self.arena[id].prio as usize).min(1);
+            let prio = (q.hdr.prio as usize).min(1);
             let queued = self.ports[port.0 as usize].queued_bytes;
             if let Some(a) = self.audit.as_mut() {
                 a.on_dequeue(now, port.0 as usize, size.as_u64(), prio, queued);
@@ -1384,14 +1409,14 @@ impl Sim {
         }
         if self.trace.is_some() {
             let m = self.trace_meta(&self.arena[id]);
-            let wait = now.since(self.arena[id].enq_at);
+            let wait = now.since(q.enq_at);
             if let Some(t) = self.trace.as_mut() {
                 t.wire_start(now, port.0, t_free - now, wait, m);
             }
         }
         if self.telemetry.is_some() {
             let queued_after = self.ports[port.0 as usize].queued_bytes;
-            let wait = now.since(self.arena[id].enq_at);
+            let wait = now.since(q.enq_at);
             let is_data = self.arena[id].kind == PktKind::Data;
             let tenant = self.conns[self.arena[id].conn as usize].tenant;
             if let Some(tel) = self.telemetry.as_mut() {
@@ -1418,8 +1443,14 @@ impl Sim {
         // re-creating it later with a fresher sequence number — shifts the
         // within-instant service point and flips drop/occupancy decisions
         // whenever events collide on the tx-time grid (see DESIGN.md).
-        self.push(t_free, Ev::PortFree(port));
-        self.push(t_arrive, Ev::Arrive(id));
+        let lane = self.port_free_lane(port);
+        self.push_lane(lane, t_free, Ev::PortFree(port));
+        let next = Hop {
+            hop: q.hdr.hop + 1,
+            ..q.hdr
+        };
+        let lane = self.port_arrive_lane(port);
+        self.push_lane(lane, t_arrive, Ev::Arrive(next));
     }
 
     fn on_port_free(&mut self, port: PortId) {
@@ -1436,20 +1467,18 @@ impl Sim {
         }
     }
 
-    fn on_arrive(&mut self, id: PktId) {
-        let pkt = self.arena[id];
-        let hops = self.hops(pkt.path);
-        if pkt.arrived(hops) {
-            // Terminal hop: the flight is over. Copy out, release the
-            // slot, then hand the receiver the by-value packet.
-            self.arena.free(id);
+    fn on_arrive(&mut self, hdr: Hop) {
+        if let Some(&port) = self.hops(hdr.path).get(hdr.hop as usize) {
+            self.enqueue_port(port, hdr);
+        } else {
+            // Past the last hop: the flight is over. Copy out, release
+            // the slot, then hand the receiver the by-value packet.
+            let pkt = self.arena[hdr.id];
+            self.arena.free(hdr.id);
             match pkt.kind {
                 PktKind::Data => self.rx_data(pkt),
                 PktKind::Ack => self.rx_ack(pkt),
             }
-        } else {
-            let port = hops[pkt.hop];
-            self.enqueue_port(port, id);
         }
     }
 
@@ -1927,19 +1956,19 @@ impl Sim {
             while let Some(q) = self.ports[p].dequeue() {
                 self.metrics.fault_drops[f as usize] += 1;
                 if self.audit.is_some() {
-                    let prio = (self.arena[q.id].prio as usize).min(1);
+                    let prio = (q.hdr.prio as usize).min(1);
                     let queued = self.ports[p].queued_bytes;
                     if let Some(a) = self.audit.as_mut() {
-                        a.on_flush(now, p, q.size.as_u64(), prio, queued);
+                        a.on_flush(now, p, q.hdr.size.as_u64(), prio, queued);
                     }
                 }
                 if self.trace.is_some() {
-                    let m = self.trace_meta(&self.arena[q.id]);
+                    let m = self.trace_meta(&self.arena[q.hdr.id]);
                     if let Some(t) = self.trace.as_mut() {
                         t.drop_fault(now, p as u32, f, m);
                     }
                 }
-                self.arena.free(q.id);
+                self.arena.free(q.hdr.id);
             }
             if self.telemetry.is_some() {
                 let queued_now = self.ports[p].queued_bytes;
@@ -2191,7 +2220,7 @@ impl Sim {
                 .is_some_and(|tel| tel.dispatch_tick());
             let sample = ticked.then(std::time::Instant::now);
             match ev {
-                Ev::Arrive(id) => self.on_arrive(id),
+                Ev::Arrive(hdr) => self.on_arrive(hdr),
                 Ev::PortFree(p) => self.on_port_free(p),
                 Ev::NicPull { host, marker } => self.on_nic_pull(host, marker),
                 Ev::Rto { conn, marker } => self.on_rto(conn, marker),
@@ -2204,11 +2233,10 @@ impl Sim {
                     self.try_send(conn);
                 }
                 Ev::BulkStart { src, dst, msg } => {
-                    if !self.tenant_alive(self.vms[src as usize].tenant) {
-                        continue;
+                    if self.tenant_alive(self.vms[src as usize].tenant) {
+                        let c = self.conn_for(src, dst);
+                        self.app_write(c, msg, None, None);
                     }
-                    let c = self.conn_for(src, dst);
-                    self.app_write(c, msg, None, None);
                 }
                 Ev::FaultStart(i) => self.on_fault_start(i),
                 Ev::FaultEnd(i) => self.on_fault_end(i),
