@@ -7,8 +7,8 @@
 //! median ns/iteration over several samples. `--quick` cuts sample counts
 //! for CI. The event-queue benches double as machine-independent
 //! regression gates (ratios, enforced with `--enforce`): the timer wheel
-//! against the reference heap, cancellation against tombstones, per-port
-//! lanes against plain pushes, and in-place re-arm against cancel + push.
+//! against the reference heap, in-place re-arm against cancel + push, and
+//! coalesced against per-chunk void emission.
 
 use silo_base::{seeded_rng, Bytes, Dur, EventQueue, Rate, Time};
 use silo_flowsim::{waterfill, Allocator};
@@ -204,24 +204,14 @@ fn bench_eventq(h: &mut Harness) -> (f64, f64) {
     (wheel_ns, heap_ns)
 }
 
-/// How [`rearm_churn`] supersedes a pending timer. `Tombstone` leaves the
-/// dead timer buried until it surfaces and is skipped, so the standing
-/// population grows to the full horizon (~8 k dead entries); `Cancel`
-/// removes it at re-arm time (`cancel` + `push_cancelable`) and the queue
-/// holds only the 64 live ones; `InPlace` does the same through
-/// `EventQueue::rearm`, which overwrites the timer where it lies whenever
-/// the new expiry files into the same wheel slot.
-#[derive(Clone, Copy, PartialEq)]
-enum Supersede {
-    Tombstone,
-    Cancel,
-    InPlace,
-}
-
 /// The simulator's RTO pattern in miniature: 64 connections each re-arm a
 /// 10 ms timer every segment (~1.2 µs), so a timer is superseded ~8000
-/// times before it would fire. Returns ns per re-arm.
-fn rearm_churn(q: &mut EventQueue<u64>, ops: usize, mode: Supersede) -> f64 {
+/// times before it would fire and the queue holds only the 64 live ones.
+/// `in_place` supersedes through `EventQueue::rearm`, which overwrites the
+/// timer where it lies whenever the new expiry files into the same wheel
+/// slot; otherwise through `cancel` + `push_cancelable`. Returns ns per
+/// re-arm.
+fn rearm_churn(q: &mut EventQueue<u64>, ops: usize, in_place: bool) -> f64 {
     const CONNS: usize = 64;
     const REARM_PS: u64 = 1_200_000; // one MTU tx at 10 GbE
     const RTO_PS: u64 = 10_000_000_000; // 10 ms min RTO
@@ -232,17 +222,15 @@ fn rearm_churn(q: &mut EventQueue<u64>, ops: usize, mode: Supersede) -> f64 {
         let c = i % CONNS;
         now += REARM_PS;
         let at = Time(now + RTO_PS);
-        match (mode, keys[c]) {
-            (Supersede::Tombstone, _) => q.push(at, c as u64),
-            (Supersede::InPlace, Some(k)) => keys[c] = Some(q.rearm(k, at, c as u64).0),
-            (_, old) => {
+        keys[c] = Some(match keys[c] {
+            Some(k) if in_place => q.rearm(k, at, c as u64).0,
+            old => {
                 if let Some(k) = old {
                     q.cancel(k);
                 }
-                keys[c] = Some(q.push_cancelable(at, c as u64));
+                q.push_cancelable(at, c as u64)
             }
-        }
-        // Drain everything due (tombstones dominate in the no-cancel run).
+        });
         while q.peek_time().is_some_and(|t| t.as_ps() <= now) {
             q.pop();
         }
@@ -306,68 +294,6 @@ fn bench_void_coalesce(h: &mut Harness) -> (f64, f64) {
     (plain_ns, co_ns)
 }
 
-/// A queue item the size of the simulator's event (40 bytes).
-type SimSized = (u64, [u64; 4]);
-
-/// The simulator's per-hop pattern in miniature, at the populations a
-/// `pkt_silo` cell holds (≈200 non-empty lanes, ≈1 400 lane entries, over
-/// a wheel of timers): 64 egress ports transmitting back to back, each
-/// start pushing its `PortFree` one frame time ahead and the frame's
-/// `Arrive` one propagation delay after that; 64 paced NICs whose 50 µs
-/// pull (a timer, filed through the wheel either way) pushes a batch of
-/// 20 frame arrivals; and 64 standing 10 ms timers. Each source's event
-/// stream is monotone, so `lanes = true` appends it to that source's FIFO
-/// (`push_lane`); `lanes = false` files every event through the wheel.
-/// Returns ns per event (one push plus one pop).
-fn port_churn(q: &mut EventQueue<SimSized>, events: usize, lanes: bool) -> f64 {
-    const PORTS: u64 = 64;
-    const NICS: u64 = 64;
-    const PROP_PS: u64 = 500_000;
-    const FRAME_PS: u64 = 1_200_000; // one MTU at 10 GbE
-    const WINDOW_PS: u64 = 50_000_000;
-    const ARRIVE: u64 = 1 << 32;
-    const PULL: u64 = 1 << 33;
-    const TIMER: u64 = 1 << 34;
-    let mut rng = seeded_rng(7);
-    use rand::Rng;
-    let push = |q: &mut EventQueue<SimSized>, lane: u64, t: u64, item: u64| {
-        if lanes {
-            q.push_lane(lane as usize, Time(t), (item, [t; 4]));
-        } else {
-            q.push(Time(t), (item, [t; 4]));
-        }
-    };
-    for c in 0..64u64 {
-        q.push(Time(10_000_000_000 + c * 1_000_000_000), (TIMER, [0; 4]));
-    }
-    for p in 0..PORTS {
-        push(q, p, rng.random_range(0..FRAME_PS), p);
-    }
-    for n in 0..NICS {
-        q.push(Time(rng.random_range(0..WINDOW_PS)), (PULL | n, [0; 4]));
-    }
-    let t0 = Instant::now();
-    for _ in 0..events {
-        let (t, (item, _)) = q.pop().expect("ports never go idle");
-        let t = t.as_ps();
-        if item < PORTS {
-            // PortFree: the port starts its next frame (64 B .. 1500 B).
-            let t_free = t + rng.random_range(51_200..FRAME_PS);
-            push(q, item, t_free, item);
-            push(q, PORTS + item, t_free + PROP_PS, ARRIVE | item);
-        } else if item & PULL != 0 {
-            // NicPull: a paced batch, every other wire slot a data frame.
-            let nic = item & !PULL;
-            for i in 0..20 {
-                let arrive = t + 2 * i * FRAME_PS + FRAME_PS + PROP_PS;
-                push(q, 2 * PORTS + nic, arrive, ARRIVE | nic);
-            }
-            q.push(Time(t + WINDOW_PS), (item, [0; 4]));
-        }
-    }
-    t0.elapsed().as_nanos() as f64 / events as f64
-}
-
 /// Alternate two variants of one loop for a few rounds and keep each
 /// one's fastest round: a ratio of single runs on a shared host mostly
 /// measures which run the host slowed down.
@@ -381,41 +307,12 @@ fn best_of_alternating(mut run: impl FnMut(usize) -> f64) -> [f64; 2] {
     best
 }
 
-fn bench_lane_merge(h: &mut Harness) -> (f64, f64) {
-    let events = if h.quick { 400_000 } else { 4_000_000 };
-    let mut pushed = [0; 2];
-    let [plain_ns, lane_ns] = best_of_alternating(|lanes| {
-        let mut q = EventQueue::new();
-        let ns = port_churn(&mut q, events, lanes == 1);
-        pushed[lanes] = q.pushed();
-        ns
-    });
-    assert_eq!(pushed[0], pushed[1], "both variants run the same schedule");
-    for (name, ns) in [
-        ("eventq/lane_merge_plain_push", plain_ns),
-        ("eventq/lane_merge", lane_ns),
-    ] {
-        println!("{name:<44} {ns:>12.1} ns/ev   ({events} events, best of 5)");
-        h.results.push((name.into(), ns));
-    }
-    (plain_ns, lane_ns)
-}
-
-fn bench_timer_cancel(h: &mut Harness) -> (f64, f64, f64) {
+fn bench_timer_rearm(h: &mut Harness) -> (f64, f64) {
     let ops = if h.quick { 200_000 } else { 2_000_000 };
-    let mut tomb = EventQueue::new();
-    let tomb_ns = rearm_churn(&mut tomb, ops, Supersede::Tombstone);
-    println!(
-        "{:<44} {tomb_ns:>12.1} ns/op   ({ops} ops, peak {} entries)",
-        "eventq/rearm_tombstone",
-        tomb.peak_len()
-    );
-    h.results.push(("eventq/rearm_tombstone".into(), tomb_ns));
     let mut peak = [0; 2];
     let [canc_ns, inpl_ns] = best_of_alternating(|v| {
         let mut q = EventQueue::new();
-        let mode = [Supersede::Cancel, Supersede::InPlace][v];
-        let ns = rearm_churn(&mut q, ops, mode);
+        let ns = rearm_churn(&mut q, ops, v == 1);
         peak[v] = q.peak_len();
         ns
     });
@@ -426,7 +323,7 @@ fn bench_timer_cancel(h: &mut Harness) -> (f64, f64, f64) {
         println!("{name:<44} {ns:>12.1} ns/op   ({ops} ops, peak {peak} entries, best of 5)");
         h.results.push((name.into(), ns));
     }
-    (tomb_ns, canc_ns, inpl_ns)
+    (canc_ns, inpl_ns)
 }
 
 fn main() {
@@ -445,57 +342,34 @@ fn main() {
     bench_netcalc(&mut h);
     bench_waterfill(&mut h);
     let (wheel_ns, heap_ns) = bench_eventq(&mut h);
-    let (tomb_ns, canc_ns, inpl_ns) = bench_timer_cancel(&mut h);
-    let (plain_push_ns, lane_ns) = bench_lane_merge(&mut h);
+    let (canc_ns, inpl_ns) = bench_timer_rearm(&mut h);
     let (plain_ns, co_ns) = bench_void_coalesce(&mut h);
     // Machine-independent regression gates (ratios, so CI hardware
     // variance doesn't matter):
     // 1. The timer wheel must beat the reference heap on the simulator's
-    //    event pattern: it is the default backend only because it is
-    //    faster (ratio ~0.8 on this churn of 8-byte entries; 3.7x
-    //    events/sec on the simnet grid, whose entries are 100+ bytes), so
-    //    a wheel that merely ties has lost its reason to exist.
+    //    event pattern (measured 0.42-0.58): it is the default backend
+    //    only because it is faster, so a wheel that merely ties has lost
+    //    its reason to exist.
     let ratio = wheel_ns / heap_ns;
     println!("eventq wheel/heap ratio: {ratio:.2} (gate: < 1.0)");
-    // 2. Cancellation must beat the tombstone scheme by >= 1.3x on the
-    //    RTO re-arm pattern — the win the simulator's cancel_timers
-    //    default is predicated on.
-    let cancel_gain = tomb_ns / canc_ns;
-    println!("eventq tombstone/cancel re-arm gain: {cancel_gain:.2}x (gate: >= 1.3)");
-    // 3. Coalesced void emission must beat per-chunk emission by >= 2x on
-    //    a void-dominated Silo drain (emission + consumer walk) — the win
-    //    the simnet `coalesce_voids` default is predicated on.
+    // 2. Coalesced void emission must beat per-chunk emission by >= 2x on
+    //    a void-dominated Silo drain (emission + consumer walk): `Sim`
+    //    runs the batcher coalesced and re-expands runs for observers,
+    //    which only pays while one frame per gap is this much cheaper.
     let void_gain = plain_ns / co_ns;
     println!("pacer per-chunk/coalesced void-drain gain: {void_gain:.2}x (gate: >= 2.0)");
-    // 4. The per-hop fast path's two mechanisms. An in-place re-arm must
-    //    beat cancel + push by >= 1.15x (measured 1.22-1.56x). Per-port
-    //    lanes are gated from the other side: with every structure
-    //    resident in L1 the lane merge runs at 0.84-1.14x the 1 ns-tick
-    //    wheel, while in the simulator it is worth 14-16 % of a whole
-    //    `pkt_silo` / `pkt_tcp` run (interleaved A/B in DESIGN.md), which
-    //    this in-cache loop does not reproduce. So the gate only catches
-    //    the lane path itself getting slower: >= 0.7x.
-    let lane_gain = plain_push_ns / lane_ns;
-    println!("eventq plain-push/lane per-port ratio: {lane_gain:.2}x (gate: >= 0.7)");
+    // 3. An in-place re-arm must beat cancel + push by >= 1.15x (measured
+    //    1.22-1.56x): every RTO and NIC-pull supersede in `Sim` goes
+    //    through `EventQueue::rearm`.
     let rearm_gain = canc_ns / inpl_ns;
     println!("eventq cancel+push/rearm gain: {rearm_gain:.2}x (gate: >= 1.15)");
     if h.enforce {
-        if lane_gain < 0.7 {
-            eprintln!("REGRESSION: lanes at {lane_gain:.2}x of plain pushes (need 0.7x)");
-            std::process::exit(1);
-        }
         if rearm_gain < 1.15 {
             eprintln!("REGRESSION: rearm only {rearm_gain:.2}x over cancel + push (need 1.15x)");
             std::process::exit(1);
         }
         if ratio >= 1.0 {
             eprintln!("REGRESSION: timer wheel no faster than the reference heap ({ratio:.2}x)");
-            std::process::exit(1);
-        }
-        if cancel_gain < 1.3 {
-            eprintln!(
-                "REGRESSION: timer cancellation only {cancel_gain:.2}x over tombstones (need 1.3x)"
-            );
             std::process::exit(1);
         }
         if void_gain < 2.0 {

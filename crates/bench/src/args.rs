@@ -10,9 +10,6 @@ pub struct Args {
     pub occupancy: f64,
     /// Worker threads for sweep cells; 0 = one per available core.
     pub threads: usize,
-    /// `bench_simnet --profile`: print the event-profile table for one
-    /// cell instead of running the full benchmark grid.
-    pub profile: bool,
     /// Run with the invariant-audit layer enabled (`SimConfig::audit`)
     /// and fail on unattributed violations. Physics are unchanged; only
     /// wall-clock and the audit report differ.
@@ -25,11 +22,6 @@ pub struct Args {
     /// Also write the Chrome/Perfetto `trace_event` JSON to this path
     /// (open at <https://ui.perfetto.dev>). Implies trace recording.
     pub trace_perfetto: Option<String>,
-    /// Run with the hot-path event diet off (`SimConfig::coalesce_voids`
-    /// and `SimConfig::elide_nic_pulls` both false) — the pre-diet
-    /// engine, for the CI coalesce-differential (trace-diff) gate.
-    /// Physics and observer streams are byte-identical either way.
-    pub no_coalesce: bool,
     /// Record windowed telemetry (`SimConfig::telemetry`, 1 ms windows)
     /// and write the deterministic `silo-telemetry-v1` JSONL to this
     /// path. Physics are unchanged (the simnet telemetry suite asserts
@@ -49,24 +41,39 @@ impl Default for Args {
             runs: 3,
             occupancy: 0.9,
             threads: 0,
-            profile: false,
             audit: false,
             trace: None,
             trace_perfetto: None,
-            no_coalesce: false,
             telemetry: None,
             telemetry_openmetrics: None,
         }
     }
 }
 
+/// Largest accepted `--scale` (1 = the paper's sizes).
+const MAX_SCALE: f64 = 8.0;
+
 /// Every flag [`Args::try_parse`] accepts, for error messages.
-const KNOWN_FLAGS: &str = "--scale --seed --duration-ms --runs --occupancy --threads --profile \
-     --audit --no-coalesce --trace --trace-perfetto --telemetry --telemetry-openmetrics";
+const KNOWN_FLAGS: &str = "--scale --seed --duration-ms --runs --occupancy --threads --audit \
+     --trace --trace-perfetto --telemetry --telemetry-openmetrics";
 
 fn number<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
     val.parse()
         .map_err(|_| format!("{key}: cannot parse {val:?} as a number; known: {KNOWN_FLAGS}"))
+}
+
+/// A number in `(0, max]`. Topology sizes are `scale × paper size` and
+/// tenant counts `occupancy × slots`, so anything else (NaN and the
+/// infinities included) is a panic or an absurd allocation downstream.
+fn positive_up_to(key: &str, val: &str, max: f64) -> Result<f64, String> {
+    let x: f64 = number(key, val)?;
+    if x > 0.0 && x <= max {
+        Ok(x)
+    } else {
+        Err(format!(
+            "{key}: {val} is outside (0, {max}]; known: {KNOWN_FLAGS}"
+        ))
+    }
 }
 
 impl Args {
@@ -81,7 +88,8 @@ impl Args {
     }
 
     /// Parse `--key value` pairs and bare switches. An unknown flag, a
-    /// missing value or an unparsable number is an `Err` that names the
+    /// missing value, an unparsable number, a `--scale` outside `(0, 8]`
+    /// or an `--occupancy` outside `(0, 1]` is an `Err` that names the
     /// flag and lists the known ones.
     pub fn try_parse(argv: &[String]) -> Result<Args, String> {
         let mut a = Args::default();
@@ -93,14 +101,12 @@ impl Args {
                     .ok_or_else(|| format!("missing value for {key}; known: {KNOWN_FLAGS}"))
             };
             match key {
-                "--profile" => a.profile = true,
                 "--audit" => a.audit = true,
-                "--no-coalesce" => a.no_coalesce = true,
-                "--scale" => a.scale = number(key, val()?)?,
+                "--scale" => a.scale = positive_up_to(key, val()?, MAX_SCALE)?,
                 "--seed" => a.seed = number(key, val()?)?,
                 "--duration-ms" => a.duration_ms = number(key, val()?)?,
                 "--runs" => a.runs = number(key, val()?)?,
-                "--occupancy" => a.occupancy = number(key, val()?)?,
+                "--occupancy" => a.occupancy = positive_up_to(key, val()?, 1.0)?,
                 "--threads" => a.threads = number(key, val()?)?,
                 "--trace" => a.trace = Some(val()?.clone()),
                 "--trace-perfetto" => a.trace_perfetto = Some(val()?.clone()),
@@ -162,6 +168,14 @@ mod tests {
             (&["--seed"][..], "missing value for --seed"),
             (&["--runs", "many"][..], "--runs: cannot parse \"many\""),
             (&["--shards", "4"][..], "unknown flag --shards"),
+            (&["--no-coalesce"][..], "unknown flag --no-coalesce"),
+            (&["--profile"][..], "unknown flag --profile"),
+            (&["--scale", "inf"][..], "--scale: inf is outside (0, 8]"),
+            (&["--scale", "NaN"][..], "--scale: NaN is outside (0, 8]"),
+            (&["--scale", "1e9"][..], "--scale: 1e9 is outside (0, 8]"),
+            (&["--scale", "0"][..], "--scale: 0 is outside (0, 8]"),
+            (&["--occupancy", "2"][..], "--occupancy: 2 is outside"),
+            (&["--occupancy", "NaN"][..], "--occupancy: NaN is outside"),
         ] {
             let err = parse(argv).expect_err("must be rejected");
             assert!(err.contains(needle), "{argv:?}: {err}");

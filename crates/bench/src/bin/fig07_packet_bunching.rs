@@ -56,8 +56,6 @@ fn main() {
         },
     };
     let mut cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(20), 7);
-    cfg.coalesce_voids = !args.no_coalesce;
-    cfg.elide_nic_pulls = !args.no_coalesce;
     if args.trace_requested() {
         cfg.trace = Some(TraceConfig::default());
     }

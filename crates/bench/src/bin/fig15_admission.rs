@@ -1,29 +1,10 @@
 //! Figure 15: fraction of tenant requests admitted at 75% and 90% target
 //! occupancy for Locality, Oktopus and Silo (flow-level, §6.3).
 
-use silo_base::{Bytes, Dur, Rate};
+use silo_bench::scenario::flow_topo;
 use silo_bench::Args;
 use silo_flowsim::{Allocator, FlowSim, FlowSimConfig};
 use silo_placement::{LocalityPlacer, OktopusPlacer, SiloPlacer};
-use silo_topology::{Topology, TreeParams};
-
-pub fn flow_topo(scale: f64) -> Topology {
-    // Full scale (1.0): 16 pods x 40 racks x 50 servers = 32 K servers.
-    let pods = ((16.0 * scale).round() as usize).max(2);
-    let racks = ((40.0 * scale).round() as usize).max(2);
-    Topology::build(TreeParams {
-        pods,
-        racks_per_pod: racks,
-        servers_per_rack: 50,
-        vm_slots_per_server: 4,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 5.0,
-        agg_oversub: 5.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
 
 fn cfg(occ: f64, seed: u64) -> FlowSimConfig {
     FlowSimConfig {

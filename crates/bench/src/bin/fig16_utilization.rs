@@ -2,28 +2,11 @@
 //! with Permutation-1 class-B traffic and (b) vs the Permutation-x
 //! pattern at 90% occupancy (flow-level, §6.3).
 
-use silo_base::{Bytes, Dur, Rate};
+use silo_bench::scenario::flow_topo;
 use silo_bench::Args;
 use silo_flowsim::{Allocator, ClassMix, FlowSim, FlowSimConfig};
 use silo_placement::{LocalityPlacer, OktopusPlacer, SiloPlacer};
-use silo_topology::{Topology, TreeParams};
-
-fn flow_topo(scale: f64) -> Topology {
-    let pods = ((16.0 * scale).round() as usize).max(2);
-    let racks = ((40.0 * scale).round() as usize).max(2);
-    Topology::build(TreeParams {
-        pods,
-        racks_per_pod: racks,
-        servers_per_rack: 50,
-        vm_slots_per_server: 4,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 5.0,
-        agg_oversub: 5.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
+use silo_topology::Topology;
 
 fn run(topo: &Topology, scheme: &str, occ: f64, x: Option<f64>, seed: u64) -> f64 {
     let mix = ClassMix {

@@ -25,7 +25,7 @@ pub mod verify;
 
 pub use args::Args;
 pub use report::{fmt_dur_us, print_cdf, print_header, print_row};
-pub use runner::{auto_threads, run_cells, run_cells_timed, BenchCell, BenchReport, Timed};
+pub use runner::{auto_threads, run_cells};
 pub use scenario::{
     build_ns2_population, testbed_tenants, NsClass, NsTenant, PlacerKind, TestbedReq,
 };

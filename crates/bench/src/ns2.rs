@@ -76,61 +76,18 @@ pub fn ns2_cells(modes: &[TransportMode], args: &Args) -> Vec<Ns2Cell> {
         .collect()
 }
 
-/// Engine cost knobs for before/after benchmarking. Both are pure
-/// engine-side switches: physical results are byte-identical across every
-/// combination (the simnet differential suite and `bench_simnet` assert
-/// it), only wall-clock and event-queue counters move.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineOpts {
-    pub queue: silo_base::QueueBackend,
-    /// `SimConfig::cancel_timers`: off reproduces the tombstone timer
-    /// scheme (the pre-cancellation engine) for baseline phases.
-    pub cancel_timers: bool,
-    /// Attach the invariant-audit layer (`SimConfig::audit`, default
-    /// config). Pure observation: physical results stay byte-identical;
-    /// the report lands in `Metrics::audit`.
-    pub audit: bool,
-    /// Attach the flight recorder (`SimConfig::trace`, default ring
-    /// sizes). Pure observation like `audit`: physics stay
-    /// byte-identical; the log lands in `Metrics::trace`.
-    pub trace: bool,
-    /// Attach the windowed telemetry recorder (`SimConfig::telemetry`,
-    /// default 1 ms windows). Pure observation like `audit`/`trace`:
-    /// physics stay byte-identical; the log lands in
-    /// `Metrics::telemetry`.
-    pub telemetry: bool,
-    /// Hot-path event diet (`SimConfig::coalesce_voids` +
-    /// `SimConfig::elide_nic_pulls`). Off reproduces the pre-diet engine
-    /// — one event per void chunk, one pull per batch boundary — for the
-    /// `void_coalesce` before/after phase.
-    pub coalesce: bool,
-}
-
-impl Default for EngineOpts {
-    fn default() -> EngineOpts {
-        EngineOpts {
-            queue: silo_base::QueueBackend::default(),
-            cancel_timers: true,
-            audit: false,
-            trace: false,
-            telemetry: false,
-            coalesce: true,
-        }
-    }
-}
-
 /// Execute one cell: place a population and run the packet simulator.
 pub fn run_ns2_cell(cell: &Ns2Cell, args: &Args) -> (Vec<NsTenant>, Metrics) {
-    run_ns2_cell_with_engine(cell, args, EngineOpts::default())
+    run_ns2_cell_with(cell, args, |_| {})
 }
 
-/// [`run_ns2_cell`] with explicit engine knobs — the simnet
-/// microbenchmark runs the same cells across queue backends and the
-/// timer-cancellation toggle to measure engine speedups.
-pub fn run_ns2_cell_with_engine(
+/// [`run_ns2_cell`] after `configure` has adjusted the cell's
+/// [`SimConfig`]: `sim_profile` attaches observers, the wheel-vs-heap
+/// test selects the reference queue.
+pub fn run_ns2_cell_with(
     cell: &Ns2Cell,
     args: &Args,
-    eng: EngineOpts,
+    configure: impl FnOnce(&mut SimConfig),
 ) -> (Vec<NsTenant>, Metrics) {
     let topo = ns2_topology(args.scale);
     let mut rng = seeded_rng(cell.seed);
@@ -146,19 +103,7 @@ pub fn run_ns2_cell_with_engine(
     );
     // (Oktopus's no-burst semantics are applied by Sim::new itself.)
     let mut cfg = SimConfig::new(cell.mode, Dur::from_ms(args.duration_ms), cell.seed);
-    cfg.queue = eng.queue;
-    cfg.cancel_timers = eng.cancel_timers;
-    cfg.coalesce_voids = eng.coalesce;
-    cfg.elide_nic_pulls = eng.coalesce;
-    if eng.audit {
-        cfg.audit = Some(silo_simnet::AuditConfig::default());
-    }
-    if eng.trace {
-        cfg.trace = Some(silo_simnet::TraceConfig::default());
-    }
-    if eng.telemetry {
-        cfg.telemetry = Some(silo_simnet::TelemetryConfig::default());
-    }
+    configure(&mut cfg);
     let specs = tenants.iter().map(|t| t.spec.clone()).collect();
     let m = Sim::new(topo, cfg, specs).run();
     (tenants, m)

@@ -1,12 +1,32 @@
-//! Scenario builders: the §6.1 testbed tenants (Table 2) and the §6.2
-//! ns2-style tenant population (Table 3) placed by each scheme's placer.
+//! Scenario builders: the §6.1 testbed tenants (Table 2), the §6.2
+//! ns2-style tenant population (Table 3) placed by each scheme's placer,
+//! and the §6.3 flow-level topology.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use silo_base::{exponential, Bytes, Dur, Rate};
 use silo_placement::{Guarantee, LocalityPlacer, OktopusPlacer, Placer, SiloPlacer, TenantRequest};
 use silo_simnet::{TenantSpec, TenantWorkload, TransportMode};
-use silo_topology::{HostId, Topology};
+use silo_topology::{HostId, Topology, TreeParams};
+
+/// The §6.3 flow-level topology of Figs. 15–16: 16 pods × 40 racks × 50
+/// servers = 32 K servers at `scale` 1, never below 2 × 2 racks.
+pub fn flow_topo(scale: f64) -> Topology {
+    let pods = ((16.0 * scale).round() as usize).max(2);
+    let racks = ((40.0 * scale).round() as usize).max(2);
+    Topology::build(TreeParams {
+        pods,
+        racks_per_pod: racks,
+        servers_per_rack: 50,
+        vm_slots_per_server: 4,
+        host_link: Rate::from_gbps(10),
+        tor_oversub: 5.0,
+        agg_oversub: 5.0,
+        switch_buffer: Bytes::from_kb(312),
+        nic_buffer: Bytes::from_kb(64),
+        prop_delay: Dur::from_ns(500),
+    })
+}
 
 /// Which placement algorithm seats the tenants (per §6.2: Silo uses its
 /// own, Oktopus its bandwidth-aware one, everything else locality-aware).

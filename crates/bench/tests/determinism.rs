@@ -41,11 +41,9 @@ fn small_args(threads: usize) -> Args {
         runs: 2,
         occupancy: 0.9,
         threads,
-        profile: false,
         audit: false,
         trace: None,
         trace_perfetto: None,
-        no_coalesce: false,
         telemetry: None,
         telemetry_openmetrics: None,
     }

@@ -22,7 +22,8 @@
 //!
 //! The sink is pure observation: it never mutates engine state, takes no
 //! randomness, and schedules no events, so an audited run is byte-identical
-//! to an unaudited one (`bench_simnet` asserts this on every benchmark run).
+//! to an unaudited one (`tests/audit.rs` asserts it; the repo benchmark's
+//! `pkt_silo_observed` workload re-checks it on every repetition).
 //!
 //! Violations are attributed to injected faults when they fall inside a
 //! fault's realized window (plus [`AuditConfig::attribution_slack`], which

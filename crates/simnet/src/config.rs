@@ -166,46 +166,12 @@ pub struct SimConfig {
     pub seed: u64,
     /// NIC FIFO depth for un-paced modes (TX ring + qdisc).
     pub nic_fifo: Bytes,
-    /// Event-queue implementation. [`QueueBackend::Wheel`] (default) is
-    /// the fast path; [`QueueBackend::Heap`] keeps the original
-    /// `BinaryHeap` for differential testing and before/after
-    /// benchmarking. Both dequeue in identical `(time, seq)` order, so
+    /// Event-queue implementation, the engine's one option.
+    /// [`QueueBackend::Wheel`] (default) is the fast path;
+    /// [`QueueBackend::Heap`] is the reference `BinaryHeap` tests compare
+    /// it against. Both dequeue in identical `(time, seq)` order, so
     /// results are bit-identical either way.
     pub queue: QueueBackend,
-    /// Cancelable RTO / NIC-pull timers (slot-generation keys in
-    /// `silo_base::eventq`). On (the default), a superseded timer is
-    /// removed from the queue at re-arm time; off reproduces the original
-    /// tombstone scheme exactly (stale events stay buried until they
-    /// fire and are skipped by marker). Physical outputs
-    /// ([`crate::Metrics::physics_json`]) are byte-identical either way —
-    /// a cancelled event's dispatch was a provable no-op — so the off
-    /// position is kept for the golden-equivalence suites and
-    /// before/after benchmarking. Only engine counters differ
-    /// (`events_processed`, `peak_event_queue`, the profile).
-    pub cancel_timers: bool,
-    /// Coalesced void emission: the batcher collapses each inter-packet
-    /// gap's run of void frames into one [`silo_pacer::WireFrame`]
-    /// carrying the run's total bytes and the gap boundary that drove the
-    /// chunk math. On (the default), the NIC pull loop touches one frame
-    /// per gap instead of one per 84 B–MTU chunk; observers re-expand the
-    /// run into the exact per-chunk frames (`silo_pacer::VoidChunks`), so
-    /// the wire schedule, the audit report and the flight-recorder log
-    /// are byte-identical either way — the off position exists for the
-    /// golden-equivalence suites and before/after benchmarking.
-    pub coalesce_voids: bool,
-    /// Idle-pacer fast-forward: skip the NIC pull that is provably going
-    /// to find nothing due (queue drained, or the next stamp beyond the
-    /// just-emitted batch) and arm directly at the instant the next batch
-    /// can start; an enqueue that lowers that instant re-arms the pull
-    /// (`Sim::ensure_pull`). Batch-emitting pulls fire at exactly the
-    /// instants the eager scheme produces, so physical outputs are
-    /// byte-identical — only the event counters move. For hosts that a
-    /// fault plan targets with a pacer stall or drift window the
-    /// fast-forward is disabled per host: stall/drift clamps are applied
-    /// per armed pull, so eliding intermediate pulls on a *targeted* host
-    /// would change where the clamp lands; untargeted hosts keep the
-    /// fast path even under an active plan.
-    pub elide_nic_pulls: bool,
     /// Injected failures ([`FaultPlan`]). Empty (the default) is a strict
     /// no-op: no events are scheduled and every metric is byte-identical
     /// to a run without the fault layer.
@@ -265,9 +231,6 @@ impl SimConfig {
             // tenant's small messages die behind a bulk tenant's bursts.
             nic_fifo: Bytes::from_kb(150),
             queue: QueueBackend::default(),
-            cancel_timers: true,
-            coalesce_voids: true,
-            elide_nic_pulls: true,
             faults: FaultPlan::default(),
             audit: None,
             trace: None,

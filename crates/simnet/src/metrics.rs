@@ -64,14 +64,14 @@ impl EvKind {
 }
 
 /// Per-event-kind accounting of what the engine did with its events:
-/// `scheduled` were pushed into the queue, `fired` were dispatched,
-/// `stale` were dispatched but discarded as superseded (tombstone timers
-/// whose marker no longer matched — pure dispatch-loop waste), and
+/// `scheduled` were pushed into the queue, `fired` were dispatched, and
 /// `cancelled` were removed from the queue before firing (disarmed RTOs,
-/// superseded NIC pulls, under `SimConfig::cancel_timers`). The elision
-/// layer's win is `cancelled` plus the drop in `stale`: every cancelled
-/// timer is a tombstone the engine never had to store, cascade through
-/// the wheel, pop, and dispatch into a no-op.
+/// superseded RTOs and NIC pulls): a timer the engine never had to
+/// cascade through the wheel, pop, and dispatch into a no-op. `stale`
+/// counts timers that fired while their owner held no armed key. Every
+/// supersede cancels or re-arms the pending timer, so it is always 0; it
+/// is kept as a checked invariant (`tests/timer_cancel.rs`, `sim_profile`,
+/// the benchmark's `eventq.stale`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventProfile {
     pub scheduled: [u64; EvKind::COUNT],
@@ -118,7 +118,7 @@ impl EventProfile {
         }
     }
 
-    /// Aligned text table for `bench_simnet --profile`.
+    /// Aligned text table for `sim_profile`.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

@@ -30,9 +30,9 @@ enum Ev {
     /// An egress port finished a transmission.
     PortFree(PortId),
     /// DMA-completion / soft-timer pull of the next paced batch.
-    NicPull { host: u32, marker: u64 },
+    NicPull { host: u32 },
     /// Retransmission timeout.
-    Rto { conn: u32, marker: u32 },
+    Rto { conn: u32 },
     /// Next ETC client request becomes due.
     EtcArrival { vm: u32 },
     /// OLDI tenant fires a simultaneous all-to-one burst.
@@ -101,13 +101,10 @@ enum VmApp {
 /// Per-host NIC state for the paced modes.
 struct HostNic {
     batcher: PacedBatcher<PktId>,
-    pull_marker: u64,
-    /// Cancellation handle of the armed `NicPull`, when the engine runs
-    /// with cancelable timers (superseded pulls are removed, not
-    /// tombstoned).
+    /// Handle of the armed `NicPull`, `None` when no pull is pending. A
+    /// superseding arm moves the pending pull in place (`Sim::rearm`).
     pull_key: Option<EvKey>,
-    /// Instant of the armed `NicPull`, `None` when no live pull is
-    /// pending (superseded pulls don't count — the marker kills them).
+    /// Instant of the armed `NicPull`, `None` when no pull is pending.
     /// The fast-forward path (`Sim::ensure_pull`) compares against it to
     /// skip re-arms that would land at the same instant.
     pull_at: Option<Time>,
@@ -251,14 +248,14 @@ impl Sim {
             .map(|_| {
                 let mut batcher =
                     PacedBatcher::new(topo.params().host_link, cfg.batch_window, cfg.mtu);
-                batcher.coalesce_voids(cfg.coalesce_voids);
+                // One frame per void run; observers re-expand it.
+                batcher.coalesce_voids(true);
                 // A host's stamp queue holds at most a couple of batch
                 // windows of MTU frames per backlogged VM; 256 covers the
                 // common case without over-reserving idle hosts.
                 batcher.reserve(256);
                 HostNic {
                     batcher,
-                    pull_marker: 0,
                     pull_key: None,
                     pull_at: None,
                     busy_until: Time::ZERO,
@@ -932,29 +929,21 @@ impl Sim {
     }
 
     fn arm_rto(&mut self, conn: u32) {
-        let (marker, at) = {
+        let (old, at) = {
             let c = &mut self.conns[conn as usize];
-            c.rto_marker += 1;
             c.rto_armed_at = self.now;
             // Clock from the latest wire departure: time spent queued in
             // the hypervisor pacer must not fire spurious timeouts.
             let base = self.now.max(c.last_depart);
-            (c.rto_marker, base + c.rto(self.cfg.min_rto))
+            (c.rto_key, base + c.rto(self.cfg.min_rto))
         };
-        if self.cfg.cancel_timers {
-            // Re-arming supersedes the pending timer: move it instead of
-            // leaving a tombstone to bloat the queue until it expires.
-            let old = self.conns[conn as usize].rto_key;
-            let key = self.rearm(old, at, Ev::Rto { conn, marker });
-            self.conns[conn as usize].rto_key = Some(key);
-        } else {
-            self.push(at, Ev::Rto { conn, marker });
-        }
+        // Re-arming supersedes the pending timer: move it in place.
+        let key = self.rearm(old, at, Ev::Rto { conn });
+        self.conns[conn as usize].rto_key = Some(key);
     }
 
     fn disarm_rto(&mut self, conn: u32) {
         let c = &mut self.conns[conn as usize];
-        c.rto_marker += 1;
         if let Some(k) = c.rto_key.take() {
             if self.events.cancel(k) {
                 self.profile.cancelled[EvKind::Rto as usize] += 1;
@@ -962,17 +951,13 @@ impl Sim {
         }
     }
 
-    fn on_rto(&mut self, conn: u32, marker: u32) {
+    fn on_rto(&mut self, conn: u32) {
         {
-            let c = &mut self.conns[conn as usize];
-            if c.rto_marker == marker {
-                // The armed timer just fired: its key left the queue.
-                c.rto_key = None;
-            } else {
-                // A tombstone from the marker scheme: the timer was
-                // superseded after this event was already buried in the
-                // queue. Pure dispatch waste (`cancel_timers` removes
-                // these at re-arm time instead).
+            // The armed timer just fired: its key left the queue.
+            if self.conns[conn as usize].rto_key.take().is_none() {
+                // Every supersede cancels or re-arms the pending timer, so
+                // a timer whose owner holds no key must never fire. Counted
+                // (always 0) and checked by the tests and `sim_profile`.
                 self.profile.stale[EvKind::Rto as usize] += 1;
                 return;
             }
@@ -1113,29 +1098,19 @@ impl Sim {
         } else {
             at
         };
-        self.nics[host].pull_marker += 1;
-        let marker = self.nics[host].pull_marker;
+        let old = self.nics[host].pull_key;
+        let key = self.rearm(old, at, Ev::NicPull { host: host as u32 });
+        self.nics[host].pull_key = Some(key);
         self.nics[host].pull_at = Some(at);
-        let ev = Ev::NicPull {
-            host: host as u32,
-            marker,
-        };
-        if self.cfg.cancel_timers {
-            let old = self.nics[host].pull_key;
-            let key = self.rearm(old, at, ev);
-            self.nics[host].pull_key = Some(key);
-        } else {
-            self.push(at, ev);
-        }
     }
 
     /// Fast-forward arming: ensure a pull is pending at the earliest
     /// instant the next batch could start, `max(next stamp, busy_until,
     /// now)`. Between pulls the stamp frontier only moves *earlier* (new
     /// enqueues), so the wanted instant only tightens; a pull already
-    /// armed there is left alone — the eager scheme would re-arm it at
-    /// the same instant with a fresh marker, pure event churn with an
-    /// identical wire schedule (equivalence argument in DESIGN.md).
+    /// armed there is left alone (re-arming it at the same instant is
+    /// event churn with an identical wire schedule; DESIGN.md has the
+    /// equivalence argument).
     /// Empty queue: nothing armed, the NIC sleeps until the next enqueue.
     fn ensure_pull(&mut self, host: usize) {
         let Some(s) = self.nics[host].batcher.next_stamp() else {
@@ -1156,20 +1131,18 @@ impl Sim {
     /// on the frames a pull emits, not on the pull's arming).
     #[inline]
     fn fast_forward(&self, host: usize) -> bool {
-        self.cfg.elide_nic_pulls && !self.nic_fault_targets[host]
+        !self.nic_fault_targets[host]
     }
 
-    fn on_nic_pull(&mut self, host: u32, marker: u64) {
+    fn on_nic_pull(&mut self, host: u32) {
         let h = host as usize;
-        if self.nics[h].pull_marker == marker {
-            // The armed pull just fired: its key left the queue.
-            self.nics[h].pull_key = None;
-            self.nics[h].pull_at = None;
-        } else {
-            // Superseded pull tombstone (see `on_rto`).
+        if self.nics[h].pull_key.take().is_none() {
+            // Must never happen (see `on_rto`).
             self.profile.stale[EvKind::NicPull as usize] += 1;
             return;
         }
+        // The armed pull just fired: its key left the queue.
+        self.nics[h].pull_at = None;
         if self.faults_on && self.now < self.nic_stall_until[h] {
             // The pacer timer is stalled: defer this pull to the window
             // end (arm_nic re-applies the stall clamp).
@@ -1255,35 +1228,20 @@ impl Sim {
                 let arrive = f.start + link.tx_time(f.size) + prop;
                 let lane = self.nic_arrive_lane(h);
                 self.push_lane(lane, arrive, Ev::Arrive(Hop::of(id, &pkt, 1)));
-            } else if let Some(gap_end) = f.gap_end {
-                // A coalesced void run: one frame stands for the whole
-                // gap. Observers must see the exact per-chunk frames an
-                // uncoalesced batcher emits, so the run is re-expanded
-                // through the same chunk math (byte-identical audit
-                // report and flight-recorder log — the CI differential
-                // gate diffs the traces).
-                if self.audit.is_some() || self.trace.is_some() {
-                    for (s, size) in VoidChunks::new(f.start, gap_end, link, mtu) {
-                        if let Some(a) = self.audit.as_mut() {
-                            a.on_wire_frame(h, s, size, link);
-                        }
-                        if self.trace.is_some() {
-                            let tx = link.tx_time(size);
-                            if let Some(t) = self.trace.as_mut() {
-                                t.nic_void(host, s, tx, size.as_u64());
-                            }
-                        }
+            } else if self.audit.is_some() || self.trace.is_some() {
+                // A void run: one frame stands for the whole gap. Observers
+                // see the per-chunk frames the wire carries, so the run is
+                // re-expanded through the batcher's own chunk math.
+                let gap_end = f.gap_end.expect("void run carries its gap");
+                for (s, size) in VoidChunks::new(f.start, gap_end, link, mtu) {
+                    if let Some(a) = self.audit.as_mut() {
+                        a.on_wire_frame(h, s, size, link);
                     }
-                }
-            } else {
-                if let Some(a) = self.audit.as_mut() {
-                    a.on_wire_frame(h, f.start, f.size, link);
-                }
-                if self.trace.is_some() {
-                    let (start, tx) = f.span(link);
-                    let size = f.size.as_u64();
-                    if let Some(t) = self.trace.as_mut() {
-                        t.nic_void(host, start, tx, size);
+                    if self.trace.is_some() {
+                        let tx = link.tx_time(size);
+                        if let Some(t) = self.trace.as_mut() {
+                            t.nic_void(host, s, tx, size.as_u64());
+                        }
                     }
                 }
             }
@@ -1305,9 +1263,9 @@ impl Sim {
         if self.fast_forward(h) {
             // Arm directly at the instant the next batch can start: at
             // `done` when data is already due, at the future head stamp
-            // (skipping the eager scheme's intermediate empty pull at
-            // `done`), or not at all when the queue drained — the next
-            // enqueue resurrects the pull.
+            // (skipping an intermediate empty pull at `done`), or not at
+            // all when the queue drained — the next enqueue resurrects
+            // the pull.
             self.ensure_pull(h);
         } else {
             self.arm_nic(h, done);
@@ -2032,13 +1990,7 @@ impl Sim {
             c.wr_end = c.una; // abandon everything not yet acknowledged
             c.msgs.clear();
             c.inflight_meta.clear();
-            c.rto_marker += 1; // disarm any pending RTO
-            let key = c.rto_key.take();
-            if let Some(k) = key {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::Rto as usize] += 1;
-                }
-            }
+            self.disarm_rto(ci);
         }
         if self.cfg.mode.paced() {
             self.update_tenant_hose(ti);
@@ -2076,19 +2028,12 @@ impl Sim {
             c.srtt = None;
             c.rttvar = Dur::ZERO;
             c.rto_backoff = 0;
-            c.rto_marker += 1;
-            let key = c.rto_key.take();
-            if let Some(k) = key {
-                if self.events.cancel(k) {
-                    self.profile.cancelled[EvKind::Rto as usize] += 1;
-                }
-            }
-            let c = &mut self.conns[ci as usize];
             c.pace_blocked = false;
             c.alpha = 0.0;
             c.ce_bytes = 0;
             c.acked_bytes = 0;
             c.dctcp_window_end = f;
+            self.disarm_rto(ci);
         }
         let (b, s, bmax) = {
             let t = &self.tenants[ti as usize];
@@ -2222,8 +2167,8 @@ impl Sim {
             match ev {
                 Ev::Arrive(hdr) => self.on_arrive(hdr),
                 Ev::PortFree(p) => self.on_port_free(p),
-                Ev::NicPull { host, marker } => self.on_nic_pull(host, marker),
-                Ev::Rto { conn, marker } => self.on_rto(conn, marker),
+                Ev::NicPull { host } => self.on_nic_pull(host),
+                Ev::Rto { conn } => self.on_rto(conn),
                 Ev::EtcArrival { vm } => self.on_etc_arrival(vm),
                 Ev::Oldi { tenant } => self.on_oldi(tenant),
                 Ev::PoissonMsg { tenant, pair } => self.on_poisson_msg(tenant, pair),

@@ -60,12 +60,8 @@ pub struct TcpConn {
     pub srtt: Option<Dur>,
     pub rttvar: Dur,
     pub rto_backoff: u32,
-    /// Monotone marker invalidating stale RTO timer events (the tombstone
-    /// scheme, kept as the semantic source of truth and exercised with
-    /// `SimConfig::cancel_timers = false`).
-    pub rto_marker: u32,
-    /// Cancellation handle of the currently armed RTO event, when the
-    /// engine runs with cancelable timers.
+    /// Handle of the armed RTO event, `None` when no timer is pending:
+    /// re-arming moves the pending event, disarming cancels it.
     pub rto_key: Option<EvKey>,
     /// When the currently armed RTO was set (read only by the flight
     /// recorder for RTO spans — never by the protocol logic).
@@ -142,7 +138,6 @@ impl TcpConn {
             srtt: None,
             rttvar: Dur::ZERO,
             rto_backoff: 0,
-            rto_marker: 0,
             rto_key: None,
             rto_armed_at: Time::ZERO,
             last_depart: Time::ZERO,

@@ -13,8 +13,9 @@
 //! is pure observation. It never mutates engine state, takes no
 //! randomness, and schedules no events, so a traced run is byte-identical
 //! to an untraced one (`tests/trace_identical.rs` asserts it across
-//! transport modes and a faulted run, and `bench_simnet`'s trace phase
-//! asserts it on the ns2 grid while measuring the wall-clock overhead).
+//! transport modes and a faulted run; the repo benchmark's
+//! `pkt_silo_observed` workload asserts it per repetition on the §6.2
+//! cell while measuring the wall-clock overhead).
 //!
 //! Every event gets a globally monotone sequence number at record time,
 //! which gives the merged log a deterministic total order — the property

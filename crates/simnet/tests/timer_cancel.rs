@@ -1,18 +1,14 @@
-//! Differential tests for cancelable timers (`SimConfig::cancel_timers`).
+//! The timer engine's checked invariants.
 //!
-//! The cancellation scheme replaces the original tombstone protocol —
-//! superseded RTOs and NIC pulls stayed buried in the event queue until
-//! they fired into a marker-mismatch no-op — with slot-generation keys
-//! that remove the event at re-arm/disarm time. Removing a dispatch that
-//! provably does nothing cannot change physics, so every physical
-//! observable must be byte-identical across the toggle; only the engine
-//! counters (events processed, peak occupancy, the event profile) may
-//! move. These tests pin both halves of that contract.
+//! A superseded RTO or NIC pull is moved in place and a disarmed one is
+//! removed (slot-generation keys in `silo_base::eventq`), so only the
+//! armed timer can ever fire: `profile.stale` counts a timer that fires
+//! while its owner holds no key and must stay 0. Both queue backends
+//! implement the keys; wheel and reference heap must agree event for
+//! event on the scenarios that churn timers hardest.
 
-use silo_base::{Bytes, Dur, QueueBackend, Rate, Time};
-use silo_simnet::{
-    EvKind, FaultPlan, Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode,
-};
+use silo_base::{Bytes, Dur, QueueBackend, Rate};
+use silo_simnet::{EvKind, Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
 fn small_topo(servers: usize) -> Topology {
@@ -57,124 +53,65 @@ fn incast_tenant(n: u32) -> TenantSpec {
     }
 }
 
-/// Run the same scenario with cancellation on and off; assert identical
-/// physics and return `(with_cancel, tombstones)` for counter checks.
-fn run_pair(
-    topo_servers: usize,
-    mut cfg: SimConfig,
-    tenants: Vec<TenantSpec>,
-) -> (Metrics, Metrics) {
-    cfg.cancel_timers = true;
-    let on = Sim::new(small_topo(topo_servers), cfg.clone(), tenants.clone()).run();
-    cfg.cancel_timers = false;
-    let off = Sim::new(small_topo(topo_servers), cfg, tenants).run();
-    assert_eq!(
-        on.physics_json(),
-        off.physics_json(),
-        "cancel_timers must not change any physical observable"
-    );
-    (on, off)
-}
-
-#[test]
-fn cancellation_is_physics_exact_tcp_bulk() {
-    let cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 1);
-    let tenants = vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))];
-    let (on, off) = run_pair(2, cfg, tenants);
-
-    // Every segment send re-arms the connection RTO, so the tombstone run
-    // buries one dead timer per send. Cancellation must convert that
-    // entire population from stale dispatches into cancellations.
-    let rto = EvKind::Rto as usize;
-    assert!(
-        off.profile.stale[rto] > 0,
-        "tombstone run must see stale RTOs"
-    );
-    assert_eq!(off.profile.total_cancelled(), 0);
-    assert_eq!(
-        on.profile.stale[rto], 0,
-        "no tombstone may survive cancellation"
-    );
-    assert!(on.profile.cancelled[rto] > 0);
-
-    // Dead timers dominate the queue: cancellation must cut both the
-    // dispatch count and the high-water occupancy, the latter by well
-    // over the 30% the optimization was sized for.
-    assert!(on.events_processed < off.events_processed);
-    assert!(
-        (on.peak_event_queue as f64) < 0.7 * off.peak_event_queue as f64,
-        "peak occupancy {} vs {} — expected ≥30% reduction",
-        on.peak_event_queue,
-        off.peak_event_queue
-    );
-}
-
-#[test]
-fn cancellation_is_physics_exact_tcp_incast() {
-    // RTO-heavy: incast drops force real retransmission timeouts, so the
-    // disarm/fire/backoff paths all execute.
-    let cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 2);
-    let (on, _off) = run_pair(6, cfg, vec![incast_tenant(6)]);
-    assert!(on.rtos > 0, "scenario must exercise fired RTOs");
-    assert!(on.profile.fired[EvKind::Rto as usize] > 0);
-}
-
-#[test]
-fn cancellation_is_physics_exact_dctcp() {
-    let cfg = SimConfig::new(TransportMode::Dctcp, Dur::from_ms(50), 3);
-    run_pair(2, cfg, vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))]);
-}
-
-#[test]
-fn cancellation_is_physics_exact_silo_paced() {
-    // Paced mode exercises the NIC-pull timer: every batch re-arms the
-    // pull, and datapath sends re-arm it mid-window.
-    let cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(50), 2);
-    let tenants = vec![TenantSpec {
-        vm_hosts: (0..6).map(HostId).collect(),
-        b: Rate::from_mbps(500),
-        s: Bytes::from_kb(15),
-        bmax: Rate::from_gbps(1),
-        prio: 0,
-        delay: None,
-        workload: TenantWorkload::OldiAllToOne {
-            msg_mean: Bytes::from_kb(15),
-            interval: Dur::from_ms(1),
+/// A paced mix that produces long void runs (a 500 Mbps hose on a 10 G
+/// link leaves ~95% of each gap void) *and* bulk pressure.
+fn paced_mix() -> Vec<TenantSpec> {
+    vec![
+        TenantSpec {
+            vm_hosts: vec![HostId(0), HostId(1)],
+            b: Rate::from_mbps(500),
+            s: Bytes::from_kb(15),
+            bmax: Rate::from_gbps(1),
+            prio: 0,
+            delay: None,
+            workload: TenantWorkload::OldiPeriodic {
+                msg: Bytes::from_kb(15),
+                period: Dur::from_ms(2),
+            },
         },
-    }];
-    let (on, off) = run_pair(6, cfg, tenants);
-    let pull = EvKind::NicPull as usize;
-    assert_eq!(on.profile.stale[pull], 0);
-    assert!(
-        on.profile.cancelled[pull] + on.profile.cancelled[EvKind::Rto as usize] > 0,
-        "paced run must cancel superseded timers"
-    );
-    assert!(off.profile.stale[pull] + off.profile.stale[EvKind::Rto as usize] > 0);
+        TenantSpec {
+            prio: 1,
+            ..bulk_tenant(&[2, 3], Bytes::from_kb(256))
+        },
+    ]
 }
 
-#[test]
-fn cancellation_is_physics_exact_under_faults() {
-    // A mid-run link outage flushes queues, black-holes traffic, and
-    // triggers RTO storms plus tenant-level disarms — the hairiest timer
-    // churn the engine has. Physics must still be identical.
-    let mut cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 4);
-    cfg.faults = FaultPlan::new().link_down(Time::from_ms(10), Some(Time::from_ms(25)), 0);
-    run_pair(2, cfg, vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))]);
+/// Run the scenario on the wheel and on the reference heap, assert they
+/// agree on the full canonical serialization (physics and engine
+/// counters) and that nothing fired stale; return the wheel's metrics.
+fn wheel_vs_heap(servers: usize, mut cfg: SimConfig, tenants: Vec<TenantSpec>) -> Metrics {
+    cfg.queue = QueueBackend::Wheel;
+    let wheel = Sim::new(small_topo(servers), cfg.clone(), tenants.clone()).run();
+    cfg.queue = QueueBackend::Heap;
+    let heap = Sim::new(small_topo(servers), cfg, tenants).run();
+    assert_eq!(wheel.canonical_json(), heap.canonical_json());
+    assert_eq!(wheel.profile.total_stale(), 0, "only armed timers may fire");
+    wheel
 }
 
 #[test]
 fn cancellation_agrees_across_queue_backends() {
-    // EvKey cancellation is implemented by both event-queue backends;
-    // heap and wheel must agree event-for-event, including the engine
-    // counters (full canonical serialization, not just physics).
-    let mut cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 5);
-    cfg.cancel_timers = true;
-    let tenants = vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))];
-    cfg.queue = QueueBackend::Wheel;
-    let wheel = Sim::new(small_topo(2), cfg.clone(), tenants.clone()).run();
-    cfg.queue = QueueBackend::Heap;
-    let heap = Sim::new(small_topo(2), cfg, tenants).run();
-    assert_eq!(wheel.canonical_json(), heap.canonical_json());
+    let (rto, pull) = (EvKind::Rto as usize, EvKind::NicPull as usize);
+
+    // TCP bulk: every segment send re-arms the connection RTO, so the
+    // run is almost pure supersede churn.
+    let cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 5);
+    let bulk = vec![bulk_tenant(&[0, 1], Bytes::from_mb(64))];
+    let m = wheel_vs_heap(2, cfg, bulk);
+    assert!(m.profile.cancelled[rto] > 0, "re-arms must supersede RTOs");
+
+    // TCP incast: drops force real retransmission timeouts, so the
+    // disarm/fire/backoff paths all execute.
+    let cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(50), 2);
+    let m = wheel_vs_heap(6, cfg, vec![incast_tenant(6)]);
+    assert!(m.rtos > 0, "scenario must exercise fired RTOs");
+    assert!(m.profile.fired[rto] > 0);
+
+    // Silo paced: every batch re-arms the NIC pull and datapath sends
+    // tighten it mid-window.
+    let cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(40), 9);
+    let m = wheel_vs_heap(4, cfg, paced_mix());
+    assert!(m.profile.cancelled[pull] > 0, "sends must supersede pulls");
 }
 
 #[test]
