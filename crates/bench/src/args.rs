@@ -1,5 +1,7 @@
 //! Minimal CLI parsing (no external crates).
 
+use silo_simnet::SimConfig;
+
 /// Common experiment knobs.
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -74,6 +76,17 @@ fn positive_up_to(key: &str, val: &str, max: f64) -> Result<f64, String> {
             "{key}: {val} is outside (0, {max}]; known: {KNOWN_FLAGS}"
         ))
     }
+}
+
+/// `cfg` if [`SimConfig::validate`] accepts it; otherwise report it the
+/// way [`Args::parse`] reports a bad command line (`error: …` naming the
+/// field, exit status 2) instead of letting `Sim::new` panic.
+pub fn checked(cfg: SimConfig) -> SimConfig {
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    cfg
 }
 
 impl Args {

@@ -8,7 +8,7 @@
 //!    behind the event-driven updates.
 
 use silo_base::{Bytes, Dur, Rate};
-use silo_bench::Args;
+use silo_bench::{checked, Args};
 use silo_simnet::{Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
@@ -61,7 +61,7 @@ fn tenants(burst: Bytes) -> Vec<TenantSpec> {
 }
 
 fn run(cfg: SimConfig, burst: Bytes) -> Metrics {
-    Sim::new(topo(), cfg, tenants(burst)).run()
+    Sim::new(topo(), checked(cfg), tenants(burst)).run()
 }
 
 fn main() {

@@ -9,7 +9,7 @@
 //! throughput, with and without the best-effort tenant present.
 
 use silo_base::{Bytes, Dur, Rate};
-use silo_bench::Args;
+use silo_bench::{checked, Args};
 use silo_simnet::{Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
@@ -59,7 +59,7 @@ fn main() {
     println!("== §4.4: best-effort tenants on residual capacity ==");
     let run = |tenants: Vec<TenantSpec>| {
         let cfg = SimConfig::new(TransportMode::Silo, dur, args.seed);
-        Sim::new(topo.clone(), cfg, tenants).run()
+        Sim::new(topo.clone(), checked(cfg), tenants).run()
     };
     let alone = run(vec![guaranteed.clone()]);
     let mut lat_alone = alone.latencies_us(0);

@@ -17,7 +17,7 @@
 //! downgraded to best-effort; then heal the link and show restoration.
 
 use silo_base::Dur;
-use silo_bench::{run_cells, Args};
+use silo_bench::{checked, run_cells, Args};
 use silo_explorer::{cell_tenants, cell_topo, seed_plans};
 use silo_placement::{DegradeOutcome, Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo_simnet::{AuditConfig, FaultPlan, Metrics, Sim, SimConfig, TransportMode};
@@ -89,7 +89,7 @@ fn main() {
         if args.telemetry_requested() && i == 1 {
             cfg.telemetry = Some(silo_simnet::TelemetryConfig::default());
         }
-        Sim::new(topo.clone(), cfg, cell_tenants()).run()
+        Sim::new(topo.clone(), checked(cfg), cell_tenants()).run()
     });
     for (sc, m) in cells.iter().zip(&results) {
         report_row(sc.label, m, dur);

@@ -6,18 +6,70 @@
 //! ever cancelled, if any timer fired stale, or if the audit flags the
 //! healthy run — the CI check that all three stay live. Wall-clock
 //! measurement lives in the repo's `benchmark/` package, not here.
+//!
+//! `--sample <out>` instead runs the same cell `--runs` times with no
+//! observer attached under the SIGPROF sampler ([`sampler`]) and writes
+//! the raw profile to `<out>`: where the engine's time goes, function by
+//! function, on a host with no `perf`. EXPERIMENTS.md has the build flags
+//! and the `addr2line` recipe.
 
-use silo_bench::ns2::{run_ns2_cell_with, Ns2Cell};
+use silo_bench::ns2::{run_ns2_cell, run_ns2_cell_with, Ns2Cell};
 use silo_bench::Args;
 use silo_simnet::{AuditConfig, TelemetryConfig, TransportMode};
 
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod sampler;
+
+/// Run the plain cell `--runs` times under the sampler (the kernel
+/// delivers SIGPROF on its own tick, 4 ms at HZ=250, so one 15 ms cell
+/// yields a few hundred samples) and write the dump to `out`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn run_sampled(cell: &Ns2Cell, args: &Args, out: &str) -> Result<(), String> {
+    sampler::start()?;
+    let mut events = 0;
+    for _ in 0..args.runs {
+        events = run_ns2_cell(cell, args).1.events_processed;
+    }
+    let samples = sampler::stop_and_write(std::path::Path::new(out))?;
+    println!(
+        "Silo/seed{} ({} ms sim) x {}: {events} events each, {samples} samples -> {out}",
+        args.seed, args.duration_ms, args.runs
+    );
+    Ok(())
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+fn run_sampled(_: &Ns2Cell, _: &Args, _: &str) -> Result<(), String> {
+    Err("--sample needs Linux on x86-64 (SIGPROF and a frame-pointer walk)".into())
+}
+
 fn main() {
-    let args = Args::parse();
+    // `--sample <out>` is this binary's own flag; the rest is `Args`.
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let sample = argv.iter().position(|a| a == "--sample").map(|i| {
+        if i + 1 >= argv.len() {
+            eprintln!("error: missing value for --sample");
+            std::process::exit(2);
+        }
+        argv.remove(i);
+        argv.remove(i)
+    });
+    let args = Args::try_parse(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let cell = Ns2Cell {
         mode: TransportMode::Silo,
         run: 0,
         seed: args.seed,
     };
+    if let Some(out) = sample {
+        if let Err(e) = run_sampled(&cell, &args, &out) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+        return;
+    }
     let (_, m) = run_ns2_cell_with(&cell, &args, |cfg| {
         cfg.audit = Some(AuditConfig::default());
         cfg.telemetry = Some(TelemetryConfig::default());

@@ -29,9 +29,12 @@ fn main() {
         topo.num_hosts(),
         args.duration_ms.max(200)
     );
-    let batch_us = std::env::var("SILO_BATCH_US")
-        .ok()
-        .map(|us| us.parse().expect("SILO_BATCH_US takes microseconds"));
+    let batch_us = std::env::var("SILO_BATCH_US").ok().map(|us| {
+        us.parse().unwrap_or_else(|_| {
+            eprintln!("error: SILO_BATCH_US: cannot parse {us:?} as microseconds");
+            std::process::exit(2);
+        })
+    });
     let dbg_specs = specs.clone();
     let out = run_verify(
         &topo,

@@ -23,7 +23,7 @@ pub mod telemetryfile;
 pub mod tracefile;
 pub mod verify;
 
-pub use args::Args;
+pub use args::{checked, Args};
 pub use report::{fmt_dur_us, print_cdf, print_header, print_row};
 pub use runner::{auto_threads, run_cells};
 pub use scenario::{

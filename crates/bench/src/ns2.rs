@@ -3,7 +3,7 @@
 //! scheme's datapath, with per-message latency estimates for
 //! normalization.
 
-use crate::args::Args;
+use crate::args::{checked, Args};
 use crate::scenario::{build_ns2_population, NsClass, NsTenant, PlacerKind};
 use silo_base::{seeded_rng, Bytes, Dur};
 use silo_simnet::{Metrics, Sim, SimConfig, TransportMode};
@@ -105,7 +105,7 @@ pub fn run_ns2_cell_with(
     let mut cfg = SimConfig::new(cell.mode, Dur::from_ms(args.duration_ms), cell.seed);
     configure(&mut cfg);
     let specs = tenants.iter().map(|t| t.spec.clone()).collect();
-    let m = Sim::new(topo, cfg, specs).run();
+    let m = Sim::new(topo, checked(cfg), specs).run();
     (tenants, m)
 }
 

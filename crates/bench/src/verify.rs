@@ -9,6 +9,7 @@
 //! checks them *online* at every enqueue rather than only against the
 //! end-of-run high-water mark.
 
+use crate::args::checked;
 use rand::Rng;
 use silo_base::{exponential, seeded_rng, Bytes, Dur, Rate, Time};
 use silo_placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
@@ -178,7 +179,7 @@ pub fn run_verify(
             ..AuditConfig::default()
         });
     }
-    let (m, simdbg) = Sim::new(topo.clone(), cfg, specs).run_keep();
+    let (m, simdbg) = Sim::new(topo.clone(), checked(cfg), specs).run_keep();
     let peaks = simdbg.debug_port_peaks();
     let mut rows = Vec::new();
     let mut checked = 0;

@@ -6,6 +6,7 @@ use crate::faults::FaultPlan;
 use crate::telemetry::TelemetryConfig;
 use crate::trace::TraceConfig;
 use silo_base::{Bytes, Dur, QueueBackend, Rate};
+use silo_pacer::MIN_VOID_BYTES;
 use silo_topology::HostId;
 
 /// Which end-host datapath and switch features a run uses — the six
@@ -242,5 +243,101 @@ impl SimConfig {
     /// Stream payload per full segment.
     pub fn mss(&self) -> u64 {
         self.mtu.as_u64() - self.header.as_u64()
+    }
+
+    /// Reject values the engine cannot run on: each would otherwise be an
+    /// arithmetic underflow, a truncated wire size, an absurd allocation
+    /// or a timer re-arming itself at the same instant forever. The
+    /// message starts with the offending field. [`crate::Sim::new`] panics
+    /// on an `Err`; callers holding outside input check first.
+    pub fn validate(&self) -> Result<(), String> {
+        let (mtu, header) = (self.mtu.as_u64(), self.header.as_u64());
+        if !(MIN_VOID_BYTES..=u32::MAX as u64).contains(&mtu) {
+            return Err(format!(
+                "mtu: {mtu} bytes is outside [{MIN_VOID_BYTES} (the smallest void frame), \
+                 {} (the 32-bit wire size)]",
+                u32::MAX
+            ));
+        }
+        if header >= mtu {
+            return Err(format!(
+                "header: {header} bytes leaves no payload in an mtu of {mtu}"
+            ));
+        }
+        if self.batch_window == Dur::ZERO {
+            return Err("batch_window: must be positive".into());
+        }
+        if self.mode.paced() && self.hose_epoch == Dur::ZERO {
+            return Err(format!(
+                "hose_epoch: must be positive in paced mode {}",
+                self.mode.label()
+            ));
+        }
+        if self
+            .telemetry
+            .as_ref()
+            .is_some_and(|t| t.interval == Dur::ZERO)
+        {
+            return Err("telemetry.interval: must be positive".into());
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MODES: [TransportMode; 6] = [
+        TransportMode::Tcp,
+        TransportMode::Dctcp,
+        TransportMode::Hull,
+        TransportMode::Silo,
+        TransportMode::Okto,
+        TransportMode::OktoPlus,
+    ];
+
+    #[test]
+    fn validate_names_the_bad_field_and_accepts_every_default() {
+        for mode in MODES {
+            let cfg = SimConfig::new(mode, Dur::from_ms(1), 1);
+            assert_eq!(cfg.validate(), Ok(()), "{mode:?} default");
+        }
+        type Break = fn(&mut SimConfig);
+        let table: [(TransportMode, &str, Break); 9] = [
+            (TransportMode::Silo, "hose_epoch", |c| {
+                c.hose_epoch = Dur::ZERO
+            }),
+            (TransportMode::Okto, "hose_epoch", |c| {
+                c.hose_epoch = Dur::ZERO
+            }),
+            (TransportMode::Tcp, "header", |c| c.header = c.mtu),
+            (TransportMode::Tcp, "header", |c| c.header = Bytes(9000)),
+            (TransportMode::Tcp, "mtu", |c| c.mtu = Bytes(1 << 32)),
+            (TransportMode::Tcp, "mtu", |c| c.mtu = Bytes(83)),
+            (TransportMode::Tcp, "batch_window", |c| {
+                c.batch_window = Dur::ZERO
+            }),
+            (TransportMode::Silo, "batch_window", |c| {
+                c.batch_window = Dur::ZERO
+            }),
+            (TransportMode::Dctcp, "telemetry.interval", |c| {
+                c.telemetry = Some(TelemetryConfig {
+                    interval: Dur::ZERO,
+                })
+            }),
+        ];
+        for (mode, field, break_it) in table {
+            let mut cfg = SimConfig::new(mode, Dur::from_ms(1), 1);
+            break_it(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert!(err.starts_with(&format!("{field}: ")), "{field}: {err}");
+        }
+        // Un-paced modes never schedule a hose epoch, and the largest MTU
+        // that fits is fine.
+        let mut cfg = SimConfig::new(TransportMode::Tcp, Dur::from_ms(1), 1);
+        cfg.hose_epoch = Dur::ZERO;
+        cfg.mtu = Bytes(u32::MAX as u64);
+        assert_eq!(cfg.validate(), Ok(()));
     }
 }

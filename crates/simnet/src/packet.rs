@@ -4,7 +4,7 @@ use silo_base::{Bytes, Time};
 
 /// Handle to an interned egress-port list in the simulator's path table.
 /// Packets and connections carry this 4-byte id instead of a shared
-/// pointer, which keeps [`Packet`] `Copy` and spares a refcount round trip
+/// pointer, which keeps [`Pkt`] `Copy` and spares a refcount round trip
 /// per forwarded packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathId(pub u32);
@@ -20,14 +20,128 @@ pub enum PktKind {
     Ack,
 }
 
-/// One packet in flight (64 bytes). `path` names the precomputed
-/// egress-port list from the source NIC to the destination (interned in
-/// the simulator's path table, shared per connection).
+/// One packet in flight (24 bytes), carried by value in `Ev::Arrive`, the
+/// port FIFOs and the NIC stamp queue: a hop, a NIC pull and a delivery
+/// read and write nothing but the entry in hand.
 ///
-/// The arena copy is written at creation and read at NIC pull and at
-/// delivery. What changes hop by hop travels in [`Hop`] with the event
-/// and the port FIFO entry, so `hop` and `enq_at` here keep their
-/// creation-time values (`0`, `Time::ZERO`) for the whole flight.
+/// `path` names the precomputed egress-port list from the source NIC to
+/// the destination (interned in the simulator's path table, shared per
+/// connection). The stream bytes a data segment carries are not stored:
+/// they are `size − header` ([`Pkt::payload`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pkt {
+    /// Data: first stream byte. Ack: cumulative ack.
+    pub seq: u64,
+    pub conn: u32,
+    pub path: PathId,
+    /// Wire size (payload + headers); `SimConfig::validate` bounds the
+    /// MTU so it fits.
+    size: u32,
+    /// Index into `path` of the *next* port to traverse.
+    pub hop: u16,
+    /// 802.1q priority (0 high, 1 low).
+    pub prio: u8,
+    /// `ACK`, `CE`, `ECN_ECHO`, `RETX` bits.
+    flags: u8,
+}
+
+impl Pkt {
+    const ACK: u8 = 1 << 0;
+    /// CE codepoint (set by switches).
+    const CE: u8 = 1 << 1;
+    /// Ack: echo of the acked segment's CE.
+    const ECN_ECHO: u8 = 1 << 2;
+    /// Data: the segment is a retransmission (Karn's rule).
+    const RETX: u8 = 1 << 3;
+
+    /// A fresh packet about to traverse port 0 of `path`, no flag set.
+    pub fn new(kind: PktKind, conn: u32, seq: u64, size: Bytes, prio: u8, path: PathId) -> Pkt {
+        Pkt {
+            seq,
+            conn,
+            path,
+            size: u32::try_from(size.as_u64()).expect("wire size fits u32 (validated MTU)"),
+            hop: 0,
+            prio,
+            flags: match kind {
+                PktKind::Data => 0,
+                PktKind::Ack => Pkt::ACK,
+            },
+        }
+    }
+
+    fn with_flag(mut self, bit: u8, on: bool) -> Pkt {
+        if on {
+            self.flags |= bit;
+        }
+        self
+    }
+
+    pub fn with_retx(self, on: bool) -> Pkt {
+        self.with_flag(Pkt::RETX, on)
+    }
+
+    pub fn with_ecn_echo(self, on: bool) -> Pkt {
+        self.with_flag(Pkt::ECN_ECHO, on)
+    }
+
+    /// This packet about to traverse port `hop` of its path.
+    #[inline]
+    pub fn at_hop(mut self, hop: u16) -> Pkt {
+        self.hop = hop;
+        self
+    }
+
+    pub fn mark_ce(&mut self) {
+        self.flags |= Pkt::CE;
+    }
+
+    #[inline]
+    pub fn kind(&self) -> PktKind {
+        if self.flags & Pkt::ACK == 0 {
+            PktKind::Data
+        } else {
+            PktKind::Ack
+        }
+    }
+
+    #[inline]
+    pub fn ce(&self) -> bool {
+        self.flags & Pkt::CE != 0
+    }
+
+    #[inline]
+    pub fn ecn_echo(&self) -> bool {
+        self.flags & Pkt::ECN_ECHO != 0
+    }
+
+    #[inline]
+    pub fn retx(&self) -> bool {
+        self.flags & Pkt::RETX != 0
+    }
+
+    /// Wire size (payload + headers).
+    #[inline]
+    pub fn size(&self) -> Bytes {
+        Bytes(self.size as u64)
+    }
+
+    /// Stream bytes carried behind `header` bytes of TCP/IP header (0 for
+    /// pure ACKs).
+    #[inline]
+    pub fn payload(&self, header: Bytes) -> u64 {
+        match self.kind() {
+            PktKind::Data => self.size as u64 - header.as_u64(),
+            PktKind::Ack => 0,
+        }
+    }
+}
+
+/// The 64-byte packet record of the retired arena datapath.
+/// **Benchmark-kernel only**: the simulator carries [`Pkt`] by value and
+/// uses none of `Packet`, [`PktId`], [`PktArena`]; the frozen
+/// `benchmark/src/kernels.rs` builds them literally, so they stay `pub`
+/// until ROADMAP item 1c deletes both sides.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
     pub conn: u32,
@@ -46,57 +160,19 @@ pub struct Packet {
     pub ecn_echo: bool,
     /// 802.1q priority (0 high, 1 low).
     pub prio: u8,
-    /// When the segment was handed to the wire path (for delay metrics).
     pub sent_at: Time,
-    /// Creation-time value only; the live one is `QueuedPkt::enq_at`.
     pub enq_at: Time,
     pub path: PathId,
-    /// Creation-time value only; the live one is [`Hop::hop`].
     pub hop: usize,
 }
 
-/// Handle to a packet slot in a [`PktArena`]. Four bytes instead of the
-/// 64-byte [`Packet`]: events, port FIFOs and the NIC stamp queue carry
-/// the handle, so an event dispatch moves one index instead of the whole
-/// struct, and the packet bytes stay put in the arena for the packet's
-/// entire flight.
+/// Handle to a packet slot in a [`PktArena`]. **Benchmark-kernel only**
+/// (see [`Packet`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PktId(u32);
 
-/// The per-hop routing header: everything a transit hop needs to queue,
-/// serialize and forward a packet. It rides in `Ev::Arrive` and in the
-/// port FIFO entry, so a switch hop reads and writes port state only and
-/// never touches the packet's arena slot.
-#[derive(Debug, Clone, Copy)]
-pub struct Hop {
-    pub id: PktId,
-    pub path: PathId,
-    /// Wire size (payload + headers).
-    pub size: Bytes,
-    /// Index into `path` of the *next* port to traverse.
-    pub hop: u16,
-    /// 802.1q priority (0 high, 1 low).
-    pub prio: u8,
-}
-
-impl Hop {
-    /// The header of `pkt` (interned as `id`) about to traverse port
-    /// `hop` of its path.
-    pub fn of(id: PktId, pkt: &Packet, hop: u16) -> Hop {
-        Hop {
-            id,
-            path: pkt.path,
-            size: pkt.size,
-            hop,
-            prio: pkt.prio,
-        }
-    }
-}
-
-/// Slab of in-flight packets with a LIFO free list. Allocation order is
-/// fully deterministic (`Vec` growth plus LIFO reuse), so two identical
-/// runs assign identical handles — handle values never feed back into
-/// physics, but determinism keeps debugging sane.
+/// Slab of [`Packet`]s with a LIFO free list. **Benchmark-kernel only**
+/// (see [`Packet`]): the simulator no longer interns packets.
 ///
 /// Debug builds (and therefore the whole test suite) track per-slot
 /// liveness and panic on use-after-free or double-free; release builds
@@ -188,6 +264,7 @@ impl std::ops::IndexMut<PktId> for PktArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silo_base::prop::{self, Rng};
 
     fn pkt(seq: u64) -> Packet {
         Packet {
@@ -207,11 +284,89 @@ mod tests {
         }
     }
 
-    /// The sizes the docs (and the per-event cost model) quote.
+    /// The sizes the docs (and the per-event cost model) quote. `Ev`,
+    /// private to `sim`, is pinned at 32 by a `const` assertion there.
     #[test]
-    fn packet_is_64_bytes_and_its_hop_header_24() {
-        assert_eq!(std::mem::size_of::<Packet>(), 64);
-        assert_eq!(std::mem::size_of::<Hop>(), 24);
+    fn pkt_is_24_bytes_and_a_port_fifo_entry_32() {
+        assert_eq!(std::mem::size_of::<Pkt>(), 24);
+        assert_eq!(std::mem::size_of::<crate::port::QueuedPkt>(), 32);
+    }
+
+    /// Everything packed into `Pkt` reads back as written, whatever the
+    /// other fields hold, and `mark_ce` touches only the CE bit.
+    #[test]
+    fn pkt_fields_round_trip_through_the_packed_header() {
+        const HEADER: Bytes = Bytes(60);
+        type Case = (bool, bool, bool, bool, u32, u16, u8);
+        prop::forall(
+            "pkt_round_trip",
+            |rng| -> Case {
+                (
+                    rng.random(),
+                    rng.random(),
+                    rng.random(),
+                    rng.random(),
+                    rng.random::<u32>().max(60),
+                    rng.random::<u32>() as u16,
+                    rng.random::<u32>() as u8,
+                )
+            },
+            |&(ack, ce, echo, retx, size, hop, prio)| {
+                vec![
+                    (false, ce, echo, retx, size, hop, prio),
+                    (ack, false, echo, retx, size, hop, prio),
+                    (ack, ce, false, retx, size, hop, prio),
+                    (ack, ce, echo, false, size, hop, prio),
+                    (ack, ce, echo, retx, 60 + (size - 60) / 2, hop, prio),
+                    (ack, ce, echo, retx, size, hop / 2, prio),
+                    (ack, ce, echo, retx, size, hop, prio / 2),
+                ]
+                .into_iter()
+                .filter(|c| *c != (ack, ce, echo, retx, size, hop, prio))
+                .collect()
+            },
+            |&(ack, ce, echo, retx, size, hop, prio)| {
+                let kind = if ack { PktKind::Ack } else { PktKind::Data };
+                let mut p = Pkt::new(kind, 7, 1 << 40, Bytes(size as u64), prio, PathId(9))
+                    .with_retx(retx)
+                    .with_ecn_echo(echo)
+                    .at_hop(hop);
+                if p.ce() {
+                    return Err("a fresh packet is CE-marked".into());
+                }
+                if ce {
+                    p.mark_ce();
+                }
+                let payload = if ack { 0 } else { size as u64 - 60 };
+                let got = (
+                    p.kind(),
+                    p.ce(),
+                    p.ecn_echo(),
+                    p.retx(),
+                    p.size(),
+                    p.hop,
+                    p.prio,
+                    p.payload(HEADER),
+                    (p.conn, p.seq, p.path),
+                );
+                let want = (
+                    kind,
+                    ce,
+                    echo,
+                    retx,
+                    Bytes(size as u64),
+                    hop,
+                    prio,
+                    payload,
+                    (7, 1 << 40, PathId(9)),
+                );
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!("read back {got:?}, wrote {want:?}"))
+                }
+            },
+        );
     }
 
     #[test]

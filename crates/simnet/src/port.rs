@@ -1,7 +1,7 @@
 //! Switch egress-port model: tail-drop FIFO with two 802.1q priority
 //! levels, optional DCTCP ECN marking, and optional HULL phantom queues.
 
-use crate::packet::{Hop, PathId, PktId};
+use crate::packet::{PathId, Pkt, PktId, PktKind};
 use silo_base::{Bytes, Dur, Rate, Time};
 use std::collections::VecDeque;
 
@@ -36,24 +36,21 @@ impl PhantomQueue {
     }
 }
 
-/// A packet sitting in a port FIFO: its per-hop header (arena handle, wire
-/// size, route position — so neither occupancy accounting nor forwarding
-/// touches the arena) and when it was queued.
+/// A packet sitting in a port FIFO (32 bytes): the packet itself and
+/// when it was queued.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuedPkt {
-    pub hdr: Hop,
+    pub pkt: Pkt,
     /// When the packet entered this FIFO. Read only by the flight
     /// recorder and telemetry for head-of-line wait — never by the physics.
     pub enq_at: Time,
 }
 
-/// Outcome of [`PortState::enqueue`]. The port decides; the caller owns
-/// the packet state and applies the CE mark through the arena — the port
-/// never dereferences the handle.
+/// Outcome of [`PortState::enqueue_hop`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enqueue {
     Accepted {
-        /// ECN/phantom says mark this packet CE.
+        /// ECN/phantom marked the queued packet CE.
         mark_ce: bool,
     },
     /// Tail drop: the buffer is full. The drop is already counted.
@@ -117,24 +114,18 @@ impl PortState {
         }
     }
 
-    /// [`PortState::enqueue_hop`] for a caller with no route to carry (the
-    /// port unit tests and the repo benchmark's port kernel).
-    pub fn enqueue(&mut self, now: Time, id: PktId, size: Bytes, prio: u8) -> Enqueue {
-        let hdr = Hop {
-            id,
-            path: PathId(0),
-            size,
-            hop: 0,
-            prio,
-        };
-        self.enqueue_hop(now, hdr)
+    /// [`PortState::enqueue_hop`] for a caller with no packet to carry.
+    /// **Benchmark-kernel only**: the frozen `benchmark/src/kernels.rs`
+    /// calls it with a [`PktId`], which nothing reads any more (ROADMAP
+    /// item 1c deletes both sides).
+    pub fn enqueue(&mut self, now: Time, _id: PktId, size: Bytes, prio: u8) -> Enqueue {
+        self.enqueue_hop(now, Pkt::new(PktKind::Data, 0, 0, size, prio, PathId(0)))
     }
 
     /// Try to enqueue; decides tail drop and ECN/phantom marking from the
-    /// wire size alone. Returns the decision for the caller to apply to
-    /// the arena-resident packet.
-    pub fn enqueue_hop(&mut self, now: Time, hdr: Hop) -> Enqueue {
-        let size = hdr.size;
+    /// wire size alone, and sets the CE bit on the entry it queues.
+    pub fn enqueue_hop(&mut self, now: Time, mut pkt: Pkt) -> Enqueue {
+        let size = pkt.size();
         if self.queued_bytes + size.as_u64() > self.buffer.as_u64() {
             self.drops += 1;
             return Enqueue::Dropped;
@@ -150,13 +141,16 @@ impl PortState {
                 mark_ce = true;
             }
         }
+        if mark_ce {
+            pkt.mark_ce();
+        }
         self.queued_bytes += size.as_u64();
         if self.queued_bytes > self.max_queued {
             self.max_queued = self.queued_bytes;
             self.max_at = now;
         }
-        let prio = (hdr.prio as usize).min(1);
-        self.queues[prio].push_back(QueuedPkt { hdr, enq_at: now });
+        let prio = (pkt.prio as usize).min(1);
+        self.queues[prio].push_back(QueuedPkt { pkt, enq_at: now });
         self.nonempty |= 1 << prio;
         Enqueue::Accepted { mark_ce }
     }
@@ -171,7 +165,7 @@ impl PortState {
         if self.queues[i].is_empty() {
             self.nonempty &= !(1 << i);
         }
-        self.queued_bytes -= p.hdr.size.as_u64();
+        self.queued_bytes -= p.pkt.size().as_u64();
         Some(p)
     }
 
@@ -193,85 +187,48 @@ impl PortState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, PathId, PktArena, PktKind};
 
-    fn pkt(size: u64, prio: u8) -> Packet {
-        Packet {
-            conn: 0,
-            kind: PktKind::Data,
-            seq: 0,
-            payload: size - 60,
-            size: Bytes(size),
-            retx: false,
-            ce: false,
-            ecn_echo: false,
-            prio,
-            sent_at: Time::ZERO,
-            enq_at: Time::ZERO,
-            path: PathId(0),
-            hop: 0,
-        }
-    }
-
-    /// Intern a packet and offer its handle to the port, mirroring what
-    /// `Sim::enqueue_port` does (apply `mark_ce` through the arena, free
-    /// the slot on a tail drop).
-    fn offer(p: &mut PortState, a: &mut PktArena, now: Time, size: u64, prio: u8) -> bool {
-        let id = a.alloc(pkt(size, prio));
-        match p.enqueue(now, id, Bytes(size), prio) {
-            Enqueue::Accepted { mark_ce } => {
-                if mark_ce {
-                    a[id].ce = true;
-                }
-                true
-            }
-            Enqueue::Dropped => {
-                a.free(id);
-                false
-            }
-        }
+    /// Offer one data packet of `size` wire bytes; false on a tail drop.
+    fn offer(p: &mut PortState, now: Time, size: u64, prio: u8) -> bool {
+        let pkt = Pkt::new(PktKind::Data, 0, 0, Bytes(size), prio, PathId(0));
+        matches!(p.enqueue_hop(now, pkt), Enqueue::Accepted { .. })
     }
 
     #[test]
     fn tail_drop_at_buffer_limit() {
-        let mut a = PktArena::new();
         let mut p = PortState::new(Rate::from_gbps(10), Bytes(3000), Dur::ZERO);
-        assert!(offer(&mut p, &mut a, Time::ZERO, 1500, 0));
-        assert!(offer(&mut p, &mut a, Time::ZERO, 1500, 0));
-        assert!(!offer(&mut p, &mut a, Time::ZERO, 1500, 0));
+        assert!(offer(&mut p, Time::ZERO, 1500, 0));
+        assert!(offer(&mut p, Time::ZERO, 1500, 0));
+        assert!(!offer(&mut p, Time::ZERO, 1500, 0));
         assert_eq!(p.drops, 1);
         assert_eq!(p.queued_bytes, 3000);
-        assert_eq!(a.live(), 2, "the dropped packet's slot must be freed");
     }
 
     #[test]
     fn strict_priority_dequeue() {
-        let mut a = PktArena::new();
         let mut p = PortState::new(Rate::from_gbps(10), Bytes(10_000), Dur::ZERO);
-        assert!(offer(&mut p, &mut a, Time::ZERO, 1000, 1));
-        assert!(offer(&mut p, &mut a, Time::ZERO, 1500, 0));
-        let first = p.dequeue().unwrap();
-        assert_eq!(first.hdr.prio, 0, "high priority preempts");
-        assert_eq!(
-            first.hdr.size,
-            Bytes(1500),
-            "queue entry carries the wire size"
-        );
-        assert_eq!(a[p.dequeue().unwrap().hdr.id].prio, 1);
+        assert!(offer(&mut p, Time::ZERO, 1000, 1));
+        assert!(offer(&mut p, Time::ZERO, 1500, 0));
+        let first = p.dequeue().unwrap().pkt;
+        assert_eq!(first.prio, 0, "high priority preempts");
+        assert_eq!(first.size(), Bytes(1500));
+        assert_eq!(p.dequeue().unwrap().pkt.prio, 1);
         assert!(p.dequeue().is_none());
         assert_eq!(p.queued_bytes, 0);
     }
 
     #[test]
     fn ecn_marks_above_k() {
-        let mut a = PktArena::new();
         let mut p = PortState::new(Rate::from_gbps(10), Bytes(100_000), Dur::ZERO);
         p.ecn_k = Some(Bytes(3000));
-        for _ in 0..3 {
-            assert!(offer(&mut p, &mut a, Time::ZERO, 1500, 0));
-        }
-        let marks: Vec<bool> = (0..3).map(|_| a[p.dequeue().unwrap().hdr.id].ce).collect();
+        let pkt = Pkt::new(PktKind::Data, 0, 0, Bytes(1500), 0, PathId(0));
+        let decided: Vec<Enqueue> = (0..3).map(|_| p.enqueue_hop(Time::ZERO, pkt)).collect();
+        let marks: Vec<bool> = (0..3).map(|_| p.dequeue().unwrap().pkt.ce()).collect();
         assert_eq!(marks, vec![false, false, true]);
+        let reported = decided
+            .iter()
+            .map(|&d| d == Enqueue::Accepted { mark_ce: true });
+        assert!(reported.eq(marks), "the decision reports the bit it set");
     }
 
     #[test]
@@ -280,18 +237,15 @@ mod tests {
         // but the phantom (drained at 95%) accumulates 5% per packet and
         // eventually marks.
         let line = Rate::from_gbps(10);
-        let mut a = PktArena::new();
         let mut p = PortState::new(line, Bytes::from_mb(1), Dur::ZERO);
         p.phantom = Some(PhantomQueue::new(line, 0.95, Bytes(6_000)));
         let mut now = Time::ZERO;
         let mut marked = 0;
         for _ in 0..200 {
-            assert!(offer(&mut p, &mut a, now, 1500, 0));
-            let got = p.dequeue().unwrap();
-            if a[got.hdr.id].ce {
+            assert!(offer(&mut p, now, 1500, 0));
+            if p.dequeue().unwrap().pkt.ce() {
                 marked += 1;
             }
-            a.free(got.hdr.id);
             now += line.tx_time(Bytes(1500));
         }
         assert!(marked > 0, "phantom queue must mark at sustained line rate");

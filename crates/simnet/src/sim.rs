@@ -7,7 +7,7 @@ use crate::faults::FaultKind;
 use crate::metrics::{
     EvKind, EventProfile, FaultWindow, Metrics, MsgRecord, Violation, LATENCY_HIST_SUB_BITS,
 };
-use crate::packet::{Hop, Packet, PathId, PktArena, PktId, PktKind};
+use crate::packet::{PathId, Pkt, PktKind};
 use crate::port::{Enqueue, PhantomQueue, PortState};
 use crate::tcp::{MsgBound, TcpConn};
 use crate::telemetry::TelemetrySink;
@@ -24,9 +24,8 @@ use silo_workload::EtcWorkload;
 #[derive(Debug)]
 enum Ev {
     /// A packet finished traversing hop `hop − 1` and arrives at the next
-    /// node (or its destination). Carries the per-hop header, so a transit
-    /// hop forwards without touching the packet's arena slot.
-    Arrive(Hop),
+    /// node (or its destination).
+    Arrive(Pkt),
     /// An egress port finished a transmission.
     PortFree(PortId),
     /// DMA-completion / soft-timer pull of the next paced batch.
@@ -50,6 +49,9 @@ enum Ev {
     /// An injected fault heals.
     FaultEnd(u32),
 }
+
+/// The size the event queue's slots (and the per-event cost model) assume.
+const _: () = assert!(std::mem::size_of::<Ev>() == 32);
 
 impl Ev {
     /// Profile slot of this event ([`EventProfile`] indexing).
@@ -100,7 +102,7 @@ enum VmApp {
 
 /// Per-host NIC state for the paced modes.
 struct HostNic {
-    batcher: PacedBatcher<PktId>,
+    batcher: PacedBatcher<Pkt>,
     /// Handle of the armed `NicPull`, `None` when no pull is pending. A
     /// superseding arm moves the pending pull in place (`Sim::rearm`).
     pull_key: Option<EvKey>,
@@ -128,10 +130,14 @@ pub struct Sim {
     conns: Vec<TcpConn>,
     conn_index: FxHashMap<(u32, u32), u32>,
     vms: Vec<Vm>,
-    /// Global VM ids of each tenant, in tenant-local order.
+    /// Global VM ids of each tenant, in tenant-local order: one
+    /// contiguous ascending run per tenant.
     tenant_vms: Vec<Vec<u32>>,
     /// Connection ids per tenant (for event-driven hose updates).
     tenant_conns: Vec<Vec<u32>>,
+    /// `update_tenant_hose` scratch: (out, in) degree of each VM of the
+    /// tenant in hand, by tenant-local position.
+    hose_deg: Vec<(u32, u32)>,
     nics: Vec<HostNic>,
     /// Interned egress-port lists; a [`PathId`] indexes this table. One
     /// entry per distinct (src host, dst host) pair plus one loopback
@@ -149,12 +155,7 @@ pub struct Sim {
     profile: EventProfile,
     /// Reusable frame storage for the NIC pull path (allocation-light
     /// dispatch: one `Vec` serves every batch of every host).
-    batch_scratch: Batch<PktId>,
-    /// In-flight packet slab: a packet's bytes live here from creation to
-    /// delivery (or drop); events, port FIFOs and the NIC stamp queue
-    /// carry [`PktId`] handles. Touched at creation, NIC pull and
-    /// delivery; transit hops work from the [`Hop`] header alone.
-    arena: PktArena,
+    batch_scratch: Batch<Pkt>,
     // ---- fault injection (all dormant when the plan is empty) ----
     /// `!cfg.faults.is_empty()`: gates every fault check off the hot path.
     faults_on: bool,
@@ -189,6 +190,15 @@ pub struct Sim {
 
 impl Sim {
     pub fn new(topo: Topology, cfg: SimConfig, mut tenants: Vec<TenantSpec>) -> Sim {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SimConfig: {e}");
+        }
+        cfg.faults.validate(
+            topo.num_links(),
+            topo.num_ports(),
+            topo.num_hosts(),
+            tenants.len(),
+        );
         // Oktopus provides hose bandwidth only: no burst allowance, no
         // burst rate (§6.2: "With Oktopus, VMs cannot burst"). Okto+ keeps
         // the tenant's burst parameters.
@@ -283,12 +293,6 @@ impl Sim {
             path_table.push(vec![pid].into_boxed_slice());
         }
         let ntenants = tenants.len();
-        cfg.faults.validate(
-            topo.num_links(),
-            topo.num_ports(),
-            topo.num_hosts(),
-            ntenants,
-        );
         let faults_on = !cfg.faults.is_empty();
         let nfaults = cfg.faults.events.len();
         let metrics = Metrics {
@@ -372,6 +376,7 @@ impl Sim {
             vms,
             tenant_vms,
             tenant_conns: vec![Vec::new(); ntenants],
+            hose_deg: Vec::new(),
             nics,
             path_table,
             path_ids: FxHashMap::default(),
@@ -381,7 +386,6 @@ impl Sim {
             next_txn: 0,
             profile: EventProfile::default(),
             batch_scratch: Batch::empty(),
-            arena: PktArena::with_capacity(256),
             faults_on,
             fault_active: vec![false; nfaults],
             port_down: vec![None; num_switch_ports],
@@ -475,9 +479,9 @@ impl Sim {
     /// its lifecycle (the emitting host — data traces at the sender, acks
     /// at the receiver that generated them) plus the labels the exported
     /// trace carries. Pure read; only called when tracing is on.
-    fn trace_meta(&self, pkt: &Packet) -> PktMeta {
+    fn trace_meta(&self, pkt: &Pkt) -> PktMeta {
         let c = &self.conns[pkt.conn as usize];
-        let (host, pk) = match pkt.kind {
+        let (host, pk) = match pkt.kind() {
             PktKind::Data => (c.src_host.0, PktTag::Data),
             PktKind::Ack => (c.dst_host.0, PktTag::Ack),
         };
@@ -487,8 +491,8 @@ impl Sim {
             tenant: c.tenant,
             pk,
             pseq: pkt.seq,
-            size: pkt.size.as_u64(),
-            retx: pkt.retx,
+            size: pkt.size().as_u64(),
+            retx: pkt.retx(),
         }
     }
 
@@ -505,6 +509,10 @@ impl Sim {
         let sh = self.vms[src_vm as usize].host;
         let dh = self.vms[dst_vm as usize].host;
         let tenant = self.vms[src_vm as usize].tenant;
+        debug_assert_eq!(
+            self.vms[dst_vm as usize].tenant, tenant,
+            "connections never cross tenants"
+        );
         let prio = self.tenants[tenant as usize].prio;
         let path = self.path(sh, dh);
         let rpath = self.path(dh, sh);
@@ -771,51 +779,33 @@ impl Sim {
                     return;
                 }
             }
-            let (src_vm, payload, seq, prio, path, size) = {
-                let c = &self.conns[conn as usize];
-                if !c.has_unsent() {
-                    return;
-                }
-                let remaining = c.wr_end - c.nxt;
-                let payload = remaining.min(self.cfg.mss());
-                if c.window_avail() < payload as f64 && c.flight() > 0 {
-                    return;
-                }
-                (
-                    c.src_vm,
-                    payload,
-                    c.nxt,
-                    c.prio,
-                    c.path,
-                    Bytes(payload + self.cfg.header.as_u64()),
-                )
-            };
-            {
-                let c = &mut self.conns[conn as usize];
-                c.nxt += payload;
-                c.high_tx = c.high_tx.max(c.nxt);
-                let end = c.nxt;
-                c.inflight_meta.push_back((end, self.now, false));
+            let c = &mut self.conns[conn as usize];
+            if !c.has_unsent() {
+                return;
             }
-            let pkt = Packet {
-                conn,
-                kind: PktKind::Data,
-                seq,
-                payload,
-                size,
-                retx: false,
-                ce: false,
-                ecn_echo: false,
-                prio,
-                sent_at: self.now,
-                enq_at: Time::ZERO,
-                path,
-                hop: 0,
-            };
-            let id = self.arena.alloc(pkt);
-            self.send_from_vm(src_vm, id);
-            self.arm_rto(conn);
+            let remaining = c.wr_end - c.nxt;
+            let payload = remaining.min(self.cfg.mss());
+            if c.window_avail() < payload as f64 && c.flight() > 0 {
+                return;
+            }
+            let seq = c.nxt;
+            c.nxt += payload;
+            c.high_tx = c.high_tx.max(c.nxt);
+            let end = c.nxt;
+            c.inflight_meta.push_back((end, self.now, false));
+            self.emit_data(conn, seq, payload, false);
         }
+    }
+
+    /// Put the data segment `[seq, seq + payload)` of `conn` on its way
+    /// and (re-)arm the connection's RTO.
+    fn emit_data(&mut self, conn: u32, seq: u64, payload: u64, retx: bool) {
+        let c = &self.conns[conn as usize];
+        let (src_vm, prio, path) = (c.src_vm, c.prio, c.path);
+        let size = Bytes(payload + self.cfg.header.as_u64());
+        let pkt = Pkt::new(PktKind::Data, conn, seq, size, prio, path).with_retx(retx);
+        self.send_from_vm(src_vm, pkt);
+        self.arm_rto(conn);
     }
 
     /// SACK-equivalent loss recovery: the receiver's reassembly state is
@@ -861,71 +851,31 @@ impl Sim {
     }
 
     fn retransmit_at(&mut self, conn: u32, seq: u64, payload: u64) {
-        let (src_vm, prio, path) = {
-            let c = &mut self.conns[conn as usize];
-            c.retx_upto = c.retx_upto.max(seq + payload);
-            // Karn's rule: the original send-time entries of anything we
-            // re-send can no longer produce valid RTT samples.
-            for m in c.inflight_meta.iter_mut() {
-                if m.0 > seq && m.0 <= seq + payload {
-                    m.2 = true;
-                }
+        let c = &mut self.conns[conn as usize];
+        c.retx_upto = c.retx_upto.max(seq + payload);
+        // Karn's rule: the original send-time entries of anything we
+        // re-send can no longer produce valid RTT samples.
+        for m in c.inflight_meta.iter_mut() {
+            if m.0 > seq && m.0 <= seq + payload {
+                m.2 = true;
             }
-            (c.src_vm, c.prio, c.path)
-        };
-        let pkt = Packet {
-            conn,
-            kind: PktKind::Data,
-            seq,
-            payload,
-            size: Bytes(payload + self.cfg.header.as_u64()),
-            retx: true,
-            ce: false,
-            ecn_echo: false,
-            prio,
-            sent_at: self.now,
-            enq_at: Time::ZERO,
-            path,
-            hop: 0,
-        };
-        let id = self.arena.alloc(pkt);
-        self.send_from_vm(src_vm, id);
-        self.arm_rto(conn);
+        }
+        self.emit_data(conn, seq, payload, true);
     }
 
     fn retransmit_una(&mut self, conn: u32) {
-        let (src_vm, seq, payload, prio, path) = {
-            let c = &mut self.conns[conn as usize];
-            let payload = (c.wr_end - c.una).min(self.cfg.mss());
-            if payload == 0 {
-                return;
+        let c = &mut self.conns[conn as usize];
+        let payload = (c.wr_end - c.una).min(self.cfg.mss());
+        if payload == 0 {
+            return;
+        }
+        let seq = c.una;
+        for m in c.inflight_meta.iter_mut() {
+            if m.0 > seq && m.0 <= seq + payload {
+                m.2 = true;
             }
-            let (seq, prio) = (c.una, c.prio);
-            for m in c.inflight_meta.iter_mut() {
-                if m.0 > seq && m.0 <= seq + payload {
-                    m.2 = true;
-                }
-            }
-            (c.src_vm, seq, payload, prio, c.path)
-        };
-        let pkt = Packet {
-            conn,
-            kind: PktKind::Data,
-            seq,
-            payload,
-            size: Bytes(payload + self.cfg.header.as_u64()),
-            retx: true,
-            ce: false,
-            ecn_echo: false,
-            prio,
-            sent_at: self.now,
-            enq_at: Time::ZERO,
-            path,
-            hop: 0,
-        };
-        let id = self.arena.alloc(pkt);
-        self.send_from_vm(src_vm, id);
-        self.arm_rto(conn);
+        }
+        self.emit_data(conn, seq, payload, true);
     }
 
     fn arm_rto(&mut self, conn: u32) {
@@ -1002,14 +952,12 @@ impl Sim {
     // Host egress: pacing + NIC
     // ------------------------------------------------------------------
 
-    fn send_from_vm(&mut self, vm: u32, id: PktId) {
-        // Copy the 64-byte struct once for the reads below.
-        let pkt = self.arena[id];
+    fn send_from_vm(&mut self, vm: u32, pkt: Pkt) {
         let first_port = self.hops(pkt.path)[0];
         if self.is_loopback(first_port) {
             // Same-host delivery through the vswitch: serialized at the
             // loopback port, never paced (it does not cross the NIC).
-            self.enqueue_port(first_port, Hop::of(id, &pkt, 0));
+            self.enqueue_port(first_port, pkt);
             return;
         }
         if self.cfg.mode.paced() {
@@ -1017,24 +965,24 @@ impl Sim {
             // charging them to `B` would structurally oversubscribe a
             // backlogged tenant by the ~4% ACK ratio). They still ride
             // the batched NIC.
-            let stamp = if pkt.kind == PktKind::Ack {
+            let stamp = if pkt.kind() == PktKind::Ack {
                 self.now
             } else {
                 let dst_vm = self.peer_vm(&pkt);
-                self.stamp_packet(vm, dst_vm, pkt.size)
+                self.stamp_packet(vm, dst_vm, pkt.size())
             };
             {
                 let c = &mut self.conns[pkt.conn as usize];
                 c.last_depart = c.last_depart.max(stamp);
             }
-            if self.trace.is_some() && pkt.kind == PktKind::Data && stamp > self.now {
+            if self.trace.is_some() && pkt.kind() == PktKind::Data && stamp > self.now {
                 let m = self.trace_meta(&pkt);
                 let now = self.now;
                 if let Some(t) = self.trace.as_mut() {
                     t.token_wait(now, vm, stamp - now, m);
                 }
             }
-            if self.telemetry.is_some() && pkt.kind == PktKind::Data && stamp > self.now {
+            if self.telemetry.is_some() && pkt.kind() == PktKind::Data && stamp > self.now {
                 let tenant = self.vms[vm as usize].tenant;
                 let (now, wait) = (self.now, stamp - self.now);
                 if let Some(tel) = self.telemetry.as_mut() {
@@ -1042,7 +990,7 @@ impl Sim {
                 }
             }
             let host = self.vms[vm as usize].host.0 as usize;
-            self.nics[host].batcher.enqueue(stamp, pkt.size, id);
+            self.nics[host].batcher.enqueue(stamp, pkt.size(), pkt);
             if self.fast_forward(host) {
                 // Enqueue-resurrection: arm (or tighten) the pull only if
                 // the new stamp moves the next batch start earlier.
@@ -1056,14 +1004,14 @@ impl Sim {
                 self.arm_nic(host, at);
             }
         } else {
-            self.enqueue_port(first_port, Hop::of(id, &pkt, 0));
+            self.enqueue_port(first_port, pkt);
         }
     }
 
     /// The VM this packet is addressed to (for hose bucket lookup).
-    fn peer_vm(&self, pkt: &Packet) -> u32 {
+    fn peer_vm(&self, pkt: &Pkt) -> u32 {
         let c = &self.conns[pkt.conn as usize];
-        match pkt.kind {
+        match pkt.kind() {
             PktKind::Data => c.dst_vm,
             PktKind::Ack => c.src_vm,
         }
@@ -1187,9 +1135,8 @@ impl Sim {
                     // Every frame — data and void — claims a wire interval.
                     a.on_wire_frame(h, f.start, f.size, link);
                 }
-                let id = f.payload.expect("data frame carries a packet");
-                let pkt = self.arena[id];
-                if self.audit.is_some() && pkt.kind == PktKind::Data {
+                let pkt = f.payload.expect("data frame carries a packet");
+                if self.audit.is_some() && pkt.kind() == PktKind::Data {
                     // Wire-level conformance of the sending VM against its
                     // admitted curve, at the instant the first bit leaves.
                     // ACKs bypass the buckets by design and are excluded.
@@ -1213,7 +1160,6 @@ impl Sim {
                                 t.drop_fault(now, eaten_at, fault, m);
                             }
                         }
-                        self.arena.free(id);
                         continue;
                     }
                 }
@@ -1227,7 +1173,7 @@ impl Sim {
                 // The NIC wire is hop 0.
                 let arrive = f.start + link.tx_time(f.size) + prop;
                 let lane = self.nic_arrive_lane(h);
-                self.push_lane(lane, arrive, Ev::Arrive(Hop::of(id, &pkt, 1)));
+                self.push_lane(lane, arrive, Ev::Arrive(pkt.at_hop(1)));
             } else if self.audit.is_some() || self.trace.is_some() {
                 // A void run: one frame stands for the whole gap. Observers
                 // see the per-chunk frames the wire carries, so the run is
@@ -1276,40 +1222,33 @@ impl Sim {
     // Switch fabric
     // ------------------------------------------------------------------
 
-    fn enqueue_port(&mut self, port: PortId, hdr: Hop) {
-        let id = hdr.id;
+    fn enqueue_port(&mut self, port: PortId, pkt: Pkt) {
         if self.faults_on {
             if let Some(f) = self.port_fault(port) {
                 // Black hole: the packet reached a dead port.
                 self.metrics.fault_drops[f as usize] += 1;
                 if self.trace.is_some() {
-                    let m = self.trace_meta(&self.arena[id]);
+                    let m = self.trace_meta(&pkt);
                     let now = self.now;
                     if let Some(t) = self.trace.as_mut() {
                         t.drop_fault(now, port.0, f, m);
                     }
                 }
-                self.arena.free(id);
                 return;
             }
         }
         let now = self.now;
-        let size = hdr.size;
-        let prio = (hdr.prio as usize).min(1);
+        let size = pkt.size();
+        let prio = (pkt.prio as usize).min(1);
         let ps = &mut self.ports[port.0 as usize];
-        // The port rules on the header alone; a CE mark is applied to the
-        // arena-resident packet here.
-        let decision = ps.enqueue_hop(now, hdr);
+        let decision = ps.enqueue_hop(now, pkt);
         let queued = ps.queued_bytes;
         let accepted = matches!(decision, Enqueue::Accepted { .. });
-        if let Enqueue::Accepted { mark_ce: true } = decision {
-            self.arena[id].ce = true;
-        }
         if let Some(a) = self.audit.as_mut() {
             a.on_enqueue(now, port.0 as usize, size.as_u64(), prio, queued, accepted);
         }
         if self.trace.is_some() {
-            let m = self.trace_meta(&self.arena[id]);
+            let m = self.trace_meta(&pkt);
             if let Some(t) = self.trace.as_mut() {
                 if accepted {
                     t.enqueue(now, port.0, queued, m);
@@ -1324,7 +1263,6 @@ impl Sim {
         }
         if !accepted {
             self.metrics.drops += 1;
-            self.arena.free(id);
             return;
         }
         let ps = &mut self.ports[port.0 as usize];
@@ -1347,9 +1285,9 @@ impl Sim {
             let Some(q) = ps.dequeue() else {
                 return;
             };
-            let tx = ps.rate.tx_time(q.hdr.size);
+            let tx = ps.rate.tx_time(q.pkt.size());
             ps.busy_time += tx;
-            ps.tx_bytes += q.hdr.size.as_u64();
+            ps.tx_bytes += q.pkt.size().as_u64();
             ps.tx_packets += 1;
             let prop = ps.prop;
             let t_free = now + tx;
@@ -1357,16 +1295,16 @@ impl Sim {
             ps.wakeup_armed = true;
             (t_free, t_free + prop, q)
         };
-        let (id, size) = (q.hdr.id, q.hdr.size);
+        let size = q.pkt.size();
         if self.audit.is_some() {
-            let prio = (q.hdr.prio as usize).min(1);
+            let prio = (q.pkt.prio as usize).min(1);
             let queued = self.ports[port.0 as usize].queued_bytes;
             if let Some(a) = self.audit.as_mut() {
                 a.on_dequeue(now, port.0 as usize, size.as_u64(), prio, queued);
             }
         }
         if self.trace.is_some() {
-            let m = self.trace_meta(&self.arena[id]);
+            let m = self.trace_meta(&q.pkt);
             let wait = now.since(q.enq_at);
             if let Some(t) = self.trace.as_mut() {
                 t.wire_start(now, port.0, t_free - now, wait, m);
@@ -1375,8 +1313,8 @@ impl Sim {
         if self.telemetry.is_some() {
             let queued_after = self.ports[port.0 as usize].queued_bytes;
             let wait = now.since(q.enq_at);
-            let is_data = self.arena[id].kind == PktKind::Data;
-            let tenant = self.conns[self.arena[id].conn as usize].tenant;
+            let is_data = q.pkt.kind() == PktKind::Data;
+            let tenant = self.conns[q.pkt.conn as usize].tenant;
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.port_tx(
                     now,
@@ -1403,10 +1341,7 @@ impl Sim {
         // whenever events collide on the tx-time grid (see DESIGN.md).
         let lane = self.port_free_lane(port);
         self.push_lane(lane, t_free, Ev::PortFree(port));
-        let next = Hop {
-            hop: q.hdr.hop + 1,
-            ..q.hdr
-        };
+        let next = q.pkt.at_hop(q.pkt.hop + 1);
         let lane = self.port_arrive_lane(port);
         self.push_lane(lane, t_arrive, Ev::Arrive(next));
     }
@@ -1425,15 +1360,12 @@ impl Sim {
         }
     }
 
-    fn on_arrive(&mut self, hdr: Hop) {
-        if let Some(&port) = self.hops(hdr.path).get(hdr.hop as usize) {
-            self.enqueue_port(port, hdr);
+    fn on_arrive(&mut self, pkt: Pkt) {
+        if let Some(&port) = self.hops(pkt.path).get(pkt.hop as usize) {
+            self.enqueue_port(port, pkt);
         } else {
-            // Past the last hop: the flight is over. Copy out, release
-            // the slot, then hand the receiver the by-value packet.
-            let pkt = self.arena[hdr.id];
-            self.arena.free(hdr.id);
-            match pkt.kind {
+            // Past the last hop: the flight is over.
+            match pkt.kind() {
                 PktKind::Data => self.rx_data(pkt),
                 PktKind::Ack => self.rx_ack(pkt),
             }
@@ -1444,7 +1376,7 @@ impl Sim {
     // TCP receiver + ACK processing
     // ------------------------------------------------------------------
 
-    fn rx_data(&mut self, pkt: Packet) {
+    fn rx_data(&mut self, pkt: Pkt) {
         let conn = pkt.conn;
         if self.faults_on && !self.tenant_alive(self.conns[conn as usize].tenant) {
             return; // the receiving VM is gone; the packet dies silently
@@ -1459,7 +1391,7 @@ impl Sim {
         }
         let (completions, dst_vm, src_vm, prio, rpath, tenant, adv) = {
             let c = &mut self.conns[conn as usize];
-            let prev = c.receive_segment(pkt.seq, pkt.payload);
+            let prev = c.receive_segment(pkt.seq, pkt.payload(self.cfg.header));
             let delivered = c.delivered;
             let adv = delivered - prev;
             c.goodput_bytes += adv;
@@ -1545,23 +1477,10 @@ impl Sim {
             }
         }
         // Cumulative ACK echoing this segment's CE mark.
-        let ack = Packet {
-            conn,
-            kind: PktKind::Ack,
-            seq: self.conns[conn as usize].delivered,
-            payload: 0,
-            size: self.ack_size,
-            retx: false,
-            ce: false,
-            ecn_echo: pkt.ce,
-            prio,
-            sent_at: self.now,
-            enq_at: Time::ZERO,
-            path: rpath,
-            hop: 0,
-        };
-        let id = self.arena.alloc(ack);
-        self.send_from_vm(dst_vm, id);
+        let acked = self.conns[conn as usize].delivered;
+        let ack =
+            Pkt::new(PktKind::Ack, conn, acked, self.ack_size, prio, rpath).with_ecn_echo(pkt.ce());
+        self.send_from_vm(dst_vm, ack);
     }
 
     fn etc_txn_done(&mut self, client_vm: u32) {
@@ -1598,7 +1517,7 @@ impl Sim {
         }
     }
 
-    fn rx_ack(&mut self, pkt: Packet) {
+    fn rx_ack(&mut self, pkt: Pkt) {
         let conn = pkt.conn;
         if self.faults_on && !self.tenant_alive(self.conns[conn as usize].tenant) {
             return;
@@ -1621,7 +1540,7 @@ impl Sim {
                 let adv = ack - c.una;
                 // DCTCP mark accounting.
                 c.acked_bytes += adv;
-                if pkt.ecn_echo {
+                if pkt.ecn_echo() {
                     c.ce_bytes += adv;
                 }
                 // RTT sample (Karn: only never-retransmitted segments).
@@ -1665,7 +1584,7 @@ impl Sim {
                 flight_left = c.flight();
             } else if c.flight() > 0 {
                 c.dupacks += 1;
-                if pkt.ecn_echo {
+                if pkt.ecn_echo() {
                     // Marked dupacks still feed DCTCP's estimator.
                     c.ce_bytes += mss as u64;
                     c.acked_bytes += mss as u64;
@@ -1761,35 +1680,52 @@ impl Sim {
         if matches!(self.cfg.mode, TransportMode::Okto | TransportMode::OktoPlus) {
             return; // Oktopus rates are static, set by okto_epoch.
         }
-        let mut out_deg: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut in_deg: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut active: Vec<(u32, u32)> = Vec::new();
-        for &ci in &self.tenant_conns[ti as usize] {
-            let c = &self.conns[ci as usize];
-            if c.active() && c.src_host != c.dst_host {
-                active.push((c.src_vm, c.dst_vm));
-                *out_deg.entry(c.src_vm).or_default() += 1;
-                *in_deg.entry(c.dst_vm).or_default() += 1;
+        let Sim {
+            conns,
+            conn_index,
+            vms,
+            tenants,
+            tenant_vms,
+            tenant_conns,
+            hose_deg,
+            now,
+            ..
+        } = self;
+        let members = &tenant_vms[ti as usize];
+        let Some(&base) = members.first() else {
+            return;
+        };
+        // A pair takes a share of both endpoint hoses while it has data
+        // outstanding and crosses the NIC.
+        let shares = |c: &TcpConn| c.active() && c.src_host != c.dst_host;
+        hose_deg.clear();
+        hose_deg.resize(members.len(), (0, 0));
+        for &ci in &tenant_conns[ti as usize] {
+            let c = &conns[ci as usize];
+            if shares(c) {
+                hose_deg[(c.src_vm - base) as usize].0 += 1;
+                hose_deg[(c.dst_vm - base) as usize].1 += 1;
             }
         }
-        let now = self.now;
-        let b_bps = self.tenants[ti as usize].b.as_bps() as f64;
-        let b = self.tenants[ti as usize].b;
-        let mut assigned: FxHashMap<(u32, u32), f64> = FxHashMap::default();
-        for &(s, d) in &active {
-            // 3% headroom: pair rates summing to exactly B would keep the
-            // VM's {B, S} bucket permanently saturated and its backlog
-            // random-walking upward (EyeQ similarly converges slightly
-            // below the hose).
-            let rate = 0.97 * (b_bps / out_deg[&s] as f64).min(b_bps / in_deg[&d] as f64);
-            assigned.insert((s, d), rate);
-        }
-        for &vi in &self.tenant_vms[ti as usize].clone() {
-            let v = &mut self.vms[vi as usize];
-            for (&d, tb) in v.per_dst.iter_mut() {
-                match assigned.get(&(vi, d)) {
-                    Some(&r) => tb.set_rate(now, silo_base::Rate::from_bps(r.max(1e6) as u64)),
-                    None => tb.set_rate(now, b),
+        let now = *now;
+        let b = tenants[ti as usize].b;
+        let b_bps = b.as_bps() as f64;
+        for &vi in members {
+            let out_deg = hose_deg[(vi - base) as usize].0;
+            for (&d, tb) in vms[vi as usize].per_dst.iter_mut() {
+                let sharing = conn_index
+                    .get(&(vi, d))
+                    .is_some_and(|&ci| shares(&conns[ci as usize]));
+                if sharing {
+                    let in_deg = hose_deg[(d - base) as usize].1;
+                    // 3% headroom: pair rates summing to exactly B would
+                    // keep the VM's {B, S} bucket permanently saturated and
+                    // its backlog random-walking upward (EyeQ similarly
+                    // converges slightly below the hose).
+                    let r = 0.97 * (b_bps / out_deg as f64).min(b_bps / in_deg as f64);
+                    tb.set_rate(now, silo_base::Rate::from_bps(r.max(1e6) as u64));
+                } else {
+                    tb.set_rate(now, b);
                 }
             }
         }
@@ -1914,19 +1850,18 @@ impl Sim {
             while let Some(q) = self.ports[p].dequeue() {
                 self.metrics.fault_drops[f as usize] += 1;
                 if self.audit.is_some() {
-                    let prio = (q.hdr.prio as usize).min(1);
+                    let prio = (q.pkt.prio as usize).min(1);
                     let queued = self.ports[p].queued_bytes;
                     if let Some(a) = self.audit.as_mut() {
-                        a.on_flush(now, p, q.hdr.size.as_u64(), prio, queued);
+                        a.on_flush(now, p, q.pkt.size().as_u64(), prio, queued);
                     }
                 }
                 if self.trace.is_some() {
-                    let m = self.trace_meta(&self.arena[q.hdr.id]);
+                    let m = self.trace_meta(&q.pkt);
                     if let Some(t) = self.trace.as_mut() {
                         t.drop_fault(now, p as u32, f, m);
                     }
                 }
-                self.arena.free(q.hdr.id);
             }
             if self.telemetry.is_some() {
                 let queued_now = self.ports[p].queued_bytes;
@@ -2081,7 +2016,6 @@ impl Sim {
     // Driver
     // ------------------------------------------------------------------
 
-    /// Run to completion and return the metrics.
     /// Debug introspection: (vm, dst, bucket rate bps) of every
     /// per-destination hose bucket (used by diagnostics binaries).
     pub fn debug_hose_rates(&self) -> Vec<(u32, u32, u64)> {
@@ -2129,6 +2063,7 @@ impl Sim {
         (metrics, self)
     }
 
+    /// Run to completion and return the metrics.
     pub fn run(mut self) -> Metrics {
         self.run_inner();
         self.finish_metrics()
@@ -2165,7 +2100,7 @@ impl Sim {
                 .is_some_and(|tel| tel.dispatch_tick());
             let sample = ticked.then(std::time::Instant::now);
             match ev {
-                Ev::Arrive(hdr) => self.on_arrive(hdr),
+                Ev::Arrive(pkt) => self.on_arrive(pkt),
                 Ev::PortFree(p) => self.on_port_free(p),
                 Ev::NicPull { host } => self.on_nic_pull(host),
                 Ev::Rto { conn } => self.on_rto(conn),

@@ -50,6 +50,16 @@ fn tcp_bulk_transfer_achieves_line_rate() {
     assert!(gbps > 12.0, "aggregate goodput only {gbps:.2} Gbps");
 }
 
+/// A zero hose epoch used to re-arm `HoseEpoch` at the same instant
+/// forever; it is now refused before anything is built.
+#[test]
+#[should_panic(expected = "invalid SimConfig: hose_epoch")]
+fn sim_new_refuses_a_config_that_would_hang() {
+    let mut cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(1), 1);
+    cfg.hose_epoch = Dur::ZERO;
+    Sim::new(small_topo(2), cfg, vec![bulk_tenant(&[0, 1], Bytes(1500))]);
+}
+
 #[test]
 fn tcp_incast_causes_drops_and_rtos() {
     // Classic incast: 5 senders on 5 hosts blast one receiver through a
