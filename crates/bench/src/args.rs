@@ -1,6 +1,7 @@
 //! Minimal CLI parsing (no external crates).
 
-use silo_simnet::SimConfig;
+use silo_simnet::{Sim, SimConfig, TenantSpec};
+use silo_topology::Topology;
 
 /// Common experiment knobs.
 #[derive(Debug, Clone)]
@@ -78,15 +79,23 @@ fn positive_up_to(key: &str, val: &str, max: f64) -> Result<f64, String> {
     }
 }
 
-/// `cfg` if [`SimConfig::validate`] accepts it; otherwise report it the
-/// way [`Args::parse`] reports a bad command line (`error: …` naming the
-/// field, exit status 2) instead of letting `Sim::new` panic.
-pub fn checked(cfg: SimConfig) -> SimConfig {
-    if let Err(e) = cfg.validate() {
+/// `Sim::new(topo, cfg, tenants)` if [`SimConfig::validate`] accepts the
+/// configuration and [`FaultPlan::validate`](silo_simnet::FaultPlan::validate)
+/// its fault plan on this cell; otherwise report the defect the way
+/// [`Args::parse`] reports a bad command line (`error: …` naming the field
+/// or the fault event, exit status 2) instead of letting `Sim::new` panic.
+pub fn checked(topo: Topology, cfg: SimConfig, tenants: Vec<TenantSpec>) -> Sim {
+    let plan = cfg.faults.validate(
+        topo.num_links(),
+        topo.num_ports(),
+        topo.num_hosts(),
+        tenants.len(),
+    );
+    if let Err(e) = cfg.validate().and(plan) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    cfg
+    Sim::new(topo, cfg, tenants)
 }
 
 impl Args {

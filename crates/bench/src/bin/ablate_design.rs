@@ -9,7 +9,7 @@
 
 use silo_base::{Bytes, Dur, Rate};
 use silo_bench::{checked, Args};
-use silo_simnet::{Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
+use silo_simnet::{Metrics, SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
 fn topo() -> Topology {
@@ -61,7 +61,7 @@ fn tenants(burst: Bytes) -> Vec<TenantSpec> {
 }
 
 fn run(cfg: SimConfig, burst: Bytes) -> Metrics {
-    Sim::new(topo(), checked(cfg), tenants(burst)).run()
+    checked(topo(), cfg, tenants(burst)).run()
 }
 
 fn main() {

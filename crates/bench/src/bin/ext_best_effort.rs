@@ -10,7 +10,7 @@
 
 use silo_base::{Bytes, Dur, Rate};
 use silo_bench::{checked, Args};
-use silo_simnet::{Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
+use silo_simnet::{SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
 fn main() {
@@ -59,7 +59,7 @@ fn main() {
     println!("== §4.4: best-effort tenants on residual capacity ==");
     let run = |tenants: Vec<TenantSpec>| {
         let cfg = SimConfig::new(TransportMode::Silo, dur, args.seed);
-        Sim::new(topo.clone(), checked(cfg), tenants).run()
+        checked(topo.clone(), cfg, tenants).run()
     };
     let alone = run(vec![guaranteed.clone()]);
     let mut lat_alone = alone.latencies_us(0);

@@ -20,7 +20,7 @@ use silo_base::Dur;
 use silo_bench::{checked, run_cells, Args};
 use silo_explorer::{cell_tenants, cell_topo, seed_plans};
 use silo_placement::{DegradeOutcome, Guarantee, Placer, SiloPlacer, TenantRequest};
-use silo_simnet::{AuditConfig, FaultPlan, Metrics, Sim, SimConfig, TransportMode};
+use silo_simnet::{AuditConfig, FaultPlan, Metrics, SimConfig, TransportMode};
 use silo_topology::Topology;
 
 // The cell itself — topology, tenants, and the six hand-written
@@ -89,7 +89,7 @@ fn main() {
         if args.telemetry_requested() && i == 1 {
             cfg.telemetry = Some(silo_simnet::TelemetryConfig::default());
         }
-        Sim::new(topo.clone(), checked(cfg), cell_tenants()).run()
+        checked(topo.clone(), cfg, cell_tenants()).run()
     });
     for (sc, m) in cells.iter().zip(&results) {
         report_row(sc.label, m, dur);

@@ -8,7 +8,7 @@
 use silo_base::{Bytes, Dur};
 use silo_bench::scenario::{testbed_tenants, ETC_TESTBED_LOAD, TESTBED_REQS};
 use silo_bench::{checked, print_cdf, Args};
-use silo_simnet::{Sim, SimConfig, TransportMode};
+use silo_simnet::{SimConfig, TransportMode};
 use silo_topology::{Topology, TreeParams};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         let mut cfg = SimConfig::new(TransportMode::Tcp, dur, args.seed);
         cfg.min_rto = Dur::from_ms(200);
         let tenants = testbed_tenants(&TESTBED_REQS[0], Bytes(1500), with_b, ETC_TESTBED_LOAD);
-        Sim::new(topo.clone(), checked(cfg), tenants).run()
+        checked(topo.clone(), cfg, tenants).run()
     };
 
     let alone = run(false);

@@ -8,7 +8,7 @@
 use silo_base::{Bytes, Dur, Rate};
 use silo_bench::{checked, Args};
 use silo_netcalc::{propagate_egress, Curve};
-use silo_simnet::{Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig, TransportMode};
+use silo_simnet::{SimConfig, TenantSpec, TenantWorkload, TraceConfig, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
     if args.telemetry_requested() {
         cfg.telemetry = Some(silo_simnet::TelemetryConfig::default());
     }
-    let m = Sim::new(topo, checked(cfg), vec![mk(0, c / 2), mk(1, c / 4)]).run();
+    let m = checked(topo, cfg, vec![mk(0, c / 2), mk(1, c / 4)]).run();
     if let Some(log) = &m.trace {
         if let Some(path) = &args.trace {
             std::fs::write(path, log.to_jsonl()).expect("write trace jsonl");

@@ -5,7 +5,7 @@
 use silo_base::{Bytes, Dur, Rate};
 use silo_bench::scenario::{testbed_tenants, ETC_TESTBED_LOAD, TESTBED_REQS};
 use silo_bench::{checked, print_cdf, Args};
-use silo_simnet::{Metrics, Sim, SimConfig, TransportMode};
+use silo_simnet::{Metrics, SimConfig, TransportMode};
 use silo_topology::{Topology, TreeParams};
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
             with_b,
             ETC_TESTBED_LOAD,
         );
-        Sim::new(topo.clone(), checked(cfg), tenants).run()
+        checked(topo.clone(), cfg, tenants).run()
     };
 
     // Baselines for relative throughput: each tenant running alone.
@@ -33,7 +33,7 @@ fn main() {
         cfg.min_rto = Dur::from_ms(200);
         let mut tenants = testbed_tenants(&TESTBED_REQS[0], Bytes(1500), true, ETC_TESTBED_LOAD);
         tenants.remove(0); // only netperf
-        Sim::new(topo.clone(), checked(cfg), tenants).run()
+        checked(topo.clone(), cfg, tenants).run()
     };
     let b_alone_goodput = b_alone.goodput[0];
 

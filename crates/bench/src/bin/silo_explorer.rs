@@ -37,15 +37,29 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The schedule in `path`, if it parses and fits the explorer's cell; a
+/// file that does neither is a bad input (exit status 2), not a panic
+/// inside `Sim::new`.
 fn load_plan(path: &str) -> FaultPlan {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("silo-explorer: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    FaultPlan::from_json(&text).unwrap_or_else(|e| {
+    let plan = FaultPlan::from_json(&text).unwrap_or_else(|e| {
         eprintln!("silo-explorer: {path}: {e}");
         std::process::exit(2);
-    })
+    });
+    let topo = silo_explorer::cell_topo();
+    if let Err(e) = plan.validate(
+        topo.num_links(),
+        topo.num_ports(),
+        topo.num_hosts(),
+        silo_explorer::cell_tenants().len(),
+    ) {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(2);
+    }
+    plan
 }
 
 /// Parse `--key value` / bare-flag options shared by all subcommands,

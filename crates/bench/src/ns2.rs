@@ -6,7 +6,7 @@
 use crate::args::{checked, Args};
 use crate::scenario::{build_ns2_population, NsClass, NsTenant, PlacerKind};
 use silo_base::{seeded_rng, Bytes, Dur};
-use silo_simnet::{Metrics, Sim, SimConfig, TransportMode};
+use silo_simnet::{Metrics, SimConfig, TransportMode};
 use silo_topology::{Topology, TreeParams};
 
 /// Result of one scheme's run(s): the placed tenants of the *last* run
@@ -105,7 +105,7 @@ pub fn run_ns2_cell_with(
     let mut cfg = SimConfig::new(cell.mode, Dur::from_ms(args.duration_ms), cell.seed);
     configure(&mut cfg);
     let specs = tenants.iter().map(|t| t.spec.clone()).collect();
-    let m = Sim::new(topo, checked(cfg), specs).run();
+    let m = checked(topo, cfg, specs).run();
     (tenants, m)
 }
 

@@ -14,7 +14,7 @@ use rand::Rng;
 use silo_base::{exponential, seeded_rng, Bytes, Dur, Rate, Time};
 use silo_placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo_simnet::{
-    AuditConfig, AuditReport, Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode,
+    AuditConfig, AuditReport, Metrics, SimConfig, TenantSpec, TenantWorkload, TransportMode,
 };
 use silo_topology::{HostId, PortId, Topology};
 
@@ -179,7 +179,7 @@ pub fn run_verify(
             ..AuditConfig::default()
         });
     }
-    let (m, simdbg) = Sim::new(topo.clone(), checked(cfg), specs).run_keep();
+    let (m, simdbg) = checked(topo.clone(), cfg, specs).run_keep();
     let peaks = simdbg.debug_port_peaks();
     let mut rows = Vec::new();
     let mut checked = 0;

@@ -64,7 +64,8 @@ fn corpus_is_canonical_and_non_trivial() {
             topo.num_ports(),
             topo.num_hosts(),
             cell_tenants().len(),
-        );
+        )
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }
 

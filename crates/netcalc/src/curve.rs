@@ -88,17 +88,10 @@ impl Curve {
     }
 
     /// Build a curve from raw lines (normalizing away dominated ones).
-    pub fn from_lines(lines: Vec<Line>) -> Curve {
-        assert!(!lines.is_empty(), "curve needs at least one line");
-        for l in &lines {
-            assert!(
-                l.rate >= 0.0 && l.burst >= 0.0 && l.rate.is_finite() && l.burst.is_finite(),
-                "curve lines must be non-negative and finite, got {l:?}"
-            );
-        }
-        let mut c = Curve { lines };
-        c.normalize();
-        c
+    pub fn from_lines(mut lines: Vec<Line>) -> Curve {
+        let kept = lower_envelope(&mut lines);
+        lines.truncate(kept);
+        Curve { lines }
     }
 
     /// The zero curve (a source that never sends).
@@ -117,11 +110,7 @@ impl Curve {
 
     /// `A(t)` in bytes; `t` in seconds, must be ≥ 0.
     pub fn eval(&self, t: f64) -> f64 {
-        debug_assert!(t >= 0.0);
-        self.lines
-            .iter()
-            .map(|l| l.eval(t))
-            .fold(f64::INFINITY, f64::min)
+        eval_lines(&self.lines, t)
     }
 
     /// Instantaneous burst `A(0)` — the smallest line intercept.
@@ -155,14 +144,7 @@ impl Curve {
     /// Breakpoint abscissae: `t = 0` plus each intersection where the active
     /// line changes, in increasing order.
     pub fn breakpoints(&self) -> Vec<f64> {
-        let mut ts = vec![0.0];
-        for w in self.lines.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            // a.rate > b.rate and a.burst < b.burst by the invariant.
-            let t = (b.burst - a.burst) / (a.rate - b.rate);
-            ts.push(t);
-        }
-        ts
+        breakpoints_of(&self.lines).collect()
     }
 
     /// Pointwise minimum of two curves — e.g. capping a curve by a link's
@@ -224,57 +206,88 @@ impl Curve {
                 .collect(),
         )
     }
+}
 
-    /// Restore the invariant: keep exactly the lower envelope on `t ≥ 0`.
-    fn normalize(&mut self) {
-        // 1. Pareto-prune: a line with both rate ≥ and burst ≥ another is
-        //    never strictly below it on t ≥ 0. Ties on rate break by
-        //    burst so the cheaper duplicate is scanned (and kept) first —
-        //    otherwise two equal-rate lines could both survive and the
-        //    hull pass below would divide by their zero rate difference.
-        self.lines.sort_by(|a, b| {
-            a.rate
-                .partial_cmp(&b.rate)
-                .unwrap()
-                .then(a.burst.partial_cmp(&b.burst).unwrap())
-        });
-        let mut pareto: Vec<Line> = Vec::with_capacity(self.lines.len());
-        // Scan from shallowest to steepest; keep a line only if its burst is
-        // strictly below every burst seen so far (shallower lines).
-        let mut min_burst = f64::INFINITY;
-        for &l in self.lines.iter() {
-            if l.burst < min_burst - 1e-12 {
-                pareto.push(l);
-                min_burst = l.burst;
-            } else if pareto.is_empty() {
-                // Degenerate: duplicate rates — keep the cheaper burst.
-                pareto.push(l);
-                min_burst = l.burst;
-            }
-        }
-        // `pareto` is sorted by rate asc / burst desc; flip to rate desc.
-        pareto.reverse();
+/// `min` over `lines` at `t ≥ 0` — [`Curve::eval`] on a bare line set.
+pub(crate) fn eval_lines(lines: &[Line], t: f64) -> f64 {
+    debug_assert!(t >= 0.0);
+    lines
+        .iter()
+        .map(|l| l.eval(t))
+        .fold(f64::INFINITY, f64::min)
+}
 
-        // 2. Envelope-prune (convex hull trick for minima): drop any middle
-        //    line that is not strictly below the envelope of its neighbours
-        //    at their crossing.
-        let mut hull: Vec<Line> = Vec::with_capacity(pareto.len());
-        for l in pareto {
-            while hull.len() >= 2 {
-                let a = hull[hull.len() - 2];
-                let b = hull[hull.len() - 1];
-                // Crossing of a (steeper) and l (shallower).
-                let t_al = (l.burst - a.burst) / (a.rate - l.rate);
-                if b.eval(t_al) >= a.eval(t_al) - 1e-9 {
-                    hull.pop();
-                } else {
-                    break;
-                }
-            }
-            hull.push(l);
-        }
-        self.lines = hull;
+/// [`Curve::breakpoints`] of an already normalized line set, lazily.
+pub(crate) fn breakpoints_of(lines: &[Line]) -> impl Iterator<Item = f64> + '_ {
+    std::iter::once(0.0).chain(lines.windows(2).map(|w| {
+        let (a, b) = (w[0], w[1]);
+        // a.rate > b.rate and a.burst < b.burst by the invariant.
+        (b.burst - a.burst) / (a.rate - b.rate)
+    }))
+}
+
+/// Restore [`Curve`]'s invariant in place: reorder `lines` so that a
+/// prefix holds exactly the lower envelope on `t ≥ 0` (strictly decreasing
+/// rate, strictly increasing burst) and return that prefix's length. Works
+/// inside the slice, so a caller with a fixed handful of lines (see
+/// [`crate::backlog_bound_of_lines`]) never touches the allocator.
+pub(crate) fn lower_envelope(lines: &mut [Line]) -> usize {
+    assert!(!lines.is_empty(), "curve needs at least one line");
+    for l in lines.iter() {
+        assert!(
+            l.rate >= 0.0 && l.burst >= 0.0 && l.rate.is_finite() && l.burst.is_finite(),
+            "curve lines must be non-negative and finite, got {l:?}"
+        );
     }
+    // 1. Pareto-prune: a line with both rate ≥ and burst ≥ another is
+    //    never strictly below it on t ≥ 0. Ties on rate break by
+    //    burst so the cheaper duplicate is scanned (and kept) first —
+    //    otherwise two equal-rate lines could both survive and the
+    //    hull pass below would divide by their zero rate difference.
+    lines.sort_by(|a, b| {
+        a.rate
+            .partial_cmp(&b.rate)
+            .unwrap()
+            .then(a.burst.partial_cmp(&b.burst).unwrap())
+    });
+    // Scan from shallowest to steepest; keep a line only if its burst is
+    // strictly below every burst seen so far (shallower lines). The first
+    // line always stays (any finite burst is below infinity).
+    let mut pareto = 0;
+    let mut min_burst = f64::INFINITY;
+    for i in 0..lines.len() {
+        let l = lines[i];
+        if l.burst < min_burst - 1e-12 {
+            lines[pareto] = l;
+            pareto += 1;
+            min_burst = l.burst;
+        }
+    }
+    // The survivors are sorted by rate asc / burst desc; flip to rate desc.
+    lines[..pareto].reverse();
+
+    // 2. Envelope-prune (convex hull trick for minima): drop any middle
+    //    line that is not strictly below the envelope of its neighbours
+    //    at their crossing. The hull is a stack in `lines[..hull]`, always
+    //    at or behind the line being read.
+    let mut hull = 0;
+    for i in 0..pareto {
+        let l = lines[i];
+        while hull >= 2 {
+            let a = lines[hull - 2];
+            let b = lines[hull - 1];
+            // Crossing of a (steeper) and l (shallower).
+            let t_al = (l.burst - a.burst) / (a.rate - l.rate);
+            if b.eval(t_al) >= a.eval(t_al) - 1e-9 {
+                hull -= 1;
+            } else {
+                break;
+            }
+        }
+        lines[hull] = l;
+        hull += 1;
+    }
+    hull
 }
 
 #[cfg(test)]
@@ -599,5 +612,71 @@ mod tests {
         // Breakpoint at t = 1.
         assert_eq!(c.slope_at(1.0), 2.0);
         assert_eq!(c.slope_at(0.999), 10.0);
+    }
+    /// Reference oracle: normalization as it stood before it worked in
+    /// place — a sorted copy, a Pareto vector, a hull vector.
+    fn lower_envelope_reference(lines: &[Line]) -> Vec<Line> {
+        let mut lines = lines.to_vec();
+        lines.sort_by(|a, b| {
+            a.rate
+                .partial_cmp(&b.rate)
+                .unwrap()
+                .then(a.burst.partial_cmp(&b.burst).unwrap())
+        });
+        let mut pareto: Vec<Line> = Vec::with_capacity(lines.len());
+        let mut min_burst = f64::INFINITY;
+        for &l in lines.iter() {
+            if l.burst < min_burst - 1e-12 || pareto.is_empty() {
+                pareto.push(l);
+                min_burst = l.burst;
+            }
+        }
+        pareto.reverse();
+        let mut hull: Vec<Line> = Vec::with_capacity(pareto.len());
+        for l in pareto {
+            while hull.len() >= 2 {
+                let a = hull[hull.len() - 2];
+                let b = hull[hull.len() - 1];
+                let t_al = (l.burst - a.burst) / (a.rate - l.rate);
+                if b.eval(t_al) >= a.eval(t_al) - 1e-9 {
+                    hull.pop();
+                } else {
+                    break;
+                }
+            }
+            hull.push(l);
+        }
+        hull
+    }
+
+    #[test]
+    fn in_place_envelope_matches_the_allocating_reference() {
+        use silo_base::prop::{self, Rng};
+        prop::forall(
+            "lower_envelope (in place) == reference (three vectors)",
+            |rng: &mut prop::StdRng| {
+                // Few distinct rates and bursts: ties, duplicates and
+                // dominated lines are the interesting inputs.
+                (0..rng.random_range(1..8usize))
+                    .map(|_| Line {
+                        rate: f64::from(rng.random_range(0..5u32)) * 1e8
+                            + f64::from(rng.random_range(0..2u32)) * rng.random::<f64>(),
+                        burst: f64::from(rng.random_range(0..5u32)) * 1500.0
+                            + f64::from(rng.random_range(0..2u32)) * rng.random::<f64>(),
+                    })
+                    .collect::<Vec<Line>>()
+            },
+            |lines| prop::shrink_vec(lines, |_| Vec::new()),
+            |lines| {
+                let want = lower_envelope_reference(lines);
+                let mut got = lines.clone();
+                let kept = lower_envelope(&mut got);
+                if got[..kept] == want[..] {
+                    Ok(())
+                } else {
+                    Err(format!("in place {:?} != reference {want:?}", &got[..kept]))
+                }
+            },
+        );
     }
 }

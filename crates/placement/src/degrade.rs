@@ -29,9 +29,9 @@
 //! LaaS-style full re-placement of every tenant.
 
 use crate::guarantee::TenantRequest;
-use crate::placer::{greedy_place_spread, RejectReason, TenantId};
+use crate::placer::{RejectReason, TenantId};
 use crate::silo::{SiloPlacer, TenantRecord};
-use silo_topology::{HostId, Level, LinkId};
+use silo_topology::{HostId, Level, LinkId, PortId};
 
 /// What happened to one tenant during a failure or restoration sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,58 +108,6 @@ impl SiloPlacer {
             .or_else(|| self.degraded.get(&t).map(|r| r.hosts.as_slice()))
     }
 
-    /// Why re-admission of `req` failed, mirroring `try_place`'s reason
-    /// taxonomy.
-    fn reject_reason(&self, req: &TenantRequest) -> RejectReason {
-        let fits_host = req.vms <= self.topo.slots_per_server() && req.min_fault_domains <= 1;
-        if self.max_level(req).is_none() && !fits_host {
-            RejectReason::DelayUnsatisfiable
-        } else if self.slots.total_free() < req.vms {
-            RejectReason::InsufficientSlots
-        } else {
-            RejectReason::NetworkUnsatisfiable
-        }
-    }
-
-    /// Ordinary admission of `req` under the current (possibly degraded)
-    /// topology, keeping the existing tenant id.
-    fn readmit(
-        &mut self,
-        id: TenantId,
-        req: &TenantRequest,
-    ) -> Option<(Vec<(HostId, usize)>, Level)> {
-        let max_level = match self.max_level(req) {
-            Some(l) => l,
-            None if req.vms <= self.topo.slots_per_server() && req.min_fault_domains <= 1 => {
-                Level::SameHost
-            }
-            None => return None,
-        };
-        let (cand, level) = greedy_place_spread(
-            &self.topo,
-            self.search_slots(),
-            req.vms,
-            max_level,
-            req.min_fault_domains,
-            &mut |cand, lvl| self.check_candidate(cand, lvl, req).is_some(),
-        )?;
-        let contribs = self
-            .check_candidate(&cand, level, req)
-            .expect("accepted candidate must re-check");
-        self.add_contribs(id, &contribs);
-        self.alloc_slots(&cand);
-        self.tenants.insert(
-            id,
-            TenantRecord {
-                hosts: cand.clone(),
-                contribs,
-                req: *req,
-                level,
-            },
-        );
-        Some((cand, level))
-    }
-
     /// A link fails. Reclaims the reservations and slots of every tenant
     /// whose placement depends on it, then re-admits each against the
     /// degraded topology (reclaim-then-readmit); tenants that no longer
@@ -181,11 +129,18 @@ impl SiloPlacer {
         // slots up front would let an earlier-id tenant re-place onto
         // them and double-book the server (a real over-allocation this
         // crate's differential churn suite caught).
-        let affected: Vec<TenantId> = self
-            .tenants
+        //
+        // Who is affected is read off the failed link's up port, not
+        // swept out of every resident tenant: a tenant split by `link`
+        // has some but not all of its VMs below it, which is exactly when
+        // admission recorded a contribution there, and the port's index
+        // is in id order. Every resident tenant was connected before this
+        // failure (admission and both sweeps check it), so none outside
+        // that list can be affected.
+        let affected: Vec<TenantId> = self.port_index[PortId::up(link).0 as usize]
             .iter()
-            .filter(|(_, r)| !self.candidate_connected(&r.hosts))
-            .map(|(&t, _)| t)
+            .map(|&(t, _)| t)
+            .filter(|t| !self.topo.connected(&self.tenants[t].hosts, &self.failed))
             .collect();
         let mut reclaimed: Vec<(TenantId, TenantRecord)> = Vec::new();
         for &t in &affected {
@@ -198,12 +153,11 @@ impl SiloPlacer {
         let mut outcomes = Vec::new();
         for (t, rec) in reclaimed {
             self.release_slots(&rec.hosts);
-            match self.readmit(t, &rec.req) {
-                Some((hosts, span)) => {
+            match self.place_as(t, &rec.req) {
+                Ok((hosts, span)) => {
                     outcomes.push((t, DegradeOutcome::Replaced { hosts, span }));
                 }
-                None => {
-                    let reason = self.reject_reason(&rec.req);
+                Err(reason) => {
                     // Best-effort keeps the VMs where they were; the
                     // release just above guarantees this re-alloc fits.
                     self.alloc_slots(&rec.hosts);
@@ -237,7 +191,8 @@ impl SiloPlacer {
             let rec = self.degraded.remove(&t).expect("degraded tenant exists");
             // Cheapest first: original hosts, original span. The slots
             // are still allocated; only the reservations must re-check.
-            if let Some(contribs) = self.check_candidate(&rec.hosts, rec.level, &rec.req) {
+            let mut contribs = Vec::new();
+            if self.check_candidate(&rec.hosts, rec.level, &rec.req, &mut contribs) {
                 self.add_contribs(t, &contribs);
                 self.tenants.insert(
                     t,
@@ -254,12 +209,11 @@ impl SiloPlacer {
             // In-place failed (e.g. re-admitted tenants took the budget):
             // try anywhere.
             self.release_slots(&rec.hosts);
-            match self.readmit(t, &rec.req) {
-                Some((hosts, span)) => {
+            match self.place_as(t, &rec.req) {
+                Ok((hosts, span)) => {
                     outcomes.push((t, DegradeOutcome::Replaced { hosts, span }));
                 }
-                None => {
-                    let reason = self.reject_reason(&rec.req);
+                Err(reason) => {
                     self.alloc_slots(&rec.hosts);
                     self.degraded.insert(t, DegradedRecord { reason, ..rec });
                     outcomes.push((t, DegradeOutcome::StillDegraded { reason }));
@@ -412,6 +366,46 @@ mod tests {
         assert_eq!(p1, p2);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
+    }
+
+    /// `fail_link` reads the tenants a failure splits off the failed
+    /// link's up-port index instead of testing every resident tenant: on a
+    /// loaded placer the two must agree for every link of the tree, in
+    /// order.
+    #[test]
+    fn up_port_index_lists_exactly_the_tenants_a_link_splits() {
+        use silo_base::prop::Rng;
+        let topo = Topology::build(TreeParams::ns2_scaled(0.1));
+        let mut p = SiloPlacer::new(topo.clone());
+        let mut rng = silo_base::seeded_rng(7);
+        let mut placed = Vec::new();
+        for _ in 0..400 {
+            let vms = rng.random_range(1..13usize);
+            let req = small_req(vms).with_fault_domains(rng.random_range(1..vms + 1));
+            if let Ok(pl) = p.try_place(&req) {
+                placed.push(pl.tenant);
+            }
+            if rng.random_bool(0.3) && !placed.is_empty() {
+                let victim = placed.swap_remove(rng.random_range(0..placed.len()));
+                assert!(p.remove(victim));
+            }
+        }
+        let mut split_somewhere = 0;
+        for l in (0..topo.num_links()).map(|l| LinkId(l as u32)) {
+            let swept: Vec<TenantId> = p
+                .tenants
+                .iter()
+                .filter(|(_, r)| !topo.connected(&r.hosts, &[l]))
+                .map(|(&t, _)| t)
+                .collect();
+            let indexed: Vec<TenantId> = p.port_index[PortId::up(l).0 as usize]
+                .iter()
+                .map(|&(t, _)| t)
+                .collect();
+            assert_eq!(indexed, swept, "{l:?}");
+            split_somewhere += usize::from(!swept.is_empty());
+        }
+        assert!(split_somewhere > topo.num_hosts() / 2, "{split_somewhere}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-port load accumulators and the O(1) admission check (constraint C1).
 
 use silo_base::{Bytes, Dur, Rate};
-use silo_netcalc::{backlog_bound, Curve, Line, ServiceCurve};
+use silo_netcalc::{backlog_bound_of_lines, Line, ServiceCurve};
 
 /// Headroom factor on every sustained-rate admission check: reservations
 /// may claim at most this fraction of a line's rate. A port reserved to
@@ -144,16 +144,16 @@ impl PortLoad {
         self.mtu_bytes = self.mtu_bytes.max(0.0);
     }
 
-    /// The two-line aggregate arrival curve this load implies, with the
-    /// burst rate capped by the switch's physical ingress capacity.
-    pub fn curve(&self, ingress_cap: Rate) -> Curve {
+    /// The two lines whose minimum is this load's aggregate arrival curve,
+    /// with the burst rate capped by the switch's physical ingress capacity.
+    fn lines(&self, ingress_cap: Rate) -> [Line; 2] {
         let cap = ingress_cap.bytes_per_sec();
         let r1 = if self.unbounded > 0 {
             cap
         } else {
             self.burst_rate.min(cap)
         };
-        Curve::from_lines(vec![
+        [
             Line {
                 rate: r1,
                 burst: self.mtu_bytes,
@@ -162,15 +162,17 @@ impl PortLoad {
                 rate: self.rate,
                 burst: self.burst.max(self.mtu_bytes),
             },
-        ])
+        ]
     }
 
     /// Worst-case buffer occupancy at a port with the given line rate and
     /// ingress capacity; `None` when the sustained rate alone oversubscribes
-    /// the line (unbounded queue).
+    /// the line (unbounded queue). Every admission check of every candidate
+    /// port lands here, so the bound is taken on the two lines directly: the
+    /// bits of `backlog_bound` on the `Curve` of those lines, without one.
     pub fn backlog(&self, line: Rate, ingress_cap: Rate) -> Option<Bytes> {
         let svc = ServiceCurve::constant_rate(line);
-        backlog_bound(&self.curve(ingress_cap), &svc).map(|b| Bytes(b.round() as u64))
+        backlog_bound_of_lines(self.lines(ingress_cap), &svc).map(|b| Bytes(b.round() as u64))
     }
 
     /// Constraint C1: does the worst case fit the port buffer?
@@ -203,6 +205,13 @@ impl PortLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silo_netcalc::{backlog_bound, Curve};
+
+    /// The two-line aggregate arrival curve a load implies: what
+    /// `PortLoad::backlog` bounds, as a `Curve` to hold it to.
+    fn curve(l: &PortLoad, ingress_cap: Rate) -> Curve {
+        Curve::from_lines(l.lines(ingress_cap).to_vec())
+    }
 
     fn class_a_cut(m: usize, n: usize, prior: &[Dur]) -> Contribution {
         Contribution::for_cut(
@@ -323,12 +332,53 @@ mod tests {
         );
     }
 
+    /// `backlog` bounds the load's two lines in place; the bound of the
+    /// `Curve` built from them is the definition it must reproduce bit
+    /// for bit (including which loads have no bound at all).
+    #[test]
+    fn backlog_is_the_bound_of_the_curve() {
+        use silo_base::prop::{self, Rng};
+        prop::forall(
+            "PortLoad::backlog == backlog_bound(curve)",
+            |rng| {
+                // Rates around a 10 G line (1.25e9 B/s), equal lines, zero
+                // loads and burst-rate-below-rate all included.
+                let rate = |rng: &mut prop::StdRng| match rng.random_range(0..4u32) {
+                    0 => 0.0,
+                    1 => 1.25e9,
+                    _ => rng.random::<f64>() * 2.5e9,
+                };
+                let load = PortLoad {
+                    rate: rate(rng),
+                    burst: rng.random::<f64>() * 1e6 * f64::from(rng.random_range(0..2u32)),
+                    burst_rate: rate(rng),
+                    mtu_bytes: 1500.0 * f64::from(rng.random_range(0..40u32)),
+                    unbounded: rng.random_range(0..2u32),
+                };
+                let cap = Rate::from_gbps(rng.random_range(1..400u64));
+                (load, cap)
+            },
+            |_| Vec::new(),
+            |&(load, cap)| {
+                let line = Rate::from_gbps(10);
+                let svc = ServiceCurve::constant_rate(line);
+                let want = backlog_bound(&curve(&load, cap), &svc).map(|b| Bytes(b.round() as u64));
+                let got = load.backlog(line, cap);
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!("in place {got:?} != via Curve {want:?}"))
+                }
+            },
+        );
+    }
+
     #[test]
     fn unbounded_contribution_uses_ingress_cap() {
         let c = class_a_cut(6, 9, &[Dur::from_us(250)]);
         let l = PortLoad::default().with(&c);
         // burst_rate sum says 6 Gbps, but the flag forces the cap (80 G).
-        let curve = l.curve(Rate::from_gbps(80));
+        let curve = curve(&l, Rate::from_gbps(80));
         assert!((curve.slope_at(0.0) - 1e10).abs() < 1.0);
     }
 

@@ -41,15 +41,17 @@ impl Placer for LocalityPlacer {
     }
 
     fn try_place(&mut self, req: &TenantRequest) -> Result<Placement, RejectReason> {
+        let mut cand = Vec::new();
         let found = greedy_place_spread(
             &self.topo,
             &self.slots,
             req.vms,
             Level::CrossPod,
             req.min_fault_domains,
+            &mut cand,
             &mut |_, _| true,
         );
-        let Some((cand, level)) = found else {
+        let Some(level) = found else {
             return Err(RejectReason::InsufficientSlots);
         };
         self.slots.alloc(&self.topo, &cand);

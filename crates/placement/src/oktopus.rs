@@ -40,27 +40,29 @@ impl OktopusPlacer {
         }
     }
 
+    /// Does the candidate's hose reservation fit every port between its
+    /// hosts? Leaves the reservations in `out` (meaningless on false).
     fn check_candidate(
         &self,
         cand: &[(HostId, usize)],
         req: &TenantRequest,
-    ) -> Option<Vec<(PortId, f64)>> {
+        out: &mut Vec<(PortId, f64)>,
+    ) -> bool {
+        out.clear();
         let n = req.vms;
-        let hosts: Vec<HostId> = cand.iter().map(|&(h, _)| h).collect();
-        let mut out = Vec::new();
-        for p in self.topo.ports_between(&hosts) {
-            let m = self.topo.vms_on_sending_side(p, cand);
+        for p in self.topo.ports_between(cand) {
+            let (m, _) = self.topo.cut_stats(p, cand);
             if m == 0 || m >= n {
                 continue;
             }
             let need = req.guarantee.b.bytes_per_sec() * m.min(n - m) as f64;
             let line = self.topo.port(p).rate.bytes_per_sec();
             if self.reserved[p.0 as usize] + need > line * (1.0 + 1e-9) {
-                return None;
+                return false;
             }
             out.push((p, need));
         }
-        Some(out)
+        true
     }
 
     /// Fraction of a port's capacity reserved (for utilization reports).
@@ -80,24 +82,24 @@ impl Placer for OktopusPlacer {
 
     fn try_place(&mut self, req: &TenantRequest) -> Result<Placement, RejectReason> {
         let n = req.vms;
+        let mut cand = Vec::new();
+        let mut reservations = Vec::new();
         let found = greedy_place_spread(
             &self.topo,
             &self.slots,
             n,
             Level::CrossPod,
             req.min_fault_domains,
-            &mut |cand, _| self.check_candidate(cand, req).is_some(),
+            &mut cand,
+            &mut |cand, _| self.check_candidate(cand, req, &mut reservations),
         );
-        let Some((cand, level)) = found else {
+        let Some(level) = found else {
             return Err(if self.slots.total_free() < n {
                 RejectReason::InsufficientSlots
             } else {
                 RejectReason::NetworkUnsatisfiable
             });
         };
-        let reservations = self
-            .check_candidate(&cand, req)
-            .expect("accepted candidate must re-check");
         for (p, r) in &reservations {
             self.reserved[p.0 as usize] += r;
         }

@@ -118,31 +118,39 @@ impl SlotMap {
     }
 }
 
-/// Distribute `n` VMs over `hosts` (in order), at most `cap` per host and
-/// never more than a host's free slots. Returns `None` if they don't fit.
+/// Distribute `n` VMs over the hosts of `racks` (both in order), at most
+/// `cap` per host and never more than a host's free slots, into `out`.
+/// Returns false if they don't fit. A rack with no free slot is passed
+/// over whole: each of its hosts would have taken zero VMs.
 pub(crate) fn distribute(
+    topo: &Topology,
     slots: &SlotMap,
-    hosts: impl Iterator<Item = HostId>,
+    racks: impl Iterator<Item = usize>,
     n: usize,
     cap: usize,
-) -> Option<Vec<(HostId, usize)>> {
+    out: &mut Vec<(HostId, usize)>,
+) -> bool {
+    out.clear();
     let mut left = n;
-    let mut out = Vec::new();
-    for h in hosts {
+    for rack in racks {
         if left == 0 {
             break;
         }
-        let k = slots.free_host(h).min(cap).min(left);
-        if k > 0 {
-            out.push((h, k));
-            left -= k;
+        if slots.free_rack(rack) == 0 {
+            continue;
+        }
+        for h in topo.hosts_in_rack(rack) {
+            if left == 0 {
+                break;
+            }
+            let k = slots.free_host(h).min(cap).min(left);
+            if k > 0 {
+                out.push((h, k));
+                left -= k;
+            }
         }
     }
-    if left == 0 {
-        Some(out)
-    } else {
-        None
-    }
+    left == 0
 }
 
 /// Greedy height-minimizing placement (paper §4.2.3): try a single server,
@@ -154,14 +162,27 @@ pub(crate) fn distribute(
 /// `check(placement, level)` validates the candidate against the placer's
 /// network constraints. `min_hosts` is the fault-domain constraint: the
 /// tenant must span at least that many servers (`1` disables it).
+///
+/// Candidates are built in `cand`, the caller's buffer: on success it
+/// holds the accepted placement (whose `check` call was the last one made),
+/// on failure its contents are meaningless.
+///
+/// The subtrees a level walks are pruned with the [`SlotMap`] aggregates,
+/// and only where the walk could not have produced a candidate: a host
+/// never has more free slots than it has slots, or than its rack, nor a
+/// rack than its pod, so a rack or pod with fewer than `n` free slots holds
+/// no server with `n`, and one with none adds nothing to a distribution.
+/// `check` therefore sees the candidates of the plain host-by-host walk, in
+/// its order.
 pub(crate) fn greedy_place_spread<F>(
     topo: &Topology,
     slots: &SlotMap,
     n: usize,
     max_level: Level,
     min_hosts: usize,
+    cand: &mut Vec<(HostId, usize)>,
     check: &mut F,
-) -> Option<(Vec<(HostId, usize)>, Level)>
+) -> Option<Level>
 where
     F: FnMut(&[(HostId, usize)], Level) -> bool,
 {
@@ -170,15 +191,24 @@ where
         // Capping per-server density at ceil(n / min_hosts) forces the
         // distribution across at least `min_hosts` servers.
         .min(n.div_ceil(min_hosts.max(1)));
+    let mut search = Search {
+        topo,
+        slots,
+        n,
+        spp,
+        cand,
+        check,
+    };
 
-    // Level 0: one server (only without a spread requirement).
-    if min_hosts <= 1 {
-        for h in 0..topo.num_hosts() {
-            let h = HostId(h as u32);
-            if slots.free_host(h) >= n {
-                let cand = vec![(h, n)];
-                if check(&cand, Level::SameHost) {
-                    return Some((cand, Level::SameHost));
+    // Level 0: one server (only without a spread requirement, and only a
+    // tenant no bigger than a server: no host has more free slots).
+    if min_hosts <= 1 && n <= topo.slots_per_server() {
+        for pod in (0..topo.num_pods()).filter(|&p| slots.free_pod(p) >= n) {
+            for rack in topo.racks_in_pod(pod).filter(|&r| slots.free_rack(r) >= n) {
+                for h in topo.hosts_in_rack(rack) {
+                    if slots.free_host(h) >= n && search.offer_host(h) {
+                        return Some(Level::SameHost);
+                    }
                 }
             }
         }
@@ -186,61 +216,79 @@ where
 
     // Level 1: one rack.
     if max_level >= Level::SameRack {
-        for rack in 0..topo.num_racks() {
-            if slots.free_rack(rack) < n {
-                continue;
-            }
-            for cap in (1..=spp).rev() {
-                if let Some(cand) = distribute(slots, topo.hosts_in_rack(rack), n, cap) {
-                    if check(&cand, Level::SameRack) {
-                        return Some((cand, Level::SameRack));
-                    }
-                } else {
-                    break; // lower caps fit even less
-                }
+        for rack in (0..topo.num_racks()).filter(|&r| slots.free_rack(r) >= n) {
+            if search.relax(std::iter::once(rack), Level::SameRack) {
+                return Some(Level::SameRack);
             }
         }
     }
 
     // Level 2: one pod.
     if max_level >= Level::SamePod {
-        for pod in 0..topo.num_pods() {
-            if slots.free_pod(pod) < n {
-                continue;
-            }
-            for cap in (1..=spp).rev() {
-                let hosts = topo.racks_in_pod(pod).flat_map(|r| topo.hosts_in_rack(r));
-                if let Some(cand) = distribute(slots, hosts, n, cap) {
-                    if check(&cand, Level::SamePod) {
-                        return Some((cand, Level::SamePod));
-                    }
-                } else {
-                    break;
-                }
+        for pod in (0..topo.num_pods()).filter(|&p| slots.free_pod(p) >= n) {
+            if search.relax(topo.racks_in_pod(pod), Level::SamePod) {
+                return Some(Level::SamePod);
             }
         }
     }
 
     // Level 3: anywhere.
     if max_level >= Level::CrossPod && slots.total_free() >= n {
-        for cap in (1..=spp).rev() {
-            let hosts = (0..topo.num_hosts()).map(|h| HostId(h as u32));
-            if let Some(cand) = distribute(slots, hosts, n, cap) {
-                if check(&cand, Level::CrossPod) {
-                    return Some((cand, Level::CrossPod));
-                }
-            } else {
-                break;
-            }
+        let racks = (0..topo.num_pods())
+            .filter(|&p| slots.free_pod(p) > 0)
+            .flat_map(|p| topo.racks_in_pod(p));
+        if search.relax(racks, Level::CrossPod) {
+            return Some(Level::CrossPod);
         }
     }
 
     None
 }
 
+/// What every level of one [`greedy_place_spread`] call shares.
+struct Search<'a, F> {
+    topo: &'a Topology,
+    slots: &'a SlotMap,
+    n: usize,
+    /// Densest packing tried: VMs per server.
+    spp: usize,
+    cand: &'a mut Vec<(HostId, usize)>,
+    check: &'a mut F,
+}
+
+impl<F> Search<'_, F>
+where
+    F: FnMut(&[(HostId, usize)], Level) -> bool,
+{
+    /// Offer `check` the single-server candidate on `h`.
+    fn offer_host(&mut self, h: HostId) -> bool {
+        self.cand.clear();
+        self.cand.push((h, self.n));
+        (self.check)(self.cand, Level::SameHost)
+    }
+
+    /// One subtree's candidates: pack the VMs over `racks` at most `cap`
+    /// per server, relaxing `cap` from `spp` down to 1, until `check`
+    /// accepts one (true) or the VMs stop fitting (lower caps fit even
+    /// less).
+    fn relax(&mut self, racks: impl Iterator<Item = usize> + Clone, level: Level) -> bool {
+        for cap in (1..=self.spp).rev() {
+            let fits = distribute(self.topo, self.slots, racks.clone(), self.n, cap, self.cand);
+            if !fits {
+                return false;
+            }
+            if (self.check)(self.cand, level) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silo_base::prop;
     use silo_topology::TreeParams;
 
     fn topo() -> Topology {
@@ -251,6 +299,20 @@ mod tests {
             vm_slots_per_server: 4,
             ..TreeParams::ns2_paper()
         })
+    }
+
+    /// `greedy_place_spread` with a fresh buffer, returning the candidate.
+    fn greedy(
+        t: &Topology,
+        s: &SlotMap,
+        n: usize,
+        max_level: Level,
+        min_hosts: usize,
+        mut check: impl FnMut(&[(HostId, usize)], Level) -> bool,
+    ) -> Option<(Vec<(HostId, usize)>, Level)> {
+        let mut cand = Vec::new();
+        greedy_place_spread(t, s, n, max_level, min_hosts, &mut cand, &mut check)
+            .map(|lvl| (cand, lvl))
     }
 
     #[test]
@@ -273,17 +335,17 @@ mod tests {
         let t = topo();
         let mut s = SlotMap::new(&t);
         s.alloc(&t, &[(HostId(0), 4)]); // host 0 full
-        let d = distribute(&s, t.hosts_in_rack(0), 6, 3).unwrap();
+        let mut d = Vec::new();
+        assert!(distribute(&t, &s, std::iter::once(0), 6, 3, &mut d));
         assert_eq!(d, vec![(HostId(1), 3), (HostId(2), 3)]);
-        assert_eq!(distribute(&s, t.hosts_in_rack(0), 9, 4), None);
+        assert!(!distribute(&t, &s, std::iter::once(0), 9, 4, &mut d));
     }
 
     #[test]
     fn greedy_prefers_single_server() {
         let t = topo();
         let s = SlotMap::new(&t);
-        let (cand, lvl) =
-            greedy_place_spread(&t, &s, 3, Level::CrossPod, 1, &mut |_, _| true).unwrap();
+        let (cand, lvl) = greedy(&t, &s, 3, Level::CrossPod, 1, |_, _| true).unwrap();
         assert_eq!(lvl, Level::SameHost);
         assert_eq!(cand, vec![(HostId(0), 3)]);
     }
@@ -292,8 +354,7 @@ mod tests {
     fn greedy_escalates_to_rack() {
         let t = topo();
         let s = SlotMap::new(&t);
-        let (cand, lvl) =
-            greedy_place_spread(&t, &s, 10, Level::CrossPod, 1, &mut |_, _| true).unwrap();
+        let (cand, lvl) = greedy(&t, &s, 10, Level::CrossPod, 1, |_, _| true).unwrap();
         assert_eq!(lvl, Level::SameRack);
         assert_eq!(cand.iter().map(|(_, k)| k).sum::<usize>(), 10);
     }
@@ -303,8 +364,8 @@ mod tests {
         let t = topo();
         let s = SlotMap::new(&t);
         // 13 VMs don't fit a rack (12 slots); capped at rack level -> None.
-        assert!(greedy_place_spread(&t, &s, 13, Level::SameRack, 1, &mut |_, _| true).is_none());
-        assert!(greedy_place_spread(&t, &s, 13, Level::SamePod, 1, &mut |_, _| true).is_some());
+        assert!(greedy(&t, &s, 13, Level::SameRack, 1, |_, _| true).is_none());
+        assert!(greedy(&t, &s, 13, Level::SamePod, 1, |_, _| true).is_some());
     }
 
     #[test]
@@ -312,7 +373,7 @@ mod tests {
         let t = topo();
         let s = SlotMap::new(&t);
         // Reject any placement that puts more than 2 VMs on one host.
-        let (cand, lvl) = greedy_place_spread(&t, &s, 6, Level::CrossPod, 1, &mut |cand, _| {
+        let (cand, lvl) = greedy(&t, &s, 6, Level::CrossPod, 1, |cand, _| {
             cand.iter().all(|&(_, k)| k <= 2)
         })
         .unwrap();
@@ -325,14 +386,12 @@ mod tests {
         let t = topo();
         let s = SlotMap::new(&t);
         // 4 VMs, at least 2 servers: never a single-server placement.
-        let (cand, lvl) =
-            greedy_place_spread(&t, &s, 4, Level::CrossPod, 2, &mut |_, _| true).unwrap();
+        let (cand, lvl) = greedy(&t, &s, 4, Level::CrossPod, 2, |_, _| true).unwrap();
         assert!(cand.len() >= 2, "{cand:?}");
         assert_eq!(lvl, Level::SameRack);
         assert!(cand.iter().all(|&(_, k)| k <= 2));
         // min_hosts = n means one VM per server.
-        let (cand, _) =
-            greedy_place_spread(&t, &s, 3, Level::CrossPod, 3, &mut |_, _| true).unwrap();
+        let (cand, _) = greedy(&t, &s, 3, Level::CrossPod, 3, |_, _| true).unwrap();
         assert_eq!(cand.len(), 3);
         assert!(cand.iter().all(|&(_, k)| k == 1));
     }
@@ -355,6 +414,296 @@ mod tests {
         let mut s = SlotMap::new(&t);
         let all: Vec<_> = (0..t.num_hosts()).map(|h| (HostId(h as u32), 4)).collect();
         s.alloc(&t, &all);
-        assert!(greedy_place_spread(&t, &s, 1, Level::CrossPod, 1, &mut |_, _| true).is_none());
+        assert!(greedy(&t, &s, 1, Level::CrossPod, 1, |_, _| true).is_none());
+    }
+
+    // Reference oracle: the search as it stood before it learnt to prune —
+    // every host of every subtree walked one by one, a fresh vector per
+    // candidate — kept to check the pruned search against.
+
+    fn distribute_reference(
+        slots: &SlotMap,
+        hosts: impl Iterator<Item = HostId>,
+        n: usize,
+        cap: usize,
+    ) -> Option<Vec<(HostId, usize)>> {
+        let mut left = n;
+        let mut out = Vec::new();
+        for h in hosts {
+            if left == 0 {
+                break;
+            }
+            let k = slots.free_host(h).min(cap).min(left);
+            if k > 0 {
+                out.push((h, k));
+                left -= k;
+            }
+        }
+        (left == 0).then_some(out)
+    }
+
+    fn greedy_place_spread_reference<F>(
+        topo: &Topology,
+        slots: &SlotMap,
+        n: usize,
+        max_level: Level,
+        min_hosts: usize,
+        check: &mut F,
+    ) -> Option<(Vec<(HostId, usize)>, Level)>
+    where
+        F: FnMut(&[(HostId, usize)], Level) -> bool,
+    {
+        let spp = topo.slots_per_server().min(n.div_ceil(min_hosts.max(1)));
+        if min_hosts <= 1 {
+            for h in 0..topo.num_hosts() {
+                let h = HostId(h as u32);
+                if slots.free_host(h) >= n {
+                    let cand = vec![(h, n)];
+                    if check(&cand, Level::SameHost) {
+                        return Some((cand, Level::SameHost));
+                    }
+                }
+            }
+        }
+        if max_level >= Level::SameRack {
+            for rack in 0..topo.num_racks() {
+                if slots.free_rack(rack) < n {
+                    continue;
+                }
+                for cap in (1..=spp).rev() {
+                    let Some(cand) = distribute_reference(slots, topo.hosts_in_rack(rack), n, cap)
+                    else {
+                        break;
+                    };
+                    if check(&cand, Level::SameRack) {
+                        return Some((cand, Level::SameRack));
+                    }
+                }
+            }
+        }
+        if max_level >= Level::SamePod {
+            for pod in 0..topo.num_pods() {
+                if slots.free_pod(pod) < n {
+                    continue;
+                }
+                for cap in (1..=spp).rev() {
+                    let hosts = topo.racks_in_pod(pod).flat_map(|r| topo.hosts_in_rack(r));
+                    let Some(cand) = distribute_reference(slots, hosts, n, cap) else {
+                        break;
+                    };
+                    if check(&cand, Level::SamePod) {
+                        return Some((cand, Level::SamePod));
+                    }
+                }
+            }
+        }
+        if max_level >= Level::CrossPod && slots.total_free() >= n {
+            for cap in (1..=spp).rev() {
+                let hosts = (0..topo.num_hosts()).map(|h| HostId(h as u32));
+                let Some(cand) = distribute_reference(slots, hosts, n, cap) else {
+                    break;
+                };
+                if check(&cand, Level::CrossPod) {
+                    return Some((cand, Level::CrossPod));
+                }
+            }
+        }
+        None
+    }
+
+    /// A random small tree with random occupancy, a request shape, and a
+    /// pseudo-random `check`: candidate number `i` of a search is accepted
+    /// when bit `i mod 64` of `accept` is set.
+    #[derive(Debug, Clone)]
+    struct Case {
+        pods: usize,
+        racks_per_pod: usize,
+        servers_per_rack: usize,
+        slots_per_server: usize,
+        /// Used slots per host, clamped to `slots_per_server`.
+        used: Vec<usize>,
+        n: usize,
+        max_level: Level,
+        min_hosts: usize,
+        accept: u64,
+    }
+
+    impl Case {
+        fn topo(&self) -> Topology {
+            Topology::build(TreeParams {
+                pods: self.pods,
+                racks_per_pod: self.racks_per_pod,
+                servers_per_rack: self.servers_per_rack,
+                vm_slots_per_server: self.slots_per_server,
+                ..TreeParams::ns2_paper()
+            })
+        }
+
+        fn slots(&self, t: &Topology) -> SlotMap {
+            let mut s = SlotMap::new(t);
+            for h in 0..t.num_hosts() {
+                let k = self.used.get(h).copied().unwrap_or(0);
+                s.alloc(t, &[(HostId(h as u32), k.min(self.slots_per_server))]);
+            }
+            s
+        }
+    }
+
+    const LEVELS: [Level; 4] = [
+        Level::SameHost,
+        Level::SameRack,
+        Level::SamePod,
+        Level::CrossPod,
+    ];
+
+    fn gen_case(rng: &mut prop::StdRng) -> Case {
+        use prop::Rng;
+        let pods = rng.random_range(1..4usize);
+        let racks_per_pod = rng.random_range(1..4usize);
+        let servers_per_rack = rng.random_range(1..4usize);
+        let slots_per_server = rng.random_range(1..5usize);
+        // Mostly-full trees make the aggregates bite: whole racks and pods
+        // with no room, or with exactly `n` free.
+        let fill = rng.random_range(0..4u32);
+        let used = (0..pods * racks_per_pod * servers_per_rack)
+            .map(|_| match fill {
+                0 => rng.random_range(0..slots_per_server + 1),
+                1 => slots_per_server - usize::from(rng.random_bool(0.3)),
+                2 => slots_per_server.saturating_sub(rng.random_range(0..3usize)),
+                _ => slots_per_server * usize::from(rng.random_bool(0.7)),
+            })
+            .collect();
+        Case {
+            pods,
+            racks_per_pod,
+            servers_per_rack,
+            slots_per_server,
+            used,
+            n: rng.random_range(1..10usize),
+            max_level: LEVELS[rng.random_range(0..4usize)],
+            min_hosts: rng.random_range(1..4usize),
+            // Reject-heavy, so searches run deep into the later levels.
+            accept: rng.random::<u64>() & rng.random::<u64>() & rng.random::<u64>(),
+        }
+    }
+
+    fn shrink_case(c: &Case) -> Vec<Case> {
+        let mut out = Vec::new();
+        let dims = [
+            (c.pods - 1, c.racks_per_pod, c.servers_per_rack),
+            (c.pods, c.racks_per_pod - 1, c.servers_per_rack),
+            (c.pods, c.racks_per_pod, c.servers_per_rack - 1),
+        ];
+        for (pods, racks_per_pod, servers_per_rack) in dims {
+            let hosts = pods * racks_per_pod * servers_per_rack;
+            if hosts > 0 {
+                out.push(Case {
+                    pods,
+                    racks_per_pod,
+                    servers_per_rack,
+                    used: c.used[..hosts].to_vec(),
+                    ..c.clone()
+                });
+            }
+        }
+        if c.slots_per_server > 1 {
+            out.push(Case {
+                slots_per_server: c.slots_per_server - 1,
+                ..c.clone()
+            });
+        }
+        for (i, &u) in c.used.iter().enumerate() {
+            // Towards full hosts: the fewer free slots, the simpler.
+            if u < c.slots_per_server {
+                let mut used = c.used.clone();
+                used[i] = c.slots_per_server;
+                out.push(Case { used, ..c.clone() });
+            }
+        }
+        if c.n > 1 {
+            out.push(Case {
+                n: c.n - 1,
+                ..c.clone()
+            });
+        }
+        if c.min_hosts > 1 {
+            out.push(Case {
+                min_hosts: c.min_hosts - 1,
+                ..c.clone()
+            });
+        }
+        if let Some(i) = LEVELS.iter().position(|&l| l == c.max_level) {
+            if i > 0 {
+                out.push(Case {
+                    max_level: LEVELS[i - 1],
+                    ..c.clone()
+                });
+            }
+        }
+        if c.accept != 0 {
+            out.push(Case {
+                accept: 0,
+                ..c.clone()
+            });
+            out.push(Case {
+                accept: c.accept & (c.accept - 1),
+                ..c.clone()
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn pruned_search_offers_check_the_reference_sequence() {
+        type Calls = Vec<(Vec<(HostId, usize)>, Level)>;
+        prop::forall(
+            "pruned greedy search == host-by-host reference, call for call",
+            gen_case,
+            shrink_case,
+            |c| {
+                let t = c.topo();
+                let s = c.slots(&t);
+                let run = |pruned: bool| {
+                    let mut calls: Calls = Vec::new();
+                    let mut check = |cand: &[(HostId, usize)], lvl: Level| {
+                        calls.push((cand.to_vec(), lvl));
+                        c.accept >> ((calls.len() - 1) % 64) & 1 == 1
+                    };
+                    let found = if pruned {
+                        greedy(&t, &s, c.n, c.max_level, c.min_hosts, &mut check)
+                    } else {
+                        greedy_place_spread_reference(
+                            &t,
+                            &s,
+                            c.n,
+                            c.max_level,
+                            c.min_hosts,
+                            &mut check,
+                        )
+                    };
+                    (found, calls)
+                };
+                let (got, got_calls) = run(true);
+                let (want, want_calls) = run(false);
+                if got != want {
+                    return Err(format!("result {got:?} != reference {want:?}"));
+                }
+                if got_calls != want_calls {
+                    let at = got_calls
+                        .iter()
+                        .zip(&want_calls)
+                        .position(|(a, b)| a != b)
+                        .unwrap_or(got_calls.len().min(want_calls.len()));
+                    return Err(format!(
+                        "check call {at}: {:?} != reference {:?} ({} vs {} calls)",
+                        got_calls.get(at),
+                        want_calls.get(at),
+                        got_calls.len(),
+                        want_calls.len()
+                    ));
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -67,23 +67,26 @@ impl TierCaps {
 
     /// Queue capacities of the switch ports a packet traverses *before*
     /// reaching a port of the given kind, on the worst-case path of a
-    /// tenant spanning `level`. The NIC never appears: pacer output is
-    /// conformant by construction.
-    fn prior_caps(&self, level: Level, kind: PortKind) -> Vec<Dur> {
+    /// tenant spanning `level`: the first `.1` entries of `.0`. The NIC
+    /// never appears: pacer output is conformant by construction.
+    fn prior_caps(&self, level: Level, kind: PortKind) -> ([Dur; 4], usize) {
+        let list = |caps: &[Dur]| {
+            let mut out = [Dur::ZERO; 4];
+            out[..caps.len()].copy_from_slice(caps);
+            (out, caps.len())
+        };
         match kind {
-            PortKind::NicUp | PortKind::TorUp => vec![],
-            PortKind::AggUp => vec![self.tor_up],
-            PortKind::AggDown => vec![self.tor_up, self.agg_up],
+            PortKind::NicUp | PortKind::TorUp => list(&[]),
+            PortKind::AggUp => list(&[self.tor_up]),
+            PortKind::AggDown => list(&[self.tor_up, self.agg_up]),
             PortKind::TorDown => match level {
-                Level::CrossPod => vec![self.tor_up, self.agg_up, self.agg_down],
-                _ => vec![self.tor_up],
+                Level::CrossPod => list(&[self.tor_up, self.agg_up, self.agg_down]),
+                _ => list(&[self.tor_up]),
             },
             PortKind::HostDown => match level {
-                Level::SameHost | Level::SameRack => vec![],
-                Level::SamePod => vec![self.tor_up, self.tor_down],
-                Level::CrossPod => {
-                    vec![self.tor_up, self.agg_up, self.agg_down, self.tor_down]
-                }
+                Level::SameHost | Level::SameRack => list(&[]),
+                Level::SamePod => list(&[self.tor_up, self.tor_down]),
+                Level::CrossPod => list(&[self.tor_up, self.agg_up, self.agg_down, self.tor_down]),
             },
         }
     }
@@ -147,6 +150,22 @@ pub struct SiloPlacer {
     pub(crate) next_id: u64,
     pub(crate) mtu: Bytes,
     caps: TierCaps,
+    /// The candidate under test and the contributions its check computed,
+    /// reused by every search so that only an accepted placement allocates
+    /// (its record's exact-size copies). Meaningless between calls.
+    scratch: Scratch,
+}
+
+#[derive(Default)]
+struct Scratch {
+    cand: Vec<(HostId, usize)>,
+    contribs: Vec<(PortId, Contribution)>,
+}
+
+/// A host whose access link is failed contributes no usable slots.
+/// `failed` is sorted.
+fn host_is_dead(topo: &Topology, failed: &[LinkId], h: HostId) -> bool {
+    failed.binary_search(&topo.host_link(h)).is_ok()
 }
 
 /// The left fold of a port's contribution list from the zero load — the
@@ -179,6 +198,7 @@ impl SiloPlacer {
             next_id: 0,
             mtu: Bytes(1500),
             caps,
+            scratch: Scratch::default(),
         }
     }
 
@@ -212,11 +232,6 @@ impl SiloPlacer {
         p.rebuild_mask();
         p.mask_rebuilds = 0;
         p
-    }
-
-    /// A host whose access link is failed contributes no usable slots.
-    fn host_is_dead(&self, h: HostId) -> bool {
-        !self.failed.is_empty() && self.failed.binary_search(&self.topo.host_link(h)).is_ok()
     }
 
     /// Index a tenant's contributions and fold them into the per-port
@@ -266,14 +281,11 @@ impl SiloPlacer {
     /// free there).
     pub(crate) fn alloc_slots(&mut self, placement: &[(HostId, usize)]) {
         self.slots.alloc(&self.topo, placement);
-        if self.masked.is_some() {
-            let live: Vec<(HostId, usize)> = placement
-                .iter()
-                .copied()
-                .filter(|&(h, _)| !self.host_is_dead(h))
-                .collect();
-            if let (Some(masked), false) = (self.masked.as_mut(), live.is_empty()) {
-                masked.alloc(&self.topo, &live);
+        if let Some(masked) = self.masked.as_mut() {
+            for &entry in placement {
+                if !host_is_dead(&self.topo, &self.failed, entry.0) {
+                    masked.alloc(&self.topo, &[entry]);
+                }
             }
         }
     }
@@ -283,14 +295,11 @@ impl SiloPlacer {
     /// until the link heals).
     pub(crate) fn release_slots(&mut self, placement: &[(HostId, usize)]) {
         self.slots.release(&self.topo, placement);
-        if self.masked.is_some() {
-            let live: Vec<(HostId, usize)> = placement
-                .iter()
-                .copied()
-                .filter(|&(h, _)| !self.host_is_dead(h))
-                .collect();
-            if let (Some(masked), false) = (self.masked.as_mut(), live.is_empty()) {
-                masked.release(&self.topo, &live);
+        if let Some(masked) = self.masked.as_mut() {
+            for &entry in placement {
+                if !host_is_dead(&self.topo, &self.failed, entry.0) {
+                    masked.release(&self.topo, &[entry]);
+                }
             }
         }
     }
@@ -307,7 +316,7 @@ impl SiloPlacer {
         }
         let dead: Vec<HostId> = (0..self.topo.num_hosts())
             .map(|h| HostId(h as u32))
-            .filter(|&h| self.host_is_dead(h))
+            .filter(|&h| host_is_dead(&self.topo, &self.failed, h))
             .collect();
         if dead.is_empty() {
             return;
@@ -370,46 +379,41 @@ impl SiloPlacer {
         self.masked.as_ref().unwrap_or(&self.slots)
     }
 
-    /// Every VM pair of the candidate can reach each other without
-    /// crossing a failed link (always true when nothing has failed).
-    pub(crate) fn candidate_connected(&self, cand: &[(HostId, usize)]) -> bool {
-        if self.failed.is_empty() {
-            return true;
-        }
-        let hosts: Vec<HostId> = cand.iter().map(|&(h, _)| h).collect();
-        hosts.iter().enumerate().all(|(i, &a)| {
-            hosts[i + 1..]
-                .iter()
-                .all(|&b| self.topo.path_intact(a, b, &self.failed))
-        })
-    }
-
-    /// The contributions a candidate placement would add, or `None` if some
-    /// port's constraint fails (or a failed link disconnects the tenant).
+    /// Does the candidate fit? Leaves in `out` the contributions it would
+    /// add; false if some port's constraint fails (or a failed link
+    /// disconnects the tenant), and `out` is then meaningless.
     pub(crate) fn check_candidate(
         &self,
         cand: &[(HostId, usize)],
         level: Level,
         req: &TenantRequest,
-    ) -> Option<Vec<(PortId, Contribution)>> {
-        if !self.candidate_connected(cand) {
-            return None;
+        out: &mut Vec<(PortId, Contribution)>,
+    ) -> bool {
+        out.clear();
+        if !self.topo.connected(cand, &self.failed) {
+            return false;
         }
         let n = req.vms;
         let g = &req.guarantee;
-        let hosts: Vec<HostId> = cand.iter().map(|&(h, _)| h).collect();
-        let mut out = Vec::new();
         let host_link = self.topo.params().host_link;
-        for p in self.topo.ports_between(&hosts) {
+        for p in self.topo.ports_between(cand) {
             let (m, sending_hosts) = self.topo.cut_stats(p, cand);
             if m == 0 || m >= n {
                 continue;
             }
             let kind = self.port_kind(p);
-            let prior = self.caps.prior_caps(level, kind);
+            let (prior, priors) = self.caps.prior_caps(level, kind);
             let access_cap = host_link * sending_hosts.max(1) as u64;
-            let c =
-                Contribution::for_cut_capped(m, n, g.b, g.s, g.bmax, self.mtu, &prior, access_cap);
+            let c = Contribution::for_cut_capped(
+                m,
+                n,
+                g.b,
+                g.s,
+                g.bmax,
+                self.mtu,
+                &prior[..priors],
+                access_cap,
+            );
             let info = self.topo.port(p);
             let load = self.loads[p.0 as usize].with(&c);
             if info.is_nic {
@@ -418,14 +422,65 @@ impl SiloPlacer {
                 // with the headroom every sustained check shares (see
                 // `NIC_HEADROOM`).
                 if load.rate > info.rate.bytes_per_sec() * NIC_HEADROOM {
-                    return None;
+                    return false;
                 }
             } else if !load.fits(info.rate, self.topo.ingress_capacity(p), info.buffer) {
-                return None;
+                return false;
             }
             out.push((p, c));
         }
-        Some(out)
+        true
+    }
+
+    /// Ordinary admission of `req` under the current (possibly degraded)
+    /// topology as tenant `id`: search, and on success record the accepted
+    /// candidate with the contributions its own check computed. Returns
+    /// where the tenant landed; a rejection leaves the placer untouched.
+    pub(crate) fn place_as(
+        &mut self,
+        id: TenantId,
+        req: &TenantRequest,
+    ) -> Result<(Vec<(HostId, usize)>, Level), RejectReason> {
+        let n = req.vms;
+        let max_level = match self.max_level(req) {
+            Some(l) => l,
+            None if n <= self.topo.slots_per_server() && req.min_fault_domains <= 1 => {
+                Level::SameHost
+            }
+            None => return Err(RejectReason::DelayUnsatisfiable),
+        };
+        // The buffers leave `self` for the search, which borrows it.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let found = greedy_place_spread(
+            &self.topo,
+            self.search_slots(),
+            n,
+            max_level,
+            req.min_fault_domains,
+            &mut scratch.cand,
+            &mut |cand, lvl| self.check_candidate(cand, lvl, req, &mut scratch.contribs),
+        );
+        let placed = match found {
+            Some(level) => {
+                let hosts = scratch.cand.clone();
+                self.add_contribs(id, &scratch.contribs);
+                self.alloc_slots(&hosts);
+                self.tenants.insert(
+                    id,
+                    TenantRecord {
+                        hosts: hosts.clone(),
+                        contribs: scratch.contribs.clone(),
+                        req: *req,
+                        level,
+                    },
+                );
+                Ok((hosts, level))
+            }
+            None if self.slots.total_free() < n => Err(RejectReason::InsufficientSlots),
+            None => Err(RejectReason::NetworkUnsatisfiable),
+        };
+        self.scratch = scratch;
+        placed
     }
 
     /// Worst-case buffer occupancy currently reserved at a port — the C1
@@ -570,7 +625,7 @@ impl SiloPlacer {
         // 3. Dead-host mask vs a fresh derivation.
         let dead: Vec<HostId> = (0..self.topo.num_hosts())
             .map(|h| HostId(h as u32))
-            .filter(|&h| self.host_is_dead(h))
+            .filter(|&h| host_is_dead(&self.topo, &self.failed, h))
             .collect();
         let fresh_mask = if dead.is_empty() {
             None
@@ -606,49 +661,13 @@ impl Placer for SiloPlacer {
     }
 
     fn try_place(&mut self, req: &TenantRequest) -> Result<Placement, RejectReason> {
-        let n = req.vms;
-        let max_level = match self.max_level(req) {
-            Some(l) => l,
-            None if n <= self.topo.slots_per_server() && req.min_fault_domains <= 1 => {
-                Level::SameHost
-            }
-            None => return Err(RejectReason::DelayUnsatisfiable),
-        };
-        let found = greedy_place_spread(
-            &self.topo,
-            self.search_slots(),
-            n,
-            max_level,
-            req.min_fault_domains,
-            &mut |cand, lvl| self.check_candidate(cand, lvl, req).is_some(),
-        );
-        let Some((cand, level)) = found else {
-            return Err(if self.slots.total_free() < n {
-                RejectReason::InsufficientSlots
-            } else {
-                RejectReason::NetworkUnsatisfiable
-            });
-        };
-        let contribs = self
-            .check_candidate(&cand, level, req)
-            .expect("accepted candidate must re-check");
-        let id = TenantId(self.next_id);
-        self.add_contribs(id, &contribs);
-        self.alloc_slots(&cand);
+        let tenant = TenantId(self.next_id);
+        let (hosts, span) = self.place_as(tenant, req)?;
         self.next_id += 1;
-        self.tenants.insert(
-            id,
-            TenantRecord {
-                hosts: cand.clone(),
-                contribs,
-                req: *req,
-                level,
-            },
-        );
         Ok(Placement {
-            tenant: id,
-            hosts: cand,
-            span: level,
+            tenant,
+            hosts,
+            span,
         })
     }
 

@@ -104,7 +104,7 @@ fn fig15_quick_stream_decisions_are_pinned() {
 #[test]
 fn two_pod_stream_decisions_are_pinned() {
     let topo = Topology::build(TreeParams::ns2_scaled(0.1));
-    let mut cfg = ChurnConfig::diurnal(0xdec1_de).for_lifetimes(2_000);
+    let mut cfg = ChurnConfig::diurnal(0x00de_c1de).for_lifetimes(2_000);
     cfg.mean_lifetime_s = 4.0;
     cfg.mean_vms = 4.0;
     let horizon = cfg.horizon_s;

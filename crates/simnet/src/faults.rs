@@ -173,43 +173,59 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Panic on a structurally invalid plan (out-of-range targets,
-    /// inverted windows, a stall without an end). Called by `Sim::new`.
+    /// `Err` naming the first structurally invalid event (out-of-range
+    /// target, inverted window, a stall without an end). `Sim::new` panics
+    /// on one; front ends that take plans from files check first and
+    /// report it as a bad input.
     ///
     /// Zero-length windows (`until == at`) are *valid*: the fault strikes
     /// and heals at the same instant (start is dispatched before end —
     /// push order breaks the tie), which the schedule explorer generates
     /// when it shrinks a window to nothing. Only inverted windows reject.
-    pub fn validate(&self, num_links: usize, num_ports: usize, num_hosts: usize, tenants: usize) {
+    pub fn validate(
+        &self,
+        num_links: usize,
+        num_ports: usize,
+        num_hosts: usize,
+        tenants: usize,
+    ) -> Result<(), String> {
         for e in &self.events {
+            let ensure = |ok: bool, what: &str| {
+                if ok {
+                    Ok(())
+                } else {
+                    Err(format!("{what}: {e:?}"))
+                }
+            };
             if let Some(u) = e.until {
-                assert!(u >= e.at, "fault window must not be inverted: {e:?}");
+                ensure(u >= e.at, "fault window must not be inverted")?;
             }
             match e.kind {
                 FaultKind::LinkDown { link } => {
-                    assert!((link as usize) < num_links, "link out of range: {e:?}");
+                    ensure((link as usize) < num_links, "link out of range")?;
                 }
                 FaultKind::PortDown { port } => {
-                    assert!((port as usize) < num_ports, "port out of range: {e:?}");
+                    ensure((port as usize) < num_ports, "port out of range")?;
                 }
                 FaultKind::PacerStall { host } => {
-                    assert!((host as usize) < num_hosts, "host out of range: {e:?}");
-                    assert!(e.until.is_some(), "a pacer stall needs an end: {e:?}");
+                    ensure((host as usize) < num_hosts, "host out of range")?;
+                    ensure(e.until.is_some(), "a pacer stall needs an end")?;
                 }
                 FaultKind::PacerDrift { host, factor } => {
-                    assert!((host as usize) < num_hosts, "host out of range: {e:?}");
-                    assert!(e.until.is_some(), "a pacer drift needs an end: {e:?}");
-                    assert!(factor >= 1.0, "drift factor must be >= 1: {e:?}");
+                    ensure((host as usize) < num_hosts, "host out of range")?;
+                    ensure(e.until.is_some(), "a pacer drift needs an end")?;
+                    ensure(factor >= 1.0, "drift factor must be >= 1")?;
                 }
                 FaultKind::TenantDown { tenant } => {
-                    assert!((tenant as usize) < tenants, "tenant out of range: {e:?}");
+                    ensure((tenant as usize) < tenants, "tenant out of range")?;
                 }
                 FaultKind::TenantUp { tenant } => {
-                    assert!((tenant as usize) < tenants, "tenant out of range: {e:?}");
-                    assert!(e.until.is_none(), "tenant_up has no window: {e:?}");
+                    ensure((tenant as usize) < tenants, "tenant out of range")?;
+                    ensure(e.until.is_none(), "tenant_up has no window")?;
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -657,23 +673,120 @@ mod tests {
         // instant is structurally valid.
         FaultPlan::new()
             .link_down(Time::from_ms(5), Some(Time::from_ms(5)), 0)
-            .validate(4, 8, 2, 1);
+            .validate(4, 8, 2, 1)
+            .unwrap();
+    }
+
+    /// One event per way a plan can be invalid, in `validate`'s order,
+    /// on a cell of 4 links, 8 ports, 2 hosts, 1 tenant.
+    #[test]
+    fn validate_names_each_defect_and_its_event() {
+        let ms = Time::from_ms;
+        let window = |at, until: Option<u64>, kind| FaultEvent {
+            at: ms(at),
+            until: until.map(ms),
+            kind,
+        };
+        let cases = [
+            (
+                window(5, Some(4), FaultKind::LinkDown { link: 0 }),
+                "fault window must not be inverted",
+            ),
+            (
+                window(5, None, FaultKind::LinkDown { link: 4 }),
+                "link out of range",
+            ),
+            (
+                window(5, None, FaultKind::PortDown { port: 8 }),
+                "port out of range",
+            ),
+            (
+                window(5, Some(6), FaultKind::PacerStall { host: 2 }),
+                "host out of range",
+            ),
+            (
+                window(5, None, FaultKind::PacerStall { host: 0 }),
+                "a pacer stall needs an end",
+            ),
+            (
+                window(
+                    5,
+                    Some(6),
+                    FaultKind::PacerDrift {
+                        host: 2,
+                        factor: 2.0,
+                    },
+                ),
+                "host out of range",
+            ),
+            (
+                window(
+                    5,
+                    None,
+                    FaultKind::PacerDrift {
+                        host: 0,
+                        factor: 2.0,
+                    },
+                ),
+                "a pacer drift needs an end",
+            ),
+            (
+                window(
+                    5,
+                    Some(6),
+                    FaultKind::PacerDrift {
+                        host: 0,
+                        factor: 0.5,
+                    },
+                ),
+                "drift factor must be >= 1",
+            ),
+            (
+                window(5, None, FaultKind::TenantDown { tenant: 1 }),
+                "tenant out of range",
+            ),
+            (
+                window(5, None, FaultKind::TenantUp { tenant: 1 }),
+                "tenant out of range",
+            ),
+            (
+                window(5, Some(6), FaultKind::TenantUp { tenant: 0 }),
+                "tenant_up has no window",
+            ),
+        ];
+        for (bad, what) in cases {
+            // A valid event first: the error must name the bad one.
+            let plan = FaultPlan {
+                events: vec![window(1, Some(2), FaultKind::LinkDown { link: 3 }), bad],
+            };
+            assert_eq!(
+                plan.validate(4, 8, 2, 1),
+                Err(format!("{what}: {bad:?}")),
+                "{what}"
+            );
+        }
+        rich_plan().validate(4, 8, 2, 2).unwrap();
+    }
+
+    /// `Sim::new` on an invalid plan, next to its `SimConfig` check.
+    fn sim_new_with(plan: FaultPlan) {
+        use silo_base::Dur;
+        use silo_topology::{Topology, TreeParams};
+        let mut cfg = crate::SimConfig::new(crate::TransportMode::Tcp, Dur::from_ms(1), 1);
+        cfg.faults = plan;
+        crate::Sim::new(Topology::build(TreeParams::testbed()), cfg, Vec::new());
     }
 
     #[test]
-    #[should_panic(expected = "must not be inverted")]
+    #[should_panic(expected = "invalid FaultPlan: fault window must not be inverted")]
     fn inverted_window_rejected() {
-        FaultPlan::new()
-            .link_down(Time::from_ms(5), Some(Time::from_ms(4)), 0)
-            .validate(4, 8, 2, 1);
+        sim_new_with(FaultPlan::new().link_down(Time::from_ms(5), Some(Time::from_ms(4)), 0));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "invalid FaultPlan: link out of range")]
     fn out_of_range_link_rejected() {
-        FaultPlan::new()
-            .link_down(Time::from_ms(5), None, 99)
-            .validate(4, 8, 2, 1);
+        sim_new_with(FaultPlan::new().link_down(Time::from_ms(5), None, 99));
     }
 
     fn rich_plan() -> FaultPlan {
@@ -752,7 +865,9 @@ mod tests {
         };
         let clean = wild.sanitize(&b);
         assert_eq!(clean.events.len(), 4);
-        clean.validate(b.num_links, b.num_ports, b.num_hosts, b.tenants);
+        clean
+            .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
+            .unwrap();
         // A plan with no valid dimension for an event drops it.
         let no_links = PlanBounds { num_links: 0, ..b };
         assert_eq!(wild.sanitize(&no_links).events.len(), 3);
@@ -765,7 +880,8 @@ mod tests {
         let mut plan = rich_plan();
         for _ in 0..200 {
             plan = plan.mutate(&mut rng, &b);
-            plan.validate(b.num_links, b.num_ports, b.num_hosts, b.tenants);
+            plan.validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
+                .unwrap();
         }
         // Same seed, same trajectory.
         let mut rng2 = StdRng::seed_from_u64(42);
@@ -776,7 +892,9 @@ mod tests {
         assert_eq!(plan, plan2);
         // Empty plans grow instead of panicking.
         let grown = FaultPlan::new().mutate(&mut rng, &b);
-        grown.validate(b.num_links, b.num_ports, b.num_hosts, b.tenants);
+        grown
+            .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
+            .unwrap();
     }
 
     #[test]
@@ -789,7 +907,8 @@ mod tests {
             // Shrinks of a sanitized plan stay valid (only drop, shorten,
             // advance, or tame events).
             c.sanitize(&b)
-                .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants);
+                .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
+                .unwrap();
             assert!(c.events.len() <= plan.events.len());
         }
         // Every single-event drop is offered: fewest-faults-first.

@@ -193,12 +193,14 @@ impl Sim {
         if let Err(e) = cfg.validate() {
             panic!("invalid SimConfig: {e}");
         }
-        cfg.faults.validate(
+        if let Err(e) = cfg.faults.validate(
             topo.num_links(),
             topo.num_ports(),
             topo.num_hosts(),
             tenants.len(),
-        );
+        ) {
+            panic!("invalid FaultPlan: {e}");
+        }
         // Oktopus provides hose bandwidth only: no burst allowance, no
         // burst rate (§6.2: "With Oktopus, VMs cannot burst"). Okto+ keeps
         // the tenant's burst parameters.

@@ -334,34 +334,25 @@ impl Topology {
         self.path_ports(src, dst).len()
     }
 
-    /// The undirected links the `src → dst` path traverses, deduplicated.
-    /// In a tree this is also the `dst → src` link set, so "does this
-    /// path survive a link failure" is a membership test against it.
-    pub fn path_links(&self, src: HostId, dst: HostId) -> Vec<LinkId> {
-        let mut links: Vec<LinkId> = self
-            .path_ports(src, dst)
-            .into_iter()
-            .map(|p| p.link())
-            .collect();
-        links.sort_unstable();
-        links.dedup();
-        links
-    }
-
-    /// Does the `src → dst` path avoid every link in `failed`? Same-host
-    /// pairs always do (the vswitch never crosses the fabric).
-    pub fn path_intact(&self, src: HostId, dst: HostId, failed: &[LinkId]) -> bool {
-        if failed.is_empty() || src == dst {
-            return true;
+    /// Is `h` in the subtree below link `l` — the host itself for an access
+    /// link, its rack for a ToR uplink, its pod for an aggregation uplink?
+    /// A path crosses `l` exactly when one endpoint is below it and the
+    /// other is not.
+    fn below(&self, l: LinkId, h: HostId) -> bool {
+        let i = l.0 as usize;
+        if i < self.hosts {
+            h.0 as usize == i
+        } else if i < self.hosts + self.racks {
+            self.rack_of(h) == i - self.hosts
+        } else {
+            self.pod_of(h) == i - self.hosts - self.racks
         }
-        self.path_links(src, dst)
-            .iter()
-            .all(|l| !failed.contains(l))
     }
 
     /// The hosts severed from the rest of the tree when `l` fails: the
-    /// subtree below the link. Hosts inside it can still reach each other
-    /// (their paths stay below the failure); only cross-cut paths die.
+    /// subtree below the link, i.e. every `h` with `below(l, h)`, listed.
+    /// Hosts inside it can still reach each other (their paths stay below
+    /// the failure); only cross-cut paths die.
     pub fn hosts_below(&self, l: LinkId) -> Vec<HostId> {
         let i = l.0 as usize;
         if i < self.hosts {
@@ -376,45 +367,75 @@ impl Topology {
         }
     }
 
-    /// All ports whose queueing state a set of hosts can influence — the
-    /// ports on any path between two of them. Used by placement to know
-    /// which constraints to re-check.
-    pub fn ports_between(&self, hosts: &[HostId]) -> Vec<PortId> {
-        let mut ports: Vec<PortId> = Vec::new();
-        for (i, &a) in hosts.iter().enumerate() {
-            for &b in &hosts[i + 1..] {
-                ports.extend(self.path_ports(a, b));
-                ports.extend(self.path_ports(b, a));
-            }
-        }
-        ports.sort_unstable();
-        ports.dedup();
-        ports
+    /// Can every pair of the placement's hosts reach each other without
+    /// crossing a link in `failed`? A path crosses a link exactly when the
+    /// link separates its endpoints, so the placement is connected when,
+    /// for each failed link, the hosts below it are none or all of the
+    /// placement. O(hosts · failed), no allocation.
+    pub fn connected(&self, placement: &[(HostId, usize)], failed: &[LinkId]) -> bool {
+        failed.iter().all(|&l| {
+            let inside = placement.iter().filter(|&&(h, _)| self.below(l, h)).count();
+            inside == 0 || inside == placement.len()
+        })
     }
 
-    /// Like [`Topology::vms_on_sending_side`] but also counts the distinct
-    /// *hosts* on the sending side — their access links physically cap the
-    /// rate at which the cut's burst can arrive.
+    /// All ports whose queueing state a placement's hosts can influence —
+    /// the ports on any path between two of them — in ascending `PortId`
+    /// order. Used by placement to know which constraints to re-check.
+    ///
+    /// `placement` must list its hosts in non-decreasing order (every
+    /// candidate the placers build does). The list is read off the tree:
+    /// two or more distinct hosts use both directions of each one's access
+    /// link; if they sit in more than one rack, both directions of each of
+    /// those racks' ToR uplinks; if in more than one pod, both directions
+    /// of each of those pods' aggregation uplinks. Link ids grow host <
+    /// ToR < agg and with the host id inside a tier, so emitting the tiers
+    /// in that order needs no sort.
+    pub fn ports_between<'a>(
+        &'a self,
+        placement: &'a [(HostId, usize)],
+    ) -> impl Iterator<Item = PortId> + 'a {
+        assert!(
+            placement.windows(2).all(|w| w[0].0 <= w[1].0),
+            "placement hosts must be in non-decreasing order"
+        );
+        // With hosts ascending, a tier spans several subtrees exactly when the
+        // first and the last host fall in different ones.
+        let (a, b) = match (placement.first(), placement.last()) {
+            (Some(a), Some(b)) => (a.0, b.0),
+            _ => (HostId(0), HostId(0)),
+        };
+        let tier = |spans: bool| if spans { placement } else { &[] };
+        let host_links =
+            distinct(tier(a != b), |h| h.0 as usize).map(|h| self.host_link(HostId(h as u32)));
+        let tor_links = distinct(tier(self.rack_of(a) != self.rack_of(b)), |h| {
+            self.rack_of(h)
+        })
+        .map(|r| self.tor_link(r));
+        let agg_links = distinct(tier(self.pod_of(a) != self.pod_of(b)), |h| self.pod_of(h))
+            .map(|p| self.agg_link(p));
+        host_links
+            .chain(tor_links)
+            .chain(agg_links)
+            .flat_map(|l| [PortId::up(l), PortId::down(l)])
+    }
+
+    /// For a directed port, how a set of (host, count) VM placements splits
+    /// across it: the number of VMs on the *sending* side (the side whose
+    /// traffic crosses this port) and the number of distinct placement
+    /// entries (hosts) there — their access links physically cap the rate
+    /// at which the cut's burst can arrive.
+    ///
+    /// For an up port at link of node X, the sending side is the subtree
+    /// under X; for a down port it is everything outside that subtree.
     pub fn cut_stats(&self, p: PortId, placement: &[(HostId, usize)]) -> (usize, usize) {
         let link = p.link();
-        let i = link.0 as usize;
-        let in_subtree = |h: HostId| -> bool {
-            if i < self.hosts {
-                h.0 as usize == i
-            } else if i < self.hosts + self.racks {
-                self.rack_of(h) == i - self.hosts
-            } else {
-                self.pod_of(h) == i - self.hosts - self.racks
-            }
-        };
         let mut vms_in = 0usize;
         let mut hosts_in = 0usize;
         let mut vms_total = 0usize;
-        let mut hosts_total = 0usize;
         for &(h, k) in placement {
             vms_total += k;
-            hosts_total += 1;
-            if in_subtree(h) {
+            if self.below(link, h) {
                 vms_in += k;
                 hosts_in += 1;
             }
@@ -422,40 +443,22 @@ impl Topology {
         if p.is_up() {
             (vms_in, hosts_in)
         } else {
-            (vms_total - vms_in, hosts_total - hosts_in)
+            (vms_total - vms_in, placement.len() - hosts_in)
         }
     }
+}
 
-    /// For a directed port, how a set of (host, count) VM placements splits
-    /// across it: returns the number of VMs on the *sending* side (the side
-    /// whose traffic crosses this port).
-    ///
-    /// For an up port at link of node X, the sending side is the subtree
-    /// under X; for a down port it is everything outside that subtree.
-    pub fn vms_on_sending_side(&self, p: PortId, placement: &[(HostId, usize)]) -> usize {
-        let link = p.link();
-        let i = link.0 as usize;
-        let in_subtree = |h: HostId| -> bool {
-            if i < self.hosts {
-                h.0 as usize == i
-            } else if i < self.hosts + self.racks {
-                self.rack_of(h) == i - self.hosts
-            } else {
-                self.pod_of(h) == i - self.hosts - self.racks
-            }
-        };
-        let inside: usize = placement
-            .iter()
-            .filter(|(h, _)| in_subtree(*h))
-            .map(|(_, k)| *k)
-            .sum();
-        if p.is_up() {
-            inside
-        } else {
-            let total: usize = placement.iter().map(|(_, k)| *k).sum();
-            total - inside
-        }
-    }
+/// The distinct values of `key` over a placement whose keys are already
+/// non-decreasing: each run of equal keys yields its value once.
+fn distinct<'a>(
+    placement: &'a [(HostId, usize)],
+    key: impl Fn(HostId) -> usize + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut last = None;
+    placement.iter().filter_map(move |&(h, _)| {
+        let k = key(h);
+        (last.replace(k) != Some(k)).then_some(k)
+    })
 }
 
 /// Static properties of one directed port.
@@ -478,6 +481,7 @@ impl PortInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silo_base::prop;
 
     fn t() -> Topology {
         Topology::build(TreeParams::ns2_paper())
@@ -597,35 +601,237 @@ mod tests {
             (HostId(1), 2usize),
             (HostId(40), 4usize),
         ];
-        // Host 0's NIC: 3 VMs send up.
+        // Host 0's NIC: 3 VMs on 1 host send up.
         assert_eq!(
-            t.vms_on_sending_side(PortId::up(t.host_link(HostId(0))), &placement),
-            3
+            t.cut_stats(PortId::up(t.host_link(HostId(0))), &placement),
+            (3, 1)
         );
-        // Down toward host 0: everyone else (6).
+        // Down toward host 0: everyone else (6 VMs on 2 hosts).
         assert_eq!(
-            t.vms_on_sending_side(PortId::down(t.host_link(HostId(0))), &placement),
-            6
+            t.cut_stats(PortId::down(t.host_link(HostId(0))), &placement),
+            (6, 2)
         );
         // Rack 0 uplink: 5 VMs inside rack 0.
-        assert_eq!(
-            t.vms_on_sending_side(PortId::up(t.tor_link(0)), &placement),
-            5
-        );
+        assert_eq!(t.cut_stats(PortId::up(t.tor_link(0)), &placement), (5, 2));
         // Down into rack 1: 5 VMs outside it.
-        assert_eq!(
-            t.vms_on_sending_side(PortId::down(t.tor_link(1)), &placement),
-            5
-        );
+        assert_eq!(t.cut_stats(PortId::down(t.tor_link(1)), &placement), (5, 2));
     }
 
     #[test]
     fn ports_between_deduplicates() {
         let t = t();
-        let hosts = [HostId(0), HostId(1), HostId(2)];
-        let ports = t.ports_between(&hosts);
+        let placement = [(HostId(0), 1), (HostId(1), 1), (HostId(2), 1)];
         // 3 NIC up-ports + 3 host down-ports, each counted once.
-        assert_eq!(ports.len(), 6);
+        assert_eq!(t.ports_between(&placement).count(), 6);
+    }
+
+    #[test]
+    fn hosts_below_lists_the_below_relation() {
+        let t = Topology::build(TreeParams::ns2_scaled(0.1));
+        for l in 0..t.num_links() {
+            let l = LinkId(l as u32);
+            let listed = t.hosts_below(l);
+            let filtered: Vec<HostId> = (0..t.num_hosts())
+                .map(|h| HostId(h as u32))
+                .filter(|&h| t.below(l, h))
+                .collect();
+            assert_eq!(listed, filtered, "{l:?}");
+        }
+    }
+
+    // Reference oracles: the pairwise definitions the closed forms in
+    // `ports_between` and `connected` replaced, kept to check them against.
+
+    /// The ports on any path between two of `hosts`: the sorted,
+    /// deduplicated union of both directions' `path_ports` over all pairs.
+    fn ports_between_reference(t: &Topology, hosts: &[HostId]) -> Vec<PortId> {
+        let mut ports: Vec<PortId> = Vec::new();
+        for (i, &a) in hosts.iter().enumerate() {
+            for &b in &hosts[i + 1..] {
+                ports.extend(t.path_ports(a, b));
+                ports.extend(t.path_ports(b, a));
+            }
+        }
+        ports.sort_unstable();
+        ports.dedup();
+        ports
+    }
+
+    /// Does the `src → dst` path avoid every link in `failed`?
+    fn path_intact_reference(t: &Topology, src: HostId, dst: HostId, failed: &[LinkId]) -> bool {
+        t.path_ports(src, dst)
+            .into_iter()
+            .all(|p| !failed.contains(&p.link()))
+    }
+
+    /// Every pair of hosts has an intact path.
+    fn connected_reference(t: &Topology, hosts: &[HostId], failed: &[LinkId]) -> bool {
+        hosts.iter().enumerate().all(|(i, &a)| {
+            hosts[i + 1..]
+                .iter()
+                .all(|&b| path_intact_reference(t, a, b, failed))
+        })
+    }
+
+    /// A random small tree, a sorted host multiset on it (duplicates, one
+    /// host, one rack, one pod, cross-pod) and a set of failed links.
+    #[derive(Debug, Clone)]
+    struct Case {
+        pods: usize,
+        racks_per_pod: usize,
+        servers_per_rack: usize,
+        hosts: Vec<u32>,
+        failed: Vec<u32>,
+    }
+
+    impl Case {
+        fn topo(&self) -> Topology {
+            Topology::build(TreeParams {
+                pods: self.pods,
+                racks_per_pod: self.racks_per_pod,
+                servers_per_rack: self.servers_per_rack,
+                ..TreeParams::ns2_paper()
+            })
+        }
+
+        /// Clamp ids into the (possibly shrunken) tree and restore order.
+        fn fitted(mut self) -> Case {
+            let t = self.topo();
+            for h in &mut self.hosts {
+                *h %= t.num_hosts() as u32;
+            }
+            self.hosts.sort_unstable();
+            for l in &mut self.failed {
+                *l %= t.num_links() as u32;
+            }
+            self
+        }
+
+        fn placement(&self) -> Vec<(HostId, usize)> {
+            self.hosts.iter().map(|&h| (HostId(h), 1)).collect()
+        }
+    }
+
+    fn gen_case(rng: &mut prop::StdRng) -> Case {
+        use prop::Rng;
+        let pods = rng.random_range(1..4usize);
+        let racks_per_pod = rng.random_range(1..4usize);
+        let servers_per_rack = rng.random_range(1..5usize);
+        let hosts = pods * racks_per_pod * servers_per_rack;
+        // Confine most host sets to one rack or one pod so every span
+        // level is common, not just cross-pod.
+        let window = match rng.random_range(0..3u32) {
+            0 => servers_per_rack,
+            1 => servers_per_rack * racks_per_pod,
+            _ => hosts,
+        };
+        let base = rng.random_range(0..hosts / window) * window;
+        let n = rng.random_range(0..7usize);
+        let links = hosts + pods * racks_per_pod + pods;
+        Case {
+            pods,
+            racks_per_pod,
+            servers_per_rack,
+            hosts: (0..n)
+                .map(|_| (base + rng.random_range(0..window)) as u32)
+                .collect(),
+            failed: (0..rng.random_range(0..4usize))
+                .map(|_| rng.random_range(0..links) as u32)
+                .collect(),
+        }
+        .fitted()
+    }
+
+    fn shrink_case(c: &Case) -> Vec<Case> {
+        let mut out = Vec::new();
+        for (pods, racks_per_pod, servers_per_rack) in [
+            (c.pods - 1, c.racks_per_pod, c.servers_per_rack),
+            (c.pods, c.racks_per_pod - 1, c.servers_per_rack),
+            (c.pods, c.racks_per_pod, c.servers_per_rack - 1),
+        ] {
+            if pods * racks_per_pod * servers_per_rack > 0 {
+                out.push(
+                    Case {
+                        pods,
+                        racks_per_pod,
+                        servers_per_rack,
+                        ..c.clone()
+                    }
+                    .fitted(),
+                );
+            }
+        }
+        let smaller = |x: &u32| if *x > 0 { vec![x / 2, x - 1] } else { vec![] };
+        if !c.hosts.is_empty() {
+            out.push(Case {
+                hosts: Vec::new(),
+                ..c.clone()
+            });
+        }
+        for hosts in prop::shrink_vec(&c.hosts, smaller) {
+            out.push(Case { hosts, ..c.clone() }.fitted());
+        }
+        if !c.failed.is_empty() {
+            out.push(Case {
+                failed: Vec::new(),
+                ..c.clone()
+            });
+        }
+        for failed in prop::shrink_vec(&c.failed, smaller) {
+            out.push(Case {
+                failed,
+                ..c.clone()
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn ports_between_matches_the_pairwise_union() {
+        prop::forall(
+            "closed-form ports_between == sorted pairwise path union",
+            gen_case,
+            shrink_case,
+            |c| {
+                let t = c.topo();
+                let hosts: Vec<HostId> = c.hosts.iter().map(|&h| HostId(h)).collect();
+                let want = ports_between_reference(&t, &hosts);
+                let got: Vec<PortId> = t.ports_between(&c.placement()).collect();
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!("closed form {got:?} != pairwise {want:?}"))
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn connected_matches_pairwise_path_intact() {
+        prop::forall(
+            "per-link connectivity == pairwise path_intact",
+            gen_case,
+            shrink_case,
+            |c| {
+                let t = c.topo();
+                let hosts: Vec<HostId> = c.hosts.iter().map(|&h| HostId(h)).collect();
+                let failed: Vec<LinkId> = c.failed.iter().map(|&l| LinkId(l)).collect();
+                let want = connected_reference(&t, &hosts, &failed);
+                let got = t.connected(&c.placement(), &failed);
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!("per-link {got} != pairwise {want}"))
+                }
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn ports_between_refuses_unsorted_hosts() {
+        let t = t();
+        let _ = t.ports_between(&[(HostId(3), 1), (HostId(1), 1)]);
     }
 
     #[test]
