@@ -7,34 +7,69 @@
 //! healthy run — the CI check that all three stay live. Wall-clock
 //! measurement lives in the repo's `benchmark/` package, not here.
 //!
-//! `--sample <out>` instead runs the same cell `--runs` times with no
-//! observer attached under the SIGPROF sampler ([`sampler`]) and writes
-//! the raw profile to `<out>`: where the engine's time goes, function by
-//! function, on a host with no `perf`. EXPERIMENTS.md has the build flags
-//! and the `addr2line` recipe.
+//! `--sample <out>` instead runs the same cell `--runs` times under the
+//! SIGPROF sampler ([`sampler`]) and writes the raw profile to `<out>`:
+//! where the engine's time goes, function by function, on a host with no
+//! `perf`. The sampled runs carry no observer unless the command line
+//! asks for one: `--audit`, `--trace <path>` and `--telemetry <path>`
+//! attach theirs (the recorder with the repo benchmark's 4 096-event
+//! rings), so the observed cell is profiled with the same binary.
+//! EXPERIMENTS.md has the build flags and the `addr2line` recipe.
 
-use silo_bench::ns2::{run_ns2_cell, run_ns2_cell_with, Ns2Cell};
+use silo_bench::ns2::{run_ns2_cell_with, Ns2Cell};
 use silo_bench::Args;
-use silo_simnet::{AuditConfig, TelemetryConfig, TransportMode};
+use silo_simnet::{AuditConfig, TelemetryConfig, TraceConfig, TransportMode};
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler;
 
-/// Run the plain cell `--runs` times under the sampler (the kernel
-/// delivers SIGPROF on its own tick, 4 ms at HZ=250, so one 15 ms cell
-/// yields a few hundred samples) and write the dump to `out`.
+/// Run the cell `--runs` times under the sampler (the kernel delivers
+/// SIGPROF on its own tick, 4 ms at HZ=250, so one 15 ms cell yields a
+/// few hundred samples), with the observers the command line names, and
+/// write the dump to `out`. The last run's trace and telemetry go to
+/// their paths once the sampler has stopped.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn run_sampled(cell: &Ns2Cell, args: &Args, out: &str) -> Result<(), String> {
+    // Events per host ring: what the repo benchmark's `pkt_silo_observed`
+    // cell records with (a ring that fills and evicts within the cell,
+    // the recorder's steady state).
+    const TRACE_RING: usize = 4096;
+    if args.runs == 0 {
+        return Err("--runs 0 leaves nothing to sample".into());
+    }
     sampler::start()?;
-    let mut events = 0;
+    let mut last = None;
     for _ in 0..args.runs {
-        events = run_ns2_cell(cell, args).1.events_processed;
+        let (_, m) = run_ns2_cell_with(cell, args, |cfg| {
+            cfg.audit = args.audit.then(AuditConfig::default);
+            cfg.trace = args.trace.is_some().then(|| TraceConfig {
+                per_host_cap: TRACE_RING,
+                ..TraceConfig::default()
+            });
+            cfg.telemetry = args.telemetry.is_some().then(TelemetryConfig::default);
+        });
+        last = Some(m);
     }
     let samples = sampler::stop_and_write(std::path::Path::new(out))?;
+    let m = last.expect("at least one run");
     println!(
-        "Silo/seed{} ({} ms sim) x {}: {events} events each, {samples} samples -> {out}",
-        args.seed, args.duration_ms, args.runs
+        "Silo/seed{} ({} ms sim) x {}: {} events each, {samples} samples -> {out}",
+        args.seed, args.duration_ms, args.runs, m.events_processed
     );
+    if let Some(report) = &m.audit {
+        println!("{}", report.summary());
+    }
+    if let (Some(log), Some(path)) = (&m.trace, &args.trace) {
+        std::fs::write(path, log.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "trace: {} events ({} evicted) -> {path}",
+            log.events.len(),
+            log.dropped
+        );
+    }
+    if let Some(log) = &m.telemetry {
+        silo_bench::telemetryfile::write_telemetry_outputs(args, log);
+    }
     Ok(())
 }
 

@@ -246,8 +246,9 @@ impl SimConfig {
     }
 
     /// Reject values the engine cannot run on: each would otherwise be an
-    /// arithmetic underflow, a truncated wire size, an absurd allocation
-    /// or a timer re-arming itself at the same instant forever. The
+    /// arithmetic underflow, a truncated wire size, an absurd allocation,
+    /// a timer re-arming itself at the same instant forever or a trace
+    /// ring with no slot to record into. The
     /// message starts with the offending field. [`crate::Sim::new`] panics
     /// on an `Err`; callers holding outside input check first.
     pub fn validate(&self) -> Result<(), String> {
@@ -280,6 +281,14 @@ impl SimConfig {
         {
             return Err("telemetry.interval: must be positive".into());
         }
+        if let Some(t) = &self.trace {
+            if t.per_host_cap == 0 {
+                return Err("trace.per_host_cap: must be positive".into());
+            }
+            if t.global_cap == 0 {
+                return Err("trace.global_cap: must be positive".into());
+            }
+        }
         Ok(())
     }
 }
@@ -304,7 +313,7 @@ mod tests {
             assert_eq!(cfg.validate(), Ok(()), "{mode:?} default");
         }
         type Break = fn(&mut SimConfig);
-        let table: [(TransportMode, &str, Break); 9] = [
+        let table: [(TransportMode, &str, Break); 11] = [
             (TransportMode::Silo, "hose_epoch", |c| {
                 c.hose_epoch = Dur::ZERO
             }),
@@ -324,6 +333,18 @@ mod tests {
             (TransportMode::Dctcp, "telemetry.interval", |c| {
                 c.telemetry = Some(TelemetryConfig {
                     interval: Dur::ZERO,
+                })
+            }),
+            (TransportMode::Silo, "trace.per_host_cap", |c| {
+                c.trace = Some(TraceConfig {
+                    per_host_cap: 0,
+                    ..TraceConfig::default()
+                })
+            }),
+            (TransportMode::Silo, "trace.global_cap", |c| {
+                c.trace = Some(TraceConfig {
+                    global_cap: 0,
+                    ..TraceConfig::default()
                 })
             }),
         ];

@@ -113,6 +113,14 @@ struct HostNic {
     busy_until: Time,
 }
 
+/// The immutable identity of a connection (see `Sim::conn_identity`).
+#[derive(Debug, Clone, Copy)]
+struct ConnIdentity {
+    src_host: u32,
+    dst_host: u32,
+    tenant: u16,
+}
+
 /// The simulator. Build with [`Sim::new`], run with [`Sim::run`].
 pub struct Sim {
     topo: Topology,
@@ -128,6 +136,12 @@ pub struct Sim {
     nic_fault_targets: Vec<bool>,
     ports: Vec<PortState>,
     conns: Vec<TcpConn>,
+    /// What an observer hook on a forwarding hop needs of a connection,
+    /// parallel to `conns`: a few tens of KB that stay cached, where a
+    /// `TcpConn` is ~350 bytes the engine itself does not load between
+    /// the sender and the receiver. No hook reads a `TcpConn` the plain
+    /// engine would not have touched at that point.
+    conn_identity: Vec<ConnIdentity>,
     conn_index: FxHashMap<(u32, u32), u32>,
     vms: Vec<Vm>,
     /// Global VM ids of each tenant, in tenant-local order: one
@@ -374,6 +388,7 @@ impl Sim {
             nic_fault_targets,
             ports,
             conns: Vec::new(),
+            conn_identity: Vec::new(),
             conn_index: FxHashMap::default(),
             vms,
             tenant_vms,
@@ -482,15 +497,15 @@ impl Sim {
     /// at the receiver that generated them) plus the labels the exported
     /// trace carries. Pure read; only called when tracing is on.
     fn trace_meta(&self, pkt: &Pkt) -> PktMeta {
-        let c = &self.conns[pkt.conn as usize];
+        let id = self.conn_identity[pkt.conn as usize];
         let (host, pk) = match pkt.kind() {
-            PktKind::Data => (c.src_host.0, PktTag::Data),
-            PktKind::Ack => (c.dst_host.0, PktTag::Ack),
+            PktKind::Data => (id.src_host, PktTag::Data),
+            PktKind::Ack => (id.dst_host, PktTag::Ack),
         };
         PktMeta {
             host,
             conn: pkt.conn,
-            tenant: c.tenant,
+            tenant: id.tenant,
             pk,
             pseq: pkt.seq,
             size: pkt.size().as_u64(),
@@ -523,6 +538,11 @@ impl Sim {
         self.conns.push(TcpConn::new(
             id, tenant, src_vm, dst_vm, sh, dh, prio, path, rpath, init_cwnd,
         ));
+        self.conn_identity.push(ConnIdentity {
+            src_host: sh.0,
+            dst_host: dh.0,
+            tenant,
+        });
         self.conn_index.insert((src_vm, dst_vm), id);
         self.tenant_conns[tenant as usize].push(id);
         id
@@ -1315,8 +1335,8 @@ impl Sim {
         if self.telemetry.is_some() {
             let queued_after = self.ports[port.0 as usize].queued_bytes;
             let wait = now.since(q.enq_at);
-            let is_data = q.pkt.kind() == PktKind::Data;
-            let tenant = self.conns[q.pkt.conn as usize].tenant;
+            let data_tenant = (q.pkt.kind() == PktKind::Data)
+                .then(|| self.conn_identity[q.pkt.conn as usize].tenant);
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.port_tx(
                     now,
@@ -1325,7 +1345,7 @@ impl Sim {
                     size.as_u64(),
                     queued_after,
                 );
-                if is_data {
+                if let Some(tenant) = data_tenant {
                     // Head-of-line wait attribution, data packets only —
                     // the trace layer's `wire_start` wait, summed per
                     // tenant per window.
@@ -1385,7 +1405,7 @@ impl Sim {
         }
         if self.trace.is_some() {
             let m = self.trace_meta(&pkt);
-            let arr = self.conns[conn as usize].dst_host.0;
+            let arr = self.conn_identity[conn as usize].dst_host;
             let now = self.now;
             if let Some(t) = self.trace.as_mut() {
                 t.deliver(now, arr, m);
@@ -1526,7 +1546,7 @@ impl Sim {
         }
         if self.trace.is_some() {
             let m = self.trace_meta(&pkt);
-            let arr = self.conns[conn as usize].src_host.0;
+            let arr = self.conn_identity[conn as usize].src_host;
             let now = self.now;
             if let Some(t) = self.trace.as_mut() {
                 t.deliver(now, arr, m);

@@ -26,20 +26,34 @@
 //! event of a packet lands in the ring of the host that emitted it
 //! (`src_host` for data, `dst_host` for ACKs), void frames land in their
 //! NIC's host ring, and fault edges land in a small global ring.
+//!
+//! **Memory behaviour.** A hook never writes a ring. It appends its
+//! packed 56-byte record to one sequential staging buffer of
+//! `STAGE_RECORDS` entries, and `flush` (when the buffer fills, and at
+//! the top of `finish`) moves the records to their rings in record
+//! order. A ring line is cold by the time it is overwritten, and x86
+//! commits stores in order: written from the hook, every such miss held
+//! up the engine's own stores behind it; written back to back from one
+//! loop, the misses overlap each other instead (DESIGN.md, "observer cost
+//! is store-miss latency"). Staging changes *when* a ring is written,
+//! never what or in which order, so retention, eviction counts and `seq`
+//! are those of an immediate write (`staged_sink_matches_the_reference`
+//! holds it to one).
 
 use crate::metrics::FaultWindow;
 use silo_base::{Dur, Time};
-use std::collections::VecDeque;
 
-/// Ring-buffer sizing for the flight recorder. Defaults keep a worst-case
-/// full trace under ~5 MB per host (64 Ki events × 72 B) while holding
-/// several batch windows of history at 10 GbE line rate — see DESIGN.md
-/// for the sizing record.
+/// Ring-buffer sizing for the flight recorder. A ring holds packed
+/// 56-byte records, so the defaults keep a worst-case full trace at
+/// 3.5 MiB per host (64 Ki events × 56 B) plus 224 KiB for the global
+/// ring, while holding several batch windows of history at 10 GbE line
+/// rate — see DESIGN.md for the sizing record.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Events retained per host ring (oldest evicted beyond this).
+    /// Events retained per host ring (oldest evicted beyond this; at
+    /// least one, or [`crate::SimConfig::validate`] refuses the run).
     pub per_host_cap: usize,
-    /// Events retained in the global ring (fault edges).
+    /// Events retained in the global ring (fault edges; at least one).
     pub global_cap: usize,
 }
 
@@ -56,7 +70,7 @@ impl Default for TraceConfig {
 /// (`dur` = the span length, `at` = its start); instant kinds have
 /// `dur == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum TraceKind {
     /// Packet accepted into a port FIFO (`loc` = port, `aux` = queued
     /// bytes after the enqueue).
@@ -204,58 +218,206 @@ pub struct PktMeta {
     pub retx: bool,
 }
 
-/// Fixed-capacity event ring: oldest evicted first.
+/// What a ring holds: a [`TraceEvent`] in 56 bytes (72 unpacked).
+/// `kind`, `pk` and `retx` share two bytes, and `size` is a `u32`: every
+/// packet-bound size is a wire size (`Pkt::size`, or a void frame no
+/// larger than the MTU), which fits. The one size that can be wider is a
+/// completed message's, and that event has no packet sequence, so a wide
+/// size rides in the `pseq` slot under [`Rec::WIDE_SIZE`].
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    seq: u64,
+    at: u64,
+    dur: u64,
+    aux: u64,
+    pseq: u64,
+    loc: u32,
+    conn: u32,
+    size: u32,
+    tenant: u16,
+    kind: u8,
+    /// Bits 0–1 the [`PktTag`], then [`Rec::RETX`] and [`Rec::WIDE_SIZE`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Rec>() <= 56);
+
+impl Rec {
+    const RETX: u8 = 1 << 2;
+    const WIDE_SIZE: u8 = 1 << 3;
+    const TAGS: [PktTag; 4] = [PktTag::Data, PktTag::Ack, PktTag::Void, PktTag::None];
+
+    #[inline]
+    fn pack(ev: &TraceEvent) -> Rec {
+        let mut flags = ev.pk as u8;
+        if ev.retx {
+            flags |= Rec::RETX;
+        }
+        let (size, pseq) = match u32::try_from(ev.size) {
+            Ok(size) => (size, ev.pseq),
+            Err(_) => {
+                assert_eq!(
+                    ev.pseq, 0,
+                    "a size wider than a wire size on an event with a packet sequence"
+                );
+                flags |= Rec::WIDE_SIZE;
+                (0, ev.size)
+            }
+        };
+        Rec {
+            seq: ev.seq,
+            at: ev.at.0,
+            dur: ev.dur.0,
+            aux: ev.aux,
+            pseq,
+            loc: ev.loc,
+            conn: ev.conn,
+            size,
+            tenant: ev.tenant,
+            kind: ev.kind as u8,
+            flags,
+        }
+    }
+
+    fn unpack(&self) -> TraceEvent {
+        let (size, pseq) = if self.flags & Rec::WIDE_SIZE != 0 {
+            (self.pseq, 0)
+        } else {
+            (self.size as u64, self.pseq)
+        };
+        TraceEvent {
+            seq: self.seq,
+            at: Time(self.at),
+            dur: Dur(self.dur),
+            kind: TraceKind::ALL[self.kind as usize],
+            loc: self.loc,
+            aux: self.aux,
+            conn: self.conn,
+            pseq,
+            size,
+            tenant: self.tenant,
+            pk: Rec::TAGS[(self.flags & 3) as usize],
+            retx: self.flags & Rec::RETX != 0,
+        }
+    }
+}
+
+/// Fixed-capacity record ring: oldest evicted first. `buf` grows to
+/// `cap`; from then on `head` is the oldest record and the next one
+/// overwritten.
 #[derive(Debug, Clone)]
 struct Ring {
-    buf: VecDeque<TraceEvent>,
+    buf: Vec<Rec>,
+    head: usize,
     cap: usize,
     dropped: u64,
 }
 
 impl Ring {
+    /// `cap > 0` ([`crate::SimConfig::validate`] refuses an empty ring).
     fn new(cap: usize) -> Ring {
         Ring {
-            buf: VecDeque::with_capacity(cap.min(1024)),
-            cap: cap.max(1),
+            buf: Vec::with_capacity(cap.min(1024)),
+            head: 0,
+            cap,
             dropped: 0,
         }
     }
 
-    fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
+    fn push(&mut self, rec: Rec) {
+        if self.buf.len() < self.cap {
+            self.buf.push(rec);
+            return;
         }
-        self.buf.push_back(ev);
+        self.buf[self.head] = rec;
+        self.head += 1;
+        if self.head == self.cap {
+            self.head = 0;
+        }
+        self.dropped += 1;
     }
+
+    /// Surviving records, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &Rec> {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
+/// Records staged between two flushes: 1 024 × 64 B = 64 KB, written
+/// front to back. Enough for a flush to keep many ring-line misses in
+/// flight at once, and small beside the engine's own working set in a
+/// 2–4 MB L2: on the all-observers cell 512–2 048 records measured alike,
+/// 64 and 4 096 about 2–7 % slower, 16 384 another 8 % (DESIGN.md has
+/// the sweep).
+const STAGE_RECORDS: usize = 1024;
+
+/// A record on its way to `rings[ring]`.
+#[derive(Debug, Clone, Copy)]
+struct Staged {
+    rec: Rec,
+    ring: u32,
 }
 
 /// The flight recorder attached to a running simulation.
 #[derive(Debug)]
 pub struct TraceSink {
+    /// One ring per host, then the global ring.
     rings: Vec<Ring>,
-    global: Ring,
+    stage: Vec<Staged>,
     next_seq: u64,
 }
 
 impl TraceSink {
     pub fn new(cfg: &TraceConfig, num_hosts: usize) -> TraceSink {
+        let mut rings: Vec<Ring> = (0..num_hosts)
+            .map(|_| Ring::new(cfg.per_host_cap))
+            .collect();
+        rings.push(Ring::new(cfg.global_cap));
         TraceSink {
-            rings: (0..num_hosts)
-                .map(|_| Ring::new(cfg.per_host_cap))
-                .collect(),
-            global: Ring::new(cfg.global_cap),
+            rings,
+            stage: Vec::with_capacity(STAGE_RECORDS),
             next_seq: 0,
         }
     }
 
+    /// Always inlined, with the hooks: the event is then built in the
+    /// caller's registers and reaches the staging buffer by plain stores.
+    /// Out of line it went through the stack and came back as a 16-byte
+    /// load spanning two 8-byte stores, which cannot be store-forwarded
+    /// and waits for every older store to commit: the in-order stall that
+    /// staging is there to avoid (8.5 % self time on that one load).
+    #[inline(always)]
     fn record(&mut self, host: Option<u32>, mut ev: TraceEvent) {
         ev.seq = self.next_seq;
         self.next_seq += 1;
-        match host {
-            Some(h) => self.rings[h as usize].push(ev),
-            None => self.global.push(ev),
+        let global = self.rings.len() - 1;
+        let ring = match host {
+            Some(h) => {
+                assert!(
+                    (h as usize) < global,
+                    "trace event for host {h} of {global}"
+                );
+                h as usize
+            }
+            None => global,
+        };
+        if self.stage.len() == STAGE_RECORDS {
+            self.flush();
         }
+        self.stage.push(Staged {
+            rec: Rec::pack(&ev),
+            ring: ring as u32,
+        });
+    }
+
+    /// Move the staged records to their rings, in record order.
+    #[cold]
+    fn flush(&mut self) {
+        for s in &self.stage {
+            self.rings[s.ring as usize].push(s.rec);
+        }
+        self.stage.clear();
     }
 
     fn pkt_event(
@@ -282,16 +444,19 @@ impl TraceSink {
         }
     }
 
+    #[inline]
     pub fn enqueue(&mut self, now: Time, port: u32, depth: u64, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::Enqueue, now, Dur::ZERO, port, depth, m);
         self.record(Some(m.host), ev);
     }
 
+    #[inline]
     pub fn drop_tail(&mut self, now: Time, port: u32, depth: u64, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::DropTail, now, Dur::ZERO, port, depth, m);
         self.record(Some(m.host), ev);
     }
 
+    #[inline]
     pub fn drop_fault(&mut self, now: Time, port: u32, fault: u32, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::DropFault, now, Dur::ZERO, port, fault as u64, m);
         self.record(Some(m.host), ev);
@@ -299,6 +464,7 @@ impl TraceSink {
 
     /// `tx` = serialization time, `wait` = head-of-line wait since the
     /// packet's enqueue at this port.
+    #[inline]
     pub fn wire_start(&mut self, now: Time, port: u32, tx: Dur, wait: Dur, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::WireStart, now, tx, port, wait.0, m);
         self.record(Some(m.host), ev);
@@ -306,11 +472,13 @@ impl TraceSink {
 
     /// A paced NIC data frame hits the host wire (`start`/`tx` from the
     /// batcher's wire schedule).
+    #[inline]
     pub fn nic_data(&mut self, start: Time, tx: Dur, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::NicData, start, tx, m.host, 0, m);
         self.record(Some(m.host), ev);
     }
 
+    #[inline]
     pub fn nic_void(&mut self, host: u32, start: Time, tx: Dur, size: u64) {
         let ev = TraceEvent {
             seq: 0,
@@ -330,12 +498,14 @@ impl TraceSink {
     }
 
     /// The pacer stamped this packet `wait` into the future.
+    #[inline]
     pub fn token_wait(&mut self, now: Time, vm: u32, wait: Dur, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::TokenWait, now, wait, m.host, vm as u64, m);
         self.record(Some(m.host), ev);
     }
 
     /// An RTO fired: span from its arming instant to now.
+    #[inline]
     pub fn rto_fire(&mut self, armed: Time, now: Time, host: u32, conn: u32, tenant: u16) {
         let ev = TraceEvent {
             seq: 0,
@@ -355,12 +525,14 @@ impl TraceSink {
     }
 
     /// Packet fully received at `arr_host` (its destination).
+    #[inline]
     pub fn deliver(&mut self, now: Time, arr_host: u32, m: PktMeta) {
         let ev = Self::pkt_event(TraceKind::Deliver, now, Dur::ZERO, arr_host, 0, m);
         self.record(Some(m.host), ev);
     }
 
     /// Application message completed: span from creation to delivery.
+    #[inline]
     pub fn msg_done(&mut self, created: Time, now: Time, host: u32, tenant: u16, size: u64) {
         let ev = TraceEvent {
             seq: 0,
@@ -380,6 +552,7 @@ impl TraceSink {
     }
 
     /// A fault edge (global ring).
+    #[inline]
     pub fn fault(&mut self, now: Time, idx: u32, start: bool) {
         let kind = if start {
             TraceKind::FaultStart
@@ -403,29 +576,22 @@ impl TraceSink {
         self.record(None, ev);
     }
 
-    /// Events recorded so far (including later-evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Merge the rings into the final log: all surviving events in global
     /// record order, plus bookkeeping for the exporters.
     pub fn finish(
-        self,
+        mut self,
         port_labels: Vec<String>,
         fault_windows: Vec<FaultWindow>,
         tenants: usize,
     ) -> TraceLog {
+        self.flush();
         let recorded = self.next_seq;
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut dropped = self.global.dropped;
+        let dropped = self.rings.iter().map(|r| r.dropped).sum::<u64>();
+        let retained = self.rings.iter().map(|r| r.buf.len()).sum();
+        let mut events: Vec<TraceEvent> = Vec::with_capacity(retained);
         for r in &self.rings {
-            dropped += r.dropped;
+            events.extend(r.iter().map(Rec::unpack));
         }
-        for r in self.rings {
-            events.extend(r.buf);
-        }
-        events.extend(self.global.buf);
         // Record order is the deterministic total order of the trace.
         events.sort_unstable_by_key(|e| e.seq);
         // Ring accounting must balance: every event ever recorded either
@@ -630,6 +796,8 @@ impl TraceLog {
 mod tests {
     use super::*;
     use crate::metrics::EvKind;
+    use silo_base::prop::{self, Rng};
+    use std::collections::VecDeque;
 
     fn mk(kind: TraceKind, seq: u64) -> TraceEvent {
         TraceEvent {
@@ -652,11 +820,271 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let mut r = Ring::new(3);
         for i in 0..5 {
-            r.push(mk(TraceKind::Enqueue, i));
+            r.push(Rec::pack(&mk(TraceKind::Enqueue, i)));
         }
         assert_eq!(r.dropped, 2);
-        let seqs: Vec<u64> = r.buf.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "most recent history survives");
+    }
+
+    /// Every kind, tag and flag with every other field at its widest:
+    /// the "not applicable" sentinels, full-width `aux`, and either a
+    /// full-width `pseq` beside the largest wire size or a size above
+    /// `u32::MAX` (a message's) beside the `pseq` of 0 it comes with.
+    #[test]
+    fn packed_record_round_trips_every_kind_tag_and_extreme() {
+        let wide = u32::MAX as u64 + 1;
+        for kind in TraceKind::ALL {
+            for pk in Rec::TAGS {
+                for retx in [false, true] {
+                    for (size, pseq) in [(wide, 0), (u64::MAX, 0), (u32::MAX as u64, u64::MAX)] {
+                        let ev = TraceEvent {
+                            seq: u64::MAX,
+                            at: Time(u64::MAX),
+                            dur: Dur(u64::MAX),
+                            kind,
+                            loc: u32::MAX,
+                            aux: u64::MAX,
+                            conn: NO_CONN,
+                            pseq,
+                            size,
+                            tenant: NO_TENANT,
+                            pk,
+                            retx,
+                        };
+                        assert_eq!(Rec::pack(&ev).unpack(), ev);
+                    }
+                    let plain = TraceEvent {
+                        pk,
+                        retx,
+                        ..mk(kind, 7)
+                    };
+                    assert_eq!(Rec::pack(&plain).unpack(), plain);
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Differential oracle: the recorder as it was before staging and
+    // packing. Each ring is a `VecDeque` of whole events and `record`
+    // writes it at once.
+    // ------------------------------------------------------------------
+
+    struct RefRing {
+        buf: VecDeque<TraceEvent>,
+        cap: usize,
+        dropped: u64,
+    }
+
+    impl RefRing {
+        fn new(cap: usize) -> RefRing {
+            RefRing {
+                buf: VecDeque::new(),
+                cap,
+                dropped: 0,
+            }
+        }
+
+        fn push(&mut self, ev: TraceEvent) {
+            if self.buf.len() == self.cap {
+                self.buf.pop_front();
+                self.dropped += 1;
+            }
+            self.buf.push_back(ev);
+        }
+    }
+
+    struct RefSink {
+        rings: Vec<RefRing>,
+        global: RefRing,
+        next_seq: u64,
+    }
+
+    impl RefSink {
+        fn new(cfg: &TraceConfig, num_hosts: usize) -> RefSink {
+            RefSink {
+                rings: (0..num_hosts)
+                    .map(|_| RefRing::new(cfg.per_host_cap))
+                    .collect(),
+                global: RefRing::new(cfg.global_cap),
+                next_seq: 0,
+            }
+        }
+
+        fn record(&mut self, host: Option<u32>, mut ev: TraceEvent) {
+            ev.seq = self.next_seq;
+            self.next_seq += 1;
+            match host {
+                Some(h) => self.rings[h as usize].push(ev),
+                None => self.global.push(ev),
+            }
+        }
+
+        /// `(events, dropped, recorded)` as `TraceSink::finish` reports.
+        fn finish(self) -> (Vec<TraceEvent>, u64, u64) {
+            let mut dropped = self.global.dropped;
+            let mut events: Vec<TraceEvent> = self.global.buf.into_iter().collect();
+            for r in self.rings {
+                dropped += r.dropped;
+                events.extend(r.buf);
+            }
+            events.sort_unstable_by_key(|e| e.seq);
+            (events, dropped, self.next_seq)
+        }
+    }
+
+    /// One recorder's whole life: its shape and what it is told to record.
+    #[derive(Debug, Clone)]
+    struct Script {
+        hosts: usize,
+        per_host_cap: usize,
+        global_cap: usize,
+        steps: Vec<(Option<u32>, TraceEvent)>,
+    }
+
+    fn gen_script(rng: &mut prop::StdRng) -> Script {
+        const CAPS: [usize; 3] = [1, 3, 64];
+        let hosts = rng.random_range(1..6usize);
+        // Below, at and several times the staging size, with a remainder.
+        let len = match rng.random_range(0..4u8) {
+            0 => rng.random_range(0..STAGE_RECORDS),
+            1 => STAGE_RECORDS,
+            _ => rng.random_range(2..5usize) * STAGE_RECORDS + rng.random_range(1..STAGE_RECORDS),
+        };
+        let word = |rng: &mut prop::StdRng| match rng.random_range(0..4u8) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => rng.random_range(0..1000u64),
+            _ => rng.random::<u64>(),
+        };
+        let steps = (0..len)
+            .map(|_| {
+                let host = (!rng.random_bool(0.1)).then(|| rng.random_range(0..hosts as u32));
+                let pseq = word(rng);
+                let size = if pseq == 0 {
+                    word(rng)
+                } else {
+                    rng.random_range(0..1u64 << 32)
+                };
+                let ev = TraceEvent {
+                    seq: 0,
+                    at: Time(word(rng)),
+                    dur: Dur(word(rng)),
+                    kind: TraceKind::ALL[rng.random_range(0..TraceKind::COUNT)],
+                    loc: word(rng) as u32,
+                    aux: word(rng),
+                    conn: word(rng) as u32,
+                    pseq,
+                    size,
+                    tenant: word(rng) as u16,
+                    pk: Rec::TAGS[rng.random_range(0..4usize)],
+                    retx: rng.random::<bool>(),
+                };
+                (host, ev)
+            })
+            .collect();
+        Script {
+            hosts,
+            per_host_cap: CAPS[rng.random_range(0..3usize)],
+            global_cap: CAPS[rng.random_range(0..3usize)],
+            steps,
+        }
+    }
+
+    /// Shorter scripts first (halves, then the ends; whole-vector clones,
+    /// so never one candidate per step of a script thousands of steps long), then
+    /// fewer hosts and smaller rings.
+    fn shrink_script(s: &Script) -> Vec<Script> {
+        let n = s.steps.len();
+        let mut out = Vec::new();
+        let mut keep = |range: std::ops::Range<usize>| {
+            out.push(Script {
+                steps: s.steps[range].to_vec(),
+                ..s.clone()
+            })
+        };
+        if n > 1 {
+            keep(0..n / 2);
+            keep(n / 2..n);
+        }
+        if n > 0 {
+            keep(0..n - 1);
+            keep(1..n);
+        }
+        if s.hosts > 1 {
+            out.push(Script {
+                hosts: 1,
+                steps: s.steps.iter().map(|&(h, ev)| (h.map(|_| 0), ev)).collect(),
+                ..s.clone()
+            });
+        }
+        for cap in [1, 3] {
+            if cap < s.per_host_cap {
+                out.push(Script {
+                    per_host_cap: cap,
+                    ..s.clone()
+                });
+            }
+            if cap < s.global_cap {
+                out.push(Script {
+                    global_cap: cap,
+                    ..s.clone()
+                });
+            }
+        }
+        out
+    }
+
+    /// The staged, packed sink against the reference: same surviving
+    /// events, same eviction count, same total. The sink runs under
+    /// `catch_unwind` so that a panic in it (`finish` asserts its own
+    /// accounting) is a failure to shrink, not the end of the test.
+    fn check_script(s: &Script) -> Result<(), String> {
+        let cfg = TraceConfig {
+            per_host_cap: s.per_host_cap,
+            global_cap: s.global_cap,
+        };
+        let got = std::panic::catch_unwind(|| {
+            let mut sink = TraceSink::new(&cfg, s.hosts);
+            for &(host, ev) in &s.steps {
+                sink.record(host, ev);
+            }
+            sink.finish(Vec::new(), Vec::new(), 0)
+        })
+        .map_err(|_| "the sink panicked (its message is on stderr)".to_string())?;
+        let mut want = RefSink::new(&cfg, s.hosts);
+        for &(host, ev) in &s.steps {
+            want.record(host, ev);
+        }
+        let (events, dropped, recorded) = want.finish();
+        if (got.dropped, got.recorded) != (dropped, recorded) {
+            return Err(format!(
+                "dropped {} of {} recorded; the reference {dropped} of {recorded}",
+                got.dropped, got.recorded
+            ));
+        }
+        if got.events.len() != events.len() {
+            return Err(format!(
+                "{} events retained; the reference {}",
+                got.events.len(),
+                events.len()
+            ));
+        }
+        match got.events.iter().zip(&events).find(|(g, w)| g != w) {
+            Some((g, w)) => Err(format!("retained {g:?}; the reference {w:?}")),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn staged_sink_matches_the_reference() {
+        prop::forall(
+            "staged_packed_sink_vs_reference",
+            gen_script,
+            shrink_script,
+            check_script,
+        );
     }
 
     #[test]
