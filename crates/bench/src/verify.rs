@@ -179,12 +179,11 @@ pub fn run_verify(
             ..AuditConfig::default()
         });
     }
-    let (m, simdbg) = checked(topo.clone(), cfg, specs).run_keep();
-    let peaks = simdbg.debug_port_peaks();
+    let m = checked(topo.clone(), cfg, specs).run();
     let mut rows = Vec::new();
     let mut checked = 0;
     let mut violations = 0;
-    for (i, (&measured, peak)) in m.port_max_queue.iter().zip(&peaks).enumerate() {
+    for (i, (&measured, &peak_at)) in m.port_max_queue.iter().zip(&m.port_max_at).enumerate() {
         let pid = PortId(i as u32);
         let info = topo.port(pid);
         if info.is_nic {
@@ -202,7 +201,7 @@ pub fn run_verify(
             measured,
             bound,
             buffer: info.buffer.as_u64(),
-            peak_at: peak.1,
+            peak_at,
         };
         if !row.ok() {
             violations += 1;

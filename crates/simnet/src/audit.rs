@@ -1,7 +1,7 @@
 //! silo-audit: a flag-gated invariant-audit layer for the packet simulator.
 //!
 //! When [`crate::SimConfig::audit`] is set, the engine feeds every queue and
-//! wire operation through an [`AuditSink`] that checks, per event:
+//! wire operation through an audit sink that checks, per event:
 //!
 //! * **byte conservation** — at every port, bytes in − bytes out must equal
 //!   the bytes currently queued, after every enqueue, dequeue and flush;
@@ -20,10 +20,8 @@
 //!   admission-time bound supplied in [`AuditConfig::port_bounds`] (when
 //!   one is supplied; the placement crate computes these).
 //!
-//! The sink is pure observation: it never mutates engine state, takes no
-//! randomness, and schedules no events, so an audited run is byte-identical
-//! to an unaudited one (`tests/audit.rs` asserts it; the repo benchmark's
-//! `pkt_silo_observed` workload re-checks it on every repetition).
+//! Like every observer it is pure observation; the engine reaches it only
+//! through the observation spine (`observe.rs`).
 //!
 //! Violations are attributed to injected faults when they fall inside a
 //! fault's realized window (plus [`AuditConfig::attribution_slack`], which
@@ -254,7 +252,7 @@ impl CurveMeter {
 
 /// Per-VM admitted curve parameters, for building conformance meters.
 #[derive(Debug, Clone, Copy)]
-pub struct VmCurve {
+pub(crate) struct VmCurve {
     pub b: Rate,
     pub s: Bytes,
     pub bmax: Rate,
@@ -263,7 +261,7 @@ pub struct VmCurve {
 /// The audit state threaded through the engine. All methods are observers;
 /// none returns anything the engine acts on.
 #[derive(Debug)]
-pub struct AuditSink {
+pub(crate) struct AuditSink {
     cfg: AuditConfig,
     report: AuditReport,
     /// Per-port cumulative bytes accepted into the queue.
@@ -493,9 +491,9 @@ impl AuditSink {
 
     /// Finalize: fold in the batchers' early-release count and emit the
     /// report.
-    pub fn finish(&mut self, early_releases: u64) -> AuditReport {
+    pub fn finish(mut self, early_releases: u64) -> AuditReport {
         self.report.early_releases = early_releases;
-        self.report.clone()
+        self.report
     }
 }
 
@@ -731,8 +729,7 @@ mod tests {
 
     #[test]
     fn early_releases_fold_into_report() {
-        let mut a = sink_with(vec![]);
-        let r = a.finish(7);
+        let r = sink_with(vec![]).finish(7);
         assert_eq!(r.early_releases, 7);
         assert!(!r.is_clean());
         assert_eq!(r.total(), 0, "early releases are tracked separately");

@@ -30,6 +30,7 @@ pub mod config;
 pub mod faults;
 pub mod metrics;
 pub mod msgqueue;
+mod observe;
 pub mod packet;
 pub mod port;
 pub mod sim;
@@ -42,5 +43,5 @@ pub use config::{SimConfig, TenantSpec, TenantWorkload, TransportMode};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanBounds, FAULTPLAN_FORMAT};
 pub use metrics::{EvKind, EventProfile, FaultWindow, Metrics, MsgRecord, TenantStats, Violation};
 pub use sim::Sim;
-pub use telemetry::{SelfProfile, TelemetryConfig, TelemetryLog, TelemetrySink, TenantWindow};
+pub use telemetry::{SelfProfile, TelemetryConfig, TelemetryLog, TenantWindow};
 pub use trace::{PktTag, TraceConfig, TraceEvent, TraceKind, TraceLog};

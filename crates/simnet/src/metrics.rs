@@ -219,6 +219,10 @@ pub struct Metrics {
     /// Per-port queue high-water marks in bytes (indexed by `PortId.0`) —
     /// directly comparable to the placement manager's backlog bounds.
     pub port_max_queue: Vec<u64>,
+    /// Instant each port first reached its `port_max_queue` (indexed
+    /// alike). Like `profile`, absent from both serializations: it locates
+    /// a peak, it is not an outcome.
+    pub port_max_at: Vec<Time>,
     /// Engine events dispatched inside the horizon (throughput
     /// denominator for events/sec reporting).
     pub events_processed: u64,
