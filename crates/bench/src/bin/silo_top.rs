@@ -26,6 +26,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The file arguments after the subcommand, which must number exactly `n`;
+/// a flag or an extra argument is a usage error rather than ignored.
+fn files(rest: &[String], n: usize) -> &[String] {
+    if rest.len() != n || rest.iter().any(|a| a.starts_with('-')) {
+        usage();
+    }
+    rest
+}
+
 fn load(path: &str) -> TelemetryFile {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("silo-top: cannot read {path}: {e}");
@@ -42,16 +51,13 @@ fn main() {
     let Some(cmd) = argv.first() else { usage() };
     match cmd.as_str() {
         "show" => {
-            let path = argv.get(1).unwrap_or_else(|| usage());
+            let path = &files(&argv[1..], 1)[0];
             print!("{}", render_top(&load(path)));
         }
         "diff" => {
-            let (a_path, b_path) = match (argv.get(1), argv.get(2)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => usage(),
-            };
-            let a = load(a_path);
-            let b = load(b_path);
+            let paths = files(&argv[1..], 2);
+            let a = load(&paths[0]);
+            let b = load(&paths[1]);
             match telemetry_divergence(&a, &b) {
                 Err(e) => {
                     eprintln!("silo-top: {e}");
@@ -71,7 +77,7 @@ fn main() {
             }
         }
         "check-openmetrics" => {
-            let path = argv.get(1).unwrap_or_else(|| usage());
+            let path = &files(&argv[1..], 1)[0];
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("silo-top: cannot read {path}: {e}");
                 std::process::exit(2);

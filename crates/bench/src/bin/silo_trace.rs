@@ -27,6 +27,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The arguments after the subcommand, split into its file arguments,
+/// which must number `n`, and its flags, each of which must be in `known`.
+/// Anything else is a usage error: a misspelled flag must not pass as a
+/// check that was never run.
+fn split_args<'a>(rest: &'a [String], n: usize, known: &[&str]) -> (Vec<&'a str>, Vec<&'a str>) {
+    let (flags, files): (Vec<&str>, Vec<&str>) = rest
+        .iter()
+        .map(String::as_str)
+        .partition(|a| a.starts_with('-'));
+    if files.len() != n || flags.iter().any(|f| !known.contains(f)) {
+        usage();
+    }
+    (files, flags)
+}
+
 fn load(path: &str) -> TraceFile {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("silo-trace: cannot read {path}: {e}");
@@ -43,7 +58,10 @@ fn main() {
     let Some(cmd) = argv.first() else { usage() };
     match cmd.as_str() {
         "dump" => {
-            let path = argv.get(1).unwrap_or_else(|| usage());
+            let path = argv
+                .get(1)
+                .filter(|p| !p.starts_with('-'))
+                .unwrap_or_else(|| usage());
             let mut head = 20usize;
             let mut i = 2;
             while i < argv.len() {
@@ -84,16 +102,13 @@ fn main() {
             }
         }
         "summarize" => {
-            let path = argv.get(1).unwrap_or_else(|| usage());
-            print!("{}", summarize(&load(path)));
+            let (files, _) = split_args(&argv[1..], 1, &[]);
+            print!("{}", summarize(&load(files[0])));
         }
         "diff" => {
-            let (a_path, b_path) = match (argv.get(1), argv.get(2)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => usage(),
-            };
-            let a = load(a_path);
-            let b = load(b_path);
+            let (files, _) = split_args(&argv[1..], 2, &[]);
+            let a = load(files[0]);
+            let b = load(files[1]);
             match first_divergence(&a, &b) {
                 None => {
                     println!("identical: {} events", a.rows.len());
@@ -105,9 +120,14 @@ fn main() {
             }
         }
         "check-perfetto" => {
-            let path = argv.get(1).unwrap_or_else(|| usage());
-            let expect_tenants = argv.iter().any(|a| a == "--expect-tenant-tracks");
-            let expect_faults = argv.iter().any(|a| a == "--expect-fault-markers");
+            let (files, flags) = split_args(
+                &argv[1..],
+                1,
+                &["--expect-tenant-tracks", "--expect-fault-markers"],
+            );
+            let path = files[0];
+            let expect_tenants = flags.contains(&"--expect-tenant-tracks");
+            let expect_faults = flags.contains(&"--expect-fault-markers");
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("silo-trace: cannot read {path}: {e}");
                 std::process::exit(2);

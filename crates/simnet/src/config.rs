@@ -178,22 +178,20 @@ pub struct SimConfig {
     /// to a run without the fault layer.
     pub faults: FaultPlan,
     /// Invariant auditing ([`AuditConfig`]). `None` (the default) skips
-    /// every check; `Some` runs the full audit layer, which observes but
-    /// never perturbs the simulation — physical outputs are byte-identical
-    /// either way, and the results land in [`crate::Metrics::audit`].
+    /// every check; `Some` runs the full audit layer, whose results land
+    /// in [`crate::Metrics::audit`]. An observer: the observation spine
+    /// (`observe.rs`) states what observers may not do.
     pub audit: Option<AuditConfig>,
     /// Flight-recorder tracing ([`TraceConfig`]). `None` (the default)
     /// records nothing; `Some` attaches per-host ring buffers capturing
     /// every packet lifecycle event, exported via
-    /// [`crate::Metrics::trace`]. Same discipline as `audit`: pure
-    /// observation, physical outputs byte-identical either way.
+    /// [`crate::Metrics::trace`]. An observer, like `audit`.
     pub trace: Option<TraceConfig>,
     /// Windowed telemetry ([`TelemetryConfig`]). `None` (the default)
     /// records nothing; `Some` samples per-tenant/per-port time series on
     /// a fixed sim-time grid plus a wall-clock engine self-profile,
-    /// exported via [`crate::Metrics::telemetry`]. Same discipline as
-    /// `audit`/`trace`: pure observation, physical outputs byte-identical
-    /// either way.
+    /// exported via [`crate::Metrics::telemetry`]. An observer, like
+    /// `audit`.
     pub telemetry: Option<TelemetryConfig>,
     /// Cap on retained per-message records in [`crate::Metrics`]. `None`
     /// (the default) keeps every record — fine for experiment runs that

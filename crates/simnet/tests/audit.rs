@@ -1,7 +1,8 @@
 //! End-to-end tests of the invariant-audit layer: a healthy engine is
-//! audit-clean in every transport mode, auditing never perturbs physics,
-//! injected pacer faults produce *attributed* conformance violations, and
-//! the queue-bound check actually fires when given an impossible bound.
+//! audit-clean in every transport mode, injected pacer faults produce
+//! *attributed* conformance violations, and the queue-bound check actually
+//! fires when given an impossible bound. That auditing never perturbs
+//! physics is `tests/observer_purity.rs`.
 
 use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
@@ -53,28 +54,20 @@ fn bulk_tenant(hosts: &[u32]) -> TenantSpec {
     }
 }
 
-fn run(mode: TransportMode, audit: bool, faults: FaultPlan) -> silo_simnet::Metrics {
+fn run(mode: TransportMode, faults: FaultPlan) -> silo_simnet::Metrics {
     let mut cfg = SimConfig::new(mode, Dur::from_ms(40), 7);
     cfg.faults = faults;
-    if audit {
-        cfg.audit = Some(AuditConfig::default());
-    }
+    cfg.audit = Some(AuditConfig::default());
     let tenants = vec![periodic_tenant(&[0, 1]), bulk_tenant(&[2, 3])];
     Sim::new(small_topo(4), cfg, tenants).run()
 }
 
 #[test]
-fn audit_observes_without_perturbing_physics() {
+fn audit_is_clean_in_every_mode() {
     for mode in [TransportMode::Silo, TransportMode::Tcp, TransportMode::Okto] {
-        let off = run(mode, false, FaultPlan::new());
-        let on = run(mode, true, FaultPlan::new());
-        assert_eq!(
-            off.canonical_json(),
-            on.canonical_json(),
-            "{mode:?}: auditing must not change any outcome"
-        );
-        assert!(off.audit.is_none());
-        let report = on.audit.expect("audited run must carry a report");
+        let report = run(mode, FaultPlan::new())
+            .audit
+            .expect("audited run must carry a report");
         assert!(report.events_checked > 0, "{mode:?}: audit saw no events");
         assert!(
             report.is_clean(),
@@ -86,7 +79,7 @@ fn audit_observes_without_perturbing_physics() {
 
 #[test]
 fn audit_report_stays_out_of_serializations() {
-    let on = run(TransportMode::Silo, true, FaultPlan::new());
+    let on = run(TransportMode::Silo, FaultPlan::new());
     let json = on.canonical_json();
     assert!(
         !json.contains("audit"),
@@ -101,7 +94,7 @@ fn pacer_stall_burst_is_flagged_and_attributed() {
     // tenant's {B,S,Bmax} wire curve — and every resulting conformance
     // violation must carry the stall's fault attribution.
     let faults = FaultPlan::new().pacer_stall(Time::from_ms(10), Time::from_ms(20), 1);
-    let m = run(TransportMode::Silo, true, faults);
+    let m = run(TransportMode::Silo, faults);
     let report = m.audit.expect("report");
     assert!(
         report.conformance > 0,
@@ -126,7 +119,7 @@ fn link_outage_flush_keeps_ledger_balanced() {
     // discarded at fault start). Byte conservation and FIFO bookkeeping
     // must survive it with zero violations of their own.
     let faults = FaultPlan::new().link_down(Time::from_ms(10), Some(Time::from_ms(20)), 0);
-    let m = run(TransportMode::Tcp, true, faults);
+    let m = run(TransportMode::Tcp, faults);
     let report = m.audit.expect("report");
     assert!(m.fault_drops[0] > 0, "outage must actually drop packets");
     assert_eq!(report.conservation, 0, "{}", report.summary());
@@ -140,7 +133,7 @@ fn tenant_churn_resets_conformance_meters() {
     // follow, the tenant's first post-readmission burst would be a false
     // (and unattributed after slack) violation.
     let faults = FaultPlan::new().tenant_churn(0, Time::from_ms(12), Time::from_ms(25));
-    let m = run(TransportMode::Silo, true, faults);
+    let m = run(TransportMode::Silo, faults);
     let report = m.audit.expect("report");
     assert_eq!(
         report.unattributed,

@@ -1,18 +1,13 @@
-//! Differential and conservation suite for the windowed telemetry layer
-//! (`SimConfig::telemetry`).
-//!
-//! Telemetry is pure observation, and this suite is the proof: a
-//! telemetry-on run must be byte-identical to a telemetry-off run in
-//! every other observer (canonical metrics, flight-recorder log, audit
-//! counters) across transports and fault plans; and every
-//! series must be *conservative* — the sum over windows equals the
-//! end-of-run `Metrics` total bit-exactly, the windowed analogue of the
-//! trace rings' `retained + dropped == recorded`.
+//! Conservation suite for the windowed telemetry layer
+//! (`SimConfig::telemetry`): every series must be *conservative* — the
+//! sum over windows equals the end-of-run `Metrics` total bit-exactly, the
+//! windowed analogue of the trace rings' `retained + dropped == recorded`.
+//! That telemetry never perturbs physics or another observer is
+//! `tests/observer_purity.rs`.
 
 use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
-    AuditConfig, FaultPlan, Metrics, Sim, SimConfig, TelemetryConfig, TenantSpec, TenantWorkload,
-    TraceConfig, TransportMode,
+    FaultPlan, Metrics, Sim, SimConfig, TelemetryConfig, TenantSpec, TenantWorkload, TransportMode,
 };
 use silo_topology::{HostId, Topology, TreeParams};
 
@@ -69,58 +64,16 @@ fn faults() -> FaultPlan {
         .link_down(Time::from_ms(10), Some(Time::from_ms(15)), 2)
 }
 
-fn run(mode: TransportMode, telemetry: bool, plan: FaultPlan, observers: bool) -> Metrics {
+fn run(mode: TransportMode, plan: FaultPlan) -> Metrics {
     let mut cfg = SimConfig::new(mode, Dur::from_ms(20), 7);
     cfg.faults = plan;
-    if telemetry {
-        cfg.telemetry = Some(TelemetryConfig::default());
-    }
-    if observers {
-        cfg.audit = Some(AuditConfig::default());
-        cfg.trace = Some(TraceConfig::default());
-    }
+    cfg.telemetry = Some(TelemetryConfig::default());
     Sim::new(racked_topo(), cfg, tenants()).run()
-}
-
-/// Everything the other observers can see, in one comparable bundle.
-fn observed(m: &Metrics) -> (String, String, u64, [u64; 8]) {
-    let trace = m.trace.as_ref().expect("traced run").to_jsonl();
-    let audit = m.audit.as_ref().expect("audited run");
-    (
-        m.canonical_json(),
-        trace,
-        audit.events_checked,
-        audit.counters(),
-    )
-}
-
-#[test]
-fn telemetry_observes_without_perturbing_physics() {
-    for mode in [
-        TransportMode::Silo,
-        TransportMode::Tcp,
-        TransportMode::Dctcp,
-    ] {
-        for plan in [FaultPlan::new(), faults()] {
-            let off = observed(&run(mode, false, plan.clone(), true));
-            let m = run(mode, true, plan, true);
-            let on = observed(&m);
-            assert_eq!(on, off, "telemetry moved an observer: mode={mode:?}");
-            let log = m.telemetry.as_ref().expect("telemetry-on run");
-            assert_eq!(log.windows, 20, "20 ms at 1 ms windows");
-            assert!(
-                log.tenants
-                    .iter()
-                    .any(|s| s.iter().any(|w| w.completions > 0)),
-                "mode={mode:?}: some window must complete messages"
-            );
-        }
-    }
 }
 
 #[test]
 fn telemetry_stays_out_of_serializations() {
-    let m = run(TransportMode::Silo, true, FaultPlan::new(), false);
+    let m = run(TransportMode::Silo, FaultPlan::new());
     assert!(
         !m.canonical_json().contains("telemetry"),
         "telemetry must not enter the fingerprint"
@@ -139,7 +92,7 @@ fn every_series_conserves_the_end_of_run_totals() {
         TransportMode::Dctcp,
     ] {
         for plan in [FaultPlan::new(), faults()] {
-            let m = run(mode, true, plan, false);
+            let m = run(mode, plan);
             let log = m.telemetry.as_ref().expect("telemetry log");
             for t in 0..2 {
                 assert_eq!(
@@ -176,7 +129,7 @@ fn every_series_conserves_the_end_of_run_totals() {
 /// windows overlapping the realized fault interval.
 #[test]
 fn margins_and_fault_attribution_populate() {
-    let m = run(TransportMode::Silo, true, faults(), false);
+    let m = run(TransportMode::Silo, faults());
     let log = m.telemetry.as_ref().expect("log");
     assert!(
         log.tenants[0].iter().any(|w| w.margin_min_ps.is_some()),
@@ -205,7 +158,7 @@ fn margins_and_fault_attribution_populate() {
 /// land, and the sampled time never exceeds the loop's wall time.
 #[test]
 fn self_profile_spans_are_nonzero_and_bounded() {
-    let m = run(TransportMode::Silo, true, FaultPlan::new(), false);
+    let m = run(TransportMode::Silo, FaultPlan::new());
     let p = &m.telemetry.as_ref().expect("log").self_profile;
     assert!(p.wall_ns > 0, "dispatch loop must be timed");
     assert!(p.dispatch_total_ns() > 0, "dispatch spans must accumulate");
