@@ -2,11 +2,19 @@
 //! else in the workspace).
 //!
 //! Grown for the flight-recorder interchange formats and now shared by
-//! every layer that reads structured artifacts back in: `silo-trace`'s
-//! JSONL loader and Perfetto validator (`silo-bench::tracefile`) and the
-//! replayable fault-schedule format (`silo-simnet::faults`). Writers in
-//! this workspace emit JSON by hand (deterministic, exact formatting);
-//! this is the matching reader.
+//! every layer that reads structured artifacts back in: the observation
+//! file reader and Perfetto validator behind `silo-obs`
+//! (`silo-bench::obsfile`) and the replayable fault-schedule format
+//! (`silo-simnet::faults`). Writers in this workspace emit JSON by hand
+//! (deterministic, exact formatting); this is the matching reader.
+//!
+//! Containers nest at most `MAX_DEPTH` (16) deep. The workspace's formats
+//! nest four at most (a Perfetto event's `args` object), and the parser
+//! recurses once per level, so a file of 10⁵ `[` is an `Err`, not a
+//! stack overflow.
+
+/// Deepest container nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 16;
 
 /// A parsed JSON value. Numbers are kept as `f64` (the format's own
 /// model); the workspace's formats only emit integers that fit exactly,
@@ -27,7 +35,7 @@ impl Json {
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut i = 0;
-        let v = parse_value(b, &mut i)?;
+        let v = parse_value(b, &mut i, 0)?;
         skip_ws(b, &mut i);
         if i != b.len() {
             return Err(format!("trailing bytes at offset {i}"));
@@ -114,10 +122,13 @@ fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, i);
     match b.get(*i) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {i}"))
+        }
         Some(b'{') => {
             *i += 1;
             let mut fields = Vec::new();
@@ -131,7 +142,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, i)?;
                 skip_ws(b, i);
                 expect(b, i, b':')?;
-                let val = parse_value(b, i)?;
+                let val = parse_value(b, i, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, i);
                 match b.get(*i) {
@@ -153,7 +164,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, i)?);
+                items.push(parse_value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -293,6 +304,18 @@ mod tests {
     #[should_panic(expected = "cannot represent")]
     fn fmt_f64_rejects_non_finite() {
         fmt_f64(f64::NAN);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for doc in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = Json::parse(&doc).expect_err("10^5 levels must be refused");
+            assert!(err.contains("nesting deeper than 16 at offset"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(Json::parse(&past_cap).unwrap_err().contains("offset 16"));
     }
 
     #[test]

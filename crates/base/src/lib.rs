@@ -33,3 +33,29 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::Json;
 pub use stats::{Cdf, Histogram, LogHistogram, OnlineStats, Summary};
 pub use units::{Bytes, Dur, Rate, Time};
+
+/// Index of the first position where `a` and `b` differ: the shorter
+/// length when one is a strict prefix of the other, `None` when they are
+/// equal. The one first-divergence locator: observation-file diffs and
+/// the explorer's coverage signature both ask it.
+pub fn first_divergence<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+    let common = a.len().min(b.len());
+    (0..common)
+        .find(|&i| a[i] != b[i])
+        .or((a.len() != b.len()).then_some(common))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_divergence;
+
+    #[test]
+    fn first_divergence_names_the_first_mismatch_or_the_shorter_end() {
+        assert_eq!(first_divergence::<u8>(&[], &[]), None);
+        assert_eq!(first_divergence(&[1, 2, 3], &[1, 2, 3]), None);
+        assert_eq!(first_divergence(&[1, 2, 3], &[1, 9, 3]), Some(1));
+        assert_eq!(first_divergence(&[1, 2, 3], &[1, 2]), Some(2));
+        assert_eq!(first_divergence(&[1], &[1, 2]), Some(1));
+        assert_eq!(first_divergence(&[0], &[1, 2]), Some(0));
+    }
+}

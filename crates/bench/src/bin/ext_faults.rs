@@ -17,7 +17,7 @@
 //! downgraded to best-effort; then heal the link and show restoration.
 
 use silo_base::Dur;
-use silo_bench::{checked, run_cells, Args};
+use silo_bench::{checked, run_cells, write_observer_outputs, Args};
 use silo_explorer::{cell_tenants, cell_topo, seed_plans};
 use silo_placement::{DegradeOutcome, Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo_simnet::{AuditConfig, FaultPlan, Metrics, SimConfig, TransportMode};
@@ -94,26 +94,12 @@ fn main() {
     for (sc, m) in cells.iter().zip(&results) {
         report_row(sc.label, m, dur);
     }
-    if let Some(log) = results[1].trace.as_ref() {
-        if let Some(path) = &args.trace {
-            std::fs::write(path, log.to_jsonl()).expect("write trace jsonl");
-            println!(
-                "trace ({}): {} events -> {path}",
-                cells[1].label,
-                log.events.len()
-            );
+    if args.trace_requested() || args.telemetry_requested() {
+        println!("observed scenario: {}", cells[1].label);
+        if let Err(e) = write_observer_outputs(&args, &results[1]) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
-        if let Some(path) = &args.trace_perfetto {
-            // Telemetry on too? Splice its counter tracks (per-tenant
-            // goodput and guarantee margin) into the same timeline.
-            let json = log.to_perfetto_with_counters(results[1].telemetry.as_ref());
-            std::fs::write(path, json).expect("write perfetto json");
-            println!("perfetto trace -> {path} (open at ui.perfetto.dev)");
-        }
-    }
-    if let Some(log) = results[1].telemetry.as_ref() {
-        println!("telemetry scenario: {}", cells[1].label);
-        silo_bench::telemetryfile::write_telemetry_outputs(&args, log);
     }
 
     // With --audit, every scenario also ran under the invariant-audit

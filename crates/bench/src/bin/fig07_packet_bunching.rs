@@ -6,7 +6,7 @@
 //! propagation, and empirically in the packet simulator.
 
 use silo_base::{Bytes, Dur, Rate};
-use silo_bench::{checked, Args};
+use silo_bench::{checked, write_observer_outputs, Args};
 use silo_netcalc::{propagate_egress, Curve};
 use silo_simnet::{SimConfig, TenantSpec, TenantWorkload, TraceConfig, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
@@ -63,19 +63,9 @@ fn main() {
         cfg.telemetry = Some(silo_simnet::TelemetryConfig::default());
     }
     let m = checked(topo, cfg, vec![mk(0, c / 2), mk(1, c / 4)]).run();
-    if let Some(log) = &m.trace {
-        if let Some(path) = &args.trace {
-            std::fs::write(path, log.to_jsonl()).expect("write trace jsonl");
-            println!("trace: {} events -> {path}", log.events.len());
-        }
-        if let Some(path) = &args.trace_perfetto {
-            let json = log.to_perfetto_with_counters(m.telemetry.as_ref());
-            std::fs::write(path, json).expect("write perfetto json");
-            println!("perfetto trace -> {path} (open at ui.perfetto.dev)");
-        }
-    }
-    if let Some(log) = &m.telemetry {
-        silo_bench::telemetryfile::write_telemetry_outputs(&args, log);
+    if let Err(e) = write_observer_outputs(&args, &m) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
     // BulkAllToAll runs both directions; report per-direction goodput.
     println!(

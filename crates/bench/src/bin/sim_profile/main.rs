@@ -59,18 +59,7 @@ fn run_sampled(cell: &Ns2Cell, args: &Args, out: &str) -> Result<(), String> {
     if let Some(report) = &m.audit {
         println!("{}", report.summary());
     }
-    if let (Some(log), Some(path)) = (&m.trace, &args.trace) {
-        std::fs::write(path, log.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "trace: {} events ({} evicted) -> {path}",
-            log.events.len(),
-            log.dropped
-        );
-    }
-    if let Some(log) = &m.telemetry {
-        silo_bench::telemetryfile::write_telemetry_outputs(args, log);
-    }
-    Ok(())
+    silo_bench::write_observer_outputs(args, &m)
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]

@@ -16,24 +16,17 @@
 pub mod args;
 pub mod corpus;
 pub mod ns2;
+pub mod obsfile;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod telemetryfile;
-pub mod tracefile;
 pub mod verify;
 
 pub use args::{checked, Args};
+pub use obsfile::write_observer_outputs;
 pub use report::{fmt_dur_us, print_cdf, print_header, print_row};
 pub use runner::{auto_threads, run_cells};
 pub use scenario::{
     build_ns2_population, testbed_tenants, NsClass, NsTenant, PlacerKind, TestbedReq,
-};
-pub use telemetryfile::{
-    openmetrics_lint, parse_telemetry, render_top, telemetry_divergence, TelemetryDivergence,
-    TelemetryFile, TelemetryKind, TelemetryRow,
-};
-pub use tracefile::{
-    check_perfetto, first_divergence, parse_jsonl, summarize, Divergence, Json, TraceFile, TraceRow,
 };
 pub use verify::{build_verify_population, run_verify, VerifyOutcome, VerifyRow};

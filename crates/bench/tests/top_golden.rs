@@ -1,4 +1,4 @@
-//! Golden tests for `silo-top`: the telemetry diff must pinpoint *the
+//! Golden tests for `silo-obs` on telemetry: the diff must pinpoint *the
 //! exact window and series* where two almost-identical runs part ways —
 //! a perturbed fault schedule diverges in the window holding the fault
 //! edge, and a seed change diverges exactly where a by-hand scan says it
@@ -6,72 +6,36 @@
 //! against real exports, and the Perfetto counter splice validating
 //! alongside the flight recorder's spans.
 
-use silo_base::{Bytes, Dur, Rate, Time};
-use silo_bench::telemetryfile::{
-    openmetrics_lint, parse_telemetry, render_top, telemetry_divergence, TelemetryKind,
+mod common;
+
+use silo_base::{Dur, Time};
+use silo_bench::obsfile::{
+    check_perfetto, diff, openmetrics_lint, parse, show, ObsFile, Row, Sample, Series,
 };
-use silo_bench::tracefile::check_perfetto;
-use silo_simnet::{
-    FaultPlan, Metrics, Sim, SimConfig, TelemetryConfig, TenantSpec, TenantWorkload, TraceConfig,
-    TransportMode,
-};
-use silo_topology::{HostId, Topology, TreeParams};
+use silo_simnet::{FaultPlan, Metrics};
 
-fn topo() -> Topology {
-    Topology::build(TreeParams {
-        pods: 1,
-        racks_per_pod: 1,
-        servers_per_rack: 2,
-        vm_slots_per_server: 2,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 1.0,
-        agg_oversub: 1.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
-
-fn tenants() -> Vec<TenantSpec> {
-    vec![TenantSpec {
-        vm_hosts: vec![HostId(0), HostId(1)],
-        b: Rate::from_mbps(500),
-        s: Bytes::from_kb(15),
-        bmax: Rate::from_gbps(1),
-        prio: 0,
-        // A delay guarantee so the margin series populates.
-        delay: Some(Dur::from_ms(1)),
-        // Poisson draws make the schedule seed-sensitive (the seed-change
-        // golden test depends on it).
-        workload: TenantWorkload::OldiAllToOne {
-            msg_mean: Bytes::from_kb(15),
-            interval: Dur::from_ms(2),
-        },
-    }]
-}
-
+/// A delay guarantee so the margin series populates.
 fn telemetered_run(seed: u64, faults: FaultPlan, trace: bool) -> Metrics {
-    let mut cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(20), seed);
-    cfg.faults = faults;
-    cfg.telemetry = Some(TelemetryConfig::default());
-    if trace {
-        cfg.trace = Some(TraceConfig::default());
-    }
-    Sim::new(topo(), cfg, tenants()).run()
+    common::run(seed, faults, Some(Dur::from_ms(1)), trace, true)
 }
 
-fn jsonl(seed: u64, faults: FaultPlan) -> String {
-    telemetered_run(seed, faults, false)
-        .telemetry
-        .expect("telemetered run")
-        .to_jsonl()
+fn parsed(seed: u64, faults: FaultPlan) -> ObsFile {
+    let m = telemetered_run(seed, faults, false);
+    parse(&m.telemetry.expect("telemetered run").to_jsonl()).expect("parse")
+}
+
+fn rows(f: &ObsFile) -> &[Row<Sample>] {
+    match f {
+        ObsFile::Telemetry(t) => &t.rows,
+        ObsFile::Trace(_) => panic!("a telemetry file"),
+    }
 }
 
 #[test]
 fn identical_runs_have_no_divergence() {
-    let a = parse_telemetry(&jsonl(7, FaultPlan::new())).expect("parse");
-    let b = parse_telemetry(&jsonl(7, FaultPlan::new())).expect("parse");
-    assert!(telemetry_divergence(&a, &b).expect("comparable").is_none());
+    let a = parsed(7, FaultPlan::new());
+    let b = parsed(7, FaultPlan::new());
+    assert!(diff(&a, &b).expect("comparable").is_none());
 }
 
 #[test]
@@ -82,24 +46,26 @@ fn perturbed_fault_schedule_diverges_in_the_fault_window() {
     // earlier.
     let t0 = Time::from_ms(10);
     let t1 = Time::from_ms(15);
-    let a = parse_telemetry(&jsonl(7, FaultPlan::new().link_down(t0, Some(t1), 0))).expect("parse");
-    let b = parse_telemetry(&jsonl(
+    let a = parsed(7, FaultPlan::new().link_down(t0, Some(t1), 0));
+    let b = parsed(
         7,
         FaultPlan::new().link_down(t0 - Dur::from_us(200), Some(t1), 0),
-    ))
-    .expect("parse");
-    let d = telemetry_divergence(&a, &b)
+    );
+    let d = diff(&a, &b)
         .expect("comparable")
         .expect("series must diverge");
     assert!(d.index > 0, "runs agree before the perturbation");
-    let left = d.left.as_ref().expect("both files cover the window");
+    let left = &rows(&a)
+        .get(d.index)
+        .expect("both files cover the window")
+        .body;
     assert!(
         left.w == 9 || left.w == 10,
         "divergence must sit in the perturbed fault's window, got {}",
         left.w
     );
-    for r in &a.rows[..d.index] {
-        assert!(r.w <= left.w, "no earlier window may differ");
+    for r in &rows(&a)[..d.index] {
+        assert!(r.body.w <= left.w, "no earlier window may differ");
     }
     let report = d.report();
     assert!(report.contains(&format!("window {}", left.w)));
@@ -108,28 +74,24 @@ fn perturbed_fault_schedule_diverges_in_the_fault_window() {
 
 #[test]
 fn seed_change_diverges_exactly_where_a_hand_scan_says() {
-    let a = parse_telemetry(&jsonl(7, FaultPlan::new())).expect("parse");
-    let b = parse_telemetry(&jsonl(8, FaultPlan::new())).expect("parse");
-    let d = telemetry_divergence(&a, &b)
+    let a = parsed(7, FaultPlan::new());
+    let b = parsed(8, FaultPlan::new());
+    let d = diff(&a, &b)
         .expect("comparable")
         .expect("different seeds diverge");
+    let (a, b) = (rows(&a), rows(&b));
     let hand = a
-        .rows
         .iter()
-        .zip(b.rows.iter())
+        .zip(b.iter())
         .position(|(x, y)| x.raw != y.raw)
-        .unwrap_or_else(|| a.rows.len().min(b.rows.len()));
+        .unwrap_or_else(|| a.len().min(b.len()));
     assert_eq!(d.index, hand, "diff must agree with an exhaustive scan");
 }
 
 #[test]
 fn show_renders_margins_and_fault_flags() {
-    let f = parse_telemetry(&jsonl(
-        7,
-        FaultPlan::new().link_down(Time::from_ms(8), Some(Time::from_ms(12)), 0),
-    ))
-    .expect("parse");
-    let top = render_top(&f);
+    let f = parsed(7, common::outage());
+    let top = show(&f);
     assert!(top.contains("20 windows x 1.000 ms"), "{top}");
     assert!(
         top.contains("min margin"),
@@ -140,11 +102,10 @@ fn show_renders_margins_and_fault_flags() {
         "outage windows must be flagged: {top}"
     );
     // The flagged windows are exactly the grid windows the fault overlaps.
-    let fault_rows: Vec<u64> = f
-        .rows
+    let fault_rows: Vec<u64> = rows(&f)
         .iter()
-        .filter_map(|r| match &r.kind {
-            TelemetryKind::Global { faults, .. } if !faults.is_empty() => Some(r.w),
+        .filter_map(|r| match &r.body.series {
+            Series::Global { faults, .. } if !faults.is_empty() => Some(r.body.w),
             _ => None,
         })
         .collect();
@@ -164,11 +125,7 @@ fn openmetrics_export_passes_the_lint() {
 
 #[test]
 fn perfetto_counter_splice_stays_structurally_valid() {
-    let m = telemetered_run(
-        7,
-        FaultPlan::new().link_down(Time::from_ms(8), Some(Time::from_ms(12)), 0),
-        true,
-    );
+    let m = telemetered_run(7, common::outage(), true);
     let tel = m.telemetry.as_ref().expect("telemetered run");
     let trace = m.trace.as_ref().expect("traced run");
     let spliced = trace.to_perfetto_with_counters(Some(tel));

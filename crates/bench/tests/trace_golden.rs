@@ -1,66 +1,33 @@
-//! Golden tests for `silo-trace diff`: the first-divergence locator must
-//! pinpoint *the exact event* where two almost-identical runs part ways —
-//! a perturbed fault schedule diverges at the fault marker itself, and a
-//! different seed diverges exactly where a by-hand scan says it does.
-//! Plus structural validation of the Perfetto export of a faulted run.
+//! Golden tests for `silo-obs diff` on traces: the first-divergence
+//! locator must pinpoint *the exact event* where two almost-identical runs
+//! part ways — a perturbed fault schedule diverges at the fault marker
+//! itself, and a different seed diverges exactly where a by-hand scan says
+//! it does. Plus structural validation of the Perfetto export of a
+//! faulted run.
 
-use silo_base::{Bytes, Dur, Rate, Time};
-use silo_bench::tracefile::{check_perfetto, first_divergence, parse_jsonl, summarize};
-use silo_simnet::{
-    FaultPlan, Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig, TraceLog, TransportMode,
-};
-use silo_topology::{HostId, Topology, TreeParams};
+mod common;
 
-fn topo() -> Topology {
-    Topology::build(TreeParams {
-        pods: 1,
-        racks_per_pod: 1,
-        servers_per_rack: 2,
-        vm_slots_per_server: 2,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 1.0,
-        agg_oversub: 1.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
-
-fn tenants() -> Vec<TenantSpec> {
-    vec![TenantSpec {
-        vm_hosts: vec![HostId(0), HostId(1)],
-        b: Rate::from_mbps(500),
-        s: Bytes::from_kb(15),
-        bmax: Rate::from_gbps(1),
-        prio: 0,
-        delay: None,
-        // Poisson draws make the schedule seed-sensitive (the seed-change
-        // golden test depends on it); the traffic stays light enough that
-        // the default rings never evict.
-        workload: TenantWorkload::OldiAllToOne {
-            msg_mean: Bytes::from_kb(15),
-            interval: Dur::from_ms(2),
-        },
-    }]
-}
+use silo_base::{Dur, Time};
+use silo_bench::obsfile::{check_perfetto, diff, parse, show, ObsFile};
+use silo_simnet::{FaultPlan, TraceLog};
 
 fn traced_run(seed: u64, faults: FaultPlan) -> TraceLog {
-    let mut cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(20), seed);
-    cfg.faults = faults;
-    cfg.trace = Some(TraceConfig::default());
-    let m = Sim::new(topo(), cfg, tenants()).run();
-    let log = m.trace.expect("traced run");
+    let log = common::run(seed, faults, None, true, false)
+        .trace
+        .expect("traced run");
     assert_eq!(log.dropped, 0, "golden runs must fit the default rings");
     log
 }
 
+fn parsed(log: &TraceLog) -> ObsFile {
+    parse(&log.to_jsonl()).expect("parse")
+}
+
 #[test]
 fn identical_runs_have_no_divergence() {
-    let a = traced_run(7, FaultPlan::new());
-    let b = traced_run(7, FaultPlan::new());
-    let fa = parse_jsonl(&a.to_jsonl()).expect("parse");
-    let fb = parse_jsonl(&b.to_jsonl()).expect("parse");
-    assert!(first_divergence(&fa, &fb).is_none());
+    let a = parsed(&traced_run(7, FaultPlan::new()));
+    let b = parsed(&traced_run(7, FaultPlan::new()));
+    assert!(diff(&a, &b).expect("comparable").is_none());
 }
 
 #[test]
@@ -70,31 +37,39 @@ fn perturbed_fault_schedule_diverges_at_the_fault_marker() {
     // fault marker itself, at exactly 10 ms.
     let t0 = Time::from_ms(10);
     let t1 = Time::from_ms(15);
-    let a = traced_run(7, FaultPlan::new().link_down(t0, Some(t1), 0));
-    let b = traced_run(
+    let a = parsed(&traced_run(7, FaultPlan::new().link_down(t0, Some(t1), 0)));
+    let b = parsed(&traced_run(
         7,
         FaultPlan::new().link_down(t0 + Dur::from_us(1), Some(t1), 0),
-    );
-    let fa = parse_jsonl(&a.to_jsonl()).expect("parse");
-    let fb = parse_jsonl(&b.to_jsonl()).expect("parse");
-    let d = first_divergence(&fa, &fb).expect("schedules must diverge");
+    ));
+    let d = diff(&a, &b)
+        .expect("comparable")
+        .expect("schedules must diverge");
     assert!(d.index > 0, "runs agree before the perturbation");
-    let left = d.left.as_ref().expect("run A has the earlier event");
+    let ObsFile::Trace(ta) = &a else {
+        panic!("a trace")
+    };
+    let left = &ta
+        .rows
+        .get(d.index)
+        .expect("run A has the earlier event")
+        .body;
     assert_eq!(left.kind, "fault_start", "divergence is the fault edge");
     assert_eq!(left.t_ps, t0.0, "pinpointed at the exact instant");
     // The report names the instant and both states.
     let report = d.report();
     assert!(report.contains("fault_start"));
     assert!(report.contains(&format!("t={} ps", t0.0)));
+    assert!(report.contains("left raw:") && report.contains("right raw:"));
 }
 
 #[test]
 fn seed_change_diverges_exactly_where_a_hand_scan_says() {
     let a = traced_run(7, FaultPlan::new());
     let b = traced_run(8, FaultPlan::new());
-    let fa = parse_jsonl(&a.to_jsonl()).expect("parse");
-    let fb = parse_jsonl(&b.to_jsonl()).expect("parse");
-    let d = first_divergence(&fa, &fb).expect("different seeds diverge");
+    let d = diff(&parsed(&a), &parsed(&b))
+        .expect("comparable")
+        .expect("different seeds diverge");
     // Recompute the first mismatch by hand against the raw logs.
     let hand = a
         .events
@@ -107,15 +82,11 @@ fn seed_change_diverges_exactly_where_a_hand_scan_says() {
 
 #[test]
 fn faulted_perfetto_export_is_structurally_valid() {
-    let log = traced_run(
-        7,
-        FaultPlan::new().link_down(Time::from_ms(8), Some(Time::from_ms(12)), 0),
-    );
+    let log = traced_run(7, common::outage());
     assert!(!log.fault_windows.is_empty());
     check_perfetto(&log.to_perfetto(), true, true).expect("valid with tenant tracks + markers");
     // The JSONL round-trips and summarizes cleanly too.
-    let f = parse_jsonl(&log.to_jsonl()).expect("parse");
-    let s = summarize(&f);
+    let s = show(&parsed(&log));
     assert!(s.contains("fault_start"));
     assert!(s.contains("tenant 0:"));
 }

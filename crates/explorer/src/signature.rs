@@ -9,7 +9,8 @@
 //! whole trick: exact counters would make every schedule "novel" and the
 //! frontier would degenerate into the full history.
 
-use silo_simnet::{EvKind, Metrics, TraceLog};
+use silo_base::first_divergence;
+use silo_simnet::{EvKind, Metrics, TraceEvent, TraceLog};
 
 /// Log2 bucket of a counter: `0` for zero, else `1 + floor(log2 n)`.
 fn bucket(n: u64) -> u8 {
@@ -62,29 +63,21 @@ impl Signature {
                 bucket(unattributed),
                 bucket(m.token_violations),
             ],
-            divergence: first_divergence(&trace.events, &baseline.events),
+            divergence: divergence(&trace.events, &baseline.events),
         }
     }
 }
 
 /// `(kind + 1, bucket(index))` of the first trace event differing between
 /// the two runs, `(0, 0)` when none does.
-fn first_divergence(
-    run: &[silo_simnet::TraceEvent],
-    baseline: &[silo_simnet::TraceEvent],
-) -> (u8, u8) {
-    let common = run.len().min(baseline.len());
-    let idx = (0..common)
-        .find(|&i| run[i] != baseline[i])
-        .unwrap_or(common);
-    if idx == run.len() && idx == baseline.len() {
+fn divergence(run: &[TraceEvent], baseline: &[TraceEvent]) -> (u8, u8) {
+    let Some(idx) = first_divergence(run, baseline) else {
         return (0, 0);
-    }
+    };
     let kind = run
         .get(idx)
         .or_else(|| baseline.get(idx))
-        .map(|e| e.kind as usize as u8 + 1)
-        .unwrap_or(0);
+        .map_or(0, |e| e.kind as usize as u8 + 1);
     (kind, bucket(idx as u64))
 }
 
@@ -105,6 +98,6 @@ mod tests {
 
     #[test]
     fn identical_traces_have_no_divergence() {
-        assert_eq!(first_divergence(&[], &[]), (0, 0));
+        assert_eq!(divergence(&[], &[]), (0, 0));
     }
 }

@@ -33,7 +33,7 @@
 //! the dispatch loop's wall time plus sampled per-event-kind dispatch
 //! time. It is kept out of the deterministic exports
 //! ([`TelemetryLog::to_jsonl`] / [`TelemetryLog::to_openmetrics`]) and
-//! rendered separately ([`SelfProfile::to_table`]), so `silo-top diff` on
+//! rendered separately ([`SelfProfile::to_table`]), so `silo-obs diff` on
 //! two same-seed runs is always byte-clean.
 
 use crate::metrics::{EvKind, FaultWindow, LATENCY_HIST_SUB_BITS};
@@ -647,7 +647,7 @@ impl TelemetryLog {
     /// [`crate::trace::TraceLog::to_perfetto_with_counters`] uses to
     /// splice telemetry into the flight-recorder export. Counters are
     /// emitted at each window's trailing edge.
-    pub fn write_perfetto_counters(&self, out: &mut String, first: &mut bool) {
+    pub(crate) fn write_perfetto_counters(&self, out: &mut String, first: &mut bool) {
         let mut push = |out: &mut String, s: String| {
             if !std::mem::take(first) {
                 out.push_str(",\n");
@@ -684,15 +684,6 @@ impl TelemetryLog {
                 }
             }
         }
-    }
-
-    /// Standalone Perfetto JSON of just the counter tracks.
-    pub fn to_perfetto(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        let mut first = true;
-        self.write_perfetto_counters(&mut out, &mut first);
-        out.push_str("\n]}\n");
-        out
     }
 }
 
@@ -811,7 +802,9 @@ mod tests {
         let mut s = sink(1, 1);
         s.msg_done(Time::from_us(10), 0, 5_000_000, Some(2_000_000));
         let log = s.finish(vec!["a".into(), "b".into(), "c".into()], &[]);
-        let p = log.to_perfetto();
+        let (mut p, mut first) = (String::new(), true);
+        log.write_perfetto_counters(&mut p, &mut first);
+        assert!(!first, "the stream is no longer empty");
         assert!(p.contains("\"ph\":\"C\""));
         assert!(p.contains("tenant0 margin_ns"));
         assert!(p.contains("\"ns\":2000"));

@@ -12,7 +12,7 @@
 //!
 //! Every event gets a globally monotone sequence number at record time,
 //! which gives the merged log a deterministic total order — the property
-//! `silo-trace diff` relies on to report the *first* divergent event
+//! `silo-obs diff` relies on to report the *first* divergent event
 //! between two runs.
 //!
 //! Ring attribution keeps one packet's whole lifecycle in one ring: every
@@ -566,7 +566,7 @@ impl TraceLog {
 
     /// Compact deterministic JSONL dump: one header object, then one
     /// event object per line, all times exact integer picoseconds. This
-    /// is the interchange format `silo-trace` consumes; two runs are
+    /// is the interchange format `silo-obs` consumes; two runs are
     /// identical iff their dumps are byte-identical.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(128 * self.events.len() + 256);
