@@ -381,15 +381,6 @@ impl<E> Wheel<E> {
         // Everything pending is beyond the wheel horizon.
         self.overflow.iter().map(|e| e.t).min()
     }
-
-    fn reserve(&mut self, n: usize) {
-        self.ready.reserve(n.min(4096));
-        self.overflow.reserve(n.min(1024));
-        // Seed the recycled-vector pool so early cascades don't allocate.
-        while self.spare.len() < 16 {
-            self.spare.push(Vec::with_capacity(n.min(256)));
-        }
-    }
 }
 
 /// One event waiting in a lane (never cancelable, so no key).
@@ -607,18 +598,6 @@ impl<E> EventQueue<E> {
             peak_len: 0,
             slab: Slab::default(),
         }
-    }
-
-    /// Pre-size internal storage for roughly `n` concurrently pending
-    /// entries (derived from topology bounds by the simulator), so the
-    /// warm-up phase doesn't pay reallocation costs.
-    pub fn reserve(&mut self, n: usize) {
-        match &mut self.inner {
-            Inner::Wheel(w) => w.reserve(n),
-            Inner::Heap(h) => h.reserve(n),
-        }
-        self.slab.slots.reserve(n.min(4096));
-        self.slab.free.reserve(n.min(4096));
     }
 
     fn push_entry(&mut self, t: Time, key: u64, item: E) {

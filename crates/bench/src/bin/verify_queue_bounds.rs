@@ -35,7 +35,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let dbg_specs = specs.clone();
     let out = run_verify(
         &topo,
         &placer,
@@ -69,23 +68,6 @@ fn main() {
         "\n{} loaded switch ports checked, {} bound violations",
         out.checked, out.violations
     );
-    if std::env::var("SILO_DEBUG_HOST").is_ok() {
-        let h: u32 = std::env::var("SILO_DEBUG_HOST").unwrap().parse().unwrap();
-        for (ti, t) in dbg_specs.iter().enumerate() {
-            let here = t.vm_hosts.iter().filter(|x| x.0 == h).count();
-            if here > 0 {
-                println!(
-                    "tenant {ti}: {} VMs ({} on host {h}), B={} S={} Bmax={} wl={:?}",
-                    t.vm_hosts.len(),
-                    here,
-                    t.b,
-                    t.s,
-                    t.bmax,
-                    std::mem::discriminant(&t.workload)
-                );
-            }
-        }
-    }
     assert_eq!(m.drops, 0, "admitted, paced traffic must never be dropped");
     assert_eq!(
         out.violations, 0,

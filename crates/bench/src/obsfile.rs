@@ -880,8 +880,14 @@ mod tests {
         let t = as_trace(&mini_trace(&[5, 6]));
         for row in &t.rows {
             let v = Json::parse(&row.raw).unwrap();
-            assert_eq!(v.get("dur_ps").and_then(Json::as_u64), Some(row.body.dur_ps));
-            assert_eq!(v.get("kind").and_then(Json::as_str), Some(row.body.kind.as_str()));
+            assert_eq!(
+                v.get("dur_ps").and_then(Json::as_u64),
+                Some(row.body.dur_ps)
+            );
+            assert_eq!(
+                v.get("kind").and_then(Json::as_str),
+                Some(row.body.kind.as_str())
+            );
             assert_eq!(v.get("retx").and_then(Json::as_bool), Some(row.body.retx));
         }
         // The telemetry header's nested string array and a row's empty array

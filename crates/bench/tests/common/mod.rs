@@ -7,6 +7,8 @@
 // Each suite uses its own subset of these.
 #![allow(dead_code)]
 
+pub mod mutate;
+
 use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
     FaultPlan, Metrics, Sim, SimConfig, TelemetryConfig, TenantSpec, TenantWorkload, TraceConfig,

@@ -8,106 +8,12 @@
 
 mod common;
 
-use silo_base::prop::{forall, Rng, StdRng};
+use common::mutate::{apply, mutation};
+use silo_base::prop::forall;
 use silo_bench::obsfile::{
     check_perfetto, diff, dump, is_perfetto, openmetrics_lint, parse, show, ObsFile,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// One edit. Positions are taken modulo the length of the file it is
-/// applied to, so one case fits every export.
-#[derive(Debug, Clone)]
-enum Mutation {
-    Truncate {
-        at: usize,
-    },
-    FlipBit {
-        at: usize,
-        bit: u8,
-    },
-    DeleteLine {
-        line: usize,
-    },
-    DuplicateLine {
-        line: usize,
-    },
-    /// Replace the `nth` JSON integer of the header line (of the whole
-    /// text when line 1 has none) with `value`.
-    HeaderInt {
-        nth: usize,
-        value: u64,
-    },
-}
-
-fn mutation(rng: &mut StdRng) -> Mutation {
-    let at = rng.random_range(0..usize::MAX);
-    match rng.random_range(0..5u8) {
-        0 => Mutation::Truncate { at },
-        1 => Mutation::FlipBit {
-            at,
-            bit: rng.random_range(0..8),
-        },
-        2 => Mutation::DeleteLine { line: at },
-        3 => Mutation::DuplicateLine { line: at },
-        // Zero, a small count, or anything up to 2^53.
-        _ => Mutation::HeaderInt {
-            nth: at,
-            value: match rng.random_range(0..3u8) {
-                0 => 0,
-                1 => rng.random_range(0..65),
-                _ => rng.random_range(0..(1u64 << 53) + 1),
-            },
-        },
-    }
-}
-
-/// Start and end of every integer that is a JSON value (follows a `:`).
-fn integers(s: &str) -> Vec<(usize, usize)> {
-    let b = s.as_bytes();
-    let mut out = Vec::new();
-    for (i, _) in s.match_indices(':') {
-        let end = (i + 1..b.len())
-            .find(|&j| !b[j].is_ascii_digit())
-            .unwrap_or(b.len());
-        if end > i + 1 {
-            out.push((i + 1, end));
-        }
-    }
-    out
-}
-
-fn apply(text: &str, m: &Mutation) -> String {
-    let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
-    let n = lines.len();
-    match *m {
-        Mutation::Truncate { at } => {
-            let cut = &text.as_bytes()[..at % text.len()];
-            return String::from_utf8_lossy(cut).into_owned();
-        }
-        Mutation::FlipBit { at, bit } => {
-            let mut bytes = text.as_bytes().to_vec();
-            bytes[at % text.len()] ^= 1 << bit;
-            return String::from_utf8_lossy(&bytes).into_owned();
-        }
-        Mutation::DeleteLine { line } => {
-            lines.remove(line % n);
-        }
-        Mutation::DuplicateLine { line } => lines.insert(line % n, lines[line % n]),
-        Mutation::HeaderInt { nth, value } => {
-            let header = integers(lines[0]);
-            let ints = if header.is_empty() {
-                integers(text)
-            } else {
-                header
-            };
-            let Some(&(a, b)) = ints.get(nth % ints.len().max(1)) else {
-                return text.to_string();
-            };
-            return format!("{}{value}{}", &text[..a], &text[b..]);
-        }
-    }
-    lines.concat()
-}
 
 /// Read `text` every way `silo-obs` would; an `Err` is a fine answer.
 fn exercise(text: &str, original: &ObsFile) {

@@ -360,11 +360,6 @@ impl<P> PacedBatcher<P> {
         }
         out.done_at = cursor;
     }
-
-    /// Pre-size the stamp queue (topology-derived bound from the host).
-    pub fn reserve(&mut self, n: usize) {
-        self.queue.reserve(n);
-    }
 }
 
 #[cfg(test)]

@@ -251,11 +251,20 @@ impl AdmissionService {
     }
 
     /// Rebuild a service from [`AdmissionService::snapshot`] output.
+    /// Whatever no real service could have written is an `Err`, never a
+    /// panic or a quietly different state: a geometry over 2^20 hosts or
+    /// 2^10 slots a host, an id, host, port or link out of range,
+    /// a contribution that is negative, not finite or over 2^53, a host
+    /// holding more VMs than it has slots, a tenant or failed link
+    /// listed twice, or an admit map that disagrees with the counters, is
+    /// out of order or names a tenant that is not resident. A count sizes
+    /// a vector only once the rest of the input could hold that many
+    /// entries.
     pub fn restore(s: &str) -> Result<AdmissionService, String> {
         let mut cur = Cursor::new(s);
         cur.keyword("silo-admission-snapshot-v1")?;
         cur.keyword("topo")?;
-        let params = TreeParams {
+        let topo = checked_topology(TreeParams {
             pods: cur.num::<usize>()?,
             racks_per_pod: cur.num::<usize>()?,
             servers_per_rack: cur.num::<usize>()?,
@@ -266,16 +275,23 @@ impl AdmissionService {
             switch_buffer: Bytes(cur.num::<u64>()?),
             nic_buffer: Bytes(cur.num::<u64>()?),
             prop_delay: Dur::from_ps(cur.num::<u64>()?),
-        };
+        })?;
         cur.keyword("mtu")?;
         let mtu = Bytes(cur.num::<u64>()?);
+        if mtu.0 == 0 {
+            return Err("mtu must be positive".into());
+        }
         cur.keyword("next-id")?;
         let next_id = cur.num::<u64>()?;
         cur.keyword("failed")?;
-        let nfailed = cur.num::<usize>()?;
+        let nfailed = cur.count(1)?;
         let mut failed = Vec::with_capacity(nfailed);
         for _ in 0..nfailed {
-            failed.push(LinkId(cur.num::<u32>()?));
+            failed.push(LinkId(cur.below(topo.num_links() as u64, "link")? as u32));
+        }
+        failed.sort_unstable();
+        if failed.windows(2).any(|w| w[0] == w[1]) {
+            return Err("a failed link is listed twice".into());
         }
         cur.keyword("stats")?;
         let stats = ServiceStats {
@@ -287,84 +303,92 @@ impl AdmissionService {
             heals: cur.num::<u64>()?,
         };
         cur.keyword("admits")?;
+        // One entry per `Admit` event, which `Evict` addresses as a u32.
         let nadmits = cur.num::<usize>()?;
-        let nlive = cur.num::<usize>()?;
+        if stats.admitted.checked_add(stats.rejected) != Some(nadmits as u64) || nadmits > 1 << 32 {
+            return Err(format!(
+                "admits {nadmits} disagrees with {} admitted + {} rejected",
+                stats.admitted, stats.rejected
+            ));
+        }
+        let nlive = cur.count(3)?;
         let mut by_admit: Vec<Option<TenantId>> = vec![None; nadmits];
+        let mut last = None;
         for _ in 0..nlive {
             cur.keyword("admit")?;
-            let i = cur.num::<usize>()?;
+            let i = cur.below(nadmits as u64, "admit index")? as usize;
             let t = TenantId(cur.num::<u64>()?);
-            *by_admit
-                .get_mut(i)
-                .ok_or_else(|| format!("admit index {i} out of range"))? = Some(t);
+            // Admissions take fresh ids in turn, so both ascend.
+            if last.is_some_and(|(j, u)| j >= i || u >= t) {
+                return Err(format!("admit {i} {}: out of order", t.0));
+            }
+            last = Some((i, t));
+            by_admit[i] = Some(t);
         }
+        let mut free = vec![topo.slots_per_server(); topo.num_hosts()];
         cur.keyword("tenants")?;
         let ntenants = cur.num::<usize>()?;
         let mut tenants = BTreeMap::new();
         for _ in 0..ntenants {
             cur.keyword("tenant")?;
-            let id = TenantId(cur.num::<u64>()?);
+            let id = TenantId(cur.below(next_id, "tenant id")?);
             let level = level_from(cur.num::<u64>()?)?;
-            let nhosts = cur.num::<usize>()?;
-            let ncontribs = cur.num::<usize>()?;
+            let nhosts = cur.count(3)?;
+            let ncontribs = cur.count(7)?;
             let req = parse_request(&mut cur)?;
-            let mut hosts = Vec::with_capacity(nhosts);
-            for _ in 0..nhosts {
-                cur.keyword("host")?;
-                hosts.push((HostId(cur.num::<u32>()?), cur.num::<usize>()?));
-            }
+            let hosts = parse_hosts(&mut cur, nhosts, &mut free)?;
             let mut contribs = Vec::with_capacity(ncontribs);
             for _ in 0..ncontribs {
                 cur.keyword("contrib")?;
-                let port = silo_topology::PortId(cur.num::<u32>()?);
+                let port =
+                    silo_topology::PortId(cur.below(topo.num_ports() as u64, "port")? as u32);
                 contribs.push((
                     port,
                     crate::load::Contribution {
-                        rate: cur.f64_bits()?,
-                        burst: cur.f64_bits()?,
-                        burst_rate: cur.f64_bits()?,
-                        mtu_bytes: cur.f64_bits()?,
+                        rate: cur.amount()?,
+                        burst: cur.amount()?,
+                        burst_rate: cur.amount()?,
+                        mtu_bytes: cur.amount()?,
                         rate_unbounded: cur.num::<u64>()? != 0,
                     },
                 ));
             }
-            tenants.insert(
-                id,
-                TenantRecord {
-                    hosts,
-                    contribs,
-                    req,
-                    level,
-                },
-            );
+            let rec = TenantRecord {
+                hosts,
+                contribs,
+                req,
+                level,
+            };
+            if tenants.insert(id, rec).is_some() {
+                return Err(format!("tenant {} is listed twice", id.0));
+            }
         }
         cur.keyword("degraded")?;
         let ndegraded = cur.num::<usize>()?;
         let mut degraded = BTreeMap::new();
         for _ in 0..ndegraded {
             cur.keyword("victim")?;
-            let id = TenantId(cur.num::<u64>()?);
+            let id = TenantId(cur.below(next_id, "tenant id")?);
             let level = level_from(cur.num::<u64>()?)?;
             let reason = reason_from(cur.num::<u64>()?)?;
-            let nhosts = cur.num::<usize>()?;
+            let nhosts = cur.count(3)?;
             let req = parse_request(&mut cur)?;
-            let mut hosts = Vec::with_capacity(nhosts);
-            for _ in 0..nhosts {
-                cur.keyword("host")?;
-                hosts.push((HostId(cur.num::<u32>()?), cur.num::<usize>()?));
+            let hosts = parse_hosts(&mut cur, nhosts, &mut free)?;
+            let rec = DegradedRecord {
+                hosts,
+                req,
+                level,
+                reason,
+            };
+            if tenants.contains_key(&id) || degraded.insert(id, rec).is_some() {
+                return Err(format!("tenant {} is listed twice", id.0));
             }
-            degraded.insert(
-                id,
-                DegradedRecord {
-                    hosts,
-                    req,
-                    level,
-                    reason,
-                },
-            );
         }
         cur.keyword("end")?;
-        let topo = Topology::build(params);
+        let resident = |t: &&TenantId| tenants.contains_key(t) || degraded.contains_key(t);
+        if let Some(t) = by_admit.iter().flatten().find(|t| !resident(t)) {
+            return Err(format!("an admission names tenant {}, not resident", t.0));
+        }
         let placer = SiloPlacer::from_parts(topo, mtu, next_id, failed, tenants, degraded);
         Ok(AdmissionService {
             placer,
@@ -372,6 +396,57 @@ impl AdmissionService {
             stats,
         })
     }
+}
+
+/// Largest cluster a snapshot may describe: 32× the 32 000 servers of
+/// the Fig-15 topology.
+const MAX_HOSTS: usize = 1 << 20;
+/// Most VM slots a snapshot's servers may have.
+const MAX_SLOTS: usize = 1 << 10;
+
+/// `Topology::build`, with its preconditions, a size cap and nonzero link
+/// rates as an `Err`.
+fn checked_topology(p: TreeParams) -> Result<Topology, String> {
+    let hosts = [p.pods, p.racks_per_pod, p.servers_per_rack]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul);
+    let oversub_ok = |x: f64| x.is_finite() && x >= 1.0;
+    if !hosts.is_some_and(|h| (1..=MAX_HOSTS).contains(&h))
+        || !(1..=MAX_SLOTS).contains(&p.vm_slots_per_server)
+        || !oversub_ok(p.tor_oversub)
+        || !oversub_ok(p.agg_oversub)
+    {
+        return Err(format!("topology out of range: {p:?}"));
+    }
+    let topo = Topology::build(p);
+    let links = [
+        topo.host_link(HostId(0)),
+        topo.tor_link(0),
+        topo.agg_link(0),
+    ];
+    if links.iter().any(|&l| topo.link_rate(l).is_zero()) {
+        return Err(format!("a link of rate zero: {p:?}"));
+    }
+    Ok(topo)
+}
+
+/// `n` `host <id> <vms>` lines, each taking its VMs from `free`.
+fn parse_hosts(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    free: &mut [usize],
+) -> Result<Vec<(HostId, usize)>, String> {
+    let mut hosts = Vec::with_capacity(n);
+    for _ in 0..n {
+        cur.keyword("host")?;
+        let h = cur.below(free.len() as u64, "host")? as usize;
+        let k = cur.num::<usize>()?;
+        free[h] = free[h]
+            .checked_sub(k)
+            .ok_or_else(|| format!("host {h} holds more VMs than it has slots"))?;
+        hosts.push((HostId(h as u32), k));
+    }
+    Ok(hosts)
 }
 
 fn push_request(out: &mut String, req: &TenantRequest) {
@@ -449,20 +524,34 @@ fn reason_from(c: u64) -> Result<RejectReason, String> {
 
 /// Whitespace-token cursor over a snapshot string.
 struct Cursor<'a> {
-    tokens: std::str::SplitWhitespace<'a>,
+    /// What is left to read.
+    rest: &'a str,
 }
 
 impl<'a> Cursor<'a> {
     fn new(s: &'a str) -> Cursor<'a> {
-        Cursor {
-            tokens: s.split_whitespace(),
-        }
+        Cursor { rest: s }
     }
 
     fn token(&mut self) -> Result<&'a str, String> {
-        self.tokens
-            .next()
-            .ok_or_else(|| "unexpected end of snapshot".to_string())
+        let s = self.rest.trim_start();
+        if s.is_empty() {
+            return Err("unexpected end of snapshot".to_string());
+        }
+        let (t, rest) = s.split_at(s.find(char::is_whitespace).unwrap_or(s.len()));
+        self.rest = rest;
+        Ok(t)
+    }
+
+    /// A count of entries of `tokens` tokens each, refused when the rest
+    /// of the input is too short to hold them (a token and its separator
+    /// take at least two bytes), so that it can size a vector.
+    fn count(&mut self, tokens: usize) -> Result<usize, String> {
+        let n = self.num::<usize>()?;
+        if n.saturating_mul(tokens) > self.rest.len() / 2 {
+            return Err(format!("count {n} is more than the snapshot holds"));
+        }
+        Ok(n)
     }
 
     fn keyword(&mut self, kw: &str) -> Result<(), String> {
@@ -480,6 +569,25 @@ impl<'a> Cursor<'a> {
     {
         let t = self.token()?;
         t.parse::<T>().map_err(|e| format!("bad number {t:?}: {e}"))
+    }
+
+    /// A number in `0..n`.
+    fn below(&mut self, n: u64, what: &str) -> Result<u64, String> {
+        let v = self.num::<u64>()?;
+        if v >= n {
+            return Err(format!("{what} {v} out of range (< {n})"));
+        }
+        Ok(v)
+    }
+
+    /// A rate or byte count: finite, and in `[0, 2^53]` so that no sum
+    /// of a port's contributions overflows.
+    fn amount(&mut self) -> Result<f64, String> {
+        let x = self.f64_bits()?;
+        if !(0.0..=(1u64 << 53) as f64).contains(&x) {
+            return Err(format!("amount {x} out of range"));
+        }
+        Ok(x)
     }
 
     fn f64_bits(&mut self) -> Result<f64, String> {
@@ -588,5 +696,54 @@ mod tests {
         let snap = svc.snapshot();
         let truncated = &snap[..snap.len() - 10];
         assert!(AdmissionService::restore(truncated).is_err());
+    }
+
+    /// The snapshot-fuzz findings (`silo-bench`'s `tests/input_fuzz.rs`),
+    /// shrunk to one edited line each. Before `restore` checked them, the
+    /// first three panicked in `SlotMap::alloc` or `Topology::build`, the
+    /// fourth aborted on a 2^56-byte allocation, the next two restored a
+    /// service whose `Evict` of that admission panicked, the zero-rate
+    /// uplink panicked in `SiloPlacer::new` (`tx_time`), and the last
+    /// restored a NaN port load, which the netcalc curve refuses with a
+    /// panic once a placement examines that port.
+    #[test]
+    fn restore_refuses_what_no_service_could_have_written() {
+        let mut svc = AdmissionService::new(topo());
+        for _ in 0..3 {
+            svc.apply(&ChurnEvent::Admit(req(5)));
+        }
+        svc.apply(&ChurnEvent::FailLink(LinkId(0)));
+        let snap = svc.snapshot();
+        assert!(AdmissionService::restore(&snap).is_ok());
+        let line_of = |prefix: &str| snap.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let host = line_of("host ");
+        let topo_line = line_of("topo ");
+        let admits = line_of("admits ");
+        let admit1 = line_of("admit 1 ");
+        let admit2 = line_of("admit 2 ");
+        let contrib = line_of("contrib ");
+        // A 1 bps host link under 8:1 oversubscription: a 0 bps ToR uplink.
+        let mut slow = topo_line.split(' ').collect::<Vec<_>>();
+        (slow[5], slow[6]) = ("1", "4020000000000000");
+        let nan =
+            contrib.split(' ').take(2).collect::<Vec<_>>().join(" ") + " 7ff8000000000000 0 0 0 0";
+        for (what, from, to) in [
+            ("more VMs than slots", host, "host 0 99".to_string()),
+            ("host out of range", host, "host 6 1".to_string()),
+            ("no servers", topo_line, topo_line.replacen(" 3 ", " 0 ", 1)),
+            (
+                "a huge admit count",
+                admits,
+                "admits 74393352885490048 3".into(),
+            ),
+            ("an unknown tenant", admit2, "admit 2 9".into()),
+            ("a tenant named twice", admit1, "admit 1 0".into()),
+            ("a zero-rate uplink", topo_line, slow.join(" ")),
+            ("a NaN contribution", contrib, nan),
+        ] {
+            let bad = snap.replacen(from, &to, 1);
+            assert_ne!(bad, snap, "{what}: the edit must apply");
+            assert!(AdmissionService::restore(&bad).is_err(), "{what} restored");
+        }
     }
 }

@@ -351,29 +351,24 @@ impl FaultPlan {
                 .get("target")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("event {i}: missing integer target"))?;
+            // A target too wide for its id type is refused, not wrapped
+            // into range: `validate` would then pass a different fault.
+            let too_wide = |_| format!("event {i}: target {target} out of range");
+            let id = || u32::try_from(target).map_err(too_wide);
+            let tenant = || u16::try_from(target).map_err(too_wide);
             let kind = match e.get("kind").and_then(Json::as_str) {
-                Some("link_down") => FaultKind::LinkDown {
-                    link: target as u32,
-                },
-                Some("port_down") => FaultKind::PortDown {
-                    port: target as u32,
-                },
-                Some("pacer_stall") => FaultKind::PacerStall {
-                    host: target as u32,
-                },
+                Some("link_down") => FaultKind::LinkDown { link: id()? },
+                Some("port_down") => FaultKind::PortDown { port: id()? },
+                Some("pacer_stall") => FaultKind::PacerStall { host: id()? },
                 Some("pacer_drift") => FaultKind::PacerDrift {
-                    host: target as u32,
+                    host: id()?,
                     factor: e
                         .get("factor")
                         .and_then(Json::as_f64)
                         .ok_or_else(|| format!("event {i}: pacer_drift needs a factor"))?,
                 },
-                Some("tenant_down") => FaultKind::TenantDown {
-                    tenant: target as u16,
-                },
-                Some("tenant_up") => FaultKind::TenantUp {
-                    tenant: target as u16,
-                },
+                Some("tenant_down") => FaultKind::TenantDown { tenant: tenant()? },
+                Some("tenant_up") => FaultKind::TenantUp { tenant: tenant()? },
                 other => return Err(format!("event {i}: unknown kind {other:?}")),
             };
             plan.events.push(FaultEvent { at, until, kind });
@@ -829,6 +824,28 @@ mod tests {
         assert!(err.contains("unknown kind"), "{err}");
         let frac = "{\"format\":\"silo-faultplan-v1\",\"events\":[\n{\"at_ps\":0.5,\"until_ps\":null,\"kind\":\"link_down\",\"target\":0}\n]}";
         assert!(FaultPlan::from_json(frac).is_err());
+    }
+
+    /// Shrunk from the explorer-plan fuzz (`tests/input_fuzz.rs`): a
+    /// tenant target of 2^53-ish used to wrap to tenant 40 643 and a link
+    /// target of 2^32 + 3 to link 3, which `validate` then accepted.
+    #[test]
+    fn json_refuses_targets_too_wide_for_their_id() {
+        let event = |kind: &str, target: u64| {
+            format!(
+                "{{\"format\":\"silo-faultplan-v1\",\"events\":[\n\
+                 {{\"at_ps\":0,\"until_ps\":null,\"kind\":\"{kind}\",\"target\":{target}}}\n]}}"
+            )
+        };
+        for (kind, target) in [
+            ("tenant_down", 2_894_845_056_229_059),
+            ("tenant_up", 65_536),
+            ("link_down", (1 << 32) + 3),
+        ] {
+            let err = FaultPlan::from_json(&event(kind, target)).unwrap_err();
+            assert!(err.contains("out of range"), "{kind} {target}: {err}");
+        }
+        assert!(FaultPlan::from_json(&event("tenant_down", 65_535)).is_ok());
     }
 
     #[test]

@@ -259,10 +259,6 @@ impl Sim {
                     PacedBatcher::new(topo.params().host_link, cfg.batch_window, cfg.mtu);
                 // One frame per void run; observers re-expand it.
                 batcher.coalesce_voids(true);
-                // A host's stamp queue holds at most a couple of batch
-                // windows of MTU frames per backlogged VM; 256 covers the
-                // common case without over-reserving idle hosts.
-                batcher.reserve(256);
                 HostNic {
                     batcher,
                     pull_key: None,
@@ -303,15 +299,10 @@ impl Sim {
                 .collect(),
             ..Metrics::default()
         };
-        let mut events = EventQueue::with_backend(cfg.queue);
+        // Nothing here is pre-sized: every queue grows from what the run
+        // puts into it (DESIGN.md, "memory follows traffic").
+        let events = EventQueue::with_backend(cfg.queue);
         let num_hosts = topo.num_hosts();
-        let num_switch_ports = topo.num_ports();
-        // Topology-derived occupancy bound: at steady state each directed
-        // port carries at most one in-flight transmission (Arrive +
-        // PortFree) and each host one NIC pull, one RTO per active
-        // connection (≈ VMs² in the worst case, but the wheel only needs a
-        // rough pre-size — excess grows organically).
-        events.reserve(2 * (num_switch_ports + num_hosts) + 8 * vms.len() + 256);
         // Per-host narrowing of the idle-pacer fast-forward: only hosts a
         // pacer stall/drift window actually targets lose the elision.
         let mut nic_fault_targets = vec![false; num_hosts];
@@ -350,7 +341,7 @@ impl Sim {
             batch_scratch: Batch::empty(),
             faults_on,
             fault_active: vec![false; nfaults],
-            port_down: vec![None; num_switch_ports],
+            port_down: vec![None; nports],
             nic_stall_until: vec![Time::ZERO; num_hosts],
             nic_drift: vec![(Time::ZERO, 1.0); num_hosts],
             nic_drift_gate: vec![Time::ZERO; num_hosts],

@@ -5,6 +5,7 @@
 use super::{Ev, Sim};
 use crate::metrics::{EvKind, MsgRecord, Violation};
 use crate::packet::{Pkt, PktKind};
+use crate::tcp::SentSeg;
 use silo_base::Bytes;
 
 impl Sim {
@@ -43,7 +44,10 @@ impl Sim {
             c.nxt += payload;
             c.high_tx = c.high_tx.max(c.nxt);
             let end = c.nxt;
-            c.inflight_meta.push_back((end, self.now, false));
+            c.inflight_meta.push_back(SentSeg {
+                end,
+                sent: self.now,
+            });
             self.emit_data(conn, seq, payload, false);
         }
     }
@@ -104,13 +108,7 @@ impl Sim {
     fn retransmit_at(&mut self, conn: u32, seq: u64, payload: u64) {
         let c = &mut self.conns[conn as usize];
         c.retx_upto = c.retx_upto.max(seq + payload);
-        // Karn's rule: the original send-time entries of anything we
-        // re-send can no longer produce valid RTT samples.
-        for m in c.inflight_meta.iter_mut() {
-            if m.0 > seq && m.0 <= seq + payload {
-                m.2 = true;
-            }
-        }
+        c.mark_retransmitted(seq, payload);
         self.emit_data(conn, seq, payload, true);
     }
 
@@ -121,11 +119,7 @@ impl Sim {
             return;
         }
         let seq = c.una;
-        for m in c.inflight_meta.iter_mut() {
-            if m.0 > seq && m.0 <= seq + payload {
-                m.2 = true;
-            }
-        }
+        c.mark_retransmitted(seq, payload);
         self.emit_data(conn, seq, payload, true);
     }
 
@@ -288,19 +282,7 @@ impl Sim {
                 if pkt.ecn_echo() {
                     c.ce_bytes += adv;
                 }
-                // RTT sample (Karn: only never-retransmitted segments).
-                let mut sample = None;
-                while let Some(&(end, sent, retx)) = c.inflight_meta.front() {
-                    if end <= ack {
-                        if !retx {
-                            sample = Some(self.now - sent);
-                        }
-                        c.inflight_meta.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(rtt) = sample {
+                if let Some(rtt) = c.take_rtt_sample(ack, self.now) {
                     c.on_rtt_sample(rtt);
                 }
                 c.una = ack;

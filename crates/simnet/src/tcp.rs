@@ -27,6 +27,24 @@ pub struct MsgBound {
     pub txn: Option<u64>,
 }
 
+/// One in-flight segment, kept for RTT sampling. The same-host backlog
+/// holds hundreds of thousands of these, hence 16 bytes: Karn's rule
+/// never reads a retransmitted segment's send time, so that slot doubles
+/// as the retransmitted flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SentSeg {
+    /// Stream byte at which the segment ends.
+    pub end: u64,
+    /// First-transmission time, or [`SentSeg::RETRANSMITTED`].
+    pub sent: Time,
+}
+
+impl SentSeg {
+    pub const RETRANSMITTED: Time = Time::MAX;
+}
+
+const _: () = assert!(std::mem::size_of::<SentSeg>() == 16);
+
 /// Congestion-control numbers of one direction of a connection.
 #[derive(Debug, Clone)]
 pub struct TcpConn {
@@ -75,8 +93,8 @@ pub struct TcpConn {
     /// Highest sequence already hole-retransmitted in this recovery
     /// episode (avoid duplicating retransmissions on every dupack).
     pub retx_upto: u64,
-    /// Send times of in-flight segments: (end_seq, sent_at, retransmitted).
-    pub inflight_meta: VecDeque<(u64, Time, bool)>,
+    /// Send times of in-flight segments, oldest first.
+    pub inflight_meta: VecDeque<SentSeg>,
     pub rto_events: u64,
 
     // ---- DCTCP ----
@@ -187,6 +205,32 @@ impl TcpConn {
             None => Dur::from_ms(200),
         };
         base.max(min_rto) * (1u64 << self.rto_backoff.min(6))
+    }
+
+    /// Karn's rule: segments ending inside a retransmitted
+    /// `[seq, seq + len)` can no longer produce valid RTT samples.
+    pub fn mark_retransmitted(&mut self, seq: u64, len: u64) {
+        for m in self.inflight_meta.iter_mut() {
+            if m.end > seq && m.end <= seq + len {
+                m.sent = SentSeg::RETRANSMITTED;
+            }
+        }
+    }
+
+    /// Retire the segments `ack` covers. Returns the RTT of the newest
+    /// one never retransmitted, if any (Karn's rule).
+    pub fn take_rtt_sample(&mut self, ack: u64, now: Time) -> Option<Dur> {
+        let mut sample = None;
+        while let Some(&m) = self.inflight_meta.front() {
+            if m.end > ack {
+                break;
+            }
+            if m.sent != SentSeg::RETRANSMITTED {
+                sample = Some(now - m.sent);
+            }
+            self.inflight_meta.pop_front();
+        }
+        sample
     }
 
     /// RTT sample (Karn-filtered by the caller).
@@ -561,6 +605,33 @@ mod tests {
         assert_eq!(c.window_avail(), 0.0);
         c.cwnd = -5.0; // DCTCP arithmetic can transiently undershoot
         assert_eq!(c.window_avail(), 0.0);
+    }
+
+    #[test]
+    fn karn_skips_retransmitted_segments() {
+        let mut c = conn();
+        for (end, sent_us) in [(1000, 10), (2000, 20), (3000, 30)] {
+            c.inflight_meta.push_back(SentSeg {
+                end,
+                sent: Time::from_us(sent_us),
+            });
+        }
+        c.mark_retransmitted(1000, 1000);
+        assert_eq!(c.inflight_meta[1].sent, SentSeg::RETRANSMITTED);
+        // An ack of the first, untouched segment samples it...
+        assert_eq!(
+            c.take_rtt_sample(1000, Time::from_us(110)),
+            Some(Dur::from_us(100))
+        );
+        // ...one covering only the retransmitted segment yields nothing...
+        assert_eq!(c.take_rtt_sample(2000, Time::from_us(120)), None);
+        assert_eq!(c.inflight_meta.len(), 1);
+        // ...and the untouched segment behind it still samples.
+        assert_eq!(
+            c.take_rtt_sample(3000, Time::from_us(130)),
+            Some(Dur::from_us(100))
+        );
+        assert!(c.inflight_meta.is_empty());
     }
 
     #[test]
