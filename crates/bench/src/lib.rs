@@ -1,4 +1,11 @@
-//! Shared experiment plumbing for the per-figure binaries.
+//! Shared experiment plumbing for the experiment binaries.
+//!
+//! The paper's evaluation comes from three setups, one binary each:
+//! `sec61_testbed` (§6.1, Figs 1 and 11), `sec62_packet` (§6.2, Figs
+//! 12–14 and Table 4) and `sec63_flow` (§6.3, Figs 15–16). Each simulates
+//! every distinct cell of its section once through [`run_cells`] and
+//! prints every table of that section. The other binaries cover the
+//! remaining figures and tables, the extensions and the tools.
 //!
 //! Every binary accepts:
 //!
@@ -24,7 +31,7 @@ pub mod verify;
 
 pub use args::{checked, Args};
 pub use obsfile::write_observer_outputs;
-pub use report::{fmt_dur_us, print_cdf, print_header, print_row};
+pub use report::print_cdf;
 pub use runner::{auto_threads, run_cells};
 pub use scenario::{
     build_ns2_population, testbed_tenants, NsClass, NsTenant, PlacerKind, TestbedReq,

@@ -1,6 +1,6 @@
-//! The shared §6.2 packet-level comparison run used by Figs. 12–14 and
-//! Table 4: one tenant population per scheme, simulated under that
-//! scheme's datapath, with per-message latency estimates for
+//! The §6.2 packet-level comparison run that `sec62_packet` prints as
+//! Figs. 12–14 and Table 4: one tenant population per scheme, simulated
+//! under that scheme's datapath, with per-message latency estimates for
 //! normalization.
 
 use crate::args::{checked, Args};
@@ -134,13 +134,6 @@ pub fn run_ns2_sweep(modes: &[TransportMode], args: &Args) -> Vec<Ns2Outcome> {
         outcomes[slot].metrics.push(metrics);
     }
     outcomes
-}
-
-/// Run one scheme over `args.runs` seeds (a single-mode sweep).
-pub fn run_ns2(mode: TransportMode, args: &Args) -> Ns2Outcome {
-    run_ns2_sweep(&[mode], args)
-        .pop()
-        .expect("one mode in, one outcome out")
 }
 
 /// All six schemes of Fig. 12.

@@ -1,28 +1,11 @@
-//! Plain-text table/CDF output shared by the experiment binaries.
+//! Plain-text CDF output shared by the experiment binaries.
 
 use silo_base::Summary;
-
-pub fn print_header(title: &str, cols: &[&str]) {
-    println!("\n== {title} ==");
-    println!("{}", cols.join("\t"));
-}
-
-pub fn print_row(cells: &[String]) {
-    println!("{}", cells.join("\t"));
-}
 
 /// Print an empirical CDF as `value<TAB>probability` rows.
 pub fn print_cdf(name: &str, summary: &mut Summary, points: usize) {
     println!("\n-- CDF: {name} ({} samples) --", summary.len());
     for (v, p) in summary.cdf(points).points {
         println!("{v:.1}\t{p:.3}");
-    }
-}
-
-pub fn fmt_dur_us(us: f64) -> String {
-    if us >= 1000.0 {
-        format!("{:.2}ms", us / 1000.0)
-    } else {
-        format!("{us:.0}us")
     }
 }

@@ -25,7 +25,7 @@ use crate::guarantee::{Guarantee, TenantRequest};
 use crate::placer::{Placer, RejectReason, TenantId};
 use crate::silo::{SiloPlacer, TenantRecord};
 use crate::FaultReport;
-use silo_base::{Bytes, Dur, Rate};
+use silo_base::{Bytes, Dur, FxHashMap, Rate};
 use silo_topology::{HostId, Level, LinkId, Topology, TreeParams};
 use std::collections::BTreeMap;
 
@@ -86,8 +86,12 @@ pub struct ServiceStats {
 /// snapshots/restores its full state byte-exactly.
 pub struct AdmissionService {
     placer: SiloPlacer,
-    /// Tenant admitted by the n-th `Admit` event, cleared on departure.
-    by_admit: Vec<Option<TenantId>>,
+    /// Tenant admitted by the n-th `Admit` event, for live admissions
+    /// only: a rejection never enters and a departure leaves. Hashed, not
+    /// ordered: `Evict` looks up a random old index, where a B-tree walks
+    /// several cold nodes (DESIGN.md, "one simulation per cell"), and
+    /// `snapshot` sorts instead.
+    by_admit: FxHashMap<u32, TenantId>,
     stats: ServiceStats,
 }
 
@@ -95,7 +99,7 @@ impl AdmissionService {
     pub fn new(topo: Topology) -> AdmissionService {
         AdmissionService {
             placer: SiloPlacer::new(topo),
-            by_admit: Vec::new(),
+            by_admit: FxHashMap::default(),
             stats: ServiceStats::default(),
         }
     }
@@ -114,40 +118,46 @@ impl AdmissionService {
     }
 
     /// Process one event and report what happened.
+    ///
+    /// # Panics
+    ///
+    /// On an `Admit` after the 2^32nd: `Evict` addresses admissions by a
+    /// `u32` index, and [`AdmissionService::restore`] refuses a snapshot
+    /// of more than 2^32 admits.
     pub fn apply(&mut self, ev: &ChurnEvent) -> Decision {
         match *ev {
-            ChurnEvent::Admit(req) => match self.placer.try_place(&req) {
-                Ok(p) => {
-                    self.by_admit.push(Some(p.tenant));
-                    self.stats.admitted += 1;
-                    Decision::Admitted {
-                        tenant: p.tenant,
-                        hosts: p.hosts,
-                        span: p.span,
+            ChurnEvent::Admit(req) => {
+                let idx = u32::try_from(self.stats.admitted + self.stats.rejected)
+                    .expect("at most 2^32 Admit events: Evict addresses them as u32");
+                match self.placer.try_place(&req) {
+                    Ok(p) => {
+                        self.by_admit.insert(idx, p.tenant);
+                        self.stats.admitted += 1;
+                        Decision::Admitted {
+                            tenant: p.tenant,
+                            hosts: p.hosts,
+                            span: p.span,
+                        }
                     }
-                }
-                Err(reason) => {
-                    self.by_admit.push(None);
-                    self.stats.rejected += 1;
-                    Decision::Rejected { reason }
-                }
-            },
-            ChurnEvent::Evict(idx) => {
-                match self.by_admit.get(idx as usize).copied().flatten() {
-                    Some(tenant) => {
-                        self.by_admit[idx as usize] = None;
-                        // The tenant may be live or degraded; remove
-                        // handles both.
-                        assert!(self.placer.remove(tenant), "indexed tenant must exist");
-                        self.stats.evicted += 1;
-                        Decision::Evicted { tenant }
-                    }
-                    None => {
-                        self.stats.evict_noops += 1;
-                        Decision::EvictNoop
+                    Err(reason) => {
+                        self.stats.rejected += 1;
+                        Decision::Rejected { reason }
                     }
                 }
             }
+            ChurnEvent::Evict(idx) => match self.by_admit.remove(&idx) {
+                Some(tenant) => {
+                    // The tenant may be live or degraded; remove
+                    // handles both.
+                    assert!(self.placer.remove(tenant), "indexed tenant must exist");
+                    self.stats.evicted += 1;
+                    Decision::Evicted { tenant }
+                }
+                None => {
+                    self.stats.evict_noops += 1;
+                    Decision::EvictNoop
+                }
+            },
             ChurnEvent::FailLink(l) => {
                 self.stats.faults += 1;
                 Decision::Fault {
@@ -200,12 +210,15 @@ impl AdmissionService {
             "stats {} {} {} {} {} {}\n",
             s.admitted, s.rejected, s.evicted, s.evict_noops, s.faults, s.heals
         ));
-        let live = self.by_admit.iter().flatten().count();
-        out.push_str(&format!("admits {} {}\n", self.by_admit.len(), live));
-        for (i, t) in self.by_admit.iter().enumerate() {
-            if let Some(t) = t {
-                out.push_str(&format!("admit {} {}\n", i, t.0));
-            }
+        out.push_str(&format!(
+            "admits {} {}\n",
+            s.admitted + s.rejected,
+            self.by_admit.len()
+        ));
+        let mut live: Vec<_> = self.by_admit.iter().collect();
+        live.sort_unstable();
+        for (i, t) in live {
+            out.push_str(&format!("admit {} {}\n", i, t.0));
         }
         out.push_str(&format!("tenants {}\n", p.tenants.len()));
         for (id, rec) in &p.tenants {
@@ -303,27 +316,28 @@ impl AdmissionService {
             heals: cur.num::<u64>()?,
         };
         cur.keyword("admits")?;
-        // One entry per `Admit` event, which `Evict` addresses as a u32.
-        let nadmits = cur.num::<usize>()?;
-        if stats.admitted.checked_add(stats.rejected) != Some(nadmits as u64) || nadmits > 1 << 32 {
+        // The count of `Admit` events, which `Evict` addresses as a u32,
+        // then the live admissions among them.
+        let nadmits = cur.num::<u64>()?;
+        if stats.admitted.checked_add(stats.rejected) != Some(nadmits) || nadmits > 1 << 32 {
             return Err(format!(
                 "admits {nadmits} disagrees with {} admitted + {} rejected",
                 stats.admitted, stats.rejected
             ));
         }
         let nlive = cur.count(3)?;
-        let mut by_admit: Vec<Option<TenantId>> = vec![None; nadmits];
+        let mut by_admit = FxHashMap::default();
         let mut last = None;
         for _ in 0..nlive {
             cur.keyword("admit")?;
-            let i = cur.below(nadmits as u64, "admit index")? as usize;
+            let i = cur.below(nadmits, "admit index")? as u32;
             let t = TenantId(cur.num::<u64>()?);
             // Admissions take fresh ids in turn, so both ascend.
             if last.is_some_and(|(j, u)| j >= i || u >= t) {
                 return Err(format!("admit {i} {}: out of order", t.0));
             }
             last = Some((i, t));
-            by_admit[i] = Some(t);
+            by_admit.insert(i, t);
         }
         let mut free = vec![topo.slots_per_server(); topo.num_hosts()];
         cur.keyword("tenants")?;
@@ -386,7 +400,7 @@ impl AdmissionService {
         }
         cur.keyword("end")?;
         let resident = |t: &&TenantId| tenants.contains_key(t) || degraded.contains_key(t);
-        if let Some(t) = by_admit.iter().flatten().find(|t| !resident(t)) {
+        if let Some(t) = by_admit.values().find(|t| !resident(t)) {
             return Err(format!("an admission names tenant {}, not resident", t.0));
         }
         let placer = SiloPlacer::from_parts(topo, mtu, next_id, failed, tenants, degraded);
@@ -696,6 +710,71 @@ mod tests {
         let snap = svc.snapshot();
         let truncated = &snap[..snap.len() - 10];
         assert!(AdmissionService::restore(truncated).is_err());
+    }
+
+    /// One admission, then a snapshot edited to claim that `admits`
+    /// `Admit` events came before it, of which the one at `idx` is live.
+    fn snapshot_claiming(admits: u64, idx: u64) -> String {
+        let mut svc = AdmissionService::new(topo());
+        svc.apply(&ChurnEvent::Admit(req(2)));
+        let snap = svc.snapshot();
+        let edits = [
+            ("stats 1 0 ", format!("stats 1 {} ", admits - 1)),
+            ("admits 1 1\n", format!("admits {admits} 1\n")),
+            ("admit 0 0\n", format!("admit {idx} 0\n")),
+        ];
+        edits.iter().fold(snap, |s, (from, to)| {
+            assert!(s.contains(from), "{from:?} must be in the snapshot");
+            s.replacen(from, to, 1)
+        })
+    }
+
+    /// The admit map holds live admissions only, so a service that has
+    /// seen 2^32 - 1 `Admit` events costs what its one live tenant costs.
+    /// `Evict` addresses admissions as a `u32` and `restore` refuses more
+    /// than 2^32 admits, so the 2^32nd admit is the last `apply` takes.
+    #[test]
+    fn admit_map_holds_live_admissions_only() {
+        let live = u64::from(u32::MAX) - 5;
+        let snap = snapshot_claiming(u64::from(u32::MAX), live);
+        let mut svc = AdmissionService::restore(&snap).expect("restores");
+        assert_eq!(svc.snapshot(), snap, "round-trip must be byte-exact");
+        for idx in [0, live as u32 - 1, live as u32 + 1, u32::MAX] {
+            assert_eq!(svc.apply(&ChurnEvent::Evict(idx)), Decision::EvictNoop);
+        }
+        let evict = ChurnEvent::Evict(live as u32);
+        assert_eq!(
+            svc.apply(&evict),
+            Decision::Evicted {
+                tenant: TenantId(0)
+            }
+        );
+        assert_eq!(svc.apply(&evict), Decision::EvictNoop);
+        // The 2^32nd admit takes the last index a u32 addresses.
+        assert!(matches!(
+            svc.apply(&ChurnEvent::Admit(req(2))),
+            Decision::Admitted { .. }
+        ));
+        let full = svc.snapshot();
+        assert!(full.contains(&format!(
+            "\nadmits {} 1\nadmit {} 1\n",
+            1u64 << 32,
+            u32::MAX
+        )));
+        let mut restored = AdmissionService::restore(&full).expect("2^32 admits restore");
+        assert!(matches!(
+            restored.apply(&ChurnEvent::Evict(u32::MAX)),
+            Decision::Evicted { .. }
+        ));
+        let over = snapshot_claiming((1 << 32) + 1, 0);
+        assert!(AdmissionService::restore(&over).is_err(), "2^32 + 1 admits");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 Admit events")]
+    fn no_admit_past_the_2_32nd() {
+        let mut svc = AdmissionService::restore(&snapshot_claiming(1 << 32, 0)).unwrap();
+        svc.apply(&ChurnEvent::Admit(req(2)));
     }
 
     /// The snapshot-fuzz findings (`silo-bench`'s `tests/input_fuzz.rs`),
