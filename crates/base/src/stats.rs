@@ -234,9 +234,6 @@ impl OnlineStats {
             self.m2 / (self.n - 1) as f64
         }
     }
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
     pub fn min(&self) -> f64 {
         self.min
     }
@@ -392,11 +389,6 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
-    }
-
-    /// Bytes retained by the bucket array (for memory-budget accounting).
-    pub fn mem_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u64>()
     }
 
     /// Reset to empty, keeping the bucket allocation. Lets a caller reuse

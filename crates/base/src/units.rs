@@ -85,10 +85,10 @@ impl Dur {
     pub fn from_us(us: u64) -> Dur {
         Dur(us * PS_PER_US)
     }
-    pub fn from_ms(ms: u64) -> Dur {
+    pub const fn from_ms(ms: u64) -> Dur {
         Dur(ms * PS_PER_MS)
     }
-    pub fn from_secs(s: u64) -> Dur {
+    pub const fn from_secs(s: u64) -> Dur {
         Dur(s * PS_PER_S)
     }
     pub fn from_secs_f64(s: f64) -> Dur {
@@ -129,11 +129,8 @@ impl Dur {
 impl Bytes {
     pub const ZERO: Bytes = Bytes(0);
 
-    pub fn from_kb(kb: u64) -> Bytes {
+    pub const fn from_kb(kb: u64) -> Bytes {
         Bytes(kb * 1_000)
-    }
-    pub fn from_kib(kib: u64) -> Bytes {
-        Bytes(kib * 1_024)
     }
     pub fn from_mb(mb: u64) -> Bytes {
         Bytes(mb * 1_000_000)
@@ -163,9 +160,6 @@ impl Rate {
 
     pub fn from_bps(bps: u64) -> Rate {
         Rate(bps)
-    }
-    pub fn from_kbps(kbps: u64) -> Rate {
-        Rate(kbps * 1_000)
     }
     pub fn from_mbps(mbps: u64) -> Rate {
         Rate(mbps * 1_000_000)

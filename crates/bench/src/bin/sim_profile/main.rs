@@ -16,8 +16,10 @@
 //! rings), so the observed cell is profiled with the same binary.
 //! EXPERIMENTS.md has the build flags and the `addr2line` recipe.
 
+use silo_base::LogHistogram;
 use silo_bench::ns2::{run_ns2_cell_with, Ns2Cell};
 use silo_bench::Args;
+use silo_simnet::metrics::LATENCY_HIST_SUB_BITS;
 use silo_simnet::{AuditConfig, TelemetryConfig, TraceConfig, TransportMode};
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -111,20 +113,24 @@ fn main() {
             .self_profile
             .to_table()
     );
-    // Streaming per-tenant latency histograms: always on, fixed memory,
-    // exact min/max/mean with ≤3.2% quantile error (sub_bits = 5). The
+    // Per-tenant latency histograms built from the message records:
+    // exact min/max with ≤3.2% quantile error (sub_bits = 5). The
     // noisiest tenants by p99 head the list.
+    let mut hists: Vec<LogHistogram> = (0..m.goodput.len())
+        .map(|_| LogHistogram::new(LATENCY_HIST_SUB_BITS))
+        .collect();
+    for r in &m.messages {
+        hists[r.tenant as usize].record(r.latency.0);
+    }
     println!(
         "\n{} messages over {} tenants (streaming histograms):",
         m.messages_total,
-        m.latency_hist.len()
+        hists.len()
     );
-    let mut order: Vec<u16> = (0..m.latency_hist.len() as u16)
-        .filter(|&t| m.latency_hist(t).is_some_and(|h| !h.is_empty()))
-        .collect();
-    order.sort_by_key(|&t| std::cmp::Reverse(m.latency_hist(t).unwrap().quantile(0.99)));
+    let mut order: Vec<usize> = (0..hists.len()).filter(|&t| !hists[t].is_empty()).collect();
+    order.sort_by_key(|&t| std::cmp::Reverse(hists[t].quantile(0.99)));
     for &t in order.iter().take(8) {
-        let h = m.latency_hist(t).unwrap();
+        let h = &hists[t];
         let q = |p: f64| h.quantile(p).unwrap_or(0) as f64 / 1e6;
         println!(
             "  tenant {t:<3} {:>7} msgs  p50 {:>9.1} us  p90 {:>9.1} us  p99 {:>9.1} us  p99.9 {:>9.1} us  max {:>9.1} us",

@@ -29,19 +29,13 @@ fn main() {
         topo.num_hosts(),
         args.duration_ms.max(200)
     );
-    let batch_us = std::env::var("SILO_BATCH_US").ok().map(|us| {
-        us.parse().unwrap_or_else(|_| {
-            eprintln!("error: SILO_BATCH_US: cannot parse {us:?} as microseconds");
-            std::process::exit(2);
-        })
-    });
     let out = run_verify(
         &topo,
         &placer,
         specs,
         Dur::from_ms(args.duration_ms.max(200)),
         args.seed,
-        batch_us,
+        None,
         args.audit,
     );
     let m = &out.metrics;

@@ -157,7 +157,7 @@ pub struct VerifyOutcome {
 }
 
 /// Run the verification simulation over an already-built population.
-/// `batch_us` overrides the paced-IO window (the `SILO_BATCH_US` knob);
+/// `batch_us` overrides the paced-IO window (`tests/queue_bounds.rs`);
 /// `audit` additionally threads the per-port bounds into the engine's
 /// audit layer for online checking.
 pub fn run_verify(

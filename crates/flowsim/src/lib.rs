@@ -16,7 +16,7 @@
 //! * [`Allocator::FairShare`] (Locality + ideal TCP) — global max-min
 //!   fairness via progressive waterfilling on the tree's directed links.
 //!
-//! Time advances in fixed steps (default 1 s of simulated time): each step
+//! Time advances in fixed 1 s steps of simulated time: each step
 //! recomputes rates, drains flows, completes jobs, and admits new
 //! arrivals. The quantization error is negligible against multi-minute
 //! job durations and keeps 32 K-server runs tractable.

@@ -33,11 +33,12 @@ impl Default for ClassMix {
     }
 }
 
+/// Quantized time step.
+const STEP: Dur = Dur::from_secs(1);
+
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct FlowSimConfig {
-    /// Quantized time step.
-    pub step: Dur,
     /// Total simulated time (including warmup).
     pub duration: Dur,
     /// Statistics are collected only after this point.
@@ -60,7 +61,6 @@ pub struct FlowSimConfig {
 impl Default for FlowSimConfig {
     fn default() -> FlowSimConfig {
         FlowSimConfig {
-            step: Dur::from_secs(1),
             duration: Dur::from_secs(4_000),
             warmup: Dur::from_secs(1_000),
             occupancy: 0.75,
@@ -88,6 +88,7 @@ struct Flow {
 struct Job {
     tenant: TenantId,
     class_a: bool,
+    vms: usize,
     flows: Vec<Flow>,
     compute_done_at: Time,
     arrived: Time,
@@ -132,6 +133,18 @@ impl FlowSimReport {
             self.admitted_b as f64 / self.offered_b as f64
         }
     }
+}
+
+/// Per-VM out- and in-degrees of a job's `(src, dst)` VM pairs over its
+/// `n` VMs: the denominators of each flow's hose share.
+fn degrees(n: usize, pairs: impl Iterator<Item = (usize, usize)>) -> (Vec<usize>, Vec<usize>) {
+    let mut out_deg = vec![0; n];
+    let mut in_deg = vec![0; n];
+    for (s, d) in pairs {
+        out_deg[s] += 1;
+        in_deg[d] += 1;
+    }
+    (out_deg, in_deg)
 }
 
 /// The simulator, generic over the placement algorithm.
@@ -213,12 +226,7 @@ impl<P: Placer> FlowSim<P> {
         };
         // Per-flow bytes sized so the whole transfer takes ~t_net at the
         // guaranteed hose rates.
-        let mut out_deg = vec![0usize; n];
-        let mut in_deg = vec![0usize; n];
-        for &(s, d) in &pairs {
-            out_deg[s] += 1;
-            in_deg[d] += 1;
-        }
+        let (out_deg, in_deg) = degrees(n, pairs.iter().copied());
         let flows: Vec<Flow> = pairs
             .iter()
             .map(|&(s, d)| {
@@ -238,6 +246,7 @@ impl<P: Placer> FlowSim<P> {
         self.jobs.push(Job {
             tenant,
             class_a,
+            vms: n,
             flows,
             compute_done_at: self.now + Dur::from_secs_f64(compute),
             arrived: self.now,
@@ -251,14 +260,13 @@ impl<P: Placer> FlowSim<P> {
         let mut alloc_flows = Vec::new();
         for (ji, job) in self.jobs.iter().enumerate() {
             // Per-VM active degrees for the hose shares.
-            let mut out_deg = vec![0usize; 256];
-            let mut in_deg = vec![0usize; 256];
-            for f in &job.flows {
-                if f.remaining > 0.0 {
-                    out_deg[f.src_vm.min(255)] += 1;
-                    in_deg[f.dst_vm.min(255)] += 1;
-                }
-            }
+            let (out_deg, in_deg) = degrees(
+                job.vms,
+                job.flows
+                    .iter()
+                    .filter(|f| f.remaining > 0.0)
+                    .map(|f| (f.src_vm, f.dst_vm)),
+            );
             let g = if job.class_a {
                 self.cfg.mix.class_a
             } else {
@@ -272,9 +280,9 @@ impl<P: Placer> FlowSim<P> {
                 alloc_flows.push(AllocFlow {
                     path: topo.path_ports(f.src_host, f.dst_host),
                     src_hose: g.b,
-                    out_deg: out_deg[f.src_vm.min(255)],
+                    out_deg: out_deg[f.src_vm],
                     dst_hose: g.b,
-                    in_deg: in_deg[f.dst_vm.min(255)],
+                    in_deg: in_deg[f.dst_vm],
                 });
             }
         }
@@ -283,7 +291,7 @@ impl<P: Placer> FlowSim<P> {
             Allocator::FairShare => waterfill(topo, &alloc_flows),
         };
         // Utilization accounting: bits carried on every traversed link.
-        let dt = self.cfg.step.as_secs_f64();
+        let dt = STEP.as_secs_f64();
         if self.now.as_secs_f64() >= self.cfg.warmup.as_secs_f64() {
             for (af, &r) in alloc_flows.iter().zip(&rates) {
                 if r.is_finite() {
@@ -303,12 +311,12 @@ impl<P: Placer> FlowSim<P> {
         let rate = self.arrival_rate();
         let mut next_arrival = Time::ZERO + Dur::from_secs_f64(exponential(&mut self.rng, rate));
         let horizon = Time::ZERO + self.cfg.duration;
-        let dt = self.cfg.step.as_secs_f64();
+        let dt = STEP.as_secs_f64();
         let measuring =
             |now: Time, cfg: &FlowSimConfig| now.as_secs_f64() >= cfg.warmup.as_secs_f64();
         while self.now < horizon {
             // 1. Admit arrivals due this step.
-            while next_arrival <= self.now + self.cfg.step {
+            while next_arrival <= self.now + STEP {
                 let (req, class_a) = self.draw_tenant();
                 if measuring(self.now, &self.cfg) {
                     if class_a {
@@ -345,7 +353,7 @@ impl<P: Placer> FlowSim<P> {
                     f.remaining = (f.remaining - r * dt / 8.0).max(0.0);
                 }
             }
-            self.now += self.cfg.step;
+            self.now += STEP;
             // 3. Complete jobs.
             let mut i = 0;
             while i < self.jobs.len() {
@@ -421,7 +429,6 @@ mod tests {
 
     fn quick_cfg(occupancy: f64, seed: u64) -> FlowSimConfig {
         FlowSimConfig {
-            step: Dur::from_secs(1),
             duration: Dur::from_secs(600),
             warmup: Dur::from_secs(150),
             occupancy,
@@ -496,6 +503,40 @@ mod tests {
             "{} vs {}",
             high.utilization,
             low.utilization
+        );
+    }
+
+    #[test]
+    fn a_job_wider_than_256_vms_runs_at_its_hose_rates() {
+        // One 300-VM class-B all-to-all job alone on a 304-slot fabric; the
+        // arrival rate is too low for any other tenant to arrive. Every
+        // flow runs at its hose share, so the job ends within a step of
+        // its nominal time. A degree table that folds VMs 255..300 into
+        // one slot stretches this job 29-fold.
+        let cfg = FlowSimConfig {
+            duration: Dur::from_secs(100),
+            warmup: Dur::ZERO,
+            max_vms: 300,
+            mean_compute: Dur::from_ms(1),
+            mean_transfer: Dur::from_secs(20),
+            ..quick_cfg(1e-9, 6)
+        };
+        let mut sim = FlowSim::new(LocalityPlacer::new(topo(19)), Allocator::Guaranteed, cfg);
+        let req = TenantRequest::new(300, Guarantee::class_b());
+        let p = sim.placer.try_place(&req).expect("300 VMs fit 304 slots");
+        let vm_hosts = p
+            .hosts
+            .iter()
+            .flat_map(|&(h, k)| std::iter::repeat_n(h, k))
+            .collect();
+        sim.spawn_job(&req, false, p.tenant, vm_hosts);
+        let nominal = sim.nominal[0].1.as_secs_f64();
+        let r = sim.run();
+        assert_eq!((r.offered_a, r.offered_b, r.completed), (0, 0, 1));
+        assert!(
+            r.mean_stretch < 1.0 + 1.0 / nominal.max(1.0) + 1e-9,
+            "stretch {} over a nominal {nominal} s",
+            r.mean_stretch
         );
     }
 

@@ -18,7 +18,9 @@
 //!   burst inflated to `A(c)` (paper §4.2.2, "Propagating arrival curves").
 //!
 //! The paper's two placement constraints (§4.2.3) are computed on top of
-//! these primitives by [`PortCalc`].
+//! these primitives by the placement crate: constraint C1
+//! (`Q-bound ≤ Q-capacity`) per port in `silo_placement::load::PortLoad`,
+//! C2 as a static per-path sum of queue capacities.
 //!
 //! # Representation
 //!
@@ -37,7 +39,6 @@ pub mod bounds;
 pub mod cache;
 pub mod curve;
 pub mod path;
-pub mod port;
 pub mod service;
 pub mod tenant;
 
@@ -45,6 +46,5 @@ pub use bounds::{backlog_bound, backlog_bound_of_lines, drain_time, queue_delay_
 pub use cache::BoundCache;
 pub use curve::{Curve, Line};
 pub use path::{output_bound, path_delay_sfa, path_delay_sum};
-pub use port::{PortCalc, PortVerdict};
 pub use service::ServiceCurve;
 pub use tenant::{propagate_egress, tenant_hose_aggregate, TenantTraffic};

@@ -164,10 +164,6 @@ impl BucketChain {
         self.buckets.is_empty()
     }
 
-    pub fn bucket_mut(&mut self, i: usize) -> &mut TokenBucket {
-        &mut self.buckets[i]
-    }
-
     /// Earliest conformant departure for a packet of `size`.
     pub fn earliest(&self, now: Time, size: Bytes) -> Time {
         self.buckets

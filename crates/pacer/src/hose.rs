@@ -83,10 +83,6 @@ impl HoseAllocator {
         }
         out
     }
-
-    pub fn per_vm_guarantee(&self) -> Rate {
-        self.b
-    }
 }
 
 #[cfg(test)]

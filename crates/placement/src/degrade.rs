@@ -102,12 +102,6 @@ impl SiloPlacer {
         self.degraded.contains_key(&t)
     }
 
-    /// Hosts of a tenant whether its guarantees are live or degraded.
-    pub fn hosts_of(&self, t: TenantId) -> Option<&[(HostId, usize)]> {
-        self.placement_of(t)
-            .or_else(|| self.degraded.get(&t).map(|r| r.hosts.as_slice()))
-    }
-
     /// A link fails. Reclaims the reservations and slots of every tenant
     /// whose placement depends on it, then re-admits each against the
     /// degraded topology (reclaim-then-readmit); tenants that no longer

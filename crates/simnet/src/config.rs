@@ -1,5 +1,7 @@
 //! Simulation configuration: transport modes, tenant descriptions, and
-//! the protocol constants of §6's experiments.
+//! the protocol constants of §6's experiments. The constants are fixed
+//! for every scheme the paper compares; `SimConfig` holds what a run
+//! varies.
 
 use crate::audit::AuditConfig;
 use crate::faults::FaultPlan;
@@ -15,9 +17,9 @@ use silo_topology::HostId;
 pub enum TransportMode {
     /// Plain TCP NewReno, drop-tail switches.
     Tcp,
-    /// DCTCP: ECN marking at `ecn_k`, fraction-based window reduction.
+    /// DCTCP: ECN marking at [`ECN_K`], fraction-based window reduction.
     Dctcp,
-    /// HULL: DCTCP senders + phantom queues marking at `hull_gamma` of
+    /// HULL: DCTCP senders + phantom queues marking at [`HULL_GAMMA`] of
     /// line rate.
     Hull,
     /// Silo: hypervisor pacing to `{B, S, Bmax}` with void-packet
@@ -125,48 +127,57 @@ impl TenantSpec {
     }
 }
 
-/// Protocol and engine constants. Defaults follow the paper's setups;
-/// every experiment binary can override.
+/// TCP/IP header overhead per segment; MSS = mtu − `HEADER`.
+pub const HEADER: Bytes = Bytes(60);
+/// Initial congestion window in segments.
+pub const INIT_CWND: u64 = 10;
+/// Congestion-window cap (the receive-window / send-buffer limit of a
+/// real stack; ns2-era datacenter stacks ran a few hundred KB, well
+/// matched to shallow-buffer 10 GbE paths).
+pub const MAX_CWND: Bytes = Bytes::from_kb(512);
+/// DCTCP marking threshold K (bytes of instantaneous queue): 65 MTU
+/// packets, the DCTCP 10 GbE default.
+pub const ECN_K: Bytes = Bytes(97_500);
+/// DCTCP gain g.
+pub const DCTCP_G: f64 = 1.0 / 16.0;
+/// HULL phantom-queue drain fraction γ.
+pub const HULL_GAMMA: f64 = 0.95;
+/// HULL phantom marking threshold.
+pub const HULL_THRESH: Bytes = Bytes(6_000);
+/// How far ahead of real time a connection may pre-stamp packets into
+/// the pacer. The hypervisor's per-VM TX queue is finite: without this
+/// backpressure, one connection could commit the shared `{B,S}` bucket
+/// megabytes ahead and starve the VM's other destinations.
+pub const PACE_HORIZON: Dur = Dur::from_ms(1);
+/// NIC FIFO depth for un-paced modes (TX ring + qdisc): ~100 MTU packets,
+/// the ns2-era host DropTail queue scale. A shared FIFO this shallow is
+/// exactly where an un-isolated tenant's small messages die behind a bulk
+/// tenant's bursts.
+pub const NIC_FIFO: Bytes = Bytes::from_kb(150);
+
+// Every MTU that `SimConfig::validate` accepts leaves a payload.
+const _: () = assert!(MIN_VOID_BYTES > HEADER.0);
+
+/// What a run varies: the scheme, the engine's timing knobs, the horizon
+/// and seed, the event-queue backend, injected faults and the observers.
+/// Defaults follow the paper's setups.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub mode: TransportMode,
     /// Maximum wire frame (Ethernet MTU).
     pub mtu: Bytes,
-    /// TCP/IP header overhead per segment; MSS = mtu − header.
-    pub header: Bytes,
-    /// Initial congestion window in segments.
-    pub init_cwnd: u64,
-    /// Congestion-window cap (the receive-window / send-buffer limit of a
-    /// real stack; ns2-era datacenter stacks ran a few hundred KB, well
-    /// matched to shallow-buffer 10 GbE paths).
-    pub max_cwnd: Bytes,
     /// Minimum retransmission timeout. The paper's testbed TCP behaves
     /// like a stock stack (≈ 200 ms min RTO — hence the 217 ms spikes in
     /// Fig. 1); datacenter-tuned stacks use 10 ms.
     pub min_rto: Dur,
-    /// DCTCP marking threshold K (bytes of instantaneous queue).
-    pub ecn_k: Bytes,
-    /// DCTCP gain g.
-    pub dctcp_g: f64,
-    /// HULL phantom-queue drain fraction γ.
-    pub hull_gamma: f64,
-    /// HULL phantom marking threshold.
-    pub hull_thresh: Bytes,
     /// Paced-IO batch window (§5: 50 µs).
     pub batch_window: Dur,
-    /// How far ahead of real time a connection may pre-stamp packets into
-    /// the pacer. The hypervisor's per-VM TX queue is finite: without this
-    /// backpressure, one connection could commit the shared `{B,S}` bucket
-    /// megabytes ahead and starve the VM's other destinations.
-    pub pace_horizon: Dur,
     /// Hose reallocation epoch for the pacer coordination.
     pub hose_epoch: Dur,
     /// Simulated duration.
     pub duration: Dur,
     /// Workload/tie-break seed.
     pub seed: u64,
-    /// NIC FIFO depth for un-paced modes (TX ring + qdisc).
-    pub nic_fifo: Bytes,
     /// Event-queue implementation, the engine's one option.
     /// [`QueueBackend::Wheel`] (default) is the fast path;
     /// [`QueueBackend::Heap`] is the reference `BinaryHeap` tests compare
@@ -193,15 +204,6 @@ pub struct SimConfig {
     /// exported via [`crate::Metrics::telemetry`]. An observer, like
     /// `audit`.
     pub telemetry: Option<TelemetryConfig>,
-    /// Cap on retained per-message records in [`crate::Metrics`]. `None`
-    /// (the default) keeps every record — fine for experiment runs that
-    /// post-process them, unbounded memory for long sweeps. `Some(cap)`
-    /// keeps only the first `cap` records; the always-on per-tenant
-    /// streaming histograms ([`crate::Metrics::latency_hist`]) and
-    /// `messages_total` still see every message, so tail quantiles
-    /// survive the cap. The cap changes only what is *retained*, never
-    /// the physics.
-    pub msg_record_cap: Option<usize>,
 }
 
 impl SimConfig {
@@ -209,38 +211,25 @@ impl SimConfig {
         SimConfig {
             mode,
             mtu: Bytes(1500),
-            header: Bytes(60),
-            init_cwnd: 10,
-            max_cwnd: Bytes::from_kb(512),
             min_rto: Dur::from_ms(10),
-            ecn_k: Bytes(97_500), // 65 MTU packets, the DCTCP 10 GbE default
-            dctcp_g: 1.0 / 16.0,
-            hull_gamma: 0.95,
-            hull_thresh: Bytes(6_000),
             batch_window: Dur::from_us(50),
-            pace_horizon: Dur::from_ms(1),
             // EyeQ's rate-control loop operates at RTT timescales; a
             // slower loop lets un-throttled senders transiently overflow
             // a receiver's downlink before feedback kicks in.
             hose_epoch: Dur::from_us(200),
             duration,
             seed,
-            // ~100 MTU packets, the ns2-era host DropTail queue scale. A
-            // shared FIFO this shallow is exactly where an un-isolated
-            // tenant's small messages die behind a bulk tenant's bursts.
-            nic_fifo: Bytes::from_kb(150),
             queue: QueueBackend::default(),
             faults: FaultPlan::default(),
             audit: None,
             trace: None,
             telemetry: None,
-            msg_record_cap: None,
         }
     }
 
     /// Stream payload per full segment.
     pub fn mss(&self) -> u64 {
-        self.mtu.as_u64() - self.header.as_u64()
+        self.mtu.as_u64() - HEADER.as_u64()
     }
 
     /// Reject values the engine cannot run on: each would otherwise be an
@@ -250,17 +239,12 @@ impl SimConfig {
     /// message starts with the offending field. [`crate::Sim::new`] panics
     /// on an `Err`; callers holding outside input check first.
     pub fn validate(&self) -> Result<(), String> {
-        let (mtu, header) = (self.mtu.as_u64(), self.header.as_u64());
+        let mtu = self.mtu.as_u64();
         if !(MIN_VOID_BYTES..=u32::MAX as u64).contains(&mtu) {
             return Err(format!(
                 "mtu: {mtu} bytes is outside [{MIN_VOID_BYTES} (the smallest void frame), \
                  {} (the 32-bit wire size)]",
                 u32::MAX
-            ));
-        }
-        if header >= mtu {
-            return Err(format!(
-                "header: {header} bytes leaves no payload in an mtu of {mtu}"
             ));
         }
         if self.batch_window == Dur::ZERO {
@@ -311,15 +295,13 @@ mod tests {
             assert_eq!(cfg.validate(), Ok(()), "{mode:?} default");
         }
         type Break = fn(&mut SimConfig);
-        let table: [(TransportMode, &str, Break); 11] = [
+        let table: [(TransportMode, &str, Break); 9] = [
             (TransportMode::Silo, "hose_epoch", |c| {
                 c.hose_epoch = Dur::ZERO
             }),
             (TransportMode::Okto, "hose_epoch", |c| {
                 c.hose_epoch = Dur::ZERO
             }),
-            (TransportMode::Tcp, "header", |c| c.header = c.mtu),
-            (TransportMode::Tcp, "header", |c| c.header = Bytes(9000)),
             (TransportMode::Tcp, "mtu", |c| c.mtu = Bytes(1 << 32)),
             (TransportMode::Tcp, "mtu", |c| c.mtu = Bytes(83)),
             (TransportMode::Tcp, "batch_window", |c| {

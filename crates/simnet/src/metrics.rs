@@ -3,10 +3,11 @@
 use crate::audit::AuditReport;
 use crate::telemetry::TelemetryLog;
 use crate::trace::TraceLog;
-use silo_base::{Dur, LogHistogram, Summary, Time};
+use silo_base::{Dur, Summary, Time};
 
-/// Sub-bucket resolution of the per-tenant streaming latency histograms:
-/// 32 sub-buckets per octave ⇒ quantile error ≤ 3.2%, ~15 KB per tenant.
+/// Sub-bucket resolution of the simulator's latency histograms (telemetry's
+/// per-window p99, `sim_profile`'s per-tenant table): 32 sub-buckets per
+/// octave ⇒ quantile error ≤ 3.2%, ~15 KB per histogram.
 pub const LATENCY_HIST_SUB_BITS: u32 = 5;
 
 /// Event classes the engine dispatches, for profiling (one slot per
@@ -259,59 +260,17 @@ pub struct Metrics {
     /// Same serialization discipline as `audit`/`trace`: never part of
     /// the fingerprint (it has its own exporters — see [`TelemetryLog`]).
     pub telemetry: Option<TelemetryLog>,
-    /// Every message ever completed, including those dropped by
-    /// `SimConfig::msg_record_cap`. Equals `messages.len()` when no cap
-    /// is set. Excluded from the serializations (engine bookkeeping).
+    /// Every message ever completed: `messages.len()`, kept as a field
+    /// for readers of the count. Excluded from the serializations (engine
+    /// bookkeeping).
     pub messages_total: u64,
-    /// Per-tenant streaming latency histograms (picoseconds), fed by
-    /// *every* completed message regardless of `msg_record_cap`, so tail
-    /// quantiles survive capped sweeps at bounded memory. Excluded from
-    /// the serializations: the exact per-message records remain the
-    /// fingerprint; these are derived observers.
-    pub latency_hist: Vec<LogHistogram>,
 }
 
 impl Metrics {
-    /// Record one completed message: always counted into `messages_total`
-    /// and the tenant's streaming histogram; retained in `messages` only
-    /// while under `cap` (`None` = unbounded, the historical behavior).
-    /// With a cap the record vector is pre-sized exactly once, so the
-    /// retained footprint is `cap × size_of::<MsgRecord>()` — the bound
-    /// `tests` pin down — instead of a doubling-growth overshoot.
-    pub fn record_message(&mut self, rec: MsgRecord, cap: Option<usize>) {
+    /// Record one completed message.
+    pub(crate) fn record_message(&mut self, rec: MsgRecord) {
         self.messages_total += 1;
-        if let Some(h) = self.latency_hist.get_mut(rec.tenant as usize) {
-            h.record(rec.latency.0);
-        }
-        match cap {
-            Some(c) => {
-                if self.messages.len() < c {
-                    if self.messages.capacity() < c.min(1 << 20) {
-                        self.messages
-                            .reserve_exact(c.min(1 << 20) - self.messages.len());
-                    }
-                    self.messages.push(rec);
-                }
-            }
-            None => self.messages.push(rec),
-        }
-    }
-
-    /// Bytes retained by per-message records and the streaming
-    /// histograms — the quantity `msg_record_cap` bounds.
-    pub fn retained_message_bytes(&self) -> usize {
-        self.messages.capacity() * std::mem::size_of::<MsgRecord>()
-            + self
-                .latency_hist
-                .iter()
-                .map(|h| h.mem_bytes())
-                .sum::<usize>()
-    }
-
-    /// One tenant's streaming latency histogram (picoseconds), if the
-    /// run tracked that tenant.
-    pub fn latency_hist(&self, tenant: u16) -> Option<&LogHistogram> {
-        self.latency_hist.get(tenant as usize)
+        self.messages.push(rec);
     }
 
     /// Message latencies of one tenant, in microseconds.

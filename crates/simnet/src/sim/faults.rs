@@ -2,6 +2,7 @@
 //! churn.
 
 use super::{Sim, VmApp};
+use crate::config::INIT_CWND;
 use crate::faults::FaultKind;
 use silo_base::{Dur, Time};
 use silo_pacer::TokenBucket;
@@ -188,7 +189,7 @@ impl Sim {
             return;
         }
         self.tenant_up[ti as usize] = true;
-        let init_cwnd = (self.cfg.init_cwnd * self.cfg.mss()) as f64;
+        let init_cwnd = (INIT_CWND * self.cfg.mss()) as f64;
         for &ci in &self.tenant_conns[ti as usize].clone() {
             let c = &mut self.conns[ci as usize];
             let f = c.nxt.max(c.wr_end).max(c.delivered);

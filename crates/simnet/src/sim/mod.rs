@@ -7,15 +7,17 @@
 //! `hose` (rate epochs) and `faults`. Observers hear of each lifecycle
 //! point through `obs` (the crate's `observe` module).
 
-use crate::config::{SimConfig, TenantSpec, TransportMode};
+use crate::config::{
+    SimConfig, TenantSpec, TransportMode, ECN_K, HULL_GAMMA, HULL_THRESH, INIT_CWND, NIC_FIFO,
+};
 use crate::faults::FaultKind;
-use crate::metrics::{EvKind, EventProfile, FaultWindow, Metrics, LATENCY_HIST_SUB_BITS};
+use crate::metrics::{EvKind, EventProfile, FaultWindow, Metrics};
 use crate::observe::Observers;
 use crate::packet::{PathId, Pkt};
 use crate::port::{PhantomQueue, PortState};
 use crate::tcp::TcpConn;
 use rand::rngs::StdRng;
-use silo_base::{seeded_rng, Bytes, Dur, EvKey, EventQueue, FxHashMap, LogHistogram, Time};
+use silo_base::{seeded_rng, Bytes, Dur, EvKey, EventQueue, FxHashMap, Time};
 use silo_pacer::{Batch, PacedBatcher, TokenBucket};
 use silo_topology::{HostId, PortId, Topology};
 use silo_workload::EtcWorkload;
@@ -209,26 +211,23 @@ impl Sim {
         }
         let rng = seeded_rng(cfg.seed);
         let nports = topo.num_ports();
-        let mut ports = Vec::with_capacity(nports);
+        // The switch ports, then one vswitch loopback per host (below).
+        let mut ports = Vec::with_capacity(nports + topo.num_hosts());
         for i in 0..nports {
             let pid = PortId(i as u32);
             let info = topo.port(pid);
             let prop = topo.params().prop_delay;
             let mut ps = if info.is_nic {
                 // Un-paced NIC FIFO: deep queue, no marking, no loss.
-                PortState::new(info.rate, cfg.nic_fifo, prop)
+                PortState::new(info.rate, NIC_FIFO, prop)
             } else {
                 PortState::new(info.rate, info.buffer, prop)
             };
             if !info.is_nic {
                 match cfg.mode {
-                    TransportMode::Dctcp => ps.ecn_k = Some(cfg.ecn_k),
+                    TransportMode::Dctcp => ps.ecn_k = Some(ECN_K),
                     TransportMode::Hull => {
-                        ps.phantom = Some(PhantomQueue::new(
-                            info.rate,
-                            cfg.hull_gamma,
-                            cfg.hull_thresh,
-                        ));
+                        ps.phantom = Some(PhantomQueue::new(info.rate, HULL_GAMMA, HULL_THRESH));
                     }
                     _ => {}
                 }
@@ -294,9 +293,6 @@ impl Sim {
             goodput: vec![0; tenants.len()],
             duration: cfg.duration,
             fault_drops: vec![0; nfaults],
-            latency_hist: (0..tenants.len())
-                .map(|_| LogHistogram::new(LATENCY_HIST_SUB_BITS))
-                .collect(),
             ..Metrics::default()
         };
         // Nothing here is pre-sized: every queue grows from what the run
@@ -447,7 +443,7 @@ impl Sim {
         let path = self.path(sh, dh);
         let rpath = self.path(dh, sh);
         let id = self.conns.len() as u32;
-        let init_cwnd = (self.cfg.init_cwnd * self.cfg.mss()) as f64;
+        let init_cwnd = (INIT_CWND * self.cfg.mss()) as f64;
         self.conns.push(TcpConn::new(
             id, tenant, src_vm, dst_vm, sh, dh, prio, path, rpath, init_cwnd,
         ));

@@ -3,6 +3,7 @@
 //! itself is `crate::tcp`.
 
 use super::{Ev, Sim};
+use crate::config::{DCTCP_G, HEADER, MAX_CWND, PACE_HORIZON};
 use crate::metrics::{EvKind, MsgRecord, Violation};
 use crate::packet::{Pkt, PktKind};
 use crate::tcp::SentSeg;
@@ -20,9 +21,9 @@ impl Sim {
             // buckets.
             if self.cfg.mode.paced() {
                 let c = &self.conns[conn as usize];
-                let horizon = self.now + self.cfg.pace_horizon;
+                let horizon = self.now + PACE_HORIZON;
                 if c.has_unsent() && c.last_depart > horizon && !c.pace_blocked {
-                    let resume = c.last_depart - self.cfg.pace_horizon;
+                    let resume = c.last_depart - PACE_HORIZON;
                     self.conns[conn as usize].pace_blocked = true;
                     self.push(resume, Ev::PaceResume { conn });
                     return;
@@ -57,7 +58,7 @@ impl Sim {
     fn emit_data(&mut self, conn: u32, seq: u64, payload: u64, retx: bool) {
         let c = &self.conns[conn as usize];
         let (src_vm, prio, path) = (c.src_vm, c.prio, c.path);
-        let size = Bytes(payload + self.cfg.header.as_u64());
+        let size = Bytes(payload + HEADER.as_u64());
         let pkt = Pkt::new(PktKind::Data, conn, seq, size, prio, path).with_retx(retx);
         self.send_from_vm(src_vm, pkt);
         self.arm_rto(conn);
@@ -188,7 +189,7 @@ impl Sim {
         self.obs.deliver(self.now, &pkt);
         let (completions, dst_vm, src_vm, prio, rpath, tenant, adv) = {
             let c = &mut self.conns[conn as usize];
-            let prev = c.receive_segment(pkt.seq, pkt.payload(self.cfg.header));
+            let prev = c.receive_segment(pkt.seq, pkt.payload(HEADER));
             let delivered = c.delivered;
             let adv = delivered - prev;
             c.goodput_bytes += adv;
@@ -213,19 +214,15 @@ impl Sim {
                 _ => None,
             };
             let latency = self.now - m.created;
-            let cap = self.cfg.msg_record_cap;
-            self.metrics.record_message(
-                MsgRecord {
-                    tenant,
-                    size: m.size,
-                    latency,
-                    rto: m.rto_hit,
-                    created: m.created,
-                    txn_latency,
-                    same_host,
-                },
-                cap,
-            );
+            self.metrics.record_message(MsgRecord {
+                tenant,
+                size: m.size,
+                latency,
+                rto: m.rto_hit,
+                created: m.created,
+                txn_latency,
+                same_host,
+            });
             let bound_opt = self.tenants[tenant as usize].latency_bound(Bytes(m.size));
             self.obs
                 .msg_done(self.now, conn, m.created, m.size, bound_opt);
@@ -304,9 +301,9 @@ impl Sim {
                 } else {
                     c.grow_cwnd(adv, mss);
                 }
-                c.cwnd = c.cwnd.min(self.cfg.max_cwnd.as_f64());
+                c.cwnd = c.cwnd.min(MAX_CWND.as_f64());
                 if self.cfg.mode.dctcp_sender() {
-                    c.dctcp_window_rollover(self.cfg.dctcp_g, mss);
+                    c.dctcp_window_rollover(DCTCP_G, mss);
                 }
                 flight_left = c.flight();
             } else if c.flight() > 0 {
@@ -322,7 +319,7 @@ impl Sim {
                     c.enter_recovery(mss);
                     need_retx_partial = true;
                 } else if c.in_recovery {
-                    c.cwnd = (c.cwnd + mss).min(self.cfg.max_cwnd.as_f64());
+                    c.cwnd = (c.cwnd + mss).min(MAX_CWND.as_f64());
                 }
                 flight_left = c.flight();
             }

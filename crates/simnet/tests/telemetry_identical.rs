@@ -102,7 +102,7 @@ fn every_series_conserves_the_end_of_run_totals() {
                 );
                 assert_eq!(
                     log.sum_completions(t),
-                    m.latency_hist(t as u16).expect("hist").count(),
+                    m.messages.iter().filter(|r| r.tenant == t as u16).count() as u64,
                     "completions drifted: mode={mode:?} tenant={t}"
                 );
             }

@@ -1,14 +1,11 @@
 //! End-to-end tests of the flight-recorder layer: rings stay bounded and
-//! balance their accounting, the streaming histograms agree with the
-//! retained message records, and the message-record cap changes retention
-//! only — never the physics. That tracing never perturbs physics is
+//! balance their accounting. That tracing never perturbs physics is
 //! `tests/observer_purity.rs`.
 
-use silo_base::{Bytes, Dur, LogHistogram, Rate, Time};
-use silo_simnet::metrics::LATENCY_HIST_SUB_BITS;
+use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
-    FaultPlan, Metrics, MsgRecord, Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig,
-    TraceKind, TransportMode,
+    FaultPlan, Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig, TraceKind,
+    TransportMode,
 };
 use silo_topology::{HostId, Topology, TreeParams};
 
@@ -151,94 +148,4 @@ fn ring_accounting_balances_under_fault_drops_with_evicting_rings() {
         let off = run_cfg(mode, faults.clone(), |_| {});
         assert_eq!(off.canonical_json(), m.canonical_json());
     }
-}
-
-#[test]
-fn streaming_histograms_agree_with_retained_records() {
-    let m = run(TransportMode::Silo, false, FaultPlan::new());
-    assert_eq!(m.messages_total, m.messages.len() as u64);
-    for tenant in 0..2u16 {
-        let exact: Vec<u64> = m
-            .messages
-            .iter()
-            .filter(|r| r.tenant == tenant)
-            .map(|r| r.latency.0)
-            .collect();
-        let h = m.latency_hist(tenant).expect("histogram per tenant");
-        assert_eq!(h.count(), exact.len() as u64, "tenant {tenant}");
-        assert!(!exact.is_empty(), "tenant {tenant} must complete messages");
-        assert_eq!(h.min(), exact.iter().copied().min());
-        assert_eq!(h.max(), exact.iter().copied().max());
-    }
-}
-
-#[test]
-fn msg_record_cap_changes_retention_never_physics() {
-    let full = run(TransportMode::Silo, false, FaultPlan::new());
-    let cap = 100usize;
-    assert!(full.messages.len() > cap, "run must exceed the cap");
-    let capped = run_cfg(TransportMode::Silo, FaultPlan::new(), |cfg| {
-        cfg.msg_record_cap = Some(cap);
-    });
-    // Retention: exactly the first `cap` records survive, the totals and
-    // histograms still see every message.
-    assert_eq!(capped.messages.len(), cap);
-    assert_eq!(capped.messages_total, full.messages_total);
-    for (a, b) in capped.messages.iter().zip(full.messages.iter()) {
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.created, b.created);
-        assert_eq!(a.tenant, b.tenant);
-    }
-    for tenant in 0..2u16 {
-        assert_eq!(
-            capped.latency_hist(tenant).unwrap().count(),
-            full.latency_hist(tenant).unwrap().count(),
-            "histograms keep the tail the cap discards"
-        );
-        assert_eq!(
-            capped.latency_hist(tenant).unwrap().quantile(0.99),
-            full.latency_hist(tenant).unwrap().quantile(0.99),
-        );
-    }
-    // Physics: every scalar observable is untouched.
-    assert_eq!(capped.goodput, full.goodput);
-    assert_eq!(capped.drops, full.drops);
-    assert_eq!(capped.rtos, full.rtos);
-    assert_eq!(capped.wire_data_bytes, full.wire_data_bytes);
-    assert_eq!(capped.port_max_queue, full.port_max_queue);
-}
-
-#[test]
-fn million_message_run_stays_under_byte_budget() {
-    // Regression for the unbounded-memory footgun: with a cap of 10k, a
-    // 10^6-message run retains under 1 MiB of message records +
-    // histograms (the documented budget: cap × sizeof(MsgRecord), plus
-    // ~15 KiB per tenant histogram) no matter how long the run is.
-    let mut m = Metrics {
-        latency_hist: vec![LogHistogram::new(LATENCY_HIST_SUB_BITS)],
-        ..Metrics::default()
-    };
-    let cap = Some(10_000);
-    for i in 0..1_000_000u64 {
-        m.record_message(
-            MsgRecord {
-                tenant: 0,
-                size: 15_000,
-                latency: Dur::from_us(500 + (i % 997)),
-                rto: false,
-                created: Time(i),
-                txn_latency: None,
-                same_host: false,
-            },
-            cap,
-        );
-    }
-    assert_eq!(m.messages_total, 1_000_000);
-    assert_eq!(m.messages.len(), 10_000);
-    assert_eq!(m.latency_hist(0).unwrap().count(), 1_000_000);
-    assert!(
-        m.retained_message_bytes() < 1 << 20,
-        "retained {} bytes, budget is 1 MiB",
-        m.retained_message_bytes()
-    );
 }

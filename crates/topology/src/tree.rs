@@ -329,11 +329,6 @@ impl Topology {
         ports
     }
 
-    /// Number of propagation hops between two hosts (for the simulators).
-    pub fn path_hops(&self, src: HostId, dst: HostId) -> usize {
-        self.path_ports(src, dst).len()
-    }
-
     /// Is `h` in the subtree below link `l` — the host itself for an access
     /// link, its rack for a ToR uplink, its pod for an aggregation uplink?
     /// A path crosses `l` exactly when one endpoint is below it and the
