@@ -68,11 +68,6 @@ impl GenPareto {
     }
 }
 
-/// Convenience alias for sampling a GPD in one call.
-pub fn gen_pareto<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64, xi: f64) -> f64 {
-    GenPareto::new(mu, sigma, xi).sample(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

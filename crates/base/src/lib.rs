@@ -9,8 +9,8 @@
 //!    All conversions route through `u128` intermediates so they neither
 //!    overflow nor silently lose precision for any realistic input.
 //!
-//! 2. **Statistics** ([`stats`]) — percentiles, CDFs, histograms and online
-//!    mean/variance used by every experiment harness.
+//! 2. **Statistics** ([`stats`]) — percentiles, CDFs and streaming
+//!    log-bucketed histograms used by every experiment harness.
 //!
 //! 3. **Deterministic randomness** ([`dist`]) — a seeded RNG constructor and
 //!    the analytic distributions the paper's workloads need (exponential,
@@ -27,11 +27,11 @@ pub mod prop;
 pub mod stats;
 pub mod units;
 
-pub use dist::{exponential, gen_pareto, seeded_rng, GenPareto};
+pub use dist::{exponential, seeded_rng, GenPareto};
 pub use eventq::{EvKey, EventQueue, QueueBackend};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::Json;
-pub use stats::{Cdf, Histogram, LogHistogram, OnlineStats, Summary};
+pub use stats::{LogHistogram, Summary};
 pub use units::{Bytes, Dur, Rate, Time};
 
 /// Index of the first position where `a` and `b` differ: the shorter

@@ -1,6 +1,6 @@
-//! Statistics used by the experiment harnesses: exact percentiles over
-//! collected samples, empirical CDFs, fixed-bucket histograms, and online
-//! (streaming) mean/variance.
+//! Statistics used by the experiment harnesses: exact percentiles and
+//! empirical CDFs over collected samples, and a streaming log-bucketed
+//! histogram.
 
 /// A collection of `f64` samples supporting exact order statistics.
 ///
@@ -98,13 +98,14 @@ impl Summary {
     }
 
     /// Empirical CDF sampled at `points` evenly spaced quantiles
-    /// (plus the max), suitable for plotting.
-    pub fn cdf(&mut self, points: usize) -> Cdf {
+    /// (plus the max), suitable for plotting: `(value, cumulative
+    /// probability)` pairs sorted by value.
+    pub fn cdf(&mut self, points: usize) -> Vec<(f64, f64)> {
         assert!(points >= 2, "need at least two CDF points");
         self.ensure_sorted();
         let mut pts = Vec::with_capacity(points);
         if self.samples.is_empty() {
-            return Cdf { points: pts };
+            return pts;
         }
         for i in 0..points {
             let p = i as f64 / (points - 1) as f64;
@@ -112,133 +113,11 @@ impl Summary {
             let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
             pts.push((self.samples[rank - 1], p));
         }
-        Cdf { points: pts }
+        pts
     }
 
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-}
-
-/// An empirical CDF: `(value, cumulative probability)` pairs sorted by value.
-#[derive(Debug, Clone, Default)]
-pub struct Cdf {
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Cdf {
-    /// Probability that a sample is `<= v` (step interpolation).
-    pub fn prob_le(&self, v: f64) -> f64 {
-        let mut p = 0.0;
-        for &(x, q) in &self.points {
-            if x <= v {
-                p = q;
-            } else {
-                break;
-            }
-        }
-        p
-    }
-}
-
-/// A fixed-width-bucket histogram over `[lo, hi)` with overflow/underflow
-/// buckets, used for utilization and occupancy traces.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, nbuckets: usize) -> Histogram {
-        assert!(hi > lo && nbuckets > 0);
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; nbuckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    pub fn record(&mut self, v: f64) {
-        if v < self.lo {
-            self.underflow += 1;
-        } else if v >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.buckets.len();
-            let idx = ((v - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.buckets[idx.min(n - 1)] += 1;
-        }
-    }
-
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    pub fn bucket_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w)
-    }
-}
-
-/// Streaming mean/variance (Welford's algorithm) for metrics too voluminous
-/// to store, e.g. per-packet queueing delays in long simulations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn record(&mut self, v: f64) {
-        self.n += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -247,8 +126,8 @@ impl OnlineStats {
 /// above that is split into `2^sub_bits` equal sub-buckets, bounding the
 /// relative quantile error at `2^-sub_bits` while using a fixed, small
 /// amount of memory. Unlike [`Summary`] it never retains samples, so it is
-/// safe to keep per-tenant over arbitrarily long sweeps; unlike
-/// [`OnlineStats`] it recovers tail quantiles, not just moments.
+/// safe to keep per-tenant over arbitrarily long sweeps, and it recovers
+/// tail quantiles, not just moments.
 ///
 /// Merging is exact: because bucket boundaries depend only on `sub_bits`,
 /// merging two histograms is a per-bucket count addition and yields exactly
@@ -439,26 +318,12 @@ mod tests {
         let mut s = Summary::new();
         s.extend([5.0, 1.0, 3.0, 2.0, 4.0]);
         let cdf = s.cdf(11);
-        for w in cdf.points.windows(2) {
+        for w in cdf.windows(2) {
             assert!(w[0].0 <= w[1].0);
             assert!(w[0].1 <= w[1].1);
         }
-        assert_eq!(cdf.prob_le(5.0), 1.0);
-        assert_eq!(cdf.prob_le(0.5), 0.0);
-    }
-
-    #[test]
-    fn online_stats_match_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut o = OnlineStats::new();
-        for &x in &xs {
-            o.record(x);
-        }
-        assert!((o.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic set is 32/7.
-        assert!((o.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(o.min(), 2.0);
-        assert_eq!(o.max(), 9.0);
+        assert_eq!(cdf.first(), Some(&(1.0, 0.0)));
+        assert_eq!(cdf.last(), Some(&(5.0, 1.0)));
     }
 
     #[test]
@@ -558,18 +423,5 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.0), Some(0));
         assert_eq!(h.quantile(1.0), Some(u64::MAX));
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(42.0);
-        assert_eq!(h.total(), 12);
-        assert!(h.buckets().iter().all(|&b| b == 1));
-        assert_eq!(h.bucket_bounds(3), (3.0, 4.0));
     }
 }

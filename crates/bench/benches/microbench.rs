@@ -11,11 +11,11 @@
 //! coalesced against per-chunk void emission.
 
 use silo_base::{seeded_rng, Bytes, Dur, EventQueue, Rate, Time};
-use silo_flowsim::{waterfill, Allocator};
+use silo_flowsim::waterfill;
 use silo_netcalc::{backlog_bound, Curve, ServiceCurve};
 use silo_pacer::{Batch, BucketChain, PacedBatcher, TokenBucket};
 use silo_placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
-use silo_topology::{HostId, Topology, TreeParams};
+use silo_topology::{HostId, PortId, Topology, TreeParams};
 use std::time::Instant;
 
 struct Harness {
@@ -144,23 +144,17 @@ fn bench_netcalc(h: &mut Harness) {
 fn bench_waterfill(h: &mut Harness) {
     let topo = Topology::build(TreeParams::ns2_paper());
     let mut rng = seeded_rng(7);
-    let flows: Vec<silo_flowsim::AllocFlow> = (0..1000)
+    let paths: Vec<Vec<PortId>> = (0..1000)
         .map(|_| {
             let s = HostId((silo_base::exponential(&mut rng, 1.0) * 100.0) as u32 % 400);
             let d = HostId((silo_base::exponential(&mut rng, 1.0) * 173.0) as u32 % 400);
-            silo_flowsim::AllocFlow {
-                path: topo.path_ports(s, d),
-                src_hose: Rate::from_gbps(1),
-                out_deg: 1,
-                dst_hose: Rate::from_gbps(1),
-                in_deg: 1,
-            }
+            topo.path_ports(s, d)
         })
         .collect();
+    let paths: Vec<&[PortId]> = paths.iter().map(Vec::as_slice).collect();
     h.bench("flowsim/waterfill_1000_flows", || {
-        std::hint::black_box(waterfill(&topo, std::hint::black_box(&flows)));
+        std::hint::black_box(waterfill(&topo, std::hint::black_box(&paths)));
     });
-    let _ = Allocator::FairShare;
 }
 
 /// The simulator's event pattern in miniature: a rolling window of

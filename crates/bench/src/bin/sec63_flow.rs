@@ -10,7 +10,7 @@
 
 use silo_bench::scenario::flow_topo;
 use silo_bench::{run_cells, Args};
-use silo_flowsim::{Allocator, ClassMix, FlowSim, FlowSimConfig, FlowSimReport};
+use silo_flowsim::{Allocator, FlowSim, FlowSimConfig, FlowSimReport};
 use silo_placement::{LocalityPlacer, OktopusPlacer, SiloPlacer};
 use silo_topology::Topology;
 
@@ -24,10 +24,7 @@ const XS_B: [Option<f64>; 5] = [Some(0.5), Some(0.75), Some(1.0), Some(2.0), Non
 fn simulate(topo: &Topology, scheme: &str, occ: f64, x: Option<f64>, seed: u64) -> FlowSimReport {
     let cfg = FlowSimConfig {
         occupancy: occ,
-        mix: ClassMix {
-            class_b_x: x,
-            ..ClassMix::default()
-        },
+        class_b_x: x,
         seed,
         ..FlowSimConfig::default()
     };

@@ -2,7 +2,6 @@
 
 use silo_base::Rate;
 use silo_topology::{PortId, Topology};
-use std::collections::HashMap;
 
 /// How flows get bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,104 +12,75 @@ pub enum Allocator {
     FairShare,
 }
 
-/// One fluid flow for allocation purposes.
-#[derive(Debug, Clone)]
-pub struct AllocFlow {
-    /// Directed ports the flow traverses.
-    pub path: Vec<PortId>,
-    /// Sender hose guarantee and current out-degree (active flows).
-    pub src_hose: Rate,
-    pub out_deg: usize,
-    /// Receiver hose guarantee and current in-degree.
-    pub dst_hose: Rate,
-    pub in_deg: usize,
+/// The guaranteed allocator's rate in bits/sec for a flow whose sender
+/// has `out_deg` active flows and whose receiver has `in_deg`, every VM of
+/// the tenant holding hose `b`: the smaller of its two endpoint shares.
+pub fn hose_rate(b: Rate, out_deg: usize, in_deg: usize) -> f64 {
+    let b = b.as_bps() as f64;
+    (b / out_deg.max(1) as f64).min(b / in_deg.max(1) as f64)
 }
 
-impl AllocFlow {
-    /// The guaranteed allocator's rate.
-    pub fn hose_rate(&self) -> f64 {
-        let s = self.src_hose.as_bps() as f64 / self.out_deg.max(1) as f64;
-        let d = self.dst_hose.as_bps() as f64 / self.in_deg.max(1) as f64;
-        s.min(d)
-    }
-}
-
-/// Progressive-filling max-min fairness: repeatedly find the most
-/// constrained link, freeze its flows at the fair share, remove the
-/// capacity, repeat. Returns per-flow rates in bits/sec.
+/// Progressive-filling max-min fairness over the flows' `paths`:
+/// repeatedly find the most constrained link, freeze its flows at the
+/// fair share, remove the capacity, repeat. Returns per-flow rates in
+/// bits/sec; a flow with an empty path (same host) is unconstrained and
+/// gets `f64::INFINITY`.
 ///
-/// Flows are also capped by their endpoint hoses? No — ideal TCP has no
-/// hoses; only link capacities bind (the paper's Locality baseline shares
-/// "bandwidth fairly between all flows").
-pub fn waterfill(topo: &Topology, flows: &[AllocFlow]) -> Vec<f64> {
-    // Per-active-link state, deterministic ordering by port id.
-    let mut link_flows: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (fi, f) in flows.iter().enumerate() {
-        for p in &f.path {
-            link_flows.entry(p.0).or_default().push(fi);
+/// Only link capacities bind: ideal TCP has no hoses (the paper's
+/// Locality baseline shares "bandwidth fairly between all flows").
+pub fn waterfill(topo: &Topology, paths: &[&[PortId]]) -> Vec<f64> {
+    // Per-port state, indexed by port id: the flows crossing the port in
+    // flow order, its unfrozen flow count and its residual capacity.
+    let mut on_port: Vec<Vec<usize>> = vec![Vec::new(); topo.num_ports()];
+    for (fi, path) in paths.iter().enumerate() {
+        for p in path.iter() {
+            on_port[p.0 as usize].push(fi);
         }
     }
-    let mut active: Vec<u32> = link_flows.keys().copied().collect();
-    active.sort_unstable();
-    let mut residual: HashMap<u32, f64> = active
-        .iter()
-        .map(|&l| (l, topo.port(PortId(l)).rate.as_bps() as f64))
+    let mut remaining: Vec<usize> = on_port.iter().map(Vec::len).collect();
+    let mut residual: Vec<f64> = (0..on_port.len())
+        .map(|p| topo.port(PortId(p as u32)).rate.as_bps() as f64)
         .collect();
-    let mut remaining: HashMap<u32, usize> =
-        link_flows.iter().map(|(&l, v)| (l, v.len())).collect();
-    let mut rate = vec![f64::INFINITY; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    loop {
+    let mut active: Vec<usize> = (0..on_port.len()).filter(|&p| remaining[p] > 0).collect();
+    let mut rate = vec![f64::INFINITY; paths.len()];
+    let mut frozen = vec![false; paths.len()];
+    while !active.is_empty() {
         // Most constrained link: min residual / remaining flows; ties
         // break toward the lowest port id for determinism.
-        let mut best: Option<(u32, f64)> = None;
+        let mut best = (active[0], f64::INFINITY);
         for &l in &active {
-            let cnt = remaining[&l];
-            if cnt == 0 {
-                continue;
-            }
-            let share = residual[&l] / cnt as f64;
-            if best.is_none_or(|(_, s)| share < s) {
-                best = Some((l, share));
+            let share = residual[l] / remaining[l] as f64;
+            if share < best.1 {
+                best = (l, share);
             }
         }
-        let Some((bl, share)) = best else { break };
+        let (bl, share) = best;
         // Freeze every unfrozen flow on that link.
-        for fi in link_flows[&bl].clone() {
+        for &fi in &on_port[bl] {
             if frozen[fi] {
                 continue;
             }
             frozen[fi] = true;
             rate[fi] = share;
-            for p in &flows[fi].path {
-                if let Some(r) = residual.get_mut(&p.0) {
-                    *r = (*r - share).max(0.0);
-                }
-                if let Some(c) = remaining.get_mut(&p.0) {
-                    *c -= 1;
-                }
+            for p in paths[fi].iter() {
+                let p = p.0 as usize;
+                residual[p] = (residual[p] - share).max(0.0);
+                remaining[p] -= 1;
             }
         }
-        active.retain(|l| remaining[l] > 0);
-        if active.is_empty() {
-            break;
-        }
+        active.retain(|&l| remaining[l] > 0);
     }
-    // Same-host flows (empty path) are never constrained; any other
-    // unfrozen flow would indicate a bug.
-    for (fi, r) in rate.iter_mut().enumerate() {
-        if flows[fi].path.is_empty() {
-            *r = f64::INFINITY;
-        } else {
-            debug_assert!(frozen[fi], "flow {fi} escaped the waterfill");
-        }
-    }
+    debug_assert!(
+        paths.iter().zip(&frozen).all(|(p, &f)| f || p.is_empty()),
+        "a flow with a path escaped the waterfill"
+    );
     rate
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silo_base::prop::{forall, shrink_vec, Rng};
     use silo_base::{Bytes, Dur};
     use silo_topology::{HostId, TreeParams};
 
@@ -129,24 +99,19 @@ mod tests {
         })
     }
 
-    fn flow(topo: &Topology, s: u32, d: u32) -> AllocFlow {
-        AllocFlow {
-            path: topo.path_ports(HostId(s), HostId(d)),
-            src_hose: Rate::from_gbps(1),
-            out_deg: 1,
-            dst_hose: Rate::from_gbps(1),
-            in_deg: 1,
-        }
+    fn rates(t: &Topology, pairs: &[(u32, u32)]) -> Vec<f64> {
+        let paths: Vec<Vec<PortId>> = pairs
+            .iter()
+            .map(|&(s, d)| t.path_ports(HostId(s), HostId(d)))
+            .collect();
+        let refs: Vec<&[PortId]> = paths.iter().map(Vec::as_slice).collect();
+        waterfill(t, &refs)
     }
 
     #[test]
     fn hose_rate_is_min_of_endpoint_shares() {
-        let t = topo();
-        let mut f = flow(&t, 0, 1);
-        f.out_deg = 2;
-        f.in_deg = 4;
         // min(1G/2, 1G/4) = 0.25 G.
-        assert!((f.hose_rate() - 0.25e9).abs() < 1.0);
+        assert!((hose_rate(Rate::from_gbps(1), 2, 4) - 0.25e9).abs() < 1.0);
     }
 
     #[test]
@@ -154,16 +119,14 @@ mod tests {
         let t = topo();
         // Cross-rack: bottleneck is the 10 G ToR uplink (2 servers x 10 /
         // oversub 2 = 10 G).
-        let flows = vec![flow(&t, 0, 2)];
-        let r = waterfill(&t, &flows);
+        let r = rates(&t, &[(0, 2)]);
         assert!((r[0] - 1e10).abs() < 1.0, "{}", r[0]);
     }
 
     #[test]
     fn two_flows_share_bottleneck_equally() {
         let t = topo();
-        let flows = vec![flow(&t, 0, 2), flow(&t, 1, 3)];
-        let r = waterfill(&t, &flows);
+        let r = rates(&t, &[(0, 2), (1, 3)]);
         // Both cross the 10 G rack-0 uplink: 5 G each.
         assert!((r[0] - 5e9).abs() < 1.0);
         assert!((r[1] - 5e9).abs() < 1.0);
@@ -173,8 +136,7 @@ mod tests {
     fn max_min_gives_leftover_to_unconstrained_flow() {
         let t = topo();
         // f0 and f1 share host 0's NIC; f2 runs alone from host 1.
-        let flows = vec![flow(&t, 0, 1), flow(&t, 0, 2), flow(&t, 1, 3)];
-        let r = waterfill(&t, &flows);
+        let r = rates(&t, &[(0, 1), (0, 2), (1, 3)]);
         assert!((r[0] - 5e9).abs() < 1e6, "{:?}", r);
         assert!((r[1] - 5e9).abs() < 1e6);
         // f2: rack uplink shared with f1: f1 already frozen at 5 G,
@@ -185,15 +147,84 @@ mod tests {
 
     #[test]
     fn same_host_flows_are_unconstrained() {
-        let t = topo();
-        let f = AllocFlow {
-            path: vec![],
-            src_hose: Rate::from_gbps(1),
-            out_deg: 1,
-            dst_hose: Rate::from_gbps(1),
-            in_deg: 1,
-        };
-        let r = waterfill(&t, &[f]);
+        let r = waterfill(&topo(), &[&[]]);
         assert!(r[0].is_infinite());
+    }
+
+    /// Max-min fairness, checked from its definition on random flow sets
+    /// (same-host pairs included) over small trees: no link carries more
+    /// than its capacity, and every flow with a path crosses a saturated
+    /// link on which no flow is faster than it.
+    #[test]
+    fn waterfill_is_feasible_and_max_min() {
+        forall(
+            "waterfill is a max-min fair allocation",
+            |rng| {
+                let tree = (
+                    rng.random_range(1..3usize),
+                    rng.random_range(1..4usize),
+                    rng.random_range(1..4usize),
+                );
+                let hosts = (tree.0 * tree.1 * tree.2) as u32;
+                let flows = rng.random_range(1..13usize);
+                let pairs: Vec<(u32, u32)> = (0..flows)
+                    .map(|_| (rng.random_range(0..hosts), rng.random_range(0..hosts)))
+                    .collect();
+                (tree, pairs)
+            },
+            |(tree, pairs)| {
+                shrink_vec(pairs, |_| Vec::new())
+                    .into_iter()
+                    .map(|p| (*tree, p))
+                    .collect()
+            },
+            |&((pods, racks_per_pod, servers_per_rack), ref pairs)| {
+                let t = Topology::build(TreeParams {
+                    pods,
+                    racks_per_pod,
+                    servers_per_rack,
+                    ..*topo().params()
+                });
+                let paths: Vec<Vec<PortId>> = pairs
+                    .iter()
+                    .map(|&(s, d)| t.path_ports(HostId(s), HostId(d)))
+                    .collect();
+                let refs: Vec<&[PortId]> = paths.iter().map(Vec::as_slice).collect();
+                let r = waterfill(&t, &refs);
+                let mut load = vec![0.0; t.num_ports()];
+                for (path, &fr) in paths.iter().zip(&r) {
+                    if path.is_empty() {
+                        if fr.is_finite() {
+                            return Err(format!("same-host flow capped at {fr}"));
+                        }
+                        continue;
+                    }
+                    for p in path {
+                        load[p.0 as usize] += fr;
+                    }
+                }
+                let cap = |p: PortId| t.port(p).rate.as_bps() as f64;
+                for (p, &l) in load.iter().enumerate() {
+                    let c = cap(PortId(p as u32));
+                    if l > c * (1.0 + 1e-9) {
+                        return Err(format!("port {p} carries {l} > capacity {c}"));
+                    }
+                }
+                for (fi, path) in paths.iter().enumerate() {
+                    let bottleneck = path.iter().any(|&p| {
+                        load[p.0 as usize] >= cap(p) * (1.0 - 1e-9)
+                            && paths
+                                .iter()
+                                .zip(&r)
+                                .filter(|(q, _)| q.contains(&p))
+                                .all(|(_, &q)| q <= r[fi] * (1.0 + 1e-9))
+                    });
+                    if !path.is_empty() && !bottleneck {
+                        return Err(format!("flow {fi} at {} has no bottleneck: {r:?}", r[fi]));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Datacenter-scale flow-level simulator (paper §6.3).
+//! Datacenter-scale, time-stepped fluid flow simulator (paper §6.3).
 //!
 //! Tenants arrive as a Poisson process, are admitted (or rejected) by a
 //! pluggable placement algorithm, run a job — a set of flows plus a
@@ -11,18 +11,20 @@
 //! [`Allocator`]:
 //!
 //! * [`Allocator::Guaranteed`] (Silo, Oktopus) — every flow gets its hose
-//!   share `min(B/out_degree(src), B/in_degree(dst))`; no sharing across
-//!   tenants, no work conservation.
+//!   share [`hose_rate`] `= min(B/out_degree(src), B/in_degree(dst))`; no
+//!   sharing across tenants, no work conservation.
 //! * [`Allocator::FairShare`] (Locality + ideal TCP) — global max-min
-//!   fairness via progressive waterfilling on the tree's directed links.
+//!   fairness via progressive [`waterfill`]ing on the tree's directed
+//!   links.
 //!
-//! Time advances in fixed 1 s steps of simulated time: each step
-//! recomputes rates, drains flows, completes jobs, and admits new
-//! arrivals. The quantization error is negligible against multi-minute
-//! job durations and keeps 32 K-server runs tractable.
+//! It is not event-driven: time advances in fixed 1 s steps of simulated
+//! time, and each step admits new arrivals, recomputes every unfinished
+//! flow's rate, drains the flows and completes jobs. A flow's path is
+//! computed once, when its job spawns. The quantization error is
+//! negligible against multi-minute job durations.
 
 mod alloc;
 mod simulation;
 
-pub use alloc::{waterfill, AllocFlow, Allocator};
-pub use simulation::{ClassMix, FlowSim, FlowSimConfig, FlowSimReport};
+pub use alloc::{hose_rate, waterfill, Allocator};
+pub use simulation::{FlowSim, FlowSimConfig, FlowSimReport};

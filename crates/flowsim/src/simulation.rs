@@ -1,42 +1,24 @@
 //! The time-stepped flow-level simulation driving Figs. 15–16.
 
-use crate::alloc::{waterfill, AllocFlow, Allocator};
+use crate::alloc::{hose_rate, waterfill, Allocator};
 use rand::rngs::StdRng;
 use rand::Rng;
-use silo_base::{exponential, seeded_rng, Dur, Time};
+use silo_base::{exponential, seeded_rng, Dur, Rate, Time};
 use silo_placement::{Guarantee, Placer, TenantId, TenantRequest};
 use silo_topology::{HostId, PortId};
 use silo_workload::{all_to_one, permutation_x};
 
-/// Tenant class mix and job-shape parameters (paper Table 3 plus the job
-/// model of §6.3: "each tenant runs a job that transfers a given amount of
-/// data between its VMs; each job also has a minimum compute time").
-#[derive(Debug, Clone)]
-pub struct ClassMix {
-    /// Fraction of class-A (delay-sensitive, all-to-one) tenants.
-    pub class_a_frac: f64,
-    pub class_a: Guarantee,
-    pub class_b: Guarantee,
-    /// Class-B traffic pattern: `Some(x)` = Permutation-x, `None` =
-    /// all-to-all.
-    pub class_b_x: Option<f64>,
-}
-
-impl Default for ClassMix {
-    fn default() -> ClassMix {
-        ClassMix {
-            class_a_frac: 0.5,
-            class_a: Guarantee::class_a(),
-            class_b: Guarantee::class_b(),
-            class_b_x: Some(1.0),
-        }
-    }
-}
+/// Fraction of class-A (delay-sensitive, all-to-one) tenants; the rest
+/// are class B. Each class's guarantee is Table 3's
+/// ([`Guarantee::class_a`], [`Guarantee::class_b`]).
+const CLASS_A_FRAC: f64 = 0.5;
 
 /// Quantized time step.
 const STEP: Dur = Dur::from_secs(1);
 
-/// Simulation parameters.
+/// Simulation parameters. The job model is §6.3's: "each tenant runs a
+/// job that transfers a given amount of data between its VMs; each job
+/// also has a minimum compute time".
 #[derive(Debug, Clone)]
 pub struct FlowSimConfig {
     /// Total simulated time (including warmup).
@@ -54,7 +36,9 @@ pub struct FlowSimConfig {
     /// Mean *nominal* transfer time per job at full guaranteed rate
     /// (exponential); flow byte counts derive from it.
     pub mean_transfer: Dur,
-    pub mix: ClassMix,
+    /// Class-B traffic pattern: `Some(x)` = Permutation-x, `None` =
+    /// all-to-all.
+    pub class_b_x: Option<f64>,
     pub seed: u64,
 }
 
@@ -71,15 +55,16 @@ impl Default for FlowSimConfig {
             // its slot residency, which is the mechanism behind Fig. 15b.
             mean_compute: Dur::from_secs(100),
             mean_transfer: Dur::from_secs(300),
-            mix: ClassMix::default(),
+            class_b_x: Some(1.0),
             seed: 1,
         }
     }
 }
 
 struct Flow {
-    src_host: HostId,
-    dst_host: HostId,
+    /// Directed ports from the source VM's host to the destination's;
+    /// empty for a same-host flow.
+    path: Vec<PortId>,
     src_vm: usize,
     dst_vm: usize,
     remaining: f64,
@@ -87,11 +72,15 @@ struct Flow {
 
 struct Job {
     tenant: TenantId,
-    class_a: bool,
+    /// Every VM's hose guarantee.
+    b: Rate,
     vms: usize,
     flows: Vec<Flow>,
     compute_done_at: Time,
     arrived: Time,
+    /// The job's duration at its guaranteed rates, the denominator of its
+    /// stretch.
+    nominal: Dur,
 }
 
 /// Results of a run.
@@ -158,7 +147,6 @@ pub struct FlowSim<P: Placer> {
     report: FlowSimReport,
     stretch_sum: f64,
     stretch_n: usize,
-    nominal: Vec<(TenantId, Dur)>,
     carried_bits: f64,
     occupancy_samples: (f64, usize),
 }
@@ -176,7 +164,6 @@ impl<P: Placer> FlowSim<P> {
             report: FlowSimReport::default(),
             stretch_sum: 0.0,
             stretch_n: 0,
-            nominal: Vec::new(),
             carried_bits: 0.0,
             occupancy_samples: (0.0, 0),
         }
@@ -194,14 +181,19 @@ impl<P: Placer> FlowSim<P> {
         self.cfg.occupancy * total_slots / (self.cfg.mean_vms * mean_dur)
     }
 
+    /// Statistics are collected from the end of warm-up on.
+    fn measuring(&self) -> bool {
+        self.now.as_secs_f64() >= self.cfg.warmup.as_secs_f64()
+    }
+
     fn draw_tenant(&mut self) -> (TenantRequest, bool) {
         let n = exponential(&mut self.rng, 1.0 / self.cfg.mean_vms).round() as usize;
         let n = n.clamp(2, self.cfg.max_vms);
-        let class_a = self.rng.random::<f64>() < self.cfg.mix.class_a_frac;
+        let class_a = self.rng.random::<f64>() < CLASS_A_FRAC;
         let g = if class_a {
-            self.cfg.mix.class_a
+            Guarantee::class_a()
         } else {
-            self.cfg.mix.class_b
+            Guarantee::class_b()
         };
         (TenantRequest::new(n, g), class_a)
     }
@@ -214,12 +206,12 @@ impl<P: Placer> FlowSim<P> {
         vm_hosts: Vec<HostId>,
     ) {
         let n = vm_hosts.len();
-        let b = req.guarantee.b.as_bps() as f64;
+        let b = req.guarantee.b;
         let t_net = exponential(&mut self.rng, 1.0 / self.cfg.mean_transfer.as_secs_f64());
         let pairs = if class_a {
             all_to_one(n, 0)
         } else {
-            match self.cfg.mix.class_b_x {
+            match self.cfg.class_b_x {
                 Some(x) => permutation_x(n, x, &mut self.rng),
                 None => silo_workload::all_to_all(n),
             }
@@ -227,83 +219,80 @@ impl<P: Placer> FlowSim<P> {
         // Per-flow bytes sized so the whole transfer takes ~t_net at the
         // guaranteed hose rates.
         let (out_deg, in_deg) = degrees(n, pairs.iter().copied());
+        let topo = self.placer.topology();
         let flows: Vec<Flow> = pairs
             .iter()
-            .map(|&(s, d)| {
-                let rate = (b / out_deg[s].max(1) as f64).min(b / in_deg[d].max(1) as f64);
-                Flow {
-                    src_host: vm_hosts[s],
-                    dst_host: vm_hosts[d],
-                    src_vm: s,
-                    dst_vm: d,
-                    remaining: rate * t_net / 8.0,
-                }
+            .map(|&(s, d)| Flow {
+                path: topo.path_ports(vm_hosts[s], vm_hosts[d]),
+                src_vm: s,
+                dst_vm: d,
+                remaining: hose_rate(b, out_deg[s], in_deg[d]) * t_net / 8.0,
             })
             .collect();
         let compute = exponential(&mut self.rng, 1.0 / self.cfg.mean_compute.as_secs_f64());
-        let nominal = Dur::from_secs_f64(compute.max(t_net));
-        self.nominal.push((tenant, nominal));
         self.jobs.push(Job {
             tenant,
-            class_a,
+            b,
             vms: n,
             flows,
             compute_done_at: self.now + Dur::from_secs_f64(compute),
             arrived: self.now,
+            nominal: Dur::from_secs_f64(compute.max(t_net)),
         });
     }
 
-    fn step_rates(&mut self) -> Vec<(usize, usize, f64)> {
-        // (job idx, flow idx, rate bps) for unfinished flows.
+    /// One step of flow progress: give every unfinished flow its rate,
+    /// drain it by one step at that rate, and count the bits it carries
+    /// over its links once warm-up is over.
+    fn drain_step(&mut self) {
+        let measuring = self.measuring();
+        let dt = STEP.as_secs_f64();
         let topo = self.placer.topology();
-        let mut metas = Vec::new();
-        let mut alloc_flows = Vec::new();
-        for (ji, job) in self.jobs.iter().enumerate() {
-            // Per-VM active degrees for the hose shares.
-            let (out_deg, in_deg) = degrees(
-                job.vms,
-                job.flows
+        let fair = match self.alloc {
+            Allocator::Guaranteed => Vec::new(),
+            Allocator::FairShare => {
+                let paths: Vec<&[PortId]> = self
+                    .jobs
                     .iter()
+                    .flat_map(|j| &j.flows)
                     .filter(|f| f.remaining > 0.0)
-                    .map(|f| (f.src_vm, f.dst_vm)),
-            );
-            let g = if job.class_a {
-                self.cfg.mix.class_a
-            } else {
-                self.cfg.mix.class_b
-            };
-            for (fi, f) in job.flows.iter().enumerate() {
-                if f.remaining <= 0.0 {
+                    .map(|f| f.path.as_slice())
+                    .collect();
+                waterfill(topo, &paths)
+            }
+        };
+        let mut fair = fair.into_iter();
+        for job in &mut self.jobs {
+            // A guaranteed flow's hose share splits over its endpoints'
+            // unfinished flows.
+            let degs = (self.alloc == Allocator::Guaranteed).then(|| {
+                degrees(
+                    job.vms,
+                    job.flows
+                        .iter()
+                        .filter(|f| f.remaining > 0.0)
+                        .map(|f| (f.src_vm, f.dst_vm)),
+                )
+            });
+            for f in job.flows.iter_mut().filter(|f| f.remaining > 0.0) {
+                let r = match &degs {
+                    Some((out_deg, in_deg)) => {
+                        hose_rate(job.b, out_deg[f.src_vm], in_deg[f.dst_vm])
+                    }
+                    None => fair.next().expect("one waterfill rate per unfinished flow"),
+                };
+                if r.is_infinite() {
+                    // A same-host flow under `FairShare`: it crosses no
+                    // link, so it finishes at once and carries no bits.
+                    f.remaining = 0.0;
                     continue;
                 }
-                metas.push((ji, fi));
-                alloc_flows.push(AllocFlow {
-                    path: topo.path_ports(f.src_host, f.dst_host),
-                    src_hose: g.b,
-                    out_deg: out_deg[f.src_vm],
-                    dst_hose: g.b,
-                    in_deg: in_deg[f.dst_vm],
-                });
-            }
-        }
-        let rates: Vec<f64> = match self.alloc {
-            Allocator::Guaranteed => alloc_flows.iter().map(|f| f.hose_rate()).collect(),
-            Allocator::FairShare => waterfill(topo, &alloc_flows),
-        };
-        // Utilization accounting: bits carried on every traversed link.
-        let dt = STEP.as_secs_f64();
-        if self.now.as_secs_f64() >= self.cfg.warmup.as_secs_f64() {
-            for (af, &r) in alloc_flows.iter().zip(&rates) {
-                if r.is_finite() {
-                    self.carried_bits += r * dt * af.path.len() as f64;
+                if measuring {
+                    self.carried_bits += r * dt * f.path.len() as f64;
                 }
+                f.remaining = (f.remaining - r * dt / 8.0).max(0.0);
             }
         }
-        metas
-            .into_iter()
-            .zip(rates)
-            .map(|((ji, fi), r)| (ji, fi, r))
-            .collect()
     }
 
     /// Run the simulation and report.
@@ -311,14 +300,12 @@ impl<P: Placer> FlowSim<P> {
         let rate = self.arrival_rate();
         let mut next_arrival = Time::ZERO + Dur::from_secs_f64(exponential(&mut self.rng, rate));
         let horizon = Time::ZERO + self.cfg.duration;
-        let dt = STEP.as_secs_f64();
-        let measuring =
-            |now: Time, cfg: &FlowSimConfig| now.as_secs_f64() >= cfg.warmup.as_secs_f64();
         while self.now < horizon {
             // 1. Admit arrivals due this step.
             while next_arrival <= self.now + STEP {
                 let (req, class_a) = self.draw_tenant();
-                if measuring(self.now, &self.cfg) {
+                let measuring = self.measuring();
+                if measuring {
                     if class_a {
                         self.report.offered_a += 1;
                     } else {
@@ -326,35 +313,27 @@ impl<P: Placer> FlowSim<P> {
                     }
                 }
                 if let Ok(p) = self.placer.try_place(&req) {
-                    if measuring(self.now, &self.cfg) {
+                    if measuring {
                         if class_a {
                             self.report.admitted_a += 1;
                         } else {
                             self.report.admitted_b += 1;
                         }
                     }
-                    let mut vm_hosts = Vec::with_capacity(req.vms);
-                    for &(h, k) in &p.hosts {
-                        for _ in 0..k {
-                            vm_hosts.push(h);
-                        }
-                    }
+                    let vm_hosts = p
+                        .hosts
+                        .iter()
+                        .flat_map(|&(h, k)| std::iter::repeat_n(h, k))
+                        .collect();
                     self.spawn_job(&req, class_a, p.tenant, vm_hosts);
                 }
                 next_arrival += Dur::from_secs_f64(exponential(&mut self.rng, rate));
             }
             // 2. Allocate rates and drain flows.
-            let rates = self.step_rates();
-            for (ji, fi, r) in rates {
-                let f = &mut self.jobs[ji].flows[fi];
-                if r.is_infinite() {
-                    f.remaining = 0.0;
-                } else {
-                    f.remaining = (f.remaining - r * dt / 8.0).max(0.0);
-                }
-            }
+            self.drain_step();
             self.now += STEP;
             // 3. Complete jobs.
+            let measuring = self.measuring();
             let mut i = 0;
             while i < self.jobs.len() {
                 let done = self.jobs[i].compute_done_at <= self.now
@@ -362,21 +341,18 @@ impl<P: Placer> FlowSim<P> {
                 if done {
                     let job = self.jobs.swap_remove(i);
                     self.placer.remove(job.tenant);
-                    if measuring(self.now, &self.cfg) {
+                    if measuring {
                         self.report.completed += 1;
-                        if let Some(pos) = self.nominal.iter().position(|&(t, _)| t == job.tenant) {
-                            let (_, nominal) = self.nominal.swap_remove(pos);
-                            let actual = (self.now - job.arrived).as_secs_f64();
-                            self.stretch_sum += actual / nominal.as_secs_f64().max(1.0);
-                            self.stretch_n += 1;
-                        }
+                        let actual = (self.now - job.arrived).as_secs_f64();
+                        self.stretch_sum += actual / job.nominal.as_secs_f64().max(1.0);
+                        self.stretch_n += 1;
                     }
                 } else {
                     i += 1;
                 }
             }
             // 4. Occupancy sample.
-            if measuring(self.now, &self.cfg) {
+            if measuring {
                 let occ = self.placer.used_slots() as f64
                     / self.placer.topology().params().num_vm_slots() as f64;
                 self.occupancy_samples.0 += occ;
@@ -408,7 +384,7 @@ impl<P: Placer> FlowSim<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silo_base::{Bytes, Rate};
+    use silo_base::Bytes;
     use silo_placement::{LocalityPlacer, OktopusPlacer, SiloPlacer};
     use silo_topology::{Topology, TreeParams};
 
@@ -436,7 +412,7 @@ mod tests {
             max_vms: 24,
             mean_compute: Dur::from_secs(60),
             mean_transfer: Dur::from_secs(50),
-            mix: ClassMix::default(),
+            class_b_x: Some(1.0),
             seed,
         }
     }
@@ -530,13 +506,60 @@ mod tests {
             .flat_map(|&(h, k)| std::iter::repeat_n(h, k))
             .collect();
         sim.spawn_job(&req, false, p.tenant, vm_hosts);
-        let nominal = sim.nominal[0].1.as_secs_f64();
+        let nominal = sim.jobs[0].nominal.as_secs_f64();
         let r = sim.run();
         assert_eq!((r.offered_a, r.offered_b, r.completed), (0, 0, 1));
         assert!(
             r.mean_stretch < 1.0 + 1.0 / nominal.max(1.0) + 1e-9,
             "stretch {} over a nominal {nominal} s",
             r.mean_stretch
+        );
+    }
+
+    /// Every report field of two 90 %-occupancy cells, one per allocator,
+    /// pinned to the bit: any change to admission order, rate allocation,
+    /// draining or accounting moves at least one of them.
+    #[test]
+    fn quick_cells_report_pinned_values() {
+        let fields = |r: FlowSimReport| {
+            (
+                [
+                    r.offered_a,
+                    r.offered_b,
+                    r.admitted_a,
+                    r.admitted_b,
+                    r.completed,
+                ],
+                [
+                    r.utilization.to_bits(),
+                    r.mean_stretch.to_bits(),
+                    r.mean_occupancy.to_bits(),
+                ],
+            )
+        };
+        let silo = FlowSim::new(
+            SiloPlacer::new(topo(10)),
+            Allocator::Guaranteed,
+            quick_cfg(0.9, 1),
+        );
+        assert_eq!(
+            fields(silo.run()),
+            (
+                [77, 65, 69, 57, 121],
+                [0x3fa20255f750c6da, 0x3ff03631ed01e236, 0x3fe7388923889239]
+            )
+        );
+        let locality = FlowSim::new(
+            LocalityPlacer::new(topo(10)),
+            Allocator::FairShare,
+            quick_cfg(0.9, 1),
+        );
+        assert_eq!(
+            fields(locality.run()),
+            (
+                [86, 60, 64, 47, 116],
+                [0x3faedd0cfe01213a, 0x3fe86e35d1d1494b, 0x3fea2d11d2d11d20]
+            )
         );
     }
 

@@ -1,8 +1,8 @@
 //! Differential check of the two independent hose-model implementations.
 //!
-//! `flowsim`'s [`Allocator::Guaranteed`] computes per-flow rates
-//! operationally — each flow gets the min of its endpoints' hose shares —
-//! while `netcalc`'s `tenant_hose_aggregate` derives the same quantity
+//! `flowsim`'s `Allocator::Guaranteed` computes per-flow rates
+//! operationally — [`hose_rate`] gives each flow the min of its
+//! endpoints' hose shares — while `netcalc`'s `tenant_hose_aggregate` derives the same quantity
 //! analytically: the sustained rate a tenant can push across a cut with
 //! `m` of its `N` VMs on one side is `min(m, N−m)·B`. If the two
 //! disagree, one of the hose models is wrong.
@@ -17,33 +17,22 @@
 //! `m = N−1`).
 
 use silo_base::{Bytes, Rate};
-use silo_flowsim::AllocFlow;
+use silo_flowsim::hose_rate;
 use silo_netcalc::tenant_hose_aggregate;
 
 const MTU: Bytes = Bytes(1500);
 const S: Bytes = Bytes(15_000);
 
-/// Sum of guaranteed flow rates crossing the cut, in bits/sec.
-fn cross_cut_rate(flows: &[AllocFlow]) -> f64 {
-    flows.iter().map(|f| f.hose_rate()).sum()
+/// Sum of the guaranteed rates of `k` flows crossing the cut, each with
+/// hose `b` at both ends and the given endpoint degrees, in bits/sec.
+fn cross_cut_rate(k: usize, b: Rate, out_deg: usize, in_deg: usize) -> f64 {
+    (0..k).map(|_| hose_rate(b, out_deg, in_deg)).sum()
 }
 
 /// The analytic aggregate's sustained rate across the same cut, converted
 /// from the curve's bytes/sec to the allocator's bits/sec.
 fn analytic_rate(m: usize, n: usize, b: Rate) -> f64 {
     tenant_hose_aggregate(m, n, b, S, Rate::from_gbps(10), MTU).long_term_rate() * 8.0
-}
-
-/// A flow with both endpoint hoses set to `b` (the paths are irrelevant:
-/// `hose_rate` is a pure function of hoses and degrees).
-fn flow(b: Rate, out_deg: usize, in_deg: usize) -> AllocFlow {
-    AllocFlow {
-        path: vec![],
-        src_hose: b,
-        out_deg,
-        dst_hose: b,
-        in_deg,
-    }
 }
 
 #[test]
@@ -54,8 +43,7 @@ fn permutation_across_the_cut_matches_the_aggregate_exactly() {
             // Pair off min(m, n−m) senders with distinct receivers across
             // the cut; every endpoint carries exactly one flow.
             let k = m.min(n - m);
-            let flows: Vec<AllocFlow> = (0..k).map(|_| flow(b, 1, 1)).collect();
-            let got = cross_cut_rate(&flows);
+            let got = cross_cut_rate(k, b, 1, 1);
             let want = analytic_rate(m, n, b);
             assert!(
                 (got - want).abs() <= 1e-6 * want,
@@ -72,8 +60,7 @@ fn all_to_one_into_a_lone_receiver_matches_exactly() {
         // Cut isolates the receiver: m = n−1 senders, each with one
         // outgoing flow; the receiver's hose splits n−1 ways.
         let m = n - 1;
-        let flows: Vec<AllocFlow> = (0..m).map(|_| flow(b, 1, m)).collect();
-        let got = cross_cut_rate(&flows);
+        let got = cross_cut_rate(m, b, 1, m);
         let want = analytic_rate(m, n, b);
         assert!(
             (got - want).abs() <= 1e-6 * want,
@@ -89,8 +76,7 @@ fn all_to_all_stays_below_the_aggregate_and_is_tight_at_the_edges() {
         for m in 1..n {
             // Every VM talks to all n−1 others; flows crossing the cut
             // left→right number m·(n−m), each endpoint at degree n−1.
-            let flows: Vec<AllocFlow> = (0..m * (n - m)).map(|_| flow(b, n - 1, n - 1)).collect();
-            let got = cross_cut_rate(&flows);
+            let got = cross_cut_rate(m * (n - m), b, n - 1, n - 1);
             let want = analytic_rate(m, n, b);
             assert!(
                 got <= want * (1.0 + 1e-9),
@@ -110,20 +96,4 @@ fn all_to_all_stays_below_the_aggregate_and_is_tight_at_the_edges() {
             }
         }
     }
-}
-
-#[test]
-fn asymmetric_hoses_take_the_receiver_min() {
-    // A sender with a 1 G hose into a receiver with a 100 M hose: the
-    // operational rate is receiver-limited, exactly like a 2-VM tenant
-    // aggregate built from the smaller guarantee.
-    let f = AllocFlow {
-        path: vec![],
-        src_hose: Rate::from_gbps(1),
-        out_deg: 1,
-        dst_hose: Rate::from_mbps(100),
-        in_deg: 1,
-    };
-    let want = analytic_rate(1, 2, Rate::from_mbps(100));
-    assert!((f.hose_rate() - want).abs() <= 1e-6 * want);
 }

@@ -67,17 +67,6 @@ impl Guarantee {
             Some(self.bmax.tx_time(self.s) + self.b.tx_time(msg - self.s) + d)
         }
     }
-
-    /// The latency *estimate* used for bandwidth-only tenants in the
-    /// paper's Fig. 14 (`message size / guaranteed bandwidth`), with the
-    /// burst credited at `bmax`.
-    pub fn message_latency_estimate(&self, msg: Bytes) -> Dur {
-        if msg <= self.s {
-            self.bmax.tx_time(msg)
-        } else {
-            self.bmax.tx_time(self.s) + self.b.tx_time(msg - self.s)
-        }
-    }
 }
 
 /// A tenant's admission request: `vms` identical VMs, each with the given
@@ -165,13 +154,5 @@ mod tests {
             Guarantee::bandwidth_only(Rate::from_gbps(2)).message_latency_bound(Bytes(1500)),
             None
         );
-    }
-
-    #[test]
-    fn estimate_monotone_in_size() {
-        let g = Guarantee::class_b();
-        let small = g.message_latency_estimate(Bytes::from_kb(10));
-        let big = g.message_latency_estimate(Bytes::from_mb(1));
-        assert!(big > small);
     }
 }
