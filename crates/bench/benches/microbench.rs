@@ -8,12 +8,12 @@
 //! for CI. The event-queue benches double as machine-independent
 //! regression gates (ratios, enforced with `--enforce`): the timer wheel
 //! against the reference heap, in-place re-arm against cancel + push, and
-//! coalesced against per-chunk void emission.
+//! the batcher's O(1) void-run reduction against walking its chunks.
 
 use silo_base::{seeded_rng, Bytes, Dur, EventQueue, Rate, Time};
 use silo_flowsim::waterfill;
 use silo_netcalc::{backlog_bound, Curve, ServiceCurve};
-use silo_pacer::{Batch, BucketChain, PacedBatcher, TokenBucket};
+use silo_pacer::{Batch, BucketChain, PacedBatcher, TokenBucket, VoidChunks, WireFrame};
 use silo_placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo_topology::{HostId, PortId, Topology, TreeParams};
 use std::time::Instant;
@@ -232,30 +232,28 @@ fn rearm_churn(q: &mut EventQueue<u64>, ops: usize, in_place: bool) -> f64 {
     t0.elapsed().as_nanos() as f64 / ops as f64
 }
 
-/// Silo's void-dominated NIC drain in miniature: two MTU packets per
-/// 50 µs window (~480 Mbps of a 10 GbE link) leave ~95% of each batch
-/// void, so the per-chunk batcher materializes ~40 MTU void frames per
-/// window where the coalescing one emits a single run per gap. The timed
-/// loop includes the consumer walk over the emitted frames — the
-/// per-frame engine touch is exactly what coalescing dies to avoid.
-/// Returns (ns per window, total frames emitted).
-fn void_drain(windows: usize, coalesce: bool) -> (f64, u64) {
-    let mut b: PacedBatcher<u32> =
-        PacedBatcher::new(Rate::from_gbps(10), Dur::from_us(50), Bytes(1500));
-    b.coalesce_voids(coalesce);
+const VOID_LINK: Rate = Rate(10_000_000_000);
+const VOID_MTU: Bytes = Bytes(1500);
+
+/// The void runs of Silo's void-dominated NIC drain in miniature: two MTU
+/// packets per 50 µs window (~480 Mbps of a 10 GbE link) leave ~95% of
+/// each batch void, about 40 MTU chunks per window. Returns each run's
+/// `(start, gap_end)`.
+fn void_gaps(windows: usize) -> Vec<(Time, Time)> {
+    let mut b: PacedBatcher<u32> = PacedBatcher::new(VOID_LINK, Dur::from_us(50), VOID_MTU);
     for i in 0..windows as u64 {
         b.enqueue(Time::from_us(50 * i + 11), Bytes(1500), i as u32);
         b.enqueue(Time::from_us(50 * i + 37), Bytes(1500), i as u32);
     }
     let mut out = Batch::empty();
     let mut now = Time::ZERO;
-    let mut frames = 0u64;
-    let t0 = Instant::now();
+    let mut gaps = Vec::new();
     while b.pending() > 0 {
         b.next_batch_into(now, &mut out);
         for f in &out.frames {
-            frames += 1;
-            std::hint::black_box((f.start, f.size));
+            if let WireFrame::Void { start, gap_end, .. } = *f {
+                gaps.push((start, gap_end));
+            }
         }
         now = if out.is_empty() {
             b.next_stamp().expect("pending").max(now)
@@ -263,29 +261,54 @@ fn void_drain(windows: usize, coalesce: bool) -> (f64, u64) {
             out.done_at
         };
     }
-    (t0.elapsed().as_nanos() as f64 / windows as f64, frames)
+    gaps
 }
 
-fn bench_void_coalesce(h: &mut Harness) -> (f64, f64) {
+/// Reduce every gap to its (total bytes, final cursor), as the batcher
+/// does per run: with `VoidChunks::drain_total`'s O(1) full-MTU skip, or
+/// by walking the `VoidChunks` iterator chunk by chunk. Returns (ns per
+/// window, sum of bytes and cursors, which both ways must agree on).
+fn void_runs(gaps: &[(Time, Time)], windows: usize, skip: bool) -> (f64, u64) {
+    let mut check = 0u64;
+    let t0 = Instant::now();
+    for &(start, gap_end) in gaps {
+        let chunks = VoidChunks::new(start, gap_end, VOID_LINK, VOID_MTU);
+        let (bytes, cursor) = if skip {
+            chunks.drain_total()
+        } else {
+            let mut walk = chunks;
+            let bytes = walk.by_ref().map(|(_, size)| size).sum::<Bytes>();
+            (bytes, walk.cursor())
+        };
+        check = check.wrapping_add(std::hint::black_box(bytes.as_u64() ^ cursor.as_ps()));
+    }
+    (t0.elapsed().as_nanos() as f64 / windows as f64, check)
+}
+
+fn bench_void_runs(h: &mut Harness) -> (f64, f64) {
     let windows = if h.quick { 20_000 } else { 200_000 };
-    let (plain_ns, plain_frames) = void_drain(windows, false);
-    println!(
-        "{:<44} {plain_ns:>12.1} ns/win   ({windows} windows, {plain_frames} frames)",
-        "pacer/void_drain_per_chunk"
+    let gaps = void_gaps(windows);
+    let mut check = [0; 2];
+    let [walk_ns, skip_ns] = best_of_alternating(|v| {
+        let (ns, c) = void_runs(&gaps, windows, v == 1);
+        check[v] = c;
+        ns
+    });
+    assert_eq!(
+        check[0], check[1],
+        "drain_total must agree with the iterator"
     );
-    h.results
-        .push(("pacer/void_drain_per_chunk".into(), plain_ns));
-    let (co_ns, co_frames) = void_drain(windows, true);
-    println!(
-        "{:<44} {co_ns:>12.1} ns/win   ({windows} windows, {co_frames} frames)",
-        "pacer/void_drain_coalesced"
-    );
-    h.results.push(("pacer/void_drain_coalesced".into(), co_ns));
-    assert!(
-        plain_frames > 2 * co_frames,
-        "coalescing must shrink the frame population ({plain_frames} vs {co_frames})"
-    );
-    (plain_ns, co_ns)
+    for (name, ns) in [
+        ("pacer/void_runs_iterated", walk_ns),
+        ("pacer/void_runs_drain_total", skip_ns),
+    ] {
+        println!(
+            "{name:<44} {ns:>12.1} ns/win   ({windows} windows, {} runs, best of 5)",
+            gaps.len()
+        );
+        h.results.push((name.into(), ns));
+    }
+    (walk_ns, skip_ns)
 }
 
 /// Alternate two variants of one loop for a few rounds and keep each
@@ -337,7 +360,7 @@ fn main() {
     bench_waterfill(&mut h);
     let (wheel_ns, heap_ns) = bench_eventq(&mut h);
     let (canc_ns, inpl_ns) = bench_timer_rearm(&mut h);
-    let (plain_ns, co_ns) = bench_void_coalesce(&mut h);
+    let (walk_ns, skip_ns) = bench_void_runs(&mut h);
     // Machine-independent regression gates (ratios, so CI hardware
     // variance doesn't matter):
     // 1. The timer wheel must beat the reference heap on the simulator's
@@ -346,12 +369,12 @@ fn main() {
     //    its reason to exist.
     let ratio = wheel_ns / heap_ns;
     println!("eventq wheel/heap ratio: {ratio:.2} (gate: < 1.0)");
-    // 2. Coalesced void emission must beat per-chunk emission by >= 2x on
-    //    a void-dominated Silo drain (emission + consumer walk): `Sim`
-    //    runs the batcher coalesced and re-expands runs for observers,
-    //    which only pays while one frame per gap is this much cheaper.
-    let void_gain = plain_ns / co_ns;
-    println!("pacer per-chunk/coalesced void-drain gain: {void_gain:.2}x (gate: >= 2.0)");
+    // 2. `VoidChunks::drain_total` must reduce a void-dominated Silo
+    //    drain's runs >= 2x faster than walking their chunks: the batcher
+    //    emits one frame per gap, which only pays while sizing the run
+    //    skips its full-MTU chunks.
+    let void_gain = walk_ns / skip_ns;
+    println!("pacer iterated/drain_total void-run gain: {void_gain:.2}x (gate: >= 2.0)");
     // 3. An in-place re-arm must beat cancel + push by >= 1.15x (measured
     //    1.22-1.56x): every RTO and NIC-pull supersede in `Sim` goes
     //    through `EventQueue::rearm`.
@@ -368,7 +391,7 @@ fn main() {
         }
         if void_gain < 2.0 {
             eprintln!(
-                "REGRESSION: void coalescing only {void_gain:.2}x over per-chunk emission (need 2x)"
+                "REGRESSION: drain_total only {void_gain:.2}x over walking the void chunks (need 2x)"
             );
             std::process::exit(1);
         }

@@ -11,18 +11,19 @@
 
 use silo_base::{Bytes, Dur, Rate, Time};
 use silo_pacer::{
-    min_data_gap, BucketChain, CpuModel, FrameKind, PacedBatcher, TokenBucket, WireFrame,
+    min_data_gap, BucketChain, CpuModel, PacedBatcher, TokenBucket, VoidChunks, WireFrame,
 };
+
+const LINK: Rate = Rate(10_000_000_000);
+const MTU: Bytes = Bytes(1500);
 
 /// Drive a saturating sender at `limit` through the pacer for `dur` of
 /// wire time; return the full frame schedule.
 fn schedule(limit: Rate, dur: Dur) -> Vec<WireFrame<u64>> {
-    let link = Rate::from_gbps(10);
-    let mtu = Bytes(1500);
     let mut chain = BucketChain::new(vec![
-        TokenBucket::new(limit, mtu), // pure rate limit: 1-MTU burst
+        TokenBucket::new(limit, MTU), // pure rate limit: 1-MTU burst
     ]);
-    let mut batcher = PacedBatcher::new(link, Dur::from_us(50), mtu);
+    let mut batcher = PacedBatcher::new(LINK, Dur::from_us(50), MTU);
     let mut frames = Vec::new();
     let mut now = Time::ZERO;
     let horizon = Time::ZERO + dur;
@@ -31,8 +32,8 @@ fn schedule(limit: Rate, dur: Dur) -> Vec<WireFrame<u64>> {
     while now < horizon {
         // Keep a small backlog of stamped packets ahead of the wire.
         while stamped_until < now + Dur::from_us(200) {
-            let t = chain.stamp(now, mtu);
-            batcher.enqueue(t, mtu, next_id);
+            let t = chain.stamp(now, MTU);
+            batcher.enqueue(t, MTU, next_id);
             next_id += 1;
             stamped_until = t;
         }
@@ -58,14 +59,19 @@ fn main() {
         let secs = dur.as_secs_f64();
         let (mut data_b, mut void_b, mut data_n, mut void_n) = (0u64, 0u64, 0u64, 0u64);
         for f in &frames {
-            match f.kind {
-                FrameKind::Data => {
-                    data_b += f.size.as_u64();
+            match *f {
+                WireFrame::Data { size, .. } => {
+                    data_b += size.as_u64();
                     data_n += 1;
                 }
-                FrameKind::Void => {
-                    void_b += f.size.as_u64();
-                    void_n += 1;
+                WireFrame::Void {
+                    start,
+                    bytes,
+                    gap_end,
+                } => {
+                    // The NIC sends each void chunk as its own packet.
+                    void_b += bytes.as_u64();
+                    void_n += VoidChunks::new(start, gap_end, LINK, MTU).count() as u64;
                 }
             }
         }
@@ -91,15 +97,14 @@ fn main() {
     );
 
     // Minimum spacing: two 84 B frames with one 84 B void between them.
-    let link = Rate::from_gbps(10);
-    let mut b: PacedBatcher<u32> = PacedBatcher::new(link, Dur::from_us(50), Bytes(1500));
+    let mut b: PacedBatcher<u32> = PacedBatcher::new(LINK, Dur::from_us(50), MTU);
     b.enqueue(Time::ZERO, Bytes(84), 0);
     b.enqueue(Time(2 * 67_200), Bytes(84), 1);
     let batch = b.next_batch(Time::ZERO);
     let start_to_start = min_data_gap(&batch.frames).unwrap();
     // The inter-packet *gap* is one minimal void frame: start-to-start
     // minus the first frame's own wire time.
-    let gap = start_to_start - link.tx_time(Bytes(84));
+    let gap = start_to_start - LINK.tx_time(Bytes(84));
     println!("\nminimum achievable inter-packet gap: {gap} (paper: 68 ns = one 84 B void)");
     assert_eq!(gap, Dur::from_ps(67_200));
 }

@@ -150,9 +150,10 @@ impl SiloController {
         self.tenants.get(&id)?.guarantee.message_latency_bound(msg)
     }
 
-    /// The hose-model pairwise rates the pacers converge to for a given
-    /// set of active VM pairs of one tenant (what the EyeQ-style
-    /// coordination computes at runtime).
+    /// The hose-model pairwise rates the pacers enforce for a given set of
+    /// active VM pairs of one tenant: each pair's
+    /// [`silo_pacer::hose_share`], the rule the EyeQ-style coordination
+    /// applies at runtime.
     pub fn hose_rates(
         &self,
         id: TenantId,

@@ -1,23 +1,15 @@
 //! Flow rate allocation: guaranteed hose shares vs. max-min fair sharing.
 
-use silo_base::Rate;
 use silo_topology::{PortId, Topology};
 
 /// How flows get bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Allocator {
-    /// Hose-model guarantees, no inter-tenant sharing (Silo/Oktopus).
+    /// Hose-model guarantees: each flow gets its
+    /// [`silo_pacer::hose_share`]; no inter-tenant sharing (Silo/Oktopus).
     Guaranteed,
     /// Ideal-TCP max-min fairness over link capacities (Locality).
     FairShare,
-}
-
-/// The guaranteed allocator's rate in bits/sec for a flow whose sender
-/// has `out_deg` active flows and whose receiver has `in_deg`, every VM of
-/// the tenant holding hose `b`: the smaller of its two endpoint shares.
-pub fn hose_rate(b: Rate, out_deg: usize, in_deg: usize) -> f64 {
-    let b = b.as_bps() as f64;
-    (b / out_deg.max(1) as f64).min(b / in_deg.max(1) as f64)
 }
 
 /// Progressive-filling max-min fairness over the flows' `paths`:
@@ -81,7 +73,7 @@ pub fn waterfill(topo: &Topology, paths: &[&[PortId]]) -> Vec<f64> {
 mod tests {
     use super::*;
     use silo_base::prop::{forall, shrink_vec, Rng};
-    use silo_base::{Bytes, Dur};
+    use silo_base::{Bytes, Dur, Rate};
     use silo_topology::{HostId, TreeParams};
 
     fn topo() -> Topology {
@@ -106,12 +98,6 @@ mod tests {
             .collect();
         let refs: Vec<&[PortId]> = paths.iter().map(Vec::as_slice).collect();
         waterfill(t, &refs)
-    }
-
-    #[test]
-    fn hose_rate_is_min_of_endpoint_shares() {
-        // min(1G/2, 1G/4) = 0.25 G.
-        assert!((hose_rate(Rate::from_gbps(1), 2, 4) - 0.25e9).abs() < 1.0);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! [`Allocator`]:
 //!
 //! * [`Allocator::Guaranteed`] (Silo, Oktopus) — every flow gets its hose
-//!   share [`hose_rate`] `= min(B/out_degree(src), B/in_degree(dst))`; no
+//!   share [`silo_pacer::hose_share`] `= min(B/out_degree(src),
+//!   B/in_degree(dst))`, the rule the packet simulator's pacers enforce; no
 //!   sharing across tenants, no work conservation.
 //! * [`Allocator::FairShare`] (Locality + ideal TCP) — global max-min
 //!   fairness via progressive [`waterfill`]ing on the tree's directed
@@ -26,5 +27,5 @@
 mod alloc;
 mod simulation;
 
-pub use alloc::{hose_rate, waterfill, Allocator};
+pub use alloc::{waterfill, Allocator};
 pub use simulation::{FlowSim, FlowSimConfig, FlowSimReport};

@@ -1,9 +1,10 @@
 //! The time-stepped flow-level simulation driving Figs. 15–16.
 
-use crate::alloc::{hose_rate, waterfill, Allocator};
+use crate::alloc::{waterfill, Allocator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use silo_base::{exponential, seeded_rng, Dur, Rate, Time};
+use silo_pacer::hose_share;
 use silo_placement::{Guarantee, Placer, TenantId, TenantRequest};
 use silo_topology::{HostId, PortId};
 use silo_workload::{all_to_one, permutation_x};
@@ -226,7 +227,7 @@ impl<P: Placer> FlowSim<P> {
                 path: topo.path_ports(vm_hosts[s], vm_hosts[d]),
                 src_vm: s,
                 dst_vm: d,
-                remaining: hose_rate(b, out_deg[s], in_deg[d]) * t_net / 8.0,
+                remaining: hose_share(b, out_deg[s], in_deg[d]) * t_net / 8.0,
             })
             .collect();
         let compute = exponential(&mut self.rng, 1.0 / self.cfg.mean_compute.as_secs_f64());
@@ -277,7 +278,7 @@ impl<P: Placer> FlowSim<P> {
             for f in job.flows.iter_mut().filter(|f| f.remaining > 0.0) {
                 let r = match &degs {
                     Some((out_deg, in_deg)) => {
-                        hose_rate(job.b, out_deg[f.src_vm], in_deg[f.dst_vm])
+                        hose_share(job.b, out_deg[f.src_vm], in_deg[f.dst_vm])
                     }
                     None => fair.next().expect("one waterfill rate per unfinished flow"),
                 };

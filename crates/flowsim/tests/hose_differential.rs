@@ -1,7 +1,7 @@
 //! Differential check of the two independent hose-model implementations.
 //!
 //! `flowsim`'s `Allocator::Guaranteed` computes per-flow rates
-//! operationally — [`hose_rate`] gives each flow the min of its
+//! operationally — [`hose_share`] gives each flow the min of its
 //! endpoints' hose shares — while `netcalc`'s `tenant_hose_aggregate` derives the same quantity
 //! analytically: the sustained rate a tenant can push across a cut with
 //! `m` of its `N` VMs on one side is `min(m, N−m)·B`. If the two
@@ -17,8 +17,8 @@
 //! `m = N−1`).
 
 use silo_base::{Bytes, Rate};
-use silo_flowsim::hose_rate;
 use silo_netcalc::tenant_hose_aggregate;
+use silo_pacer::hose_share;
 
 const MTU: Bytes = Bytes(1500);
 const S: Bytes = Bytes(15_000);
@@ -26,7 +26,7 @@ const S: Bytes = Bytes(15_000);
 /// Sum of the guaranteed rates of `k` flows crossing the cut, each with
 /// hose `b` at both ends and the given endpoint degrees, in bits/sec.
 fn cross_cut_rate(k: usize, b: Rate, out_deg: usize, in_deg: usize) -> f64 {
-    (0..k).map(|_| hose_rate(b, out_deg, in_deg)).sum()
+    (0..k).map(|_| hose_share(b, out_deg, in_deg)).sum()
 }
 
 /// The analytic aggregate's sustained rate across the same cut, converted

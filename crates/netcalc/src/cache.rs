@@ -89,11 +89,6 @@ impl BoundCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Drop every memoized value (e.g. after wholesale state replacement).
-    pub fn invalidate_all(&mut self) {
-        self.slots.fill(EMPTY);
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +133,5 @@ mod tests {
         let mut c = BoundCache::new(1);
         assert_eq!(c.get_or_insert_with(0, 0, || Some(5)), Some(5));
         assert_eq!(c.get_or_insert_with(0, 0, || panic!("must hit")), Some(5));
-        c.invalidate_all();
-        assert_eq!(c.get_or_insert_with(0, 0, || Some(9)), Some(9));
     }
 }

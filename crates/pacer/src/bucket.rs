@@ -107,30 +107,6 @@ impl TokenBucket {
     pub fn violations(&self) -> u64 {
         self.violations
     }
-
-    /// Is the bucket refilled to capacity at `now`? This is the pacer
-    /// dormancy predicate: a full bucket accrues nothing further, so a
-    /// VM with no queued traffic and all buckets full has *no* state
-    /// that changes with time — its pacer can stop ticking entirely and
-    /// be resurrected by the next enqueue with no observable difference
-    /// (the fast-forward argument in DESIGN.md).
-    pub fn is_full(&self, now: Time) -> bool {
-        self.level(now) >= self.capacity.as_f64()
-    }
-
-    /// The instant the bucket reaches capacity if left alone (`now` if
-    /// already full): the horizon beyond which a dormant pacer's bucket
-    /// state is a constant.
-    pub fn full_at(&self, now: Time) -> Time {
-        let have = self.level(now.max(self.last));
-        let missing = self.capacity.as_f64() - have;
-        if missing <= 0.0 {
-            now
-        } else {
-            let wait_s = missing / self.rate.bytes_per_sec();
-            now.max(self.last) + silo_base::Dur::from_secs_f64(wait_s)
-        }
-    }
 }
 
 /// The Fig. 8 hierarchy: a packet may depart at the max of all levels'
@@ -289,24 +265,6 @@ mod tests {
         let t = b.earliest(Time::ZERO, Bytes(1500));
         b.commit(t, Bytes(1500));
         assert_eq!(b.violations(), 1);
-    }
-
-    #[test]
-    fn dormancy_predicate_tracks_refill() {
-        let mut b = TokenBucket::new(Rate::from_gbps(1), Bytes::from_kb(15));
-        assert!(b.is_full(Time::ZERO), "fresh buckets start full");
-        assert_eq!(b.full_at(Time::ZERO), Time::ZERO);
-        b.commit(Time::ZERO, Bytes(1500));
-        assert!(!b.is_full(Time::ZERO));
-        // 1500 B at 1 Gbps refills in exactly 12 us.
-        let full = b.full_at(Time::ZERO);
-        assert_eq!(full, Time::from_us(12));
-        assert!(!b.is_full(full - Dur::from_ns(1)));
-        assert!(b.is_full(full));
-        // Once full, the horizon is a fixed point at any later instant.
-        let later = full + Dur::from_ms(3);
-        assert!(b.is_full(later));
-        assert_eq!(b.full_at(later), later);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! helpers verify that claim on concrete schedules (tests, Fig. 10, and
 //! the packet-level simulator's assertions).
 
-use crate::batch::{FrameKind, WireFrame};
+use crate::batch::WireFrame;
 use silo_base::{Bytes, Dur, Time};
 
 /// Check that the data frames of `frames` (any order-preserving schedule)
@@ -26,8 +26,10 @@ pub fn check_conformance<P>(
 ) -> Result<(), (usize, usize)> {
     let data: Vec<(Time, u64)> = frames
         .iter()
-        .filter(|f| f.kind == FrameKind::Data)
-        .map(|f| (f.start, f.size.as_u64()))
+        .filter_map(|f| match f {
+            WireFrame::Data { start, size, .. } => Some((*start, size.as_u64())),
+            WireFrame::Void { .. } => None,
+        })
         .collect();
     // Prefix sums for O(1) interval byte counts.
     let mut prefix = vec![0u64];
@@ -52,8 +54,10 @@ pub fn check_conformance<P>(
 pub fn min_data_gap<P>(frames: &[WireFrame<P>]) -> Option<Dur> {
     let starts: Vec<Time> = frames
         .iter()
-        .filter(|f| f.kind == FrameKind::Data)
-        .map(|f| f.start)
+        .filter_map(|f| match f {
+            WireFrame::Data { start, .. } => Some(*start),
+            WireFrame::Void { .. } => None,
+        })
         .collect();
     starts.windows(2).map(|w| w[1] - w[0]).min()
 }
@@ -137,12 +141,10 @@ mod tests {
         let mut frames = Vec::new();
         let mut t = Time::ZERO;
         for _ in 0..200 {
-            frames.push(WireFrame {
+            frames.push(WireFrame::Data {
                 start: t,
                 size: Bytes(1500),
-                kind: FrameKind::Data,
-                payload: Some(0u32),
-                gap_end: None,
+                payload: 0u32,
             });
             t += link.tx_time(Bytes(1500));
         }

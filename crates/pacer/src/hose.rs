@@ -6,11 +6,15 @@
 //! limited by the *receiver's* `B`. Source and destination hypervisors
 //! exchange demands and converge on pairwise rates.
 //!
-//! [`HoseAllocator`] computes those rates centrally from the set of active
-//! VM pairs (in the real system this state is what the pacers' coordination
-//! messages distribute): an iterative proportional waterfill that respects
-//! both endpoint hoses — the same fixed point EyeQ's receiver-driven
-//! control converges to for symmetric demands.
+//! The rule is [`hose_share`]: a pair gets the smaller of its two endpoint
+//! shares, `min(B/out_degree(src), B/in_degree(dst))`, so neither sum can
+//! exceed `B`. It is the one rule every simulator applies: `Sim`'s hose
+//! epochs (Oktopus's, and Silo's with 3 % headroom), flowsim's guaranteed
+//! allocator, and [`HoseAllocator`], which computes it for a set of active
+//! VM pairs (in the real system this state is what the pacers'
+//! coordination messages distribute). It is not max-min fair: a pair
+//! limited by one endpoint leaves the rest of the other endpoint's hose
+//! unused.
 
 use silo_base::Rate;
 use std::collections::HashMap;
@@ -18,70 +22,44 @@ use std::collections::HashMap;
 /// Abstract VM identifier for coordination purposes.
 pub type VmRef = u32;
 
+/// The hose share in bits/sec of a pair whose sender has `out_deg` active
+/// pairs and whose receiver has `in_deg`, every VM holding hose `b`:
+/// `min(b/out_deg, b/in_deg)`, each degree floored at 1.
+pub fn hose_share(b: Rate, out_deg: usize, in_deg: usize) -> f64 {
+    let b = b.as_bps() as f64;
+    (b / out_deg.max(1) as f64).min(b / in_deg.max(1) as f64)
+}
+
 /// Computes hose-compliant pairwise rates for a tenant.
 #[derive(Debug, Clone)]
 pub struct HoseAllocator {
     /// Per-VM hose guarantee `B`.
     b: Rate,
-    rounds: usize,
 }
 
 impl HoseAllocator {
     pub fn new(b: Rate) -> HoseAllocator {
-        HoseAllocator { b, rounds: 8 }
+        HoseAllocator { b }
     }
 
-    /// Allocate rates for the `active` (sender, receiver) pairs.
-    ///
-    /// Every returned rate is positive, no sender's outgoing sum exceeds
-    /// `B`, no receiver's incoming sum exceeds `B`, and the allocation is
-    /// max-min fair up to the iteration tolerance.
+    /// Allocate rates for the distinct `active` (sender, receiver) pairs:
+    /// each gets its [`hose_share`]. Every returned rate is positive, no
+    /// sender's outgoing sum exceeds `B` and no receiver's incoming sum
+    /// exceeds `B`.
     pub fn allocate(&self, active: &[(VmRef, VmRef)]) -> HashMap<(VmRef, VmRef), Rate> {
-        let mut out = HashMap::new();
-        if active.is_empty() {
-            return out;
-        }
-        let b = self.b.as_bps() as f64;
-        // Start from equal split at the sender, then alternately rescale
-        // at receivers and senders (proportional waterfill). Monotone
-        // decreasing per pair, bounded below; 8 rounds is plenty for the
-        // fan-in/fan-out sizes tenants have.
-        let mut rate: HashMap<(VmRef, VmRef), f64> = HashMap::new();
         let mut out_deg: HashMap<VmRef, usize> = HashMap::new();
-        for &(s, _) in active {
-            *out_deg.entry(s).or_default() += 1;
-        }
+        let mut in_deg: HashMap<VmRef, usize> = HashMap::new();
         for &(s, d) in active {
-            rate.insert((s, d), b / out_deg[&s] as f64);
+            *out_deg.entry(s).or_default() += 1;
+            *in_deg.entry(d).or_default() += 1;
         }
-        for _ in 0..self.rounds {
-            // Receiver-side scaling.
-            let mut in_sum: HashMap<VmRef, f64> = HashMap::new();
-            for (&(_, d), &r) in &rate {
-                *in_sum.entry(d).or_default() += r;
-            }
-            for ((_, d), r) in rate.iter_mut() {
-                let s = in_sum[d];
-                if s > b {
-                    *r *= b / s;
-                }
-            }
-            // Sender-side scaling.
-            let mut out_sum: HashMap<VmRef, f64> = HashMap::new();
-            for (&(s, _), &r) in &rate {
-                *out_sum.entry(s).or_default() += r;
-            }
-            for ((s, _), r) in rate.iter_mut() {
-                let sum = out_sum[s];
-                if sum > b {
-                    *r *= b / sum;
-                }
-            }
-        }
-        for (k, r) in rate {
-            out.insert(k, Rate::from_bps(r.max(1.0) as u64));
-        }
-        out
+        active
+            .iter()
+            .map(|&(s, d)| {
+                let r = hose_share(self.b, out_deg[&s], in_deg[&d]);
+                ((s, d), Rate::from_bps(r.max(1.0) as u64))
+            })
+            .collect()
     }
 }
 
@@ -97,6 +75,13 @@ mod tests {
             *rx.entry(d).or_default() += r.as_bps();
         }
         (tx, rx)
+    }
+
+    #[test]
+    fn hose_share_is_min_of_endpoint_shares() {
+        // min(1G/2, 1G/4) = 0.25 G; a zero degree counts as one.
+        assert_eq!(hose_share(Rate::from_gbps(1), 2, 4), 0.25e9);
+        assert_eq!(hose_share(Rate::from_gbps(1), 0, 0), 1e9);
     }
 
     #[test]
@@ -148,6 +133,31 @@ mod tests {
         for (&v, &s) in tx.iter().chain(rx.iter()) {
             assert!(s as f64 <= 2e9 * 1.001, "vm {v} hose violated: {s}");
         }
+    }
+
+    #[test]
+    fn asymmetric_mesh_gets_the_hose_share_of_each_pair() {
+        // (pair, out-degree of its sender, in-degree of its receiver).
+        let mesh = [
+            ((0, 1), 3, 1),
+            ((0, 2), 3, 1),
+            ((0, 3), 3, 4),
+            ((1, 3), 2, 4),
+            ((2, 3), 1, 4),
+            ((4, 3), 2, 4),
+            ((4, 0), 2, 2),
+            ((1, 0), 2, 2),
+        ];
+        let b = Rate::from_gbps(2);
+        let pairs: Vec<_> = mesh.iter().map(|m| m.0).collect();
+        let r = HoseAllocator::new(b).allocate(&pairs);
+        assert_eq!(r.len(), mesh.len());
+        for (pair, out_deg, in_deg) in mesh {
+            let want = Rate::from_bps(hose_share(b, out_deg, in_deg) as u64);
+            assert_eq!(r[&pair], want, "{pair:?}");
+        }
+        // VM 2 sends only to the 4-way receiver 3: B/4, not B.
+        assert_eq!(r[&(2, 3)], Rate::from_mbps(500));
     }
 
     #[test]

@@ -11,16 +11,19 @@
 //!    implements Fig. 8: per-destination hose buckets, the `{B, S}` tenant
 //!    bucket, and the `Bmax` cap.
 //!
-//! 2. **Hose coordination** ([`HoseAllocator`]) — per-destination rates
-//!    `B_i` with `ΣB_i ≤ B`, limited by both sender and receiver as in
-//!    EyeQ, recomputed whenever the set of active VM pairs changes.
+//! 2. **Hose coordination** ([`hose_share`], [`HoseAllocator`]) —
+//!    per-destination rates `B_i = min(B/out-degree, B/in-degree)`, limited
+//!    by both sender and receiver as in EyeQ, recomputed whenever the set
+//!    of active VM pairs changes. The packet simulator's hose epochs and
+//!    the flow simulator's guaranteed allocator call the same function.
 //!
 //! 3. **Paced IO batching** ([`PacedBatcher`]) — packets are handed to the
 //!    (simulated) NIC in 50 µs batches; the gap between consecutive data
 //!    packets inside a batch is occupied by **void packets** (≥ 84 bytes on
 //!    the wire, destination MAC = source MAC) that the first-hop switch
-//!    discards. The NIC transmits the batch back-to-back, so the data
-//!    packets end up exactly where their timestamps put them — 68 ns
+//!    discards. Each gap is one [`WireFrame::Void`] run; [`VoidChunks`]
+//!    lists its frames. The NIC transmits the batch back-to-back, so the
+//!    data packets end up exactly where their timestamps put them — 68 ns
 //!    granularity at 10 GbE — without per-packet timers. Batches are
 //!    re-armed from the DMA-completion callback of the previous batch
 //!    (soft-timers, §5), which the discrete-event host model reproduces.
@@ -40,8 +43,8 @@ pub mod conformance;
 pub mod cpu;
 pub mod hose;
 
-pub use batch::{Batch, FrameKind, PacedBatcher, VoidChunks, WireFrame, MIN_VOID_BYTES};
+pub use batch::{Batch, PacedBatcher, VoidChunks, WireFrame, MIN_VOID_BYTES};
 pub use bucket::{BucketChain, TokenBucket};
 pub use conformance::{check_conformance, min_data_gap};
 pub use cpu::CpuModel;
-pub use hose::HoseAllocator;
+pub use hose::{hose_share, HoseAllocator};

@@ -7,36 +7,50 @@
 
 use rand::Rng;
 use silo_base::{seeded_rng, Bytes, Dur, QueueBackend, Rate, Time};
-use silo_pacer::batch::{Batch, FrameKind, PacedBatcher, WireFrame, MIN_VOID_BYTES};
+use silo_pacer::batch::{PacedBatcher, VoidChunks, WireFrame, MIN_VOID_BYTES};
 
 const LINK: Rate = Rate(10_000_000_000);
+const MTU: Bytes = Bytes(1500);
 
 /// 84 B at 10 GbE — the minimum spacing between consecutive frame starts.
 fn min_frame_time() -> Dur {
     LINK.tx_time(Bytes(MIN_VOID_BYTES))
 }
 
-/// Render a batch as `start_ps kind size` lines — the golden format.
-fn render<P>(batch: &Batch<P>) -> Vec<String> {
-    batch
-        .frames
+/// The frames the NIC transmits: `(start, size, Some(payload))` per data
+/// frame, and each void run expanded into its `(start, size, None)`
+/// chunks.
+fn expand<P: Clone>(frames: &[WireFrame<P>]) -> Vec<(Time, Bytes, Option<P>)> {
+    let mut out = Vec::new();
+    for f in frames {
+        match f {
+            WireFrame::Data {
+                start,
+                size,
+                payload,
+            } => out.push((*start, *size, Some(payload.clone()))),
+            WireFrame::Void { start, gap_end, .. } => out.extend(
+                VoidChunks::new(*start, *gap_end, LINK, MTU).map(|(s, size)| (s, size, None)),
+            ),
+        }
+    }
+    out
+}
+
+/// Render frames as `start_ps kind size` lines — the golden format.
+fn render<P: Clone>(frames: &[WireFrame<P>]) -> Vec<String> {
+    expand(frames)
         .iter()
-        .map(|f| {
-            format!(
-                "{} {} {}",
-                f.start.as_ps(),
-                match f.kind {
-                    FrameKind::Data => "data",
-                    FrameKind::Void => "void",
-                },
-                f.size.as_u64()
-            )
+        .map(|(start, size, payload)| {
+            let kind = if payload.is_some() { "data" } else { "void" };
+            format!("{} {kind} {}", start.as_ps(), size.as_u64())
         })
         .collect()
 }
 
-/// Pull batches until the queue drains, starting at `t0`.
-fn drain<P>(b: &mut PacedBatcher<P>, t0: Time) -> Vec<WireFrame<P>> {
+/// Pull batches until the queue drains, starting at `t0`; return the
+/// transmitted frames, void runs expanded.
+fn drain<P: Clone>(b: &mut PacedBatcher<P>, t0: Time) -> Vec<(Time, Bytes, Option<P>)> {
     let mut frames = Vec::new();
     let mut now = t0;
     loop {
@@ -48,7 +62,7 @@ fn drain<P>(b: &mut PacedBatcher<P>, t0: Time) -> Vec<WireFrame<P>> {
             }
         } else {
             now = batch.done_at;
-            frames.extend(batch.frames);
+            frames.extend(expand(&batch.frames));
         }
     }
     frames
@@ -88,7 +102,7 @@ fn golden_two_vm_interleaved_schedule() {
         "11467200 void 666",
         "12000000 data 1500", // A2
     ];
-    assert_eq!(render(&batch), golden);
+    assert_eq!(render(&batch.frames), golden);
     assert_eq!(batch.done_at, Time::from_us(12) + LINK.tx_time(Bytes(1500)));
 }
 
@@ -105,22 +119,19 @@ fn schedule_is_back_to_back_with_min_spacing() {
         b.enqueue(stamp, size, id);
     }
     let frames = drain(&mut b, Time::ZERO);
-    assert_eq!(
-        frames.iter().filter(|f| f.kind == FrameKind::Data).count(),
-        500
-    );
+    assert_eq!(frames.iter().filter(|f| f.2.is_some()).count(), 500);
     for w in frames.windows(2) {
-        let spacing = w[1].start - w[0].start;
+        let spacing = w[1].0 - w[0].0;
         assert!(
             spacing >= min_frame_time(),
             "frames {} and {} only {} ps apart",
-            w[0].start.as_ps(),
-            w[1].start.as_ps(),
+            w[0].0.as_ps(),
+            w[1].0.as_ps(),
             spacing.as_ps()
         );
         // Within a batch frames are back-to-back; across batches the NIC
         // may idle, so allow gaps but never overlap.
-        assert!(w[1].start >= w[0].start + LINK.tx_time(w[0].size));
+        assert!(w[1].0 >= w[0].0 + LINK.tx_time(w[0].1));
     }
 }
 
@@ -139,12 +150,13 @@ fn paced_flow_achieves_98pct_of_ideal_rate_1_to_9_gbps() {
             b.enqueue(Time::ZERO + period * i, Bytes(1500), i);
         }
         let frames = drain(&mut b, Time::ZERO);
-        let data: Vec<&WireFrame<u64>> = frames
+        let data: Vec<Time> = frames
             .iter()
-            .filter(|f| f.kind == FrameKind::Data)
+            .filter(|f| f.2.is_some())
+            .map(|f| f.0)
             .collect();
         assert_eq!(data.len(), n as usize, "{gbps} Gbps: every frame sent");
-        let span = (data.last().unwrap().start + LINK.tx_time(Bytes(1500)))
+        let span = (*data.last().unwrap() + LINK.tx_time(Bytes(1500)))
             .since(Time::ZERO)
             .as_secs_f64();
         let achieved_bps = n as f64 * 1500.0 * 8.0 / span;
@@ -156,13 +168,13 @@ fn paced_flow_achieves_98pct_of_ideal_rate_1_to_9_gbps() {
         );
         // Conformance: no data frame ever leaves before its stamp, and
         // rounding delay stays under one minimal frame time.
-        for (i, f) in data.iter().enumerate() {
+        for (i, &start) in data.iter().enumerate() {
             let stamp = Time::ZERO + period * i as u64;
-            assert!(f.start >= stamp, "{gbps} Gbps: frame {i} left early");
+            assert!(start >= stamp, "{gbps} Gbps: frame {i} left early");
             assert!(
-                f.start.since(stamp) < min_frame_time(),
+                start.since(stamp) < min_frame_time(),
                 "{gbps} Gbps: frame {i} delayed {} ps",
-                f.start.since(stamp).as_ps()
+                start.since(stamp).as_ps()
             );
         }
     }
@@ -195,10 +207,10 @@ fn wheel_and_heap_backends_emit_identical_schedules() {
         }
         let bw = wheel.next_batch(now);
         let bh = heap.next_batch(now);
-        assert_eq!(render(&bw), render(&bh), "round {round}");
+        assert_eq!(render(&bw.frames), render(&bh.frames), "round {round}");
         assert_eq!(
-            bw.frames.iter().map(|f| f.payload).collect::<Vec<_>>(),
-            bh.frames.iter().map(|f| f.payload).collect::<Vec<_>>(),
+            expand(&bw.frames),
+            expand(&bh.frames),
             "round {round}: payload order diverged"
         );
         assert_eq!(bw.done_at, bh.done_at);

@@ -98,10 +98,6 @@ impl SiloPlacer {
         self.degraded.iter().map(|(&t, r)| (t, r.reason)).collect()
     }
 
-    pub fn is_degraded(&self, t: TenantId) -> bool {
-        self.degraded.contains_key(&t)
-    }
-
     /// A link fails. Reclaims the reservations and slots of every tenant
     /// whose placement depends on it, then re-admits each against the
     /// degraded topology (reclaim-then-readmit); tenants that no longer
@@ -412,7 +408,7 @@ mod tests {
         let h = placed[0].hosts[0].0;
         let report = p.fail_link(p.topology().host_link(h));
         let (victim, _) = report.outcomes[0].clone();
-        assert!(p.is_degraded(victim));
+        assert!(p.degraded_tenants().iter().any(|&(t, _)| t == victim));
         let before = p.used_slots();
         assert!(p.remove(victim));
         assert_eq!(p.used_slots(), before - 2);

@@ -226,7 +226,6 @@ impl Sim {
             v.tb_bs = TokenBucket::new(b, s);
             v.tb_max = TokenBucket::new(bmax, self.cfg.mtu);
             v.per_dst.clear();
-            v.rx_epoch_bytes = 0;
             v.app = VmApp::None;
         }
         self.obs

@@ -93,8 +93,6 @@ struct Vm {
     tb_max: TokenBucket,
     /// Per-destination hose buckets (top of Fig. 8), keyed by global VM id.
     per_dst: FxHashMap<u32, TokenBucket>,
-    /// Bytes received this hose epoch (receiver congestion feedback).
-    rx_epoch_bytes: u64,
     app: VmApp,
 }
 
@@ -144,7 +142,7 @@ pub struct Sim {
     tenant_vms: Vec<Vec<u32>>,
     /// Connection ids per tenant (for event-driven hose updates).
     tenant_conns: Vec<Vec<u32>>,
-    /// `update_tenant_hose` scratch: (out, in) degree of each VM of the
+    /// `Sim::tenant_hose` scratch: (out, in) degree of each VM of the
     /// tenant in hand, by tenant-local position.
     hose_deg: Vec<(u32, u32)>,
     nics: Vec<HostNic>,
@@ -246,24 +244,17 @@ impl Sim {
                     tb_bs: TokenBucket::new(t.b, t.s),
                     tb_max: TokenBucket::new(t.bmax, cfg.mtu),
                     per_dst: FxHashMap::default(),
-                    rx_epoch_bytes: 0,
                     app: VmApp::None,
                 });
             }
             tenant_vms.push(ids);
         }
         let nics = (0..topo.num_hosts())
-            .map(|_| {
-                let mut batcher =
-                    PacedBatcher::new(topo.params().host_link, cfg.batch_window, cfg.mtu);
-                // One frame per void run; observers re-expand it.
-                batcher.coalesce_voids(true);
-                HostNic {
-                    batcher,
-                    pull_key: None,
-                    pull_at: None,
-                    busy_until: Time::ZERO,
-                }
+            .map(|_| HostNic {
+                batcher: PacedBatcher::new(topo.params().host_link, cfg.batch_window, cfg.mtu),
+                pull_key: None,
+                pull_at: None,
+                busy_until: Time::ZERO,
             })
             .collect();
         // One loopback (vswitch) port per host for same-host VM pairs:

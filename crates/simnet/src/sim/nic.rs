@@ -5,7 +5,7 @@ use super::{Ev, Sim};
 use crate::metrics::EvKind;
 use crate::packet::{Pkt, PktKind};
 use silo_base::{Bytes, Dur, Time};
-use silo_pacer::{Batch, FrameKind, TokenBucket};
+use silo_pacer::{Batch, TokenBucket, WireFrame};
 use silo_topology::{HostId, PortId};
 
 impl Sim {
@@ -163,33 +163,38 @@ impl Sim {
         self.obs.nic_batch(self.now, data, void);
         // NIC wire accounting on the host's uplink port (utilization).
         let up = PortId::up(self.topo.host_link(HostId(host))).0 as usize;
-        self.ports[up].busy_time += batch.done_at - batch.frames[0].start;
+        self.ports[up].busy_time += batch.done_at - batch.frames[0].start();
         for f in batch.frames.drain(..) {
-            if f.kind == FrameKind::Data {
-                let pkt = f.payload.expect("data frame carries a packet");
-                // Paced frames skip enqueue_port for the NIC wire (hop 0),
-                // so a dead host link is enforced here.
-                let eaten = if self.faults_on {
-                    let first = self.hops(pkt.path)[0];
-                    self.port_fault(first).map(|fault| (first, fault))
-                } else {
-                    None
-                };
-                self.obs.nic_frame(self.now, h, f.start, &pkt, eaten);
-                if let Some((_, fault)) = eaten {
-                    self.metrics.fault_drops[fault as usize] += 1;
-                    continue;
-                }
-                // The NIC wire is hop 0.
-                let arrive = f.start + link.tx_time(f.size) + prop;
-                let lane = self.nic_arrive_lane(h);
-                self.push_lane(lane, arrive, Ev::Arrive(pkt.at_hop(1)));
-            } else {
+            let (start, size, pkt) = match f {
+                WireFrame::Data {
+                    start,
+                    size,
+                    payload,
+                } => (start, size, payload),
                 // A void run: dropped by the first-hop switch. Its only
                 // effect is the wire time already encoded in the schedule.
-                let gap_end = f.gap_end.expect("void run carries its gap");
-                self.obs.nic_void_run(h, f.start, gap_end);
+                WireFrame::Void { start, gap_end, .. } => {
+                    self.obs.nic_void_run(h, start, gap_end);
+                    continue;
+                }
+            };
+            // Paced frames skip enqueue_port for the NIC wire (hop 0), so
+            // a dead host link is enforced here.
+            let eaten = if self.faults_on {
+                let first = self.hops(pkt.path)[0];
+                self.port_fault(first).map(|fault| (first, fault))
+            } else {
+                None
+            };
+            self.obs.nic_frame(self.now, h, start, &pkt, eaten);
+            if let Some((_, fault)) = eaten {
+                self.metrics.fault_drops[fault as usize] += 1;
+                continue;
             }
+            // The NIC wire is hop 0.
+            let arrive = start + link.tx_time(size) + prop;
+            let lane = self.nic_arrive_lane(h);
+            self.push_lane(lane, arrive, Ev::Arrive(pkt.at_hop(1)));
         }
         let done = batch.done_at;
         self.batch_scratch = batch;

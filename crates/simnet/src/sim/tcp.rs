@@ -204,7 +204,6 @@ impl Sim {
             }
             (done, c.dst_vm, c.src_vm, c.prio, c.rpath, c.tenant, adv)
         };
-        self.vms[dst_vm as usize].rx_epoch_bytes += adv;
         self.obs.goodput(self.now, tenant, adv);
         let same_host = self.conns[conn as usize].src_host == self.conns[conn as usize].dst_host;
         for m in &completions {

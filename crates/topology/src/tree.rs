@@ -344,24 +344,6 @@ impl Topology {
         }
     }
 
-    /// The hosts severed from the rest of the tree when `l` fails: the
-    /// subtree below the link, i.e. every `h` with `below(l, h)`, listed.
-    /// Hosts inside it can still reach each other (their paths stay below
-    /// the failure); only cross-cut paths die.
-    pub fn hosts_below(&self, l: LinkId) -> Vec<HostId> {
-        let i = l.0 as usize;
-        if i < self.hosts {
-            vec![HostId(i as u32)]
-        } else if i < self.hosts + self.racks {
-            self.hosts_in_rack(i - self.hosts).collect()
-        } else {
-            let pod = i - self.hosts - self.racks;
-            self.racks_in_pod(pod)
-                .flat_map(|r| self.hosts_in_rack(r))
-                .collect()
-        }
-    }
-
     /// Can every pair of the placement's hosts reach each other without
     /// crossing a link in `failed`? A path crosses a link exactly when the
     /// link separates its endpoints, so the placement is connected when,
@@ -618,20 +600,6 @@ mod tests {
         let placement = [(HostId(0), 1), (HostId(1), 1), (HostId(2), 1)];
         // 3 NIC up-ports + 3 host down-ports, each counted once.
         assert_eq!(t.ports_between(&placement).count(), 6);
-    }
-
-    #[test]
-    fn hosts_below_lists_the_below_relation() {
-        let t = Topology::build(TreeParams::ns2_scaled(0.1));
-        for l in 0..t.num_links() {
-            let l = LinkId(l as u32);
-            let listed = t.hosts_below(l);
-            let filtered: Vec<HostId> = (0..t.num_hosts())
-                .map(|h| HostId(h as u32))
-                .filter(|&h| t.below(l, h))
-                .collect();
-            assert_eq!(listed, filtered, "{l:?}");
-        }
     }
 
     // Reference oracles: the pairwise definitions the closed forms in

@@ -89,15 +89,6 @@ impl EtcWorkload {
         let mean_gap_us = self.gap_us.mean() / self.load_factor;
         1e6 / mean_gap_us
     }
-
-    /// Mean offered bandwidth per client (request + response bytes/sec).
-    pub fn mean_bandwidth_bps(&self) -> f64 {
-        // Clamping the value tail shifts the mean slightly below the
-        // analytic GPD mean; this estimate is for sizing guarantees only.
-        let mean_msg = (self.key.mean() + WIRE_OVERHEAD as f64)
-            + (self.value.mean().min(self.max_value.as_f64()) + WIRE_OVERHEAD as f64);
-        mean_msg * 8.0 * self.mean_rate()
-    }
 }
 
 #[cfg(test)]
@@ -164,17 +155,5 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((g1 / g2 - 2.0).abs() < 0.1, "{g1} vs {g2}");
-    }
-
-    #[test]
-    fn mean_bandwidth_is_tens_of_mbps() {
-        // One ETC client ≈ 52.7 kreq/s × ~800 B round trip ≈ 300 Mbps of
-        // combined request+response traffic... sanity-check the order of
-        // magnitude only (the paper's tenant-wide average is 210 Mbps
-        // across 14 clients talking to one server at lower per-client
-        // load).
-        let w = EtcWorkload::new();
-        let bw = w.mean_bandwidth_bps();
-        assert!(bw > 1e7 && bw < 1e9, "{bw}");
     }
 }

@@ -4,8 +4,6 @@
 //!   cache pool as characterized by Atikoglu et al. (SIGMETRICS 2012),
 //!   with generalized-Pareto value sizes and inter-arrival times (exactly
 //!   how the paper synthesizes it).
-//! * [`PoissonMessages`] — fixed-size messages with Poisson arrivals
-//!   (Table 1's burst-allowance study).
 //! * [`patterns`] — the communication patterns of §6.2–6.3: all-to-one
 //!   (OLDI partition/aggregate), all-to-all (shuffle), and Permutation-x.
 //!
@@ -15,9 +13,7 @@
 pub mod churn;
 pub mod etc;
 pub mod patterns;
-pub mod poisson;
 
 pub use churn::{ChurnConfig, FailureBurst, FlashCrowd};
 pub use etc::{EtcRequest, EtcWorkload};
 pub use patterns::{all_to_all, all_to_one, permutation_x};
-pub use poisson::PoissonMessages;

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example pacer_wire_view`
 
 use silo::base::{Bytes, Dur, Rate, Time};
-use silo::pacer::{BucketChain, FrameKind, PacedBatcher, TokenBucket};
+use silo::pacer::{BucketChain, PacedBatcher, TokenBucket, VoidChunks, WireFrame};
 
 fn main() {
     let link = Rate::from_gbps(10);
@@ -15,7 +15,8 @@ fn main() {
         TokenBucket::new(Rate::from_gbps(5), Bytes(1500)), // Bmax
         TokenBucket::new(Rate::from_gbps(2), Bytes::from_kb(15)), // {B, S}
     ]);
-    let mut batcher = PacedBatcher::new(link, Dur::from_us(50), Bytes(1500));
+    let mtu = Bytes(1500);
+    let mut batcher = PacedBatcher::new(link, Dur::from_us(50), mtu);
 
     // The VM dumps a 30 KB message at t = 0: the first 15 KB rides the
     // burst at Bmax spacing, the rest drains at B.
@@ -40,20 +41,26 @@ fn main() {
             }
         }
         for f in &batch.frames {
-            match f.kind {
-                FrameKind::Data => println!(
-                    "{:>10}  {:>6}  data   packet #{}",
-                    format!("{}", f.start),
-                    f.size.as_u64(),
-                    f.payload.unwrap()
+            match *f {
+                WireFrame::Data {
+                    start,
+                    size,
+                    payload,
+                } => println!(
+                    "{:>10}  {:>6}  data   packet #{payload}",
+                    format!("{start}"),
+                    size.as_u64()
                 ),
-                FrameKind::Void => {
-                    voids += 1;
-                    println!(
-                        "{:>10}  {:>6}  void   (dropped by first-hop switch)",
-                        format!("{}", f.start),
-                        f.size.as_u64()
-                    );
+                // One run per gap; list the void frames it stands for.
+                WireFrame::Void { start, gap_end, .. } => {
+                    for (start, size) in VoidChunks::new(start, gap_end, link, mtu) {
+                        voids += 1;
+                        println!(
+                            "{:>10}  {:>6}  void   (dropped by first-hop switch)",
+                            format!("{start}"),
+                            size.as_u64()
+                        );
+                    }
                 }
             }
         }

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silo::base::{Bytes, Dur, Rate, Time};
 use silo::netcalc::{backlog_bound, queue_delay_bound, Curve, Line, ServiceCurve};
-use silo::pacer::{BucketChain, HoseAllocator, PacedBatcher, TokenBucket};
+use silo::pacer::{BucketChain, HoseAllocator, PacedBatcher, TokenBucket, VoidChunks, WireFrame};
 use silo::placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo::topology::{Topology, TreeParams};
 
@@ -190,11 +190,25 @@ fn batcher_schedule_is_sound() {
                 }
             }
             for f in &batch.frames {
-                assert!(f.start >= wire_end, "case {case}: overlapping frames");
-                wire_end = f.start + link.tx_time(f.size);
-                if let Some(id) = f.payload {
-                    assert!(f.start >= stamps[id], "case {case}: packet {id} left early");
-                    seen.push(id);
+                assert!(f.start() >= wire_end, "case {case}: overlapping frames");
+                match *f {
+                    WireFrame::Data {
+                        start,
+                        size,
+                        payload: id,
+                    } => {
+                        assert!(start >= stamps[id], "case {case}: packet {id} left early");
+                        seen.push(id);
+                        wire_end = start + link.tx_time(size);
+                    }
+                    WireFrame::Void { start, gap_end, .. } => {
+                        let mut chunks = VoidChunks::new(start, gap_end, link, Bytes(1500));
+                        for (s, size) in chunks.by_ref() {
+                            assert!(s >= wire_end, "case {case}: overlapping voids");
+                            wire_end = s + link.tx_time(size);
+                        }
+                        assert_eq!(chunks.cursor(), wire_end);
+                    }
                 }
             }
             now = batch.done_at;
