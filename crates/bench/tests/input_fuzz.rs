@@ -9,6 +9,8 @@
 //! - a mid-stream `AdmissionService` snapshot, through `restore`. A
 //!   service that restores snapshots again, passes its own consistency
 //!   check and, on the original tree, replays the rest of the stream.
+//!   Hand-written edits of every tenant's request and hosts, which no
+//!   admission could have written, ride along and must be refused.
 
 mod common;
 
@@ -94,6 +96,27 @@ fn mid_stream() -> (String, Vec<ChurnEvent>) {
     (snap, events[cut..].iter().map(|&(_, ev)| ev).collect())
 }
 
+/// Restore a snapshot; if it restores, snapshot it again, check its
+/// consistency and, on the original tree, replay `tail`. Whether it
+/// restored, or the panic that stopped it.
+fn exercise_snapshot(text: &str, tail: &[ChurnEvent]) -> Result<bool, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let Ok(mut svc) = AdmissionService::restore(text) else {
+            return Ok(false);
+        };
+        svc.snapshot();
+        svc.placer().verify_scratch_consistency()?;
+        // The stream's link ids name links of the original tree.
+        if *svc.placer().topology().params() == TreeParams::ns2_scaled(0.1) {
+            for ev in tail {
+                svc.apply(ev);
+            }
+        }
+        Ok(true)
+    }))
+    .map_err(|_| "restore or the replay after it panicked".to_string())?
+}
+
 #[test]
 fn mutated_admission_snapshots_restore_or_refuse_never_a_panic() {
     let (snap, rest) = mid_stream();
@@ -102,23 +125,57 @@ fn mutated_admission_snapshots_restore_or_refuse_never_a_panic() {
         "a mid-stream snapshot survives one mutation",
         mutation,
         |_| Vec::new(),
-        |m| {
-            let mutated = apply(&snap, m);
-            catch_unwind(AssertUnwindSafe(|| {
-                let Ok(mut svc) = AdmissionService::restore(&mutated) else {
-                    return Ok(());
-                };
-                svc.snapshot();
-                svc.placer().verify_scratch_consistency()?;
-                // The stream's link ids name links of the original tree.
-                if *svc.placer().topology().params() == TreeParams::ns2_scaled(0.1) {
-                    for ev in tail {
-                        svc.apply(ev);
-                    }
-                }
-                Ok(())
-            }))
-            .map_err(|_| "restore or the replay after it panicked".to_string())?
-        },
+        |m| exercise_snapshot(&apply(&snap, m), tail).map(drop),
     );
+}
+
+/// Edits of each tenant's records in the mid-stream snapshot that no
+/// admission could have written: a request `TenantRequest::new` or
+/// `with_fault_domains` refuses, a host entry of no VM, and host entries
+/// that do not add up to the request. Restored, the first made a later
+/// re-placement search for zero VMs. Each is refused.
+#[test]
+fn requests_no_admission_could_hold_are_refused() {
+    let (snap, rest) = mid_stream();
+    let tail = &rest[..rest.len().min(200)];
+    let lines: Vec<&str> = snap.lines().collect();
+    let mut edits = 0;
+    for (at, _) in lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.starts_with("tenant "))
+    {
+        let req: Vec<&str> = lines[at + 1].split(' ').collect();
+        let (vms, domains) = (req[1], req[2]);
+        let host: Vec<&str> = lines[at + 2].split(' ').collect();
+        let over = (vms.parse::<usize>().unwrap() + 1).to_string();
+        for (line, field, value) in [
+            (at + 1, 1, "0"),
+            (at + 1, 2, "0"),
+            (at + 1, 2, over.as_str()),
+            (at + 2, 2, "0"),
+            (at + 1, 1, over.as_str()),
+        ] {
+            let mut fields = if line == at + 1 {
+                req.clone()
+            } else {
+                host.clone()
+            };
+            fields[field] = value;
+            let edited_line = fields.join(" ");
+            let mut edited = lines.clone();
+            edited[line] = &edited_line;
+            let text = edited.join("\n") + "\n";
+            let what = format!(
+                "{} -> {edited_line} (vms {vms}, domains {domains})",
+                lines[line]
+            );
+            match exercise_snapshot(&text, tail) {
+                Ok(false) => edits += 1,
+                Ok(true) => panic!("{what}: restored"),
+                Err(e) => panic!("{what}: {e}"),
+            }
+        }
+    }
+    assert!(edits >= 5, "the snapshot must hold a tenant");
 }

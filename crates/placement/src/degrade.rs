@@ -132,7 +132,7 @@ impl SiloPlacer {
             .map(|&(t, _)| t)
             .filter(|t| !self.topo.connected(&self.tenants[t].hosts, &self.failed))
             .collect();
-        let mut reclaimed: Vec<(TenantId, TenantRecord)> = Vec::new();
+        let mut reclaimed: Vec<(TenantId, Box<TenantRecord>)> = Vec::new();
         for &t in &affected {
             let rec = self.tenants.remove(&t).expect("affected tenant exists");
             self.sub_contribs(t, &rec.contribs);
@@ -186,12 +186,12 @@ impl SiloPlacer {
                 self.add_contribs(t, &contribs);
                 self.tenants.insert(
                     t,
-                    TenantRecord {
+                    Box::new(TenantRecord {
                         hosts: rec.hosts,
                         contribs,
                         req: rec.req,
                         level: rec.level,
-                    },
+                    }),
                 );
                 outcomes.push((t, DegradeOutcome::Restored));
                 continue;
@@ -361,7 +361,7 @@ mod tests {
     /// `fail_link` reads the tenants a failure splits off the failed
     /// link's up-port index instead of testing every resident tenant: on a
     /// loaded placer the two must agree for every link of the tree, in
-    /// order.
+    /// id order.
     #[test]
     fn up_port_index_lists_exactly_the_tenants_a_link_splits() {
         use silo_base::prop::Rng;
@@ -382,12 +382,14 @@ mod tests {
         }
         let mut split_somewhere = 0;
         for l in (0..topo.num_links()).map(|l| LinkId(l as u32)) {
-            let swept: Vec<TenantId> = p
+            // The table is hashed: sort the sweep into id order.
+            let mut swept: Vec<TenantId> = p
                 .tenants
                 .iter()
                 .filter(|(_, r)| !topo.connected(&r.hosts, &[l]))
                 .map(|(&t, _)| t)
                 .collect();
+            swept.sort_unstable();
             let indexed: Vec<TenantId> = p.port_index[PortId::up(l).0 as usize]
                 .iter()
                 .map(|&(t, _)| t)

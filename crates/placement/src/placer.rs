@@ -4,6 +4,7 @@
 
 use crate::guarantee::TenantRequest;
 use silo_topology::{HostId, Level, Topology};
+use std::ops::Range;
 
 /// Opaque tenant handle returned by admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,7 +55,8 @@ pub trait Placer {
 }
 
 /// Free-slot bookkeeping with per-rack/per-pod aggregates so candidate
-/// subtrees without room are skipped in O(1).
+/// subtrees without room are skipped in O(1), and per-k host bitsets so a
+/// walk over a subtree's hosts visits only the hosts that can take VMs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotMap {
     per_host: Vec<usize>,
@@ -62,6 +64,10 @@ pub struct SlotMap {
     per_pod: Vec<usize>,
     total_free: usize,
     total_slots: usize,
+    /// `slots_per_server` bitsets of `words` words each: bit `h` of bitset
+    /// `k - 1` is set exactly when host `h` has at least `k` free slots.
+    at_least: Vec<u64>,
+    words: usize,
 }
 
 impl SlotMap {
@@ -70,12 +76,20 @@ impl SlotMap {
         let hosts = topo.num_hosts();
         let hosts_per_rack = topo.params().servers_per_rack;
         let hosts_per_pod = hosts_per_rack * topo.params().racks_per_pod;
+        // Every host starts empty: its bit is set in every bitset.
+        let words = hosts.div_ceil(64);
+        let mut full = vec![!0u64; words];
+        if !hosts.is_multiple_of(64) {
+            full[words - 1] = (1 << (hosts % 64)) - 1;
+        }
         SlotMap {
             per_host: vec![s; hosts],
             per_rack: vec![s * hosts_per_rack; topo.num_racks()],
             per_pod: vec![s * hosts_per_pod; topo.num_pods()],
             total_free: s * hosts,
             total_slots: s * hosts,
+            at_least: full.repeat(s),
+            words,
         }
     }
 
@@ -98,10 +112,32 @@ impl SlotMap {
         self.total_slots
     }
 
+    /// The hosts of `hosts` (a range of host indices) with at least `k`
+    /// free slots, in order. `k` is in `1..=slots_per_server`.
+    pub(crate) fn hosts_with(&self, k: usize, hosts: Range<usize>) -> SetBits<'_> {
+        SetBits::new(self.bitset(k), hosts)
+    }
+
+    /// The bitset of hosts with at least `k` free slots.
+    pub(crate) fn bitset(&self, k: usize) -> &[u64] {
+        &self.at_least[(k - 1) * self.words..k * self.words]
+    }
+
+    /// Host `h`'s free slots went from `before` to `after`: flip its bit in
+    /// the bitsets of every `k` between the two.
+    fn reindex(&mut self, h: usize, before: usize, after: usize) {
+        let (word, bit) = (h / 64, 1u64 << (h % 64));
+        for k in before.min(after) + 1..=before.max(after) {
+            self.at_least[(k - 1) * self.words + word] ^= bit;
+        }
+    }
+
     pub fn alloc(&mut self, topo: &Topology, placement: &[(HostId, usize)]) {
         for &(h, k) in placement {
-            assert!(self.per_host[h.0 as usize] >= k, "slot over-allocation");
-            self.per_host[h.0 as usize] -= k;
+            let free = self.per_host[h.0 as usize];
+            assert!(free >= k, "slot over-allocation");
+            self.per_host[h.0 as usize] = free - k;
+            self.reindex(h.0 as usize, free, free - k);
             self.per_rack[topo.rack_of(h)] -= k;
             self.per_pod[topo.pod_of(h)] -= k;
             self.total_free -= k;
@@ -110,7 +146,9 @@ impl SlotMap {
 
     pub fn release(&mut self, topo: &Topology, placement: &[(HostId, usize)]) {
         for &(h, k) in placement {
-            self.per_host[h.0 as usize] += k;
+            let free = self.per_host[h.0 as usize];
+            self.per_host[h.0 as usize] = free + k;
+            self.reindex(h.0 as usize, free, free + k);
             self.per_rack[topo.rack_of(h)] += k;
             self.per_pod[topo.pod_of(h)] += k;
             self.total_free += k;
@@ -118,36 +156,93 @@ impl SlotMap {
     }
 }
 
-/// Distribute `n` VMs over the hosts of `racks` (both in order), at most
-/// `cap` per host and never more than a host's free slots, into `out`.
-/// Returns false if they don't fit. A rack with no free slot is passed
-/// over whole: each of its hosts would have taken zero VMs.
+/// The set bits of a bitset inside a range of bit indices, as hosts in
+/// ascending order ([`SlotMap::hosts_with`]).
+pub(crate) struct SetBits<'a> {
+    words: &'a [u64],
+    /// Index of the word `bits` came from.
+    word: usize,
+    /// The unvisited set bits of that word.
+    bits: u64,
+    end: usize,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(words: &'a [u64], hosts: Range<usize>) -> SetBits<'a> {
+        let word = hosts.start / 64;
+        let bits = if hosts.is_empty() {
+            0
+        } else {
+            words[word] & (!0u64 << (hosts.start % 64))
+        };
+        SetBits {
+            words,
+            word,
+            bits,
+            end: hosts.end,
+        }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = HostId;
+
+    fn next(&mut self) -> Option<HostId> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word * 64 >= self.end {
+                return None;
+            }
+            self.bits = self.words[self.word];
+        }
+        let h = self.word * 64 + self.bits.trailing_zeros() as usize;
+        if h >= self.end {
+            // Every later bit is past the end too, and the next word
+            // starts past it.
+            self.bits = 0;
+            return None;
+        }
+        self.bits &= self.bits - 1;
+        Some(HostId(h as u32))
+    }
+}
+
+/// The host indices of rack `rack`.
+fn rack_hosts(topo: &Topology, rack: usize) -> Range<usize> {
+    let s = topo.params().servers_per_rack;
+    rack * s..(rack + 1) * s
+}
+
+/// The host indices of pod `pod`.
+fn pod_hosts(topo: &Topology, pod: usize) -> Range<usize> {
+    let s = topo.params().servers_per_rack * topo.params().racks_per_pod;
+    pod * s..(pod + 1) * s
+}
+
+/// Distribute `n` VMs over the hosts of the host ranges `subtrees` (both
+/// in order), at most `cap` per host and never more than a host's free
+/// slots, into `out`. Returns false if they don't fit. Only hosts with a
+/// free slot are visited: each other host would have taken zero VMs.
 pub(crate) fn distribute(
-    topo: &Topology,
     slots: &SlotMap,
-    racks: impl Iterator<Item = usize>,
+    subtrees: impl Iterator<Item = Range<usize>>,
     n: usize,
     cap: usize,
     out: &mut Vec<(HostId, usize)>,
 ) -> bool {
     out.clear();
     let mut left = n;
-    for rack in racks {
+    for hosts in subtrees {
         if left == 0 {
             break;
         }
-        if slots.free_rack(rack) == 0 {
-            continue;
-        }
-        for h in topo.hosts_in_rack(rack) {
+        for h in slots.hosts_with(1, hosts) {
             if left == 0 {
                 break;
             }
             let k = slots.free_host(h).min(cap).min(left);
-            if k > 0 {
-                out.push((h, k));
-                left -= k;
-            }
+            out.push((h, k));
+            left -= k;
         }
     }
     left == 0
@@ -172,8 +267,15 @@ pub(crate) fn distribute(
 /// never has more free slots than it has slots, or than its rack, nor a
 /// rack than its pod, so a rack or pod with fewer than `n` free slots holds
 /// no server with `n`, and one with none adds nothing to a distribution.
-/// `check` therefore sees the candidates of the plain host-by-host walk, in
-/// its order.
+/// Inside a subtree only the hosts in the [`SlotMap`] bitset the step needs
+/// are visited (at least `n` free slots for level 0, at least one for a
+/// distribution), in host order: every host left out would have been
+/// passed over. `check` therefore sees the candidates of the plain
+/// host-by-host walk, in its order.
+///
+/// # Panics
+///
+/// If `n` is zero: a tenant needs at least one VM.
 pub(crate) fn greedy_place_spread<F>(
     topo: &Topology,
     slots: &SlotMap,
@@ -186,13 +288,13 @@ pub(crate) fn greedy_place_spread<F>(
 where
     F: FnMut(&[(HostId, usize)], Level) -> bool,
 {
+    assert!(n >= 1, "a tenant needs at least one VM");
     let spp = topo
         .slots_per_server()
         // Capping per-server density at ceil(n / min_hosts) forces the
         // distribution across at least `min_hosts` servers.
         .min(n.div_ceil(min_hosts.max(1)));
     let mut search = Search {
-        topo,
         slots,
         n,
         spp,
@@ -205,8 +307,8 @@ where
     if min_hosts <= 1 && n <= topo.slots_per_server() {
         for pod in (0..topo.num_pods()).filter(|&p| slots.free_pod(p) >= n) {
             for rack in topo.racks_in_pod(pod).filter(|&r| slots.free_rack(r) >= n) {
-                for h in topo.hosts_in_rack(rack) {
-                    if slots.free_host(h) >= n && search.offer_host(h) {
+                for h in slots.hosts_with(n, rack_hosts(topo, rack)) {
+                    if search.offer_host(h) {
                         return Some(Level::SameHost);
                     }
                 }
@@ -217,7 +319,7 @@ where
     // Level 1: one rack.
     if max_level >= Level::SameRack {
         for rack in (0..topo.num_racks()).filter(|&r| slots.free_rack(r) >= n) {
-            if search.relax(std::iter::once(rack), Level::SameRack) {
+            if search.relax(std::iter::once(rack_hosts(topo, rack)), Level::SameRack) {
                 return Some(Level::SameRack);
             }
         }
@@ -226,7 +328,7 @@ where
     // Level 2: one pod.
     if max_level >= Level::SamePod {
         for pod in (0..topo.num_pods()).filter(|&p| slots.free_pod(p) >= n) {
-            if search.relax(topo.racks_in_pod(pod), Level::SamePod) {
+            if search.relax(std::iter::once(pod_hosts(topo, pod)), Level::SamePod) {
                 return Some(Level::SamePod);
             }
         }
@@ -234,10 +336,10 @@ where
 
     // Level 3: anywhere.
     if max_level >= Level::CrossPod && slots.total_free() >= n {
-        let racks = (0..topo.num_pods())
+        let pods = (0..topo.num_pods())
             .filter(|&p| slots.free_pod(p) > 0)
-            .flat_map(|p| topo.racks_in_pod(p));
-        if search.relax(racks, Level::CrossPod) {
+            .map(|p| pod_hosts(topo, p));
+        if search.relax(pods, Level::CrossPod) {
             return Some(Level::CrossPod);
         }
     }
@@ -247,7 +349,6 @@ where
 
 /// What every level of one [`greedy_place_spread`] call shares.
 struct Search<'a, F> {
-    topo: &'a Topology,
     slots: &'a SlotMap,
     n: usize,
     /// Densest packing tried: VMs per server.
@@ -267,13 +368,17 @@ where
         (self.check)(self.cand, Level::SameHost)
     }
 
-    /// One subtree's candidates: pack the VMs over `racks` at most `cap`
-    /// per server, relaxing `cap` from `spp` down to 1, until `check`
-    /// accepts one (true) or the VMs stop fitting (lower caps fit even
-    /// less).
-    fn relax(&mut self, racks: impl Iterator<Item = usize> + Clone, level: Level) -> bool {
+    /// One subtree's candidates: pack the VMs over the host ranges
+    /// `subtrees` at most `cap` per server, relaxing `cap` from `spp` down
+    /// to 1, until `check` accepts one (true) or the VMs stop fitting
+    /// (lower caps fit even less).
+    fn relax(
+        &mut self,
+        subtrees: impl Iterator<Item = Range<usize>> + Clone,
+        level: Level,
+    ) -> bool {
         for cap in (1..=self.spp).rev() {
-            let fits = distribute(self.topo, self.slots, racks.clone(), self.n, cap, self.cand);
+            let fits = distribute(self.slots, subtrees.clone(), self.n, cap, self.cand);
             if !fits {
                 return false;
             }
@@ -289,7 +394,7 @@ where
 mod tests {
     use super::*;
     use silo_base::prop;
-    use silo_topology::TreeParams;
+    use silo_topology::{LinkId, TreeParams};
 
     fn topo() -> Topology {
         Topology::build(TreeParams {
@@ -336,9 +441,9 @@ mod tests {
         let mut s = SlotMap::new(&t);
         s.alloc(&t, &[(HostId(0), 4)]); // host 0 full
         let mut d = Vec::new();
-        assert!(distribute(&t, &s, std::iter::once(0), 6, 3, &mut d));
+        assert!(distribute(&s, std::iter::once(0..3), 6, 3, &mut d));
         assert_eq!(d, vec![(HostId(1), 3), (HostId(2), 3)]);
-        assert!(!distribute(&t, &s, std::iter::once(0), 9, 4, &mut d));
+        assert!(!distribute(&s, std::iter::once(0..3), 9, 4, &mut d));
     }
 
     #[test]
@@ -701,6 +806,209 @@ mod tests {
                         got_calls.len(),
                         want_calls.len()
                     ));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// One step of [`Script`]. Hosts, VM counts and links are taken
+    /// modulo what the tree has, so a step stays valid when a shrink makes
+    /// the tree smaller.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Take up to `k` of a host's free slots.
+        Alloc {
+            host: usize,
+            k: usize,
+        },
+        /// Give back up to `k` of a host's used slots.
+        Release {
+            host: usize,
+            k: usize,
+        },
+        Fail {
+            link: usize,
+        },
+        /// Heal the `i`-th failed link, if any is failed.
+        Restore {
+            i: usize,
+        },
+    }
+
+    /// A random tree wide enough that racks and pods straddle bitset
+    /// words, a script of slot and link steps on a [`SiloPlacer`], and
+    /// after each step a request to search for: `(n, max_level,
+    /// min_hosts, accept)` as in [`Case`].
+    #[derive(Debug, Clone)]
+    struct Script {
+        pods: usize,
+        racks_per_pod: usize,
+        servers_per_rack: usize,
+        slots_per_server: usize,
+        steps: Vec<(Step, (usize, Level, usize, u64))>,
+    }
+
+    fn gen_script(rng: &mut prop::StdRng) -> Script {
+        use prop::Rng;
+        let steps = (0..rng.random_range(1..60usize))
+            .map(|_| {
+                let host = rng.random_range(0..usize::MAX);
+                let k = rng.random_range(1..5usize);
+                let step = match rng.random_range(0..8u8) {
+                    0..=3 => Step::Alloc { host, k },
+                    4 | 5 => Step::Release { host, k },
+                    6 => Step::Fail {
+                        link: rng.random_range(0..usize::MAX),
+                    },
+                    _ => Step::Restore {
+                        i: rng.random_range(0..usize::MAX),
+                    },
+                };
+                let probe = (
+                    rng.random_range(1..10usize),
+                    LEVELS[rng.random_range(0..4usize)],
+                    rng.random_range(1..4usize),
+                    rng.random::<u64>() & rng.random::<u64>() & rng.random::<u64>(),
+                );
+                (step, probe)
+            })
+            .collect();
+        Script {
+            pods: rng.random_range(1..4usize),
+            racks_per_pod: rng.random_range(1..4usize),
+            servers_per_rack: rng.random_range(1..31usize),
+            slots_per_server: rng.random_range(1..5usize),
+            steps,
+        }
+    }
+
+    fn shrink_script(c: &Script) -> Vec<Script> {
+        let mut out = Vec::new();
+        for i in 0..c.steps.len() {
+            let mut steps = c.steps.clone();
+            steps.remove(i);
+            out.push(Script { steps, ..c.clone() });
+        }
+        if c.pods > 1 {
+            out.push(Script {
+                pods: c.pods - 1,
+                ..c.clone()
+            });
+        }
+        if c.racks_per_pod > 1 {
+            out.push(Script {
+                racks_per_pod: c.racks_per_pod - 1,
+                ..c.clone()
+            });
+        }
+        if c.servers_per_rack > 1 {
+            out.push(Script {
+                servers_per_rack: c.servers_per_rack - 1,
+                ..c.clone()
+            });
+        }
+        if c.slots_per_server > 1 {
+            out.push(Script {
+                slots_per_server: c.slots_per_server - 1,
+                ..c.clone()
+            });
+        }
+        out
+    }
+
+    /// Every bitset of `s` against a recomputation from its per-host free
+    /// counts, bits past the last host included.
+    fn bitsets_match_counts(t: &Topology, s: &SlotMap, what: &str) -> Result<(), String> {
+        for k in 1..=t.slots_per_server() {
+            let mut want = vec![0u64; t.num_hosts().div_ceil(64)];
+            for h in 0..t.num_hosts() {
+                if s.free_host(HostId(h as u32)) >= k {
+                    want[h / 64] |= 1 << (h % 64);
+                }
+            }
+            if s.bitset(k) != want.as_slice() {
+                return Err(format!(
+                    "{what}: bitset k = {k} is {:x?}, the counts give {want:x?}",
+                    s.bitset(k)
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The free-slot bitsets stay exact through allocations, releases and
+    /// link failures and repairs, in the slot map and in the dead-host
+    /// view, and on those partly full, masked maps the search offers
+    /// `check` the host-by-host reference's candidates, call for call.
+    #[test]
+    fn slot_bitsets_track_the_counts_and_the_search_matches_the_reference() {
+        use crate::silo::SiloPlacer;
+        type Calls = Vec<(Vec<(HostId, usize)>, Level)>;
+        prop::forall(
+            "slot bitsets == recount; search on them == host-by-host reference",
+            gen_script,
+            shrink_script,
+            |c| {
+                let t = Topology::build(TreeParams {
+                    pods: c.pods,
+                    racks_per_pod: c.racks_per_pod,
+                    servers_per_rack: c.servers_per_rack,
+                    vm_slots_per_server: c.slots_per_server,
+                    ..TreeParams::ns2_paper()
+                });
+                let spp = t.slots_per_server();
+                let mut p = SiloPlacer::new(t.clone());
+                for (i, (step, probe)) in c.steps.iter().enumerate() {
+                    match *step {
+                        Step::Alloc { host, k } => {
+                            let h = HostId((host % t.num_hosts()) as u32);
+                            let k = k.min(p.slot_map().free_host(h));
+                            p.alloc_slots(&[(h, k)]);
+                        }
+                        Step::Release { host, k } => {
+                            let h = HostId((host % t.num_hosts()) as u32);
+                            let k = k.min(spp - p.slot_map().free_host(h));
+                            p.release_slots(&[(h, k)]);
+                        }
+                        Step::Fail { link } => {
+                            p.fail_link(LinkId((link % t.num_links()) as u32));
+                        }
+                        Step::Restore { i } => {
+                            if let Some(&l) =
+                                p.failed_links().get(i % p.failed_links().len().max(1))
+                            {
+                                p.restore_link(l);
+                            }
+                        }
+                    }
+                    let at = |e: String| format!("after step {i} ({step:?}): {e}");
+                    bitsets_match_counts(&t, p.slot_map(), "slot map").map_err(at)?;
+                    bitsets_match_counts(&t, p.search_slots(), "search view").map_err(at)?;
+                    let (n, max_level, min_hosts, accept) = *probe;
+                    let run = |pruned: bool| {
+                        let mut calls: Calls = Vec::new();
+                        let mut check = |cand: &[(HostId, usize)], lvl: Level| {
+                            calls.push((cand.to_vec(), lvl));
+                            accept >> ((calls.len() - 1) % 64) & 1 == 1
+                        };
+                        let s = p.search_slots();
+                        let found = if pruned {
+                            greedy(&t, s, n, max_level, min_hosts, &mut check)
+                        } else {
+                            greedy_place_spread_reference(
+                                &t, s, n, max_level, min_hosts, &mut check,
+                            )
+                        };
+                        (found, calls)
+                    };
+                    if run(true) != run(false) {
+                        return Err(at(format!(
+                            "search for {probe:?} differs from the reference: {:?} vs {:?}",
+                            run(true),
+                            run(false)
+                        )));
+                    }
                 }
                 Ok(())
             },

@@ -23,7 +23,7 @@
 use crate::degrade::DegradedRecord;
 use crate::guarantee::{Guarantee, TenantRequest};
 use crate::placer::{Placer, RejectReason, TenantId};
-use crate::silo::{SiloPlacer, TenantRecord};
+use crate::silo::{sorted_ids, SiloPlacer, TenantRecord};
 use crate::FaultReport;
 use silo_base::{Bytes, Dur, FxHashMap, Rate};
 use silo_topology::{HostId, Level, LinkId, Topology, TreeParams};
@@ -221,7 +221,8 @@ impl AdmissionService {
             out.push_str(&format!("admit {} {}\n", i, t.0));
         }
         out.push_str(&format!("tenants {}\n", p.tenants.len()));
-        for (id, rec) in &p.tenants {
+        for id in sorted_ids(&p.tenants) {
+            let rec = &p.tenants[&id];
             out.push_str(&format!(
                 "tenant {} {} {} {}\n",
                 id.0,
@@ -268,11 +269,14 @@ impl AdmissionService {
     /// panic or a quietly different state: a geometry over 2^20 hosts or
     /// 2^10 slots a host, an id, host, port or link out of range,
     /// a contribution that is negative, not finite or over 2^53, a host
-    /// holding more VMs than it has slots, a tenant or failed link
-    /// listed twice, or an admit map that disagrees with the counters, is
-    /// out of order or names a tenant that is not resident. A count sizes
-    /// a vector only once the rest of the input could hold that many
-    /// entries.
+    /// holding more VMs than it has slots, a request `TenantRequest::new`
+    /// or `with_fault_domains` would refuse, a host entry of no VM, host
+    /// entries whose VMs do not add up to the request's, a tenant or
+    /// failed link listed twice, or an admit map that disagrees with the
+    /// counters, is out of order or names a tenant that is not resident.
+    /// An error in a tenant's request or hosts names the tenant. A count
+    /// sizes a vector only once the rest of the input could hold that
+    /// many entries.
     pub fn restore(s: &str) -> Result<AdmissionService, String> {
         let mut cur = Cursor::new(s);
         cur.keyword("silo-admission-snapshot-v1")?;
@@ -342,15 +346,16 @@ impl AdmissionService {
         let mut free = vec![topo.slots_per_server(); topo.num_hosts()];
         cur.keyword("tenants")?;
         let ntenants = cur.num::<usize>()?;
-        let mut tenants = BTreeMap::new();
+        let mut tenants = FxHashMap::default();
         for _ in 0..ntenants {
             cur.keyword("tenant")?;
             let id = TenantId(cur.below(next_id, "tenant id")?);
-            let level = level_from(cur.num::<u64>()?)?;
-            let nhosts = cur.count(3)?;
-            let ncontribs = cur.count(7)?;
-            let req = parse_request(&mut cur)?;
-            let hosts = parse_hosts(&mut cur, nhosts, &mut free)?;
+            let named = |e: String| format!("tenant {}: {e}", id.0);
+            let level = level_from(cur.num::<u64>()?).map_err(named)?;
+            let nhosts = cur.count(3).map_err(named)?;
+            let ncontribs = cur.count(7).map_err(named)?;
+            let req = parse_request(&mut cur).map_err(named)?;
+            let hosts = parse_hosts(&mut cur, nhosts, req.vms, &mut free).map_err(named)?;
             let mut contribs = Vec::with_capacity(ncontribs);
             for _ in 0..ncontribs {
                 cur.keyword("contrib")?;
@@ -373,7 +378,7 @@ impl AdmissionService {
                 req,
                 level,
             };
-            if tenants.insert(id, rec).is_some() {
+            if tenants.insert(id, Box::new(rec)).is_some() {
                 return Err(format!("tenant {} is listed twice", id.0));
             }
         }
@@ -383,11 +388,12 @@ impl AdmissionService {
         for _ in 0..ndegraded {
             cur.keyword("victim")?;
             let id = TenantId(cur.below(next_id, "tenant id")?);
-            let level = level_from(cur.num::<u64>()?)?;
-            let reason = reason_from(cur.num::<u64>()?)?;
-            let nhosts = cur.count(3)?;
-            let req = parse_request(&mut cur)?;
-            let hosts = parse_hosts(&mut cur, nhosts, &mut free)?;
+            let named = |e: String| format!("tenant {}: {e}", id.0);
+            let level = level_from(cur.num::<u64>()?).map_err(named)?;
+            let reason = reason_from(cur.num::<u64>()?).map_err(named)?;
+            let nhosts = cur.count(3).map_err(named)?;
+            let req = parse_request(&mut cur).map_err(named)?;
+            let hosts = parse_hosts(&mut cur, nhosts, req.vms, &mut free).map_err(named)?;
             let rec = DegradedRecord {
                 hosts,
                 req,
@@ -444,21 +450,31 @@ fn checked_topology(p: TreeParams) -> Result<Topology, String> {
     Ok(topo)
 }
 
-/// `n` `host <id> <vms>` lines, each taking its VMs from `free`.
+/// `n` `host <id> <vms>` lines placing `vms` VMs in all, each taking at
+/// least one VM from `free`.
 fn parse_hosts(
     cur: &mut Cursor<'_>,
     n: usize,
+    vms: usize,
     free: &mut [usize],
 ) -> Result<Vec<(HostId, usize)>, String> {
     let mut hosts = Vec::with_capacity(n);
+    let mut placed = 0;
     for _ in 0..n {
         cur.keyword("host")?;
         let h = cur.below(free.len() as u64, "host")? as usize;
         let k = cur.num::<usize>()?;
+        if k == 0 {
+            return Err(format!("host {h} holds no VM of the tenant"));
+        }
         free[h] = free[h]
             .checked_sub(k)
             .ok_or_else(|| format!("host {h} holds more VMs than it has slots"))?;
+        placed += k;
         hosts.push((HostId(h as u32), k));
+    }
+    if placed != vms {
+        return Err(format!("its hosts hold {placed} VMs, its request {vms}"));
     }
     Ok(hosts)
 }
@@ -475,6 +491,8 @@ fn push_request(out: &mut String, req: &TenantRequest) {
     ));
 }
 
+/// A `req` line, refused where `TenantRequest::new` or
+/// `with_fault_domains` would refuse it.
 fn parse_request(cur: &mut Cursor<'_>) -> Result<TenantRequest, String> {
     cur.keyword("req")?;
     let vms = cur.num::<usize>()?;
@@ -489,6 +507,14 @@ fn parse_request(cur: &mut Cursor<'_>) -> Result<TenantRequest, String> {
                 .map_err(|e| format!("bad delay {t:?}: {e}"))?,
         )),
     };
+    if vms == 0 {
+        return Err("a request for no VM".into());
+    }
+    if !(1..=vms).contains(&min_fault_domains) {
+        return Err(format!(
+            "{min_fault_domains} fault domains for {vms} VMs (must be in 1..={vms})"
+        ));
+    }
     Ok(TenantRequest {
         vms,
         guarantee: Guarantee { b, s, bmax, delay },
@@ -823,6 +849,95 @@ mod tests {
             let bad = snap.replacen(from, &to, 1);
             assert_ne!(bad, snap, "{what}: the edit must apply");
             assert!(AdmissionService::restore(&bad).is_err(), "{what} restored");
+        }
+    }
+
+    /// A fault readmit re-inserts an old tenant id after newer ones into
+    /// the hashed tenant table; `snapshot` still lists tenants in id
+    /// order, round-trips byte for byte, and the placer passes its
+    /// from-scratch consistency check.
+    #[test]
+    fn a_fault_readmit_keeps_the_snapshot_in_id_order() {
+        let mut svc = AdmissionService::new(topo());
+        // Tenant 0 spans hosts 0 and 1; five newer tenants follow it.
+        for vms in [2, 1, 1, 1, 1, 1] {
+            let spread = if vms == 2 { 2 } else { 1 };
+            svc.apply(&ChurnEvent::Admit(req(vms).with_fault_domains(spread)));
+        }
+        let link = svc.placer().topology().host_link(HostId(0));
+        let Decision::Fault { report } = svc.apply(&ChurnEvent::FailLink(link)) else {
+            panic!("a fault decision");
+        };
+        assert!(
+            matches!(
+                report.outcomes.as_slice(),
+                [(TenantId(0), crate::DegradeOutcome::Replaced { .. })]
+            ),
+            "tenant 0 must be readmitted: {report:?}"
+        );
+        svc.placer().verify_scratch_consistency().unwrap();
+        let snap = svc.snapshot();
+        let ids: Vec<u64> = snap
+            .lines()
+            .filter_map(|l| l.strip_prefix("tenant "))
+            .map(|l| l.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 5], "{snap}");
+        let restored = AdmissionService::restore(&snap).expect("snapshot parses");
+        assert_eq!(restored.snapshot(), snap, "round-trip must be byte-exact");
+        restored.placer().verify_scratch_consistency().unwrap();
+    }
+
+    /// `restore` refuses a tenant or victim whose request
+    /// `TenantRequest::new` or `with_fault_domains` would refuse, or
+    /// whose host entries do not place its VMs one or more a host, and
+    /// says which tenant. Before it did, such a snapshot restored, and a
+    /// failure that re-placed the tenant searched for its VMs with n = 0.
+    #[test]
+    fn restore_refuses_requests_no_admission_could_hold() {
+        // Twelve 2-VM spread tenants fill the cell; failing host 0's
+        // link leaves the tenants on it best-effort (victims).
+        let mut svc = AdmissionService::new(topo());
+        for _ in 0..12 {
+            svc.apply(&ChurnEvent::Admit(req(2).with_fault_domains(2)));
+        }
+        let link = svc.placer().topology().host_link(HostId(0));
+        svc.apply(&ChurnEvent::FailLink(link));
+        let snap = svc.snapshot();
+        assert!(AdmissionService::restore(&snap).is_ok());
+        for record in ["tenant ", "victim "] {
+            // The record's first line, its `req` line and its first host.
+            let lines: Vec<&str> = snap.lines().collect();
+            let at = lines
+                .iter()
+                .position(|l| l.starts_with(record))
+                .unwrap_or_else(|| panic!("a {record:?} record in\n{snap}"));
+            let id = lines[at].split(' ').nth(1).unwrap();
+            let req_with = |i: usize, v: &str| {
+                let mut f: Vec<&str> = lines[at + 1].split(' ').collect();
+                f[i] = v;
+                f.join(" ")
+            };
+            let h = lines[at + 2].split(' ').nth(1).unwrap();
+            for (what, line, to) in [
+                ("no VM", at + 1, req_with(1, "0")),
+                ("no fault domain", at + 1, req_with(2, "0")),
+                ("more fault domains than VMs", at + 1, req_with(2, "3")),
+                ("a host with no VM", at + 2, format!("host {h} 0")),
+                ("VMs that do not add up", at + 1, req_with(1, "3")),
+            ] {
+                let mut edited = lines.clone();
+                edited[line] = &to;
+                let bad = edited.join("\n") + "\n";
+                assert_ne!(bad, snap, "{record}{what}: the edit must apply");
+                let err = AdmissionService::restore(&bad)
+                    .err()
+                    .unwrap_or_else(|| panic!("{record}{what} restored"));
+                assert!(
+                    err.starts_with(&format!("tenant {id}: ")),
+                    "{record}{what}: {err:?} must name tenant {id}"
+                );
+            }
         }
     }
 }

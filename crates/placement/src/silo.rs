@@ -3,7 +3,7 @@
 use crate::guarantee::TenantRequest;
 use crate::load::{Contribution, PortLoad, NIC_HEADROOM};
 use crate::placer::{greedy_place_spread, Placement, Placer, RejectReason, SlotMap, TenantId};
-use silo_base::{Bytes, Dur};
+use silo_base::{Bytes, Dur, FxHashMap};
 use silo_netcalc::BoundCache;
 use silo_topology::{HostId, Level, LinkId, PortId, Topology};
 use std::cell::RefCell;
@@ -130,10 +130,15 @@ pub struct SiloPlacer {
     /// recomputes a port's netcalc curve only when the port's load has
     /// changed since the last query.
     bound_cache: RefCell<BoundCache>,
-    /// Admitted tenants with live guarantees. `BTreeMap` so every sweep
-    /// over tenants (failure handling in particular) is in deterministic
-    /// id order.
-    pub(crate) tenants: BTreeMap<TenantId, TenantRecord>,
+    /// Admitted tenants with live guarantees. Hashed, not ordered: admit
+    /// inserts and evict removes one record at a random id, where a B-tree
+    /// walks several cold nodes. The sweeps that need id order get it
+    /// elsewhere: `fail_link` reads the failed link's up-port index (kept
+    /// in id order), and `from_parts`, `snapshot` and
+    /// `verify_scratch_consistency` sort the ids. Records are boxed:
+    /// stored inline, every empty bucket would be record-sized (7.6 MiB
+    /// more peak RSS on the 32 K-server churn replay, see DESIGN.md).
+    pub(crate) tenants: FxHashMap<TenantId, Box<TenantRecord>>,
     /// Tenants downgraded to best-effort by a failure: they keep their VM
     /// slots but hold no network reservations (see `degrade`).
     pub(crate) degraded: BTreeMap<TenantId, crate::degrade::DegradedRecord>,
@@ -168,6 +173,13 @@ fn host_is_dead(topo: &Topology, failed: &[LinkId], h: HostId) -> bool {
     failed.binary_search(&topo.host_link(h)).is_ok()
 }
 
+/// The keys of a tenant table, ascending.
+pub(crate) fn sorted_ids<V>(tenants: &FxHashMap<TenantId, V>) -> Vec<TenantId> {
+    let mut ids: Vec<TenantId> = tenants.keys().copied().collect();
+    ids.sort_unstable();
+    ids
+}
+
 /// The left fold of a port's contribution list from the zero load — the
 /// canonical "from scratch" aggregate `loads[p]` must always bit-equal.
 fn fold_load(list: &[(TenantId, Contribution)]) -> PortLoad {
@@ -190,7 +202,7 @@ impl SiloPlacer {
             port_index: vec![Vec::new(); ports],
             load_version: vec![0; ports],
             bound_cache: RefCell::new(BoundCache::new(ports)),
-            tenants: BTreeMap::new(),
+            tenants: FxHashMap::default(),
             degraded: BTreeMap::new(),
             failed: Vec::new(),
             masked: None,
@@ -212,7 +224,7 @@ impl SiloPlacer {
         mtu: Bytes,
         next_id: u64,
         mut failed: Vec<LinkId>,
-        tenants: BTreeMap<TenantId, TenantRecord>,
+        tenants: FxHashMap<TenantId, Box<TenantRecord>>,
         degraded: BTreeMap<TenantId, crate::degrade::DegradedRecord>,
     ) -> SiloPlacer {
         failed.sort_unstable();
@@ -220,7 +232,9 @@ impl SiloPlacer {
         p.mtu = mtu;
         p.next_id = next_id;
         p.failed = failed;
-        for (&id, rec) in &tenants {
+        // In id order, so every contribution appends to its port's list.
+        for id in sorted_ids(&tenants) {
+            let rec = &tenants[&id];
             p.add_contribs(id, &rec.contribs);
             p.slots.alloc(&p.topo, &rec.hosts);
         }
@@ -261,14 +275,15 @@ impl SiloPlacer {
     /// Remove a tenant's contributions and rebuild each touched port's
     /// fold from the surviving entries — the aggregate is then exactly
     /// what a placer that never saw this tenant would hold (no float
-    /// residue, unlike subtract-and-clamp).
+    /// residue, unlike subtract-and-clamp). A port's list is sorted by
+    /// id and holds an id at most once, so a binary search finds the
+    /// entry.
     pub(crate) fn sub_contribs(&mut self, id: TenantId, contribs: &[(PortId, Contribution)]) {
         for &(p, _) in contribs {
             let i = p.0 as usize;
             let list = &mut self.port_index[i];
             let pos = list
-                .iter()
-                .position(|&(t, _)| t == id)
+                .binary_search_by_key(&id, |&(t, _)| t)
                 .expect("contribution is indexed");
             list.remove(pos);
             self.loads[i] = fold_load(list);
@@ -467,12 +482,12 @@ impl SiloPlacer {
                 self.alloc_slots(&hosts);
                 self.tenants.insert(
                     id,
-                    TenantRecord {
+                    Box::new(TenantRecord {
                         hosts: hosts.clone(),
                         contribs: scratch.contribs.clone(),
                         req: *req,
                         level,
-                    },
+                    }),
                 );
                 Ok((hosts, level))
             }
@@ -580,8 +595,8 @@ impl SiloPlacer {
         let ports = self.topo.num_ports();
         // 1. Contribution index + loads vs an id-order fold from scratch.
         let mut scratch: Vec<Vec<(TenantId, Contribution)>> = vec![Vec::new(); ports];
-        for (&id, rec) in &self.tenants {
-            for &(p, c) in &rec.contribs {
+        for id in sorted_ids(&self.tenants) {
+            for &(p, c) in &self.tenants[&id].contribs {
                 scratch[p.0 as usize].push((id, c));
             }
         }
