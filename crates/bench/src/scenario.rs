@@ -139,12 +139,6 @@ pub fn build_ns2_population(
         };
         consecutive_rejects = 0;
         used += n;
-        let mut vm_hosts: Vec<HostId> = Vec::with_capacity(n);
-        for &(h, k) in &p.hosts {
-            for _ in 0..k {
-                vm_hosts.push(h);
-            }
-        }
         let workload = match class {
             NsClass::A => {
                 // All VMs burst a message to VM 0 at once; the offered
@@ -173,7 +167,7 @@ pub fn build_ns2_population(
             class,
             guarantee,
             spec: TenantSpec {
-                vm_hosts,
+                vm_hosts: p.vm_hosts(),
                 b: guarantee.b,
                 s: guarantee.s,
                 bmax: guarantee.bmax,

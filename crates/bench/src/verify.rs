@@ -16,7 +16,7 @@ use silo_placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo_simnet::{
     AuditConfig, AuditReport, Metrics, SimConfig, TenantSpec, TenantWorkload, TransportMode,
 };
-use silo_topology::{HostId, PortId, Topology};
+use silo_topology::{PortId, Topology};
 
 /// The adversarial verification population: alternating class-A tenants
 /// (synchronized OLDI bursts of 0.9·S messages) and class-B tenants
@@ -67,12 +67,6 @@ pub fn build_verify_population(
         };
         rejects = 0;
         used += n;
-        let mut vm_hosts: Vec<HostId> = Vec::new();
-        for &(h, k) in &p.hosts {
-            for _ in 0..k {
-                vm_hosts.push(h);
-            }
-        }
         let workload = if class_a {
             // Worst case: every burst fully synchronized, message = 0.9 S.
             let msg = Bytes((g.s.as_u64() * 9) / 10);
@@ -89,7 +83,7 @@ pub fn build_verify_population(
             }
         };
         specs.push(TenantSpec {
-            vm_hosts,
+            vm_hosts: p.vm_hosts(),
             b: g.b,
             s: g.s,
             bmax: g.bmax,

@@ -321,12 +321,7 @@ impl<P: Placer> FlowSim<P> {
                             self.report.admitted_b += 1;
                         }
                     }
-                    let vm_hosts = p
-                        .hosts
-                        .iter()
-                        .flat_map(|&(h, k)| std::iter::repeat_n(h, k))
-                        .collect();
-                    self.spawn_job(&req, class_a, p.tenant, vm_hosts);
+                    self.spawn_job(&req, class_a, p.tenant, p.vm_hosts());
                 }
                 next_arrival += Dur::from_secs_f64(exponential(&mut self.rng, rate));
             }
@@ -501,12 +496,7 @@ mod tests {
         let mut sim = FlowSim::new(LocalityPlacer::new(topo(19)), Allocator::Guaranteed, cfg);
         let req = TenantRequest::new(300, Guarantee::class_b());
         let p = sim.placer.try_place(&req).expect("300 VMs fit 304 slots");
-        let vm_hosts = p
-            .hosts
-            .iter()
-            .flat_map(|&(h, k)| std::iter::repeat_n(h, k))
-            .collect();
-        sim.spawn_job(&req, false, p.tenant, vm_hosts);
+        sim.spawn_job(&req, false, p.tenant, p.vm_hosts());
         let nominal = sim.jobs[0].nominal.as_secs_f64();
         let r = sim.run();
         assert_eq!((r.offered_a, r.offered_b, r.completed), (0, 0, 1));

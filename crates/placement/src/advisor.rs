@@ -8,7 +8,7 @@
 //! its target message latency *provable* via §4.1's bound — using the
 //! burst/bandwidth trade-off the paper quantifies in Table 1.
 
-use crate::Guarantee;
+use crate::guarantee::Guarantee;
 use silo_base::{Bytes, Dur, Rate};
 
 /// What the tenant knows about one VM's traffic.

@@ -20,6 +20,12 @@
 //! [`OktopusPlacer`] (bandwidth-only admission, Ballani et al. SIGCOMM'11)
 //! and [`LocalityPlacer`] (network-oblivious greedy packing).
 //!
+//! The tenant-facing arithmetic lives here too: a guarantee's §4.1
+//! message-latency bound ([`Guarantee::message_latency_bound`]), the
+//! tighter per-placement packet-delay bound
+//! ([`SiloPlacer::tight_delay_bound`]), and [`recommend`], which sizes a
+//! guarantee from a workload profile.
+//!
 //! # Aggregation strategy
 //!
 //! Exact per-port aggregate curves would grow with the number of admitted
@@ -31,6 +37,7 @@
 //! O(1) per port, slightly conservative, and exactly reversible on tenant
 //! departure.
 
+mod advisor;
 mod degrade;
 mod guarantee;
 mod load;
@@ -40,6 +47,7 @@ mod placer;
 mod service;
 mod silo;
 
+pub use advisor::{recommend, AdvisorError, WorkloadProfile};
 pub use degrade::{DegradeOutcome, FaultReport};
 pub use guarantee::{Guarantee, TenantRequest};
 pub use load::{Contribution, PortLoad, NIC_HEADROOM};

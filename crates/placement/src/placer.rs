@@ -23,6 +23,16 @@ impl Placement {
     pub fn total_vms(&self) -> usize {
         self.hosts.iter().map(|(_, k)| k).sum()
     }
+
+    /// The host of every VM, in placement order: each host repeated once
+    /// per VM it holds (the shape `TenantSpec::vm_hosts` takes).
+    pub fn vm_hosts(&self) -> Vec<HostId> {
+        let mut vm_hosts = Vec::with_capacity(self.total_vms());
+        for &(h, k) in &self.hosts {
+            vm_hosts.extend(std::iter::repeat_n(h, k));
+        }
+        vm_hosts
+    }
 }
 
 /// Why admission failed.
@@ -520,6 +530,19 @@ mod tests {
         let all: Vec<_> = (0..t.num_hosts()).map(|h| (HostId(h as u32), 4)).collect();
         s.alloc(&t, &all);
         assert!(greedy(&t, &s, 1, Level::CrossPod, 1, |_, _| true).is_none());
+    }
+
+    #[test]
+    fn vm_hosts_repeats_each_host_in_placement_order() {
+        let p = Placement {
+            tenant: TenantId(0),
+            hosts: vec![(HostId(3), 2), (HostId(0), 1), (HostId(5), 3)],
+            span: Level::SamePod,
+        };
+        let vm_hosts = p.vm_hosts();
+        assert_eq!(vm_hosts.len(), p.total_vms());
+        let ids: Vec<u32> = vm_hosts.iter().map(|h| h.0).collect();
+        assert_eq!(ids, [3, 3, 0, 5, 5, 5]);
     }
 
     // Reference oracle: the search as it stood before it learnt to prune —

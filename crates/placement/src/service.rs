@@ -1,4 +1,4 @@
-//! The long-running admission-control service (ROADMAP item 3).
+//! The long-running admission-control service.
 //!
 //! Production Silo is a cluster manager that admits and evicts tenants
 //! *continuously*; the sweep harness instead calls `SiloPlacer` in one

@@ -4,7 +4,7 @@ use crate::guarantee::TenantRequest;
 use crate::load::{Contribution, PortLoad, NIC_HEADROOM};
 use crate::placer::{greedy_place_spread, Placement, Placer, RejectReason, SlotMap, TenantId};
 use silo_base::{Bytes, Dur, FxHashMap};
-use silo_netcalc::BoundCache;
+use silo_netcalc::{path_delay_sfa, BoundCache, Curve, ServiceCurve};
 use silo_topology::{HostId, Level, LinkId, PortId, Topology};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -544,6 +544,42 @@ impl SiloPlacer {
     pub fn queue_bound(&self, p: PortId) -> Option<Dur> {
         let info = self.topo.port(p);
         self.backlog_bound(p).map(|b| info.rate.tx_time(b))
+    }
+
+    /// A packet-delay bound tighter than the tenant's static guarantee
+    /// `d`: the network-calculus concatenation bound ("pay bursts only
+    /// once") of the tenant's own paced traffic across the longest path
+    /// between two of its hosts, with every port on it a rate-latency
+    /// server whose latency is its full queue capacity (safe against any
+    /// co-tenant load admitted under C1).
+    ///
+    /// At most the `d` the tenant was admitted with. `None` for a tenant
+    /// that holds no reservation (unknown or degraded) and for a
+    /// single-host placement, which crosses no network port.
+    pub fn tight_delay_bound(&self, t: TenantId) -> Option<Dur> {
+        let rec = self.tenants.get(&t)?;
+        let mut path = Vec::new();
+        for (i, &(a, _)) in rec.hosts.iter().enumerate() {
+            for &(b, _) in &rec.hosts[i + 1..] {
+                let p = self.topo.path_ports(a, b);
+                if p.len() > path.len() {
+                    path = p;
+                }
+            }
+        }
+        if path.is_empty() {
+            return None;
+        }
+        let g = rec.req.guarantee;
+        let arrival = Curve::dual_slope(g.b, g.s, g.bmax, self.mtu);
+        let hops: Vec<ServiceCurve> = path
+            .iter()
+            .map(|&p| {
+                let info = self.topo.port(p);
+                ServiceCurve::rate_latency(info.rate, info.queue_capacity())
+            })
+            .collect();
+        path_delay_sfa(&arrival, &hops).map(Dur::from_secs_f64)
     }
 
     /// Fraction of a port's line rate reserved by sustained guarantees.

@@ -141,7 +141,7 @@ impl Pkt {
 /// **Benchmark-kernel only**: the simulator carries [`Pkt`] by value and
 /// uses none of `Packet`, [`PktId`], [`PktArena`]; the frozen
 /// `benchmark/src/kernels.rs` builds them literally, so they stay `pub`
-/// until ROADMAP item 1c deletes both sides.
+/// until ROADMAP's `benchmark/` deletion item removes both sides.
 #[derive(Debug, Clone, Copy)]
 pub struct Packet {
     pub conn: u32,

@@ -116,8 +116,8 @@ impl PortState {
 
     /// [`PortState::enqueue_hop`] for a caller with no packet to carry.
     /// **Benchmark-kernel only**: the frozen `benchmark/src/kernels.rs`
-    /// calls it with a [`PktId`], which nothing reads any more (ROADMAP
-    /// item 1c deletes both sides).
+    /// calls it with a [`PktId`], which nothing reads any more (ROADMAP's
+    /// `benchmark/` deletion item removes both sides).
     pub fn enqueue(&mut self, now: Time, _id: PktId, size: Bytes, prio: u8) -> Enqueue {
         self.enqueue_hop(now, Pkt::new(PktKind::Data, 0, 0, size, prio, PathId(0)))
     }

@@ -57,9 +57,9 @@ impl Sim {
         // behind this transmission. It rarely fires into a no-op: on the
         // benchmark's Silo cell 3 126 990 of 3 289 241 PortFree dispatches
         // (95.1 %) start the next transmission, 97.8 % under TCP. The
-        // cause is the same-host backlog (ROADMAP item 6): 2 674 770 of
-        // those starts restart a vswitch loopback port that stays
-        // backlogged for the whole run. Eliding the idle tail would also
+        // cause is the same-host backlog (ROADMAP's loopback-backpressure
+        // item): 2 674 770 of those starts restart a vswitch loopback port
+        // that stays backlogged for the whole run. Eliding the idle tail would also
         // be inexact: the wakeup's queue position is what serializes
         // same-instant enqueues against the end of the transmission, so
         // removing it — or re-creating it later with a fresher sequence

@@ -8,7 +8,7 @@
 use silo::base::{Bytes, Dur, Rate};
 use silo::placement::{Guarantee, Placer, SiloPlacer, TenantRequest};
 use silo::simnet::{Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
-use silo::topology::{HostId, Topology, TreeParams};
+use silo::topology::{Topology, TreeParams};
 
 fn main() {
     // One rack of ten servers.
@@ -45,12 +45,7 @@ fn main() {
     for &(h, k) in &placement.hosts {
         println!("  host {:?}: {k} VMs", h);
     }
-    let mut vm_hosts: Vec<HostId> = Vec::new();
-    for &(h, k) in &placement.hosts {
-        for _ in 0..k {
-            vm_hosts.push(h);
-        }
-    }
+    let vm_hosts = placement.vm_hosts();
 
     // Offered load ~30% of the aggregator's hose (Table 1's regime where
     // the burst allowance covers nearly every message).

@@ -2,8 +2,7 @@
 //! through placement, pacing, and packet-level simulation.
 
 use silo::base::{Bytes, Dur, Rate};
-use silo::core::{Guarantee, SiloController, TenantRequest};
-use silo::placement::{Placer, RejectReason, SiloPlacer};
+use silo::placement::{Guarantee, Placer, RejectReason, SiloPlacer, TenantRequest};
 use silo::simnet::{Sim, SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo::topology::{HostId, Level, Topology, TreeParams};
 
@@ -30,22 +29,15 @@ fn admitted_tenant_meets_its_guarantee_end_to_end() {
         bmax: Rate::from_gbps(1),
         delay: Some(Dur::from_ms(1)),
     };
-    let mut controller = SiloController::new(topo.clone());
-    let tenant = controller
-        .admit(&TenantRequest::new(20, guarantee))
+    let placed = SiloPlacer::new(topo.clone())
+        .try_place(&TenantRequest::new(20, guarantee))
         .expect("8x4 slots with light guarantees must fit");
-    // The controller's bound for the burst-sized message.
+    // The guarantee's §4.1 bound for the burst-sized message.
     let msg = Bytes((guarantee.s.as_u64() * 9) / 10);
-    let bound = controller.message_latency_bound(tenant.id, msg).unwrap();
+    let bound = guarantee.message_latency_bound(msg).unwrap();
 
-    // Drive the placement in the packet simulator.
-    let mut vm_hosts: Vec<HostId> = Vec::new();
-    for &(h, k) in &tenant.placement.hosts {
-        for _ in 0..k {
-            vm_hosts.push(h);
-        }
-    }
-    // Worst-case *conformant* workload: all 19 workers burst `msg` bytes
+    // Drive the placement in the packet simulator with the worst-case
+    // *conformant* workload: all 19 workers burst `msg` bytes
     // to VM 0 simultaneously, strictly periodically. Eq. 1's bound only
     // covers traffic inside the `{B, S}` hose arrival curve, so the
     // period must satisfy both conformance conditions:
@@ -56,7 +48,7 @@ fn admitted_tenant_meets_its_guarantee_end_to_end() {
     // violates the per-pair curve whenever two events land within the
     // refill time, so its tail is legitimately outside eq. 1's promise.)
     let spec = TenantSpec {
-        vm_hosts,
+        vm_hosts: placed.vm_hosts(),
         b: guarantee.b,
         s: guarantee.s,
         bmax: guarantee.bmax,
