@@ -5,7 +5,7 @@
 //! `β`'s latency knee), so all three functions are exact, not numerical
 //! approximations.
 
-use crate::curve::{breakpoints_of, eval_lines, lower_envelope, same_breakpoint, Curve, Line};
+use crate::curve::{breakpoints_of, same_breakpoint, Curve};
 use crate::service::ServiceCurve;
 
 /// Maximum *horizontal* deviation `q = sup_t inf{ d ≥ 0 : A(t) ≤ β(t+d) }`
@@ -38,29 +38,12 @@ pub fn queue_delay_bound(a: &Curve, s: &ServiceCurve) -> Option<f64> {
 ///
 /// Returns `None` when the backlog is unbounded.
 pub fn backlog_bound(a: &Curve, s: &ServiceCurve) -> Option<f64> {
-    backlog_bound_normalized(a.lines(), s)
-}
-
-/// [`backlog_bound`] of `Curve::from_lines(lines.to_vec())`, computed on
-/// the caller's array: the same normalization and the same arithmetic, so
-/// the same bits, with no allocation. For callers that bound a fixed
-/// handful of lines per query (placement's two-line port aggregate).
-pub fn backlog_bound_of_lines<const N: usize>(
-    mut lines: [Line; N],
-    s: &ServiceCurve,
-) -> Option<f64> {
-    let kept = lower_envelope(&mut lines);
-    backlog_bound_normalized(&lines[..kept], s)
-}
-
-fn backlog_bound_normalized(lines: &[Line], s: &ServiceCurve) -> Option<f64> {
-    let long_term_rate = lines.last().expect("normalized curve").rate;
-    if long_term_rate > s.rate * (1.0 + 1e-12) {
+    if a.long_term_rate() > s.rate * (1.0 + 1e-12) {
         return None;
     }
     let mut best = 0.0f64;
-    for t in breakpoints_of(lines).chain(std::iter::once(s.latency)) {
-        best = best.max(eval_lines(lines, t) - s.eval(t));
+    for t in breakpoints_of(a.lines()).chain(std::iter::once(s.latency)) {
+        best = best.max(a.eval(t) - s.eval(t));
     }
     Some(best)
 }

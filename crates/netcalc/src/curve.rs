@@ -228,9 +228,7 @@ pub(crate) fn breakpoints_of(lines: &[Line]) -> impl Iterator<Item = f64> + '_ {
 
 /// Restore [`Curve`]'s invariant in place: reorder `lines` so that a
 /// prefix holds exactly the lower envelope on `t ≥ 0` (strictly decreasing
-/// rate, strictly increasing burst) and return that prefix's length. Works
-/// inside the slice, so a caller with a fixed handful of lines (see
-/// [`crate::backlog_bound_of_lines`]) never touches the allocator.
+/// rate, strictly increasing burst) and return that prefix's length.
 pub(crate) fn lower_envelope(lines: &mut [Line]) -> usize {
     assert!(!lines.is_empty(), "curve needs at least one line");
     for l in lines.iter() {

@@ -42,7 +42,7 @@ pub mod path;
 pub mod service;
 pub mod tenant;
 
-pub use bounds::{backlog_bound, backlog_bound_of_lines, drain_time, queue_delay_bound};
+pub use bounds::{backlog_bound, drain_time, queue_delay_bound};
 pub use cache::BoundCache;
 pub use curve::{Curve, Line};
 pub use path::{output_bound, path_delay_sfa, path_delay_sum};

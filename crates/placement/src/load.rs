@@ -1,7 +1,7 @@
 //! Per-port load accumulators and the O(1) admission check (constraint C1).
 
 use silo_base::{Bytes, Dur, Rate};
-use silo_netcalc::{backlog_bound_of_lines, Line, ServiceCurve};
+use silo_netcalc::Line;
 
 /// Headroom factor on every sustained-rate admission check: reservations
 /// may claim at most this fraction of a line's rate. A port reserved to
@@ -165,17 +165,25 @@ impl PortLoad {
         ]
     }
 
-    /// Worst-case buffer occupancy at a port with the given line rate and
-    /// ingress capacity; `None` when the sustained rate alone oversubscribes
-    /// the line (unbounded queue). Every admission check of every candidate
-    /// port lands here, so the bound is taken on the two lines directly: the
-    /// bits of `backlog_bound` on the `Curve` of those lines, without one.
-    pub fn backlog(&self, line: Rate, ingress_cap: Rate) -> Option<Bytes> {
-        let svc = ServiceCurve::constant_rate(line);
-        backlog_bound_of_lines(self.lines(ingress_cap), &svc).map(|b| Bytes(b.round() as u64))
+    /// The unrounded [`PortLoad::backlog`]: the two lines' bound in closed
+    /// form ([`two_line_backlog`]).
+    fn bound(&self, line: Rate, ingress_cap: Rate) -> Option<f64> {
+        let [a, b] = self.lines(ingress_cap);
+        two_line_backlog(a, b, line)
     }
 
-    /// Constraint C1: does the worst case fit the port buffer?
+    /// Worst-case buffer occupancy at a port with the given line rate and
+    /// ingress capacity; `None` when the sustained rate alone oversubscribes
+    /// the line (unbounded queue).
+    pub fn backlog(&self, line: Rate, ingress_cap: Rate) -> Option<Bytes> {
+        self.bound(line, ingress_cap)
+            .map(|b| Bytes(b.round() as u64))
+    }
+
+    /// Constraint C1: does the worst case fit the port buffer? That is,
+    /// is [`PortLoad::backlog`] at most `buffer`? Every admission check of
+    /// every candidate port lands here, so the rounding is a comparison
+    /// (`rounds_within`).
     ///
     /// Sustained reservations are additionally capped at
     /// [`NIC_HEADROOM`] × line rate (see the constant for why).
@@ -183,10 +191,8 @@ impl PortLoad {
         if self.rate > line.bytes_per_sec() * NIC_HEADROOM {
             return false;
         }
-        match self.backlog(line, ingress_cap) {
-            Some(b) => b <= buffer,
-            None => false,
-        }
+        self.bound(line, ingress_cap)
+            .is_some_and(|b| rounds_within(b, buffer))
     }
 
     /// The queue (delay) bound this load implies — proportional to the
@@ -202,10 +208,68 @@ impl PortLoad {
     }
 }
 
+/// `round(b) <= buffer` for a bound `b ≥ 0`, without `f64::round` (a
+/// libm call): `b` rounds (half away from zero) to at most `buffer`
+/// exactly when it is below `buffer + 0.5`, and that sum is exact for any
+/// buffer under 2^52 bytes.
+fn rounds_within(b: f64, buffer: Bytes) -> bool {
+    debug_assert!(buffer.as_u64() < 1 << 52, "buffer + 0.5 must be exact");
+    b < buffer.as_f64() + 0.5
+}
+
+/// `silo_netcalc::backlog_bound(&Curve::from_lines(vec![a, b]),
+/// &ServiceCurve::constant_rate(line))`, in closed form and bit for bit:
+/// the same float operations in the same order, with the ones whose
+/// result is known dropped. Two lines need no sort loop, no hull pass and
+/// no breakpoint iterator, and their curve is never built.
+///
+/// What the general path does with two lines:
+/// * `lower_envelope` checks both are finite and non-negative, sorts them
+///   by (rate, burst), and keeps the steeper one only if its burst is
+///   more than `1e-12` below the shallower's (Pareto);
+/// * `backlog_bound` refuses a long-term (shallowest) rate above the
+///   line's, then takes the largest `A(t) − β(t)` over `t = 0`, the one
+///   breakpoint if both lines were kept, and `t = 0` again (the server's
+///   zero latency). `β(0)` is `+0.0`, so subtracting it changes no bits;
+///   the steeper line is never NaN at either `t`, so `eval`'s fold from
+///   `+∞` is its first value.
+///
+/// # Panics
+///
+/// If a line is negative, infinite or NaN, as `Curve::from_lines` does.
+fn two_line_backlog(a: Line, b: Line, line: Rate) -> Option<f64> {
+    for l in [a, b] {
+        assert!(
+            l.rate >= 0.0 && l.burst >= 0.0 && l.rate.is_finite() && l.burst.is_finite(),
+            "curve lines must be non-negative and finite, got {l:?}"
+        );
+    }
+    // The stable sort: `b` goes first only if it is strictly smaller.
+    let (lo, hi) = if (b.rate, b.burst) < (a.rate, a.burst) {
+        (b, a)
+    } else {
+        (a, b)
+    };
+    let rate = line.bytes_per_sec();
+    if lo.rate > rate * (1.0 + 1e-12) {
+        return None;
+    }
+    if hi.burst < lo.burst - 1e-12 {
+        // Both lines kept, `hi` strictly steeper: they cross at `t > 0`.
+        let at_zero = hi.eval(0.0).min(lo.eval(0.0));
+        let t = (lo.burst - hi.burst) / (hi.rate - lo.rate);
+        let at_t = hi.eval(t).min(lo.eval(t)) - rate * t;
+        Some(0.0f64.max(at_zero).max(at_t).max(at_zero))
+    } else {
+        let at_zero = lo.eval(0.0);
+        Some(0.0f64.max(at_zero).max(at_zero))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silo_netcalc::{backlog_bound, Curve};
+    use silo_netcalc::{backlog_bound, Curve, ServiceCurve};
 
     /// The two-line aggregate arrival curve a load implies: what
     /// `PortLoad::backlog` bounds, as a `Curve` to hold it to.
@@ -332,45 +396,163 @@ mod tests {
         );
     }
 
-    /// `backlog` bounds the load's two lines in place; the bound of the
-    /// `Curve` built from them is the definition it must reproduce bit
-    /// for bit (including which loads have no bound at all).
+    /// The closed form against the definition it replaced: the bound of
+    /// the `Curve` built from the same two lines, bit for bit and `None`
+    /// for the same loads, and `backlog` / `fits` against its rounding.
+    fn closed_form_matches_the_curve(load: &PortLoad, cap: Rate) -> Result<(), String> {
+        let line = Rate::from_gbps(10);
+        let want = backlog_bound(&curve(load, cap), &ServiceCurve::constant_rate(line));
+        let got = load.bound(line, cap);
+        if got.map(f64::to_bits) != want.map(f64::to_bits) {
+            return Err(format!("closed form {got:?} != via Curve {want:?}"));
+        }
+        let rounded = want.map(|b| b.round() as u64);
+        if load.backlog(line, cap) != rounded.map(Bytes) {
+            return Err(format!(
+                "backlog {:?} != {rounded:?}",
+                load.backlog(line, cap)
+            ));
+        }
+        let within_rate = load.rate <= line.bytes_per_sec() * NIC_HEADROOM;
+        let r = rounded.unwrap_or(0);
+        for buffer in [r.saturating_sub(1), r, r + 1] {
+            let want = within_rate && rounded.is_some_and(|b| b <= buffer);
+            if load.fits(line, cap, Bytes(buffer)) != want {
+                return Err(format!("fits at buffer {buffer} is not {want}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// `PortLoad`'s closed-form two-line bound is `backlog_bound` of the
+    /// `Curve` of its lines, bit for bit: first on the edges of the
+    /// general path (equal rates, the sustained line's burst at or within
+    /// the `1e-12` Pareto tolerance of the MTU line's, an unbounded
+    /// contribution, overload), then on random loads around them.
     #[test]
     fn backlog_is_the_bound_of_the_curve() {
         use silo_base::prop::{self, Rng};
+        let line = 1.25e9;
+        let load =
+            |rate: f64, burst: f64, burst_rate: f64, mtu_bytes: f64, unbounded: u32| PortLoad {
+                rate,
+                burst,
+                burst_rate,
+                mtu_bytes,
+                unbounded,
+            };
+        let edges = [
+            // Equal rates, the MTU line's burst the smaller, then equal.
+            load(6e8, 9e4, 6e8, 3e3, 0),
+            load(6e8, 0.0, 6e8, 3e3, 0),
+            // The sustained line's burst equal to the MTU line's, then
+            // within and just past the Pareto tolerance.
+            load(4e8, 1500.0, 2e9, 1500.0, 0),
+            load(4e8, 1500.0 + 5e-13, 2e9, 1500.0, 0),
+            load(4e8, 1500.0 + 2e-12, 2e9, 1500.0, 0),
+            load(4e8, 1e-13, 2e9, 0.0, 0),
+            // An unbounded contribution: the ingress capacity is the rate.
+            load(4e8, 9e4, 2e8, 3e3, 2),
+            // Overload, slightly and by far: no bound.
+            load(line * (1.0 + 1e-11), 9e4, 2e9, 3e3, 0),
+            load(2e9, 9e4, 2e9, 3e3, 1),
+            // Exactly the line rate: bounded.
+            load(line, 9e4, 2e9, 3e3, 0),
+            PortLoad::default(),
+        ];
+        for l in &edges {
+            if let Err(e) = closed_form_matches_the_curve(l, Rate::from_gbps(400)) {
+                panic!("{l:?}: {e}");
+            }
+        }
         prop::forall(
-            "PortLoad::backlog == backlog_bound(curve)",
+            "PortLoad's closed-form bound == backlog_bound(curve), bit for bit",
             |rng| {
-                // Rates around a 10 G line (1.25e9 B/s), equal lines, zero
-                // loads and burst-rate-below-rate all included.
-                let rate = |rng: &mut prop::StdRng| match rng.random_range(0..4u32) {
+                let cap = Rate::from_gbps(rng.random_range(1..400u64));
+                let unbounded = rng.random_range(0..3u32);
+                let burst_rate = match rng.random_range(0..4u32) {
                     0 => 0.0,
-                    1 => 1.25e9,
+                    1 => line,
                     _ => rng.random::<f64>() * 2.5e9,
                 };
-                let load = PortLoad {
-                    rate: rate(rng),
-                    burst: rng.random::<f64>() * 1e6 * f64::from(rng.random_range(0..2u32)),
-                    burst_rate: rate(rng),
-                    mtu_bytes: 1500.0 * f64::from(rng.random_range(0..40u32)),
-                    unbounded: rng.random_range(0..2u32),
+                // The MTU line's rate, as `lines` caps it.
+                let r1 = if unbounded > 0 {
+                    cap.bytes_per_sec()
+                } else {
+                    burst_rate.min(cap.bytes_per_sec())
                 };
-                let cap = Rate::from_gbps(rng.random_range(1..400u64));
-                (load, cap)
+                let mtu_bytes = 1500.0 * f64::from(rng.random_range(0..40u32));
+                // Rates around the line's, half of the random ones above
+                // it (overload), and equal to the MTU line's.
+                let rate = match rng.random_range(0..5u32) {
+                    0 => 0.0,
+                    1 => line,
+                    2 => r1,
+                    _ => rng.random::<f64>() * 2.5e9,
+                };
+                // Below the MTU (the line's burst is then the MTU's), at
+                // it, within `1e-12` of it or just past, or anywhere.
+                let burst = match rng.random_range(0..4u32) {
+                    0 => 0.0,
+                    1 => mtu_bytes,
+                    2 => mtu_bytes + f64::from(rng.random_range(0..20u32)) * 1e-13,
+                    _ => rng.random::<f64>() * 1e6,
+                };
+                (load(rate, burst, burst_rate, mtu_bytes, unbounded), cap)
             },
             |_| Vec::new(),
-            |&(load, cap)| {
-                let line = Rate::from_gbps(10);
-                let svc = ServiceCurve::constant_rate(line);
-                let want = backlog_bound(&curve(&load, cap), &svc).map(|b| Bytes(b.round() as u64));
-                let got = load.backlog(line, cap);
-                if got == want {
-                    Ok(())
-                } else {
-                    Err(format!("in place {got:?} != via Curve {want:?}"))
-                }
-            },
+            |(load, cap)| closed_form_matches_the_curve(load, *cap),
         );
+    }
+
+    /// `rounds_within` is `round(b) <= buffer` on both sides of every
+    /// half-byte edge: at `buffer ± 0.5` and one ulp either side.
+    #[test]
+    fn fits_edge_matches_round() {
+        for buffer in [0u64, 1, 1500, 319_488, 2_555_904, 1 << 40] {
+            let b = buffer as f64;
+            for edge in [b - 0.5, b + 0.5] {
+                for x in [edge.next_down(), edge, edge.next_up()] {
+                    if x < 0.0 {
+                        continue;
+                    }
+                    let want = (x.round() as u64) <= buffer;
+                    assert_eq!(
+                        rounds_within(x, Bytes(buffer)),
+                        want,
+                        "b = {x}, buffer {buffer}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn two_line_backlog_refuses_a_nan_line() {
+        let nan = Line {
+            rate: f64::NAN,
+            burst: 1500.0,
+        };
+        let ok = Line {
+            rate: 1e8,
+            burst: 9e4,
+        };
+        let _ = two_line_backlog(ok, nan, Rate::from_gbps(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn two_line_backlog_refuses_a_negative_line() {
+        let neg = Line {
+            rate: 1e8,
+            burst: -1.0,
+        };
+        let ok = Line {
+            rate: 1e9,
+            burst: 1500.0,
+        };
+        let _ = two_line_backlog(neg, ok, Rate::from_gbps(10));
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl OktopusPlacer {
     ) -> bool {
         out.clear();
         let n = req.vms;
-        for p in self.topo.ports_between(cand) {
-            let (m, _) = self.topo.cut_stats(p, cand);
+        for cut in self.topo.cuts(cand) {
+            let (p, m) = (cut.port, cut.m);
             if m == 0 || m >= n {
                 continue;
             }

@@ -71,7 +71,10 @@ pub trait Placer {
 pub struct SlotMap {
     per_host: Vec<usize>,
     per_rack: Vec<usize>,
-    per_pod: Vec<usize>,
+    /// Per pod: its free slots, and the most free slots any one of its
+    /// racks holds (a search for a rack with `n` free skips a pod below
+    /// `n` without visiting its racks).
+    per_pod: Vec<PodFree>,
     total_free: usize,
     total_slots: usize,
     /// `slots_per_server` bitsets of `words` words each: bit `h` of bitset
@@ -95,7 +98,13 @@ impl SlotMap {
         SlotMap {
             per_host: vec![s; hosts],
             per_rack: vec![s * hosts_per_rack; topo.num_racks()],
-            per_pod: vec![s * hosts_per_pod; topo.num_pods()],
+            per_pod: vec![
+                PodFree {
+                    free: s * hosts_per_pod,
+                    rack_max: s * hosts_per_rack,
+                };
+                topo.num_pods()
+            ],
             total_free: s * hosts,
             total_slots: s * hosts,
             at_least: full.repeat(s),
@@ -110,7 +119,11 @@ impl SlotMap {
         self.per_rack[rack]
     }
     pub fn free_pod(&self, pod: usize) -> usize {
-        self.per_pod[pod]
+        self.per_pod[pod].free
+    }
+    /// The most free slots any one rack of `pod` holds.
+    pub fn most_free_rack(&self, pod: usize) -> usize {
+        self.per_pod[pod].rack_max
     }
     pub fn total_free(&self) -> usize {
         self.total_free
@@ -143,27 +156,63 @@ impl SlotMap {
     }
 
     pub fn alloc(&mut self, topo: &Topology, placement: &[(HostId, usize)]) {
+        // A pod one of whose entries lowered the rack that held its most,
+        // recounted once the run of entries in it ends (a placement lists
+        // its hosts in order, so usually once per pod). Until then its
+        // `rack_max` can only be too high, so a later entry that lowers
+        // the true fullest rack still finds the pod marked.
+        let mut stale = None;
         for &(h, k) in placement {
             let free = self.per_host[h.0 as usize];
             assert!(free >= k, "slot over-allocation");
             self.per_host[h.0 as usize] = free - k;
             self.reindex(h.0 as usize, free, free - k);
-            self.per_rack[topo.rack_of(h)] -= k;
-            self.per_pod[topo.pod_of(h)] -= k;
+            let (rack, pod) = (topo.rack_of(h), topo.pod_of(h));
+            let before = self.per_rack[rack];
+            self.per_rack[rack] = before - k;
+            self.per_pod[pod].free -= k;
             self.total_free -= k;
+            if let Some(p) = stale.filter(|&p| p != pod) {
+                self.recount_rack_max(topo, p);
+                stale = None;
+            }
+            if before == self.per_pod[pod].rack_max {
+                stale = Some(pod);
+            }
         }
+        if let Some(p) = stale {
+            self.recount_rack_max(topo, p);
+        }
+    }
+
+    fn recount_rack_max(&mut self, topo: &Topology, pod: usize) {
+        self.per_pod[pod].rack_max = topo
+            .racks_in_pod(pod)
+            .map(|r| self.per_rack[r])
+            .max()
+            .expect("a pod has racks");
     }
 
     pub fn release(&mut self, topo: &Topology, placement: &[(HostId, usize)]) {
         for &(h, k) in placement {
             let free = self.per_host[h.0 as usize];
+            assert!(free + k <= topo.slots_per_server(), "slot over-release");
             self.per_host[h.0 as usize] = free + k;
             self.reindex(h.0 as usize, free, free + k);
-            self.per_rack[topo.rack_of(h)] += k;
-            self.per_pod[topo.pod_of(h)] += k;
+            let (rack, pod) = (topo.rack_of(h), topo.pod_of(h));
+            self.per_rack[rack] += k;
+            let p = &mut self.per_pod[pod];
+            p.free += k;
+            p.rack_max = p.rack_max.max(self.per_rack[rack]);
             self.total_free += k;
         }
     }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PodFree {
+    free: usize,
+    rack_max: usize,
 }
 
 /// The set bits of a bitset inside a range of bit indices, as hosts in
@@ -277,6 +326,9 @@ pub(crate) fn distribute(
 /// never has more free slots than it has slots, or than its rack, nor a
 /// rack than its pod, so a rack or pod with fewer than `n` free slots holds
 /// no server with `n`, and one with none adds nothing to a distribution.
+/// Levels 0 and 1 walk only the pods whose fullest-free rack
+/// ([`SlotMap::most_free_rack`]) has `n`: the racks they visit are the
+/// racks with `n` free in rack order, since rack ids are pod-major.
 /// Inside a subtree only the hosts in the [`SlotMap`] bitset the step needs
 /// are visited (at least `n` free slots for level 0, at least one for a
 /// distribution), in host order: every host left out would have been
@@ -315,7 +367,7 @@ where
     // Level 0: one server (only without a spread requirement, and only a
     // tenant no bigger than a server: no host has more free slots).
     if min_hosts <= 1 && n <= topo.slots_per_server() {
-        for pod in (0..topo.num_pods()).filter(|&p| slots.free_pod(p) >= n) {
+        for pod in (0..topo.num_pods()).filter(|&p| slots.most_free_rack(p) >= n) {
             for rack in topo.racks_in_pod(pod).filter(|&r| slots.free_rack(r) >= n) {
                 for h in slots.hosts_with(n, rack_hosts(topo, rack)) {
                     if search.offer_host(h) {
@@ -328,9 +380,11 @@ where
 
     // Level 1: one rack.
     if max_level >= Level::SameRack {
-        for rack in (0..topo.num_racks()).filter(|&r| slots.free_rack(r) >= n) {
-            if search.relax(std::iter::once(rack_hosts(topo, rack)), Level::SameRack) {
-                return Some(Level::SameRack);
+        for pod in (0..topo.num_pods()).filter(|&p| slots.most_free_rack(p) >= n) {
+            for rack in topo.racks_in_pod(pod).filter(|&r| slots.free_rack(r) >= n) {
+                if search.relax(std::iter::once(rack_hosts(topo, rack)), Level::SameRack) {
+                    return Some(Level::SameRack);
+                }
             }
         }
     }
@@ -443,6 +497,15 @@ mod tests {
         assert_eq!(s.used(), 5);
         s.release(&t, &[(HostId(0), 3), (HostId(3), 2)]);
         assert_eq!(s.total_free(), 48);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot over-release")]
+    fn release_past_the_host_slots_panics() {
+        let t = topo();
+        let mut s = SlotMap::new(&t);
+        s.alloc(&t, &[(HostId(0), 1)]);
+        s.release(&t, &[(HostId(0), 2)]);
     }
 
     #[test]
@@ -669,10 +732,13 @@ mod tests {
 
         fn slots(&self, t: &Topology) -> SlotMap {
             let mut s = SlotMap::new(t);
-            for h in 0..t.num_hosts() {
-                let k = self.used.get(h).copied().unwrap_or(0);
-                s.alloc(t, &[(HostId(h as u32), k.min(self.slots_per_server))]);
-            }
+            let used: Vec<(HostId, usize)> = (0..t.num_hosts())
+                .map(|h| {
+                    let k = self.used.get(h).copied().unwrap_or(0);
+                    (HostId(h as u32), k.min(self.slots_per_server))
+                })
+                .collect();
+            s.alloc(t, &used);
             s
         }
     }
@@ -840,10 +906,12 @@ mod tests {
     /// the tree smaller.
     #[derive(Debug, Clone)]
     enum Step {
-        /// Take up to `k` of a host's free slots.
+        /// Take up to `k` of the free slots of each of `span` hosts from
+        /// `host` on, in one call (which may cross racks and pods).
         Alloc {
             host: usize,
             k: usize,
+            span: usize,
         },
         /// Give back up to `k` of a host's used slots.
         Release {
@@ -879,7 +947,11 @@ mod tests {
                 let host = rng.random_range(0..usize::MAX);
                 let k = rng.random_range(1..5usize);
                 let step = match rng.random_range(0..8u8) {
-                    0..=3 => Step::Alloc { host, k },
+                    0..=3 => Step::Alloc {
+                        host,
+                        k,
+                        span: rng.random_range(1..65usize),
+                    },
                     4 | 5 => Step::Release { host, k },
                     6 => Step::Fail {
                         link: rng.random_range(0..usize::MAX),
@@ -941,8 +1013,18 @@ mod tests {
     }
 
     /// Every bitset of `s` against a recomputation from its per-host free
-    /// counts, bits past the last host included.
+    /// counts, bits past the last host included, and each pod's fullest
+    /// rack against a recount over its racks.
     fn bitsets_match_counts(t: &Topology, s: &SlotMap, what: &str) -> Result<(), String> {
+        for pod in 0..t.num_pods() {
+            let want = t.racks_in_pod(pod).map(|r| s.free_rack(r)).max();
+            if Some(s.most_free_rack(pod)) != want {
+                return Err(format!(
+                    "{what}: pod {pod}'s most free rack is {}, its racks give {want:?}",
+                    s.most_free_rack(pod)
+                ));
+            }
+        }
         for k in 1..=t.slots_per_server() {
             let mut want = vec![0u64; t.num_hosts().div_ceil(64)];
             for h in 0..t.num_hosts() {
@@ -984,10 +1066,19 @@ mod tests {
                 let mut p = SiloPlacer::new(t.clone());
                 for (i, (step, probe)) in c.steps.iter().enumerate() {
                     match *step {
-                        Step::Alloc { host, k } => {
-                            let h = HostId((host % t.num_hosts()) as u32);
-                            let k = k.min(p.slot_map().free_host(h));
-                            p.alloc_slots(&[(h, k)]);
+                        Step::Alloc { host, k, span } => {
+                            let mut hosts: Vec<usize> = (0..span.min(t.num_hosts()))
+                                .map(|i| (host % t.num_hosts() + i) % t.num_hosts())
+                                .collect();
+                            hosts.sort_unstable();
+                            let entries: Vec<(HostId, usize)> = hosts
+                                .into_iter()
+                                .map(|h| {
+                                    let h = HostId(h as u32);
+                                    (h, k.min(p.slot_map().free_host(h)))
+                                })
+                                .collect();
+                            p.alloc_slots(&entries);
                         }
                         Step::Release { host, k } => {
                             let h = HostId((host % t.num_hosts()) as u32);

@@ -3,14 +3,15 @@
 use crate::guarantee::TenantRequest;
 use crate::load::{Contribution, PortLoad, NIC_HEADROOM};
 use crate::placer::{greedy_place_spread, Placement, Placer, RejectReason, SlotMap, TenantId};
-use silo_base::{Bytes, Dur, FxHashMap};
+use silo_base::{Bytes, Dur, FxHashMap, Rate};
 use silo_netcalc::{path_delay_sfa, BoundCache, Curve, ServiceCurve};
-use silo_topology::{HostId, Level, LinkId, PortId, Topology};
+use silo_topology::{HostId, Level, LinkId, LinkTier, PortId, PortInfo, Topology};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Classification of a directed port by tier and direction, used to find
-/// the upstream queues that inflate a burst before it arrives.
+/// the upstream queues that inflate a burst before it arrives and to look
+/// up the port's constants ([`TierPort`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PortKind {
     NicUp,
@@ -19,6 +20,63 @@ enum PortKind {
     TorDown,
     AggUp,
     AggDown,
+}
+
+impl PortKind {
+    const ALL: [PortKind; 6] = [
+        PortKind::NicUp,
+        PortKind::HostDown,
+        PortKind::TorUp,
+        PortKind::TorDown,
+        PortKind::AggUp,
+        PortKind::AggDown,
+    ];
+
+    fn of(tier: LinkTier, up: bool) -> PortKind {
+        match (tier, up) {
+            (LinkTier::Host, true) => PortKind::NicUp,
+            (LinkTier::Host, false) => PortKind::HostDown,
+            (LinkTier::Tor, true) => PortKind::TorUp,
+            (LinkTier::Tor, false) => PortKind::TorDown,
+            (LinkTier::Agg, true) => PortKind::AggUp,
+            (LinkTier::Agg, false) => PortKind::AggDown,
+        }
+    }
+
+    /// One port of this kind. All racks and pods are symmetric, so its
+    /// constants are every such port's.
+    fn representative(self, topo: &Topology) -> PortId {
+        let host = topo.host_link(HostId(0));
+        match self {
+            PortKind::NicUp => PortId::up(host),
+            PortKind::HostDown => PortId::down(host),
+            PortKind::TorUp => PortId::up(topo.tor_link(0)),
+            PortKind::TorDown => PortId::down(topo.tor_link(0)),
+            PortKind::AggUp => PortId::up(topo.agg_link(0)),
+            PortKind::AggDown => PortId::down(topo.agg_link(0)),
+        }
+    }
+}
+
+/// The constants of every port of one [`PortKind`], read off its
+/// representative once so a candidate check never recomputes them.
+#[derive(Debug, Clone, Copy)]
+struct TierPort {
+    info: PortInfo,
+    ingress: Rate,
+}
+
+impl TierPort {
+    /// The table, indexed by `PortKind as usize`.
+    fn table(topo: &Topology) -> [TierPort; 6] {
+        PortKind::ALL.map(|kind| {
+            let p = kind.representative(topo);
+            TierPort {
+                info: topo.port(p),
+                ingress: topo.ingress_capacity(p),
+            }
+        })
+    }
 }
 
 /// Queue capacities of one representative port per tier (all racks/pods are
@@ -34,16 +92,15 @@ struct TierCaps {
 }
 
 impl TierCaps {
-    fn compute(topo: &Topology) -> TierCaps {
-        let cap = |p: PortId| topo.port(p).queue_capacity();
-        let h0 = HostId(0);
+    fn compute(ports: &[TierPort; 6]) -> TierCaps {
+        let cap = |kind: PortKind| ports[kind as usize].info.queue_capacity();
         TierCaps {
-            nic: cap(PortId::up(topo.host_link(h0))),
-            host_down: cap(PortId::down(topo.host_link(h0))),
-            tor_up: cap(PortId::up(topo.tor_link(0))),
-            tor_down: cap(PortId::down(topo.tor_link(0))),
-            agg_up: cap(PortId::up(topo.agg_link(0))),
-            agg_down: cap(PortId::down(topo.agg_link(0))),
+            nic: cap(PortKind::NicUp),
+            host_down: cap(PortKind::HostDown),
+            tor_up: cap(PortKind::TorUp),
+            tor_down: cap(PortKind::TorDown),
+            agg_up: cap(PortKind::AggUp),
+            agg_down: cap(PortKind::AggDown),
         }
     }
 
@@ -155,6 +212,8 @@ pub struct SiloPlacer {
     pub(crate) next_id: u64,
     pub(crate) mtu: Bytes,
     caps: TierCaps,
+    /// Port constants per [`PortKind`], indexed by `PortKind as usize`.
+    tier_ports: [TierPort; 6],
     /// The candidate under test and the contributions its check computed,
     /// reused by every search so that only an accepted placement allocates
     /// (its record's exact-size copies). Meaningless between calls.
@@ -194,7 +253,8 @@ impl SiloPlacer {
     pub fn new(topo: Topology) -> SiloPlacer {
         let slots = SlotMap::new(&topo);
         let ports = topo.num_ports();
-        let caps = TierCaps::compute(&topo);
+        let tier_ports = TierPort::table(&topo);
+        let caps = TierCaps::compute(&tier_ports);
         SiloPlacer {
             topo,
             slots,
@@ -210,6 +270,7 @@ impl SiloPlacer {
             next_id: 0,
             mtu: Bytes(1500),
             caps,
+            tier_ports,
             scratch: Scratch::default(),
         }
     }
@@ -347,29 +408,6 @@ impl SiloPlacer {
         self.mask_rebuilds += 1;
     }
 
-    fn port_kind(&self, p: PortId) -> PortKind {
-        let i = p.link().0 as usize;
-        let hosts = self.topo.num_hosts();
-        let racks = self.topo.num_racks();
-        if i < hosts {
-            if p.is_up() {
-                PortKind::NicUp
-            } else {
-                PortKind::HostDown
-            }
-        } else if i < hosts + racks {
-            if p.is_up() {
-                PortKind::TorUp
-            } else {
-                PortKind::TorDown
-            }
-        } else if p.is_up() {
-            PortKind::AggUp
-        } else {
-            PortKind::AggDown
-        }
-    }
-
     /// The largest span level compatible with the request's delay
     /// guarantee (C2), or `None` when even one rack is too slow (the
     /// tenant must then fit a single server).
@@ -411,14 +449,14 @@ impl SiloPlacer {
         let n = req.vms;
         let g = &req.guarantee;
         let host_link = self.topo.params().host_link;
-        for p in self.topo.ports_between(cand) {
-            let (m, sending_hosts) = self.topo.cut_stats(p, cand);
+        for cut in self.topo.cuts(cand) {
+            let m = cut.m;
             if m == 0 || m >= n {
                 continue;
             }
-            let kind = self.port_kind(p);
+            let kind = PortKind::of(cut.tier, cut.port.is_up());
             let (prior, priors) = self.caps.prior_caps(level, kind);
-            let access_cap = host_link * sending_hosts.max(1) as u64;
+            let access_cap = host_link * cut.sending_hosts.max(1) as u64;
             let c = Contribution::for_cut_capped(
                 m,
                 n,
@@ -429,8 +467,8 @@ impl SiloPlacer {
                 &prior[..priors],
                 access_cap,
             );
-            let info = self.topo.port(p);
-            let load = self.loads[p.0 as usize].with(&c);
+            let TierPort { info, ingress } = self.tier_ports[kind as usize];
+            let load = self.loads[cut.port.0 as usize].with(&c);
             if info.is_nic {
                 // The NIC queue lives in host memory under the pacer: no
                 // loss is possible, only the sustained rate must fit —
@@ -439,10 +477,10 @@ impl SiloPlacer {
                 if load.rate > info.rate.bytes_per_sec() * NIC_HEADROOM {
                     return false;
                 }
-            } else if !load.fits(info.rate, self.topo.ingress_capacity(p), info.buffer) {
+            } else if !load.fits(info.rate, ingress, info.buffer) {
                 return false;
             }
-            out.push((p, c));
+            out.push((cut.port, c));
         }
         true
     }
@@ -787,6 +825,38 @@ mod tests {
         assert_eq!(placed.span, Level::SameRack);
         let counts: Vec<usize> = placed.hosts.iter().map(|&(_, k)| k).collect();
         assert_eq!(counts, vec![3, 3, 3], "must balance, got {counts:?}");
+    }
+
+    /// The per-kind constants are every port's: each port that a placement
+    /// of one VM on every host cuts has its kind's `Topology::port` and
+    /// `ingress_capacity`.
+    #[test]
+    fn tier_ports_are_every_ports_constants() {
+        let skewed = TreeParams {
+            pods: 3,
+            racks_per_pod: 2,
+            servers_per_rack: 3,
+            tor_oversub: 2.0,
+            agg_oversub: 3.0,
+            ..TreeParams::ns2_paper()
+        };
+        for params in [TreeParams::ns2_paper(), TreeParams::testbed(), skewed] {
+            let topo = Topology::build(params);
+            let p = SiloPlacer::new(topo.clone());
+            let all: Vec<(HostId, usize)> = (0..topo.num_hosts())
+                .map(|h| (HostId(h as u32), 1))
+                .collect();
+            let mut cut = 0;
+            for c in topo.cuts(&all) {
+                let tier = p.tier_ports[PortKind::of(c.tier, c.port.is_up()) as usize];
+                assert_eq!(tier.info, topo.port(c.port), "{c:?}");
+                assert_eq!(tier.ingress, topo.ingress_capacity(c.port), "{c:?}");
+                cut += 1;
+            }
+            if topo.num_pods() > 1 {
+                assert_eq!(cut, topo.num_ports(), "every port is cut");
+            }
+        }
     }
 
     #[test]

@@ -23,4 +23,6 @@
 
 mod tree;
 
-pub use tree::{HostId, Level, LinkId, NodeId, PortId, PortInfo, Topology, TreeParams};
+pub use tree::{
+    Cut, Cuts, HostId, Level, LinkId, LinkTier, NodeId, PortId, PortInfo, Topology, TreeParams,
+};

@@ -356,86 +356,153 @@ impl Topology {
         })
     }
 
-    /// All ports whose queueing state a placement's hosts can influence —
-    /// the ports on any path between two of them — in ascending `PortId`
-    /// order. Used by placement to know which constraints to re-check.
+    /// How a placement splits across every port between its hosts: one
+    /// [`Cut`] per port on any path between two of them, in ascending
+    /// `PortId` order.
     ///
     /// `placement` must list its hosts in non-decreasing order (every
-    /// candidate the placers build does). The list is read off the tree:
+    /// candidate the placers build does). The ports are read off the tree:
     /// two or more distinct hosts use both directions of each one's access
     /// link; if they sit in more than one rack, both directions of each of
     /// those racks' ToR uplinks; if in more than one pod, both directions
     /// of each of those pods' aggregation uplinks. Link ids grow host <
-    /// ToR < agg and with the host id inside a tier, so emitting the tiers
-    /// in that order needs no sort.
-    pub fn ports_between<'a>(
-        &'a self,
-        placement: &'a [(HostId, usize)],
-    ) -> impl Iterator<Item = PortId> + 'a {
+    /// ToR < agg and with the host id inside a tier, so sweeping the
+    /// placement once per tier, one run of equal host, rack or pod per
+    /// link, emits them in order and counts each link's side of the
+    /// placement on the way: O(placement), no sort, no allocation.
+    pub fn cuts<'a>(&'a self, placement: &'a [(HostId, usize)]) -> Cuts<'a> {
         assert!(
             placement.windows(2).all(|w| w[0].0 <= w[1].0),
             "placement hosts must be in non-decreasing order"
         );
-        // With hosts ascending, a tier spans several subtrees exactly when the
-        // first and the last host fall in different ones.
-        let (a, b) = match (placement.first(), placement.last()) {
-            (Some(a), Some(b)) => (a.0, b.0),
-            _ => (HostId(0), HostId(0)),
+        let mut cuts = Cuts {
+            topo: self,
+            placement,
+            vms: placement.iter().map(|&(_, k)| k).sum(),
+            tier: None,
+            at: 0,
+            down: None,
         };
-        let tier = |spans: bool| if spans { placement } else { &[] };
-        let host_links =
-            distinct(tier(a != b), |h| h.0 as usize).map(|h| self.host_link(HostId(h as u32)));
-        let tor_links = distinct(tier(self.rack_of(a) != self.rack_of(b)), |h| {
-            self.rack_of(h)
-        })
-        .map(|r| self.tor_link(r));
-        let agg_links = distinct(tier(self.pod_of(a) != self.pod_of(b)), |h| self.pod_of(h))
-            .map(|p| self.agg_link(p));
-        host_links
-            .chain(tor_links)
-            .chain(agg_links)
-            .flat_map(|l| [PortId::up(l), PortId::down(l)])
+        cuts.tier = cuts.spanning(LinkTier::Host);
+        cuts
     }
 
-    /// For a directed port, how a set of (host, count) VM placements splits
-    /// across it: the number of VMs on the *sending* side (the side whose
-    /// traffic crosses this port) and the number of distinct placement
-    /// entries (hosts) there — their access links physically cap the rate
-    /// at which the cut's burst can arrive.
-    ///
-    /// For an up port at link of node X, the sending side is the subtree
-    /// under X; for a down port it is everything outside that subtree.
-    pub fn cut_stats(&self, p: PortId, placement: &[(HostId, usize)]) -> (usize, usize) {
-        let link = p.link();
-        let mut vms_in = 0usize;
-        let mut hosts_in = 0usize;
-        let mut vms_total = 0usize;
-        for &(h, k) in placement {
-            vms_total += k;
-            if self.below(link, h) {
-                vms_in += k;
-                hosts_in += 1;
-            }
+    /// The key that groups a tier's hosts by link: the host, its rack or
+    /// its pod.
+    fn tier_key(&self, tier: LinkTier, h: HostId) -> usize {
+        match tier {
+            LinkTier::Host => h.0 as usize,
+            LinkTier::Tor => self.rack_of(h),
+            LinkTier::Agg => self.pod_of(h),
         }
-        if p.is_up() {
-            (vms_in, hosts_in)
-        } else {
-            (vms_total - vms_in, placement.len() - hosts_in)
+    }
+
+    /// The link of a tier's key ([`Topology::tier_key`]).
+    fn tier_link(&self, tier: LinkTier, key: usize) -> LinkId {
+        match tier {
+            LinkTier::Host => self.host_link(HostId(key as u32)),
+            LinkTier::Tor => self.tor_link(key),
+            LinkTier::Agg => self.agg_link(key),
         }
     }
 }
 
-/// The distinct values of `key` over a placement whose keys are already
-/// non-decreasing: each run of equal keys yields its value once.
-fn distinct<'a>(
+/// The tier of a link: a host's access link, a rack's ToR uplink, or a
+/// pod's aggregation uplink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkTier {
+    Host,
+    Tor,
+    Agg,
+}
+
+/// How a placement splits across one directed port between its hosts
+/// ([`Topology::cuts`]).
+///
+/// For an up port of the link above node X, the sending side (the side
+/// whose traffic crosses the port) is the subtree under X; for a down
+/// port it is everything outside that subtree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    pub port: PortId,
+    /// The tier of the port's link.
+    pub tier: LinkTier,
+    /// VMs on the sending side.
+    pub m: usize,
+    /// Placement entries (hosts) on the sending side: their access links
+    /// physically cap the rate at which the cut's burst can arrive.
+    pub sending_hosts: usize,
+}
+
+/// The iterator [`Topology::cuts`] returns.
+#[derive(Debug, Clone)]
+pub struct Cuts<'a> {
+    topo: &'a Topology,
     placement: &'a [(HostId, usize)],
-    key: impl Fn(HostId) -> usize + 'a,
-) -> impl Iterator<Item = usize> + 'a {
-    let mut last = None;
-    placement.iter().filter_map(move |&(h, _)| {
-        let k = key(h);
-        (last.replace(k) != Some(k)).then_some(k)
-    })
+    /// VMs in the whole placement.
+    vms: usize,
+    /// The tier being swept; `None` once every spanned tier is done.
+    tier: Option<LinkTier>,
+    /// The next placement entry of the sweep.
+    at: usize,
+    /// The down port of the link whose up port was yielded last.
+    down: Option<Cut>,
+}
+
+impl Cuts<'_> {
+    /// `tier` if the placement spans more than one of its subtrees, else
+    /// `None`. Hosts ascend, so it does exactly when its first and last
+    /// host fall in different ones; a tier that is not spanned leaves the
+    /// tiers above it unspanned too.
+    fn spanning(&self, tier: LinkTier) -> Option<LinkTier> {
+        let (&(a, _), &(b, _)) = (self.placement.first()?, self.placement.last()?);
+        (self.topo.tier_key(tier, a) != self.topo.tier_key(tier, b)).then_some(tier)
+    }
+}
+
+impl Iterator for Cuts<'_> {
+    type Item = Cut;
+
+    fn next(&mut self) -> Option<Cut> {
+        if let Some(down) = self.down.take() {
+            return Some(down);
+        }
+        let mut tier = self.tier?;
+        if self.at == self.placement.len() {
+            self.at = 0;
+            self.tier = match tier {
+                LinkTier::Host => self.spanning(LinkTier::Tor),
+                LinkTier::Tor => self.spanning(LinkTier::Agg),
+                LinkTier::Agg => None,
+            };
+            tier = self.tier?;
+        }
+        // One run of entries under the same link.
+        let key = self.topo.tier_key(tier, self.placement[self.at].0);
+        let start = self.at;
+        let mut vms = 0;
+        while let Some(&(h, k)) = self.placement.get(self.at) {
+            if self.topo.tier_key(tier, h) != key {
+                break;
+            }
+            vms += k;
+            self.at += 1;
+        }
+        let hosts = self.at - start;
+        let link = self.topo.tier_link(tier, key);
+        self.down = Some(Cut {
+            port: PortId::down(link),
+            tier,
+            m: self.vms - vms,
+            sending_hosts: self.placement.len() - hosts,
+        });
+        Some(Cut {
+            port: PortId::up(link),
+            tier,
+            m: vms,
+            sending_hosts: hosts,
+        })
+    }
 }
 
 /// Static properties of one directed port.
@@ -569,6 +636,15 @@ mod tests {
         );
     }
 
+    /// The `(m, sending_hosts)` of port `p` among a placement's cuts.
+    fn cut_at(t: &Topology, placement: &[(HostId, usize)], p: PortId) -> (usize, usize) {
+        let c = t
+            .cuts(placement)
+            .find(|c| c.port == p)
+            .expect("port is cut");
+        (c.m, c.sending_hosts)
+    }
+
     #[test]
     fn vms_on_sending_side_splits_correctly() {
         let t = t();
@@ -580,30 +656,33 @@ mod tests {
         ];
         // Host 0's NIC: 3 VMs on 1 host send up.
         assert_eq!(
-            t.cut_stats(PortId::up(t.host_link(HostId(0))), &placement),
+            cut_at(&t, &placement, PortId::up(t.host_link(HostId(0)))),
             (3, 1)
         );
         // Down toward host 0: everyone else (6 VMs on 2 hosts).
         assert_eq!(
-            t.cut_stats(PortId::down(t.host_link(HostId(0))), &placement),
+            cut_at(&t, &placement, PortId::down(t.host_link(HostId(0)))),
             (6, 2)
         );
         // Rack 0 uplink: 5 VMs inside rack 0.
-        assert_eq!(t.cut_stats(PortId::up(t.tor_link(0)), &placement), (5, 2));
+        assert_eq!(cut_at(&t, &placement, PortId::up(t.tor_link(0))), (5, 2));
         // Down into rack 1: 5 VMs outside it.
-        assert_eq!(t.cut_stats(PortId::down(t.tor_link(1)), &placement), (5, 2));
+        assert_eq!(cut_at(&t, &placement, PortId::down(t.tor_link(1))), (5, 2));
+        // One pod: no aggregation port is cut.
+        assert!(t.cuts(&placement).all(|c| c.tier != LinkTier::Agg));
     }
 
     #[test]
-    fn ports_between_deduplicates() {
+    fn cuts_deduplicate() {
         let t = t();
         let placement = [(HostId(0), 1), (HostId(1), 1), (HostId(2), 1)];
         // 3 NIC up-ports + 3 host down-ports, each counted once.
-        assert_eq!(t.ports_between(&placement).count(), 6);
+        assert_eq!(t.cuts(&placement).count(), 6);
     }
 
-    // Reference oracles: the pairwise definitions the closed forms in
-    // `ports_between` and `connected` replaced, kept to check them against.
+    // Reference oracles: the pairwise and per-port definitions the sweep in
+    // `cuts` and the closed form in `connected` replaced, kept to check
+    // them against.
 
     /// The ports on any path between two of `hosts`: the sorted,
     /// deduplicated union of both directions' `path_ports` over all pairs.
@@ -625,6 +704,31 @@ mod tests {
         t.path_ports(src, dst)
             .into_iter()
             .all(|p| !failed.contains(&p.link()))
+    }
+
+    /// How `placement` splits across port `p`, host by host: the VMs and
+    /// the entries on the sending side.
+    fn cut_reference(t: &Topology, p: PortId, placement: &[(HostId, usize)]) -> (usize, usize) {
+        let (mut vms, mut hosts) = (0, 0);
+        for &(h, k) in placement {
+            if t.below(p.link(), h) == p.is_up() {
+                vms += k;
+                hosts += 1;
+            }
+        }
+        (vms, hosts)
+    }
+
+    /// The tier of a link, from its id.
+    fn tier_reference(t: &Topology, l: LinkId) -> LinkTier {
+        let i = l.0 as usize;
+        if i < t.num_hosts() {
+            LinkTier::Host
+        } else if i < t.num_hosts() + t.num_racks() {
+            LinkTier::Tor
+        } else {
+            LinkTier::Agg
+        }
     }
 
     /// Every pair of hosts has an intact path.
@@ -670,8 +774,13 @@ mod tests {
             self
         }
 
+        /// The hosts with one to three VMs each.
         fn placement(&self) -> Vec<(HostId, usize)> {
-            self.hosts.iter().map(|&h| (HostId(h), 1)).collect()
+            self.hosts
+                .iter()
+                .enumerate()
+                .map(|(i, &h)| (HostId(h), 1 + i % 3))
+                .collect()
         }
     }
 
@@ -750,21 +859,31 @@ mod tests {
     }
 
     #[test]
-    fn ports_between_matches_the_pairwise_union() {
+    fn cuts_match_the_pairwise_union_and_the_per_port_counts() {
         prop::forall(
-            "closed-form ports_between == sorted pairwise path union",
+            "cuts == sorted pairwise path union, each split counted host by host",
             gen_case,
             shrink_case,
             |c| {
                 let t = c.topo();
                 let hosts: Vec<HostId> = c.hosts.iter().map(|&h| HostId(h)).collect();
+                let placement = c.placement();
                 let want = ports_between_reference(&t, &hosts);
-                let got: Vec<PortId> = t.ports_between(&c.placement()).collect();
-                if got == want {
-                    Ok(())
-                } else {
-                    Err(format!("closed form {got:?} != pairwise {want:?}"))
+                let cuts: Vec<Cut> = t.cuts(&placement).collect();
+                let got: Vec<PortId> = cuts.iter().map(|c| c.port).collect();
+                if got != want {
+                    return Err(format!("swept ports {got:?} != pairwise {want:?}"));
                 }
+                for cut in cuts {
+                    let want = cut_reference(&t, cut.port, &placement);
+                    if (cut.m, cut.sending_hosts) != want {
+                        return Err(format!("{cut:?}: per-port count gives {want:?}"));
+                    }
+                    if cut.tier != tier_reference(&t, cut.port.link()) {
+                        return Err(format!("{cut:?}: wrong tier"));
+                    }
+                }
+                Ok(())
             },
         );
     }
@@ -792,9 +911,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-decreasing")]
-    fn ports_between_refuses_unsorted_hosts() {
+    fn cuts_refuse_unsorted_hosts() {
         let t = t();
-        let _ = t.ports_between(&[(HostId(3), 1), (HostId(1), 1)]);
+        let _ = t.cuts(&[(HostId(3), 1), (HostId(1), 1)]);
     }
 
     #[test]
