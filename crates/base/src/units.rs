@@ -82,7 +82,7 @@ impl Dur {
     pub fn from_ns(ns: u64) -> Dur {
         Dur(ns * PS_PER_NS)
     }
-    pub fn from_us(us: u64) -> Dur {
+    pub const fn from_us(us: u64) -> Dur {
         Dur(us * PS_PER_US)
     }
     pub const fn from_ms(ms: u64) -> Dur {

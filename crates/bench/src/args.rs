@@ -1,6 +1,7 @@
 //! Minimal CLI parsing (no external crates).
 
-use silo_simnet::{Sim, SimConfig, TenantSpec};
+use silo_base::Time;
+use silo_simnet::{PlanBounds, Sim, SimConfig, TenantSpec};
 use silo_topology::Topology;
 
 /// Common experiment knobs.
@@ -85,12 +86,11 @@ fn positive_up_to(key: &str, val: &str, max: f64) -> Result<f64, String> {
 /// [`Args::parse`] reports a bad command line (`error: …` naming the field
 /// or the fault event, exit status 2) instead of letting `Sim::new` panic.
 pub fn checked(topo: Topology, cfg: SimConfig, tenants: Vec<TenantSpec>) -> Sim {
-    let plan = cfg.faults.validate(
-        topo.num_links(),
-        topo.num_ports(),
-        topo.num_hosts(),
+    let plan = cfg.faults.validate(&PlanBounds::of(
+        &topo,
         tenants.len(),
-    );
+        Time::ZERO + cfg.duration,
+    ));
     if let Err(e) = cfg.validate().and(plan) {
         eprintln!("error: {e}");
         std::process::exit(2);

@@ -21,7 +21,7 @@
 //! same knobs as the property harness, so one environment replays both.
 
 use silo_base::Dur;
-use silo_explorer::{explore, failure, minimize, replay, ExploreConfig};
+use silo_explorer::{cell_bounds, cell_topo, explore, failure, minimize, replay, ExploreConfig};
 use silo_simnet::FaultPlan;
 
 fn usage() -> ! {
@@ -40,7 +40,7 @@ fn usage() -> ! {
 /// The schedule in `path`, if it parses and fits the explorer's cell; a
 /// file that does neither is a bad input (exit status 2), not a panic
 /// inside `Sim::new`.
-fn load_plan(path: &str) -> FaultPlan {
+fn load_plan(path: &str, dur: Dur) -> FaultPlan {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("silo-explorer: cannot read {path}: {e}");
         std::process::exit(2);
@@ -49,13 +49,7 @@ fn load_plan(path: &str) -> FaultPlan {
         eprintln!("silo-explorer: {path}: {e}");
         std::process::exit(2);
     });
-    let topo = silo_explorer::cell_topo();
-    if let Err(e) = plan.validate(
-        topo.num_links(),
-        topo.num_ports(),
-        topo.num_hosts(),
-        silo_explorer::cell_tenants().len(),
-    ) {
+    if let Err(e) = plan.validate(&cell_bounds(&cell_topo(), dur)) {
         eprintln!("error: {path}: {e}");
         std::process::exit(2);
     }
@@ -153,7 +147,7 @@ fn main() {
         "replay" => {
             let path = argv.get(1).unwrap_or_else(|| usage());
             let o = parse_opts(&argv[2..]);
-            let plan = load_plan(path);
+            let plan = load_plan(path, o.cfg.dur);
             let m = replay(&plan, o.cfg.dur, o.cfg.seed);
             let audit = m.audit.as_ref().expect("replay audits");
             println!(
@@ -197,7 +191,7 @@ fn main() {
         "minimize" => {
             let path = argv.get(1).unwrap_or_else(|| usage());
             let o = parse_opts(&argv[2..]);
-            let plan = load_plan(path);
+            let plan = load_plan(path, o.cfg.dur);
             let m = replay(&plan, o.cfg.dur, o.cfg.seed);
             let Some(why) = failure(&m) else {
                 println!("{path}: schedule replays clean; nothing to minimize");

@@ -170,7 +170,6 @@ pub fn run_verify(
     if audit {
         cfg.audit = Some(AuditConfig {
             port_bounds: audit_port_bounds(topo, placer),
-            ..AuditConfig::default()
         });
     }
     let m = checked(topo.clone(), cfg, specs).run();

@@ -14,7 +14,7 @@
 
 use silo_base::Dur;
 use silo_bench::corpus::explorer_goldens;
-use silo_explorer::{cell_tenants, cell_topo, failure, replay};
+use silo_explorer::{cell_bounds, cell_tenants, cell_topo, failure, replay};
 use silo_simnet::{AuditConfig, FaultPlan, Sim, SimConfig, TraceConfig, TransportMode};
 
 const DUR_MS: u64 = 60;
@@ -58,14 +58,8 @@ fn corpus_is_canonical_and_non_trivial() {
         assert!(!plan.events.is_empty(), "{label}: empty schedule");
         // Replays must be possible on the shared cell: validate against
         // its real dimensions.
-        let topo = cell_topo();
-        plan.validate(
-            topo.num_links(),
-            topo.num_ports(),
-            topo.num_hosts(),
-            cell_tenants().len(),
-        )
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+        plan.validate(&cell_bounds(&cell_topo(), Dur::from_ms(DUR_MS)))
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }
 

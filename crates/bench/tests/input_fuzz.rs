@@ -18,7 +18,7 @@ use common::mutate::{apply, mutation};
 use silo_base::prop::forall;
 use silo_base::{Dur, Json};
 use silo_bench::corpus::GOLDENS;
-use silo_explorer::{cell_tenants, cell_topo};
+use silo_explorer::{cell_bounds, cell_tenants, cell_topo};
 use silo_placement::{AdmissionService, ChurnEvent, Placer};
 use silo_simnet::{FaultPlan, Sim, SimConfig, TransportMode};
 use silo_topology::{Topology, TreeParams};
@@ -40,12 +40,11 @@ fn exercise_plan(text: &str) -> Result<(), String> {
         }
     }
     let topo = cell_topo();
-    let tenants = cell_tenants();
-    let dims = (topo.num_links(), topo.num_ports(), topo.num_hosts());
-    if plan.validate(dims.0, dims.1, dims.2, tenants.len()).is_ok() {
-        let mut cfg = SimConfig::new(TransportMode::Silo, Dur::from_ms(1), 1);
+    let dur = Dur::from_ms(1);
+    if plan.validate(&cell_bounds(&topo, dur)).is_ok() {
+        let mut cfg = SimConfig::new(TransportMode::Silo, dur, 1);
         cfg.faults = plan;
-        drop(Sim::new(topo, cfg, tenants));
+        drop(Sim::new(topo, cfg, cell_tenants()));
     }
     Ok(())
 }

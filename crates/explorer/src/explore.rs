@@ -141,9 +141,10 @@ pub fn failure(m: &Metrics) -> Option<String> {
         // Unattributed guarantee miss: fine iff it is an aftershock —
         // the message started while some realized window (stretched by
         // RECOVERY_SLACK) was still draining.
-        let explained = m.fault_windows.iter().any(|w| {
-            v.created.0 <= w.end.0.saturating_add(RECOVERY_SLACK.0) && v.completed >= w.start
-        });
+        let explained = m
+            .fault_windows
+            .iter()
+            .any(|w| w.overlaps(v.created, v.completed, RECOVERY_SLACK));
         if !explained {
             return Some(format!(
                 "guarantee miss on tenant {} (created {} ps) with no fault active or draining",

@@ -2,23 +2,24 @@
 //!
 //! `flowsim`'s `Allocator::Guaranteed` computes per-flow rates
 //! operationally — [`hose_share`] gives each flow the min of its
-//! endpoints' hose shares — while `netcalc`'s `tenant_hose_aggregate` derives the same quantity
-//! analytically: the sustained rate a tenant can push across a cut with
-//! `m` of its `N` VMs on one side is `min(m, N−m)·B`. If the two
-//! disagree, one of the hose models is wrong.
+//! endpoints' hose shares — while admission's
+//! `Contribution::for_cut_capped` derives the same quantity analytically,
+//! as the `rate` it reserves at a port: the sustained rate a tenant can
+//! push across a cut with `m` of its `N` VMs on one side is
+//! `min(m, N−m)·B`. If the two disagree, one of the hose models is wrong.
 //!
 //! For patterns that saturate every endpoint on the smaller side of the
 //! cut (a permutation across the cut, or all-to-one into a lone
 //! receiver), the operational sum must **equal** the analytic rate. For
 //! all-to-all, senders split their hoses across both sides of the cut,
 //! so the operational cross-cut sum is strictly *below* the analytic
-//! aggregate on interior cuts — the curve is an upper bound on every
+//! aggregate on interior cuts — the reservation is an upper bound on every
 //! realizable pattern, and tight only at the edges (`m = 1` or
 //! `m = N−1`).
 
 use silo_base::{Bytes, Rate};
-use silo_netcalc::tenant_hose_aggregate;
 use silo_pacer::hose_share;
+use silo_placement::Contribution;
 
 const MTU: Bytes = Bytes(1500);
 const S: Bytes = Bytes(15_000);
@@ -29,10 +30,11 @@ fn cross_cut_rate(k: usize, b: Rate, out_deg: usize, in_deg: usize) -> f64 {
     (0..k).map(|_| hose_share(b, out_deg, in_deg)).sum()
 }
 
-/// The analytic aggregate's sustained rate across the same cut, converted
-/// from the curve's bytes/sec to the allocator's bits/sec.
+/// The sustained rate admission reserves for the same cut, converted from
+/// bytes/sec to the allocator's bits/sec.
 fn analytic_rate(m: usize, n: usize, b: Rate) -> f64 {
-    tenant_hose_aggregate(m, n, b, S, Rate::from_gbps(10), MTU).long_term_rate() * 8.0
+    let c = Contribution::for_cut_capped(m, n, b, S, Rate::from_gbps(10), MTU, &[], Rate(u64::MAX));
+    c.rate * 8.0
 }
 
 #[test]

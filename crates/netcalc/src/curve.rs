@@ -189,8 +189,8 @@ impl Curve {
     }
 
     /// Scale both rate and burst by `k ≥ 0` — `k` identical independent
-    /// sources (note: for *same-tenant* VMs use
-    /// [`crate::tenant_hose_aggregate`], which is tighter).
+    /// sources (same-tenant VMs across a cut are tighter: the hose model
+    /// caps their sustained rate at `min(m, N−m)·B`).
     pub fn scale(&self, k: f64) -> Curve {
         assert!(k >= 0.0 && k.is_finite());
         if k == 0.0 {

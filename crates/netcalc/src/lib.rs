@@ -47,4 +47,4 @@ pub use cache::BoundCache;
 pub use curve::{Curve, Line};
 pub use path::{output_bound, path_delay_sfa, path_delay_sum};
 pub use service::ServiceCurve;
-pub use tenant::{propagate_egress, tenant_hose_aggregate, TenantTraffic};
+pub use tenant::propagate_egress;

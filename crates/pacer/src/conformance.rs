@@ -1,53 +1,14 @@
-//! Checking a wire schedule against an arrival curve.
+//! Measuring a wire schedule.
 //!
 //! The pacer's whole correctness claim is that the *data* frames it emits
 //! conform to the VM's `{B, S, Bmax}` arrival curve — that is what the
-//! placement manager assumed when it bounded every switch queue. These
-//! helpers verify that claim on concrete schedules (tests, Fig. 10, and
-//! the packet-level simulator's assertions).
+//! placement manager assumed when it bounded every switch queue. The
+//! simulator checks that claim on every run with the audit's wire-level
+//! meters (`silo_simnet::audit`); this module keeps the pacing-granularity
+//! metric Fig. 10 reports.
 
 use crate::batch::WireFrame;
-use silo_base::{Bytes, Dur, Time};
-
-/// Check that the data frames of `frames` (any order-preserving schedule)
-/// never exceed `curve` over any frame-aligned closed interval:
-/// `Σ bytes in [t_i, t_j] ≤ A(t_j − t_i) + slack` for all `i ≤ j`.
-///
-/// For a concave arrival curve and a finite schedule, intervals starting
-/// and ending at data-frame starts are the binding ones, so the check is
-/// exact. `slack` absorbs the one-frame quantization the batcher may add
-/// (use one MTU).
-///
-/// Returns `Err((i, j))` — indices of the violating interval — on failure.
-pub fn check_conformance<P>(
-    frames: &[WireFrame<P>],
-    curve: &silo_netcalc_curve::CurveLike<'_>,
-    slack: Bytes,
-) -> Result<(), (usize, usize)> {
-    let data: Vec<(Time, u64)> = frames
-        .iter()
-        .filter_map(|f| match f {
-            WireFrame::Data { start, size, .. } => Some((*start, size.as_u64())),
-            WireFrame::Void { .. } => None,
-        })
-        .collect();
-    // Prefix sums for O(1) interval byte counts.
-    let mut prefix = vec![0u64];
-    for &(_, s) in &data {
-        prefix.push(prefix.last().unwrap() + s);
-    }
-    for i in 0..data.len() {
-        for j in i..data.len() {
-            let bytes = prefix[j + 1] - prefix[i];
-            let dt = (data[j].0 - data[i].0).as_secs_f64();
-            let allowed = curve.eval(dt) + slack.as_f64();
-            if bytes as f64 > allowed {
-                return Err((i, j));
-            }
-        }
-    }
-    Ok(())
-}
+use silo_base::{Dur, Time};
 
 /// The minimum gap between consecutive *data* frame starts in a schedule —
 /// the paper's pacing-granularity metric (68 ns at 10 GbE).
@@ -62,40 +23,12 @@ pub fn min_data_gap<P>(frames: &[WireFrame<P>]) -> Option<Dur> {
     starts.windows(2).map(|w| w[1] - w[0]).min()
 }
 
-/// A tiny adapter so this module does not force a `silo-netcalc`
-/// dependency onto `silo-pacer` users that only need gap checking: any
-/// `A(t)` evaluator works.
-pub mod silo_netcalc_curve {
-    /// An arrival-curve evaluator: `eval(t_seconds) -> bytes`.
-    pub struct CurveLike<'a> {
-        pub eval: &'a dyn Fn(f64) -> f64,
-    }
-
-    impl<'a> CurveLike<'a> {
-        pub fn eval(&self, t: f64) -> f64 {
-            (self.eval)(t)
-        }
-
-        /// The dual-slope curve `min(bmax·t + mtu, b·t + s)` (bytes/sec,
-        /// bytes).
-        pub fn dual_slope_fn(
-            b_bps: f64,
-            s_bytes: f64,
-            bmax_bps: f64,
-            mtu_bytes: f64,
-        ) -> impl Fn(f64) -> f64 {
-            move |t: f64| (bmax_bps / 8.0 * t + mtu_bytes).min(b_bps / 8.0 * t + s_bytes)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::silo_netcalc_curve::CurveLike;
     use super::*;
     use crate::batch::PacedBatcher;
     use crate::bucket::{BucketChain, TokenBucket};
-    use silo_base::Rate;
+    use silo_base::{Bytes, Rate};
 
     /// Run a saturating sender through the bucket chain + batcher and
     /// return the full wire schedule.
@@ -123,15 +56,34 @@ mod tests {
         frames
     }
 
+    /// Meter the data frames' wire starts through fresh `{B, S}` and
+    /// `{Bmax, MTU}` buckets, each one MTU deeper (the one-frame
+    /// quantization the batcher may add), and count the frames that
+    /// overdraw either. A schedule conforms to the dual-slope curve iff
+    /// it conforms to each of its two lines.
+    fn overdrafts(frames: &[WireFrame<u32>], b: Rate, s: Bytes, bmax: Rate) -> u64 {
+        let mtu = Bytes(1500);
+        let mut meters = [
+            TokenBucket::new(b, s + mtu),
+            TokenBucket::new(bmax, mtu + mtu),
+        ];
+        for f in frames {
+            if let WireFrame::Data { start, size, .. } = f {
+                for m in &mut meters {
+                    m.commit(*start, *size);
+                }
+            }
+        }
+        meters.iter().map(TokenBucket::violations).sum()
+    }
+
     #[test]
     fn paced_output_conforms_to_guarantee() {
         let b = Rate::from_gbps(1);
         let s = Bytes::from_kb(15);
         let bmax = Rate::from_gbps(2);
         let frames = paced_schedule(b, s, bmax, 200);
-        let f = CurveLike::dual_slope_fn(1e9, 15_000.0, 2e9, 1500.0);
-        let curve = CurveLike { eval: &f };
-        check_conformance(&frames, &curve, Bytes(1500)).expect("schedule conforms");
+        assert_eq!(overdrafts(&frames, b, s, bmax), 0, "schedule conforms");
     }
 
     #[test]
@@ -148,9 +100,8 @@ mod tests {
             });
             t += link.tx_time(Bytes(1500));
         }
-        let f = CurveLike::dual_slope_fn(1e9, 15_000.0, 2e9, 1500.0);
-        let curve = CurveLike { eval: &f };
-        assert!(check_conformance(&frames, &curve, Bytes(1500)).is_err());
+        let (b, s, bmax) = (Rate::from_gbps(1), Bytes::from_kb(15), Rate::from_gbps(2));
+        assert!(overdrafts(&frames, b, s, bmax) > 0);
     }
 
     #[test]

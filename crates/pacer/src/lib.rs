@@ -28,9 +28,10 @@
 //!    re-armed from the DMA-completion callback of the previous batch
 //!    (soft-timers, §5), which the discrete-event host model reproduces.
 //!
-//! [`conformance`] provides the checker used throughout the tests: a wire
-//! schedule conforms to an arrival curve iff the bytes in every closed
-//! frame-aligned interval stay under the curve.
+//! [`conformance`] measures a wire schedule's pacing granularity
+//! ([`min_data_gap`]); whether a schedule conforms to its arrival curve is
+//! checked on every simulated run by the audit's wire-level meters
+//! (`silo_simnet::audit`).
 //!
 //! What is *not* simulated: actual CPU cycles. Figure 10a's CPU usage is
 //! reproduced by [`CpuModel`], an analytic per-packet/per-batch cost model
@@ -45,6 +46,6 @@ pub mod hose;
 
 pub use batch::{Batch, PacedBatcher, VoidChunks, WireFrame, MIN_VOID_BYTES};
 pub use bucket::{BucketChain, TokenBucket};
-pub use conformance::{check_conformance, min_data_gap};
+pub use conformance::min_data_gap;
 pub use cpu::CpuModel;
 pub use hose::{hose_share, HoseAllocator};

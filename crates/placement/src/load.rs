@@ -45,28 +45,15 @@ pub struct Contribution {
 impl Contribution {
     /// Contribution of a tenant cut with `m` senders out of `n` VMs and
     /// per-VM guarantee `{b, s, bmax}`, after crossing the upstream switch
-    /// ports whose queue capacities are `prior` (empty at the first hop).
+    /// ports whose queue capacities are `prior` (empty at the first hop),
+    /// with the burst arrival rate capped by `access_cap` — the combined
+    /// line rate of the sending-side hosts' NICs, which the burst can
+    /// never physically exceed (Fig. 5's "800 KB *at 20 Gbps*").
     ///
     /// Burst propagation follows the paper (§4.2.2): each traversed port
     /// with queue capacity `c` may re-emit everything the cut can send in
     /// an interval `c` as one burst, so the burst becomes `A(c)` of the
     /// ingress curve at that hop.
-    pub fn for_cut(
-        m: usize,
-        n: usize,
-        b: Rate,
-        s: Bytes,
-        bmax: Rate,
-        mtu: Bytes,
-        prior: &[Dur],
-    ) -> Contribution {
-        Contribution::for_cut_capped(m, n, b, s, bmax, mtu, prior, Rate(u64::MAX))
-    }
-
-    /// Like [`Contribution::for_cut`], additionally capping the burst
-    /// arrival rate by `access_cap` — the combined line rate of the
-    /// sending-side hosts' NICs, which the burst can never physically
-    /// exceed (Fig. 5's "800 KB *at 20 Gbps*").
     #[allow(clippy::too_many_arguments)]
     pub fn for_cut_capped(
         m: usize,
@@ -127,21 +114,6 @@ impl PortLoad {
         if c.rate_unbounded {
             self.unbounded += 1;
         }
-    }
-
-    pub fn sub(&mut self, c: &Contribution) {
-        self.rate -= c.rate;
-        self.burst -= c.burst;
-        self.burst_rate -= c.burst_rate;
-        self.mtu_bytes -= c.mtu_bytes;
-        if c.rate_unbounded {
-            self.unbounded -= 1;
-        }
-        // Clamp tiny negative float residue from repeated add/sub.
-        self.rate = self.rate.max(0.0);
-        self.burst = self.burst.max(0.0);
-        self.burst_rate = self.burst_rate.max(0.0);
-        self.mtu_bytes = self.mtu_bytes.max(0.0);
     }
 
     /// The two lines whose minimum is this load's aggregate arrival curve,
@@ -278,7 +250,7 @@ mod tests {
     }
 
     fn class_a_cut(m: usize, n: usize, prior: &[Dur]) -> Contribution {
-        Contribution::for_cut(
+        Contribution::for_cut_capped(
             m,
             n,
             Rate::from_mbps(250),
@@ -286,6 +258,7 @@ mod tests {
             Rate::from_gbps(1),
             Bytes(1500),
             prior,
+            Rate(u64::MAX),
         )
     }
 
@@ -297,6 +270,56 @@ mod tests {
         assert!((c.burst - 90_000.0).abs() < 1e-6);
         assert!((c.burst_rate - 6.0 * 1.25e8).abs() < 1.0);
         assert!(!c.rate_unbounded);
+    }
+
+    /// A first-hop cut of the Fig. 5 tenant (9 VMs, `{1 G, 100 KB,
+    /// 10 G}`) with `m` senders and no access-link cap.
+    fn fig5_cut(m: usize) -> Contribution {
+        Contribution::for_cut_capped(
+            m,
+            9,
+            Rate::from_gbps(1),
+            Bytes::from_kb(100),
+            Rate::from_gbps(10),
+            Bytes(1500),
+            &[],
+            Rate(u64::MAX),
+        )
+    }
+
+    #[test]
+    fn burst_scales_with_senders() {
+        // The burst is not destination-limited (§4.1): 8 senders burst
+        // 8·S at 8·Bmax, with 8 packets in flight.
+        let c = fig5_cut(8);
+        assert_eq!(c.burst_rate, 8.0 * 1.25e9);
+        assert_eq!(c.burst, 8.0 * 100_000.0);
+        assert_eq!(c.mtu_bytes, 8.0 * 1500.0);
+    }
+
+    #[test]
+    fn tighter_than_naive_scaling() {
+        // The naive sum of m VM curves sustains m·B; the hose model caps
+        // the cut at min(m, n−m)·B — strictly tighter when m > n/2.
+        let b = Rate::from_gbps(1).bytes_per_sec();
+        assert_eq!(fig5_cut(8).rate, b);
+        assert!(fig5_cut(8).rate < 8.0 * b);
+        assert_eq!(fig5_cut(4).rate, 4.0 * b);
+    }
+
+    #[test]
+    fn figure5_more_crossing_senders_need_more_buffer() {
+        // Without physical link caps, the cut contributions still order
+        // the two Fig. 5 placements correctly: 8 crossing senders always
+        // need strictly more buffering than 6.
+        let backlog = |m| {
+            let l = PortLoad::default().with(&fig5_cut(m));
+            l.backlog(Rate::from_gbps(10), Rate::from_gbps(4000))
+                .unwrap()
+        };
+        let (b8, b6) = (backlog(8), backlog(6));
+        assert!(b8 > b6, "8-sender cut {b8} vs 6-sender cut {b6}");
+        assert!(b8.as_u64() > 400_000, "{b8}");
     }
 
     #[test]
@@ -320,29 +343,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip_is_exact_enough() {
-        let mut l = PortLoad::default();
-        let c1 = class_a_cut(4, 9, &[Dur::from_us(250)]);
-        let c2 = class_a_cut(7, 20, &[Dur::from_us(80)]);
-        l.add(&c1);
-        l.add(&c2);
-        l.sub(&c1);
-        let mut only2 = PortLoad::default();
-        only2.add(&c2);
-        assert!((l.rate - only2.rate).abs() < 1e-6);
-        assert!((l.burst - only2.burst).abs() < 1e-6);
-        assert_eq!(l.unbounded, 1);
-        l.sub(&c2);
-        assert!(l.rate.abs() < 1e-6 && l.burst.abs() < 1e-6);
-        assert_eq!(l.unbounded, 0);
-    }
-
-    #[test]
     fn fits_rejects_oversubscribed_rate() {
         let mut l = PortLoad::default();
         // 12 × min(4,4)·0.25 G = 12 Gbps sustained through 10 Gbps.
         for _ in 0..12 {
-            l.add(&Contribution::for_cut(
+            l.add(&Contribution::for_cut_capped(
                 4,
                 8,
                 Rate::from_gbps(1),
@@ -350,6 +355,7 @@ mod tests {
                 Rate::from_gbps(1),
                 Bytes(1500),
                 &[],
+                Rate(u64::MAX),
             ));
         }
         assert!(!l.fits(
@@ -374,7 +380,7 @@ mod tests {
         // Fig. 5 through the PortLoad API. Tenant: 9 VMs,
         // {1 G, 100 KB, 10 G}; 6 senders cross; ingress physically capped
         // at 20 G (two server NICs).
-        let c = Contribution::for_cut(
+        let c = Contribution::for_cut_capped(
             6,
             9,
             Rate::from_gbps(1),
@@ -382,6 +388,7 @@ mod tests {
             Rate::from_gbps(10),
             Bytes(1500),
             &[],
+            Rate(u64::MAX),
         );
         let l = PortLoad::default().with(&c);
         let capped = l.backlog(Rate::from_gbps(10), Rate::from_gbps(20)).unwrap();

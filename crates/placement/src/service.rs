@@ -270,8 +270,11 @@ impl AdmissionService {
     /// 2^10 slots a host, an id, host, port or link out of range,
     /// a contribution that is negative, not finite or over 2^53, a host
     /// holding more VMs than it has slots, a request `TenantRequest::new`
-    /// or `with_fault_domains` would refuse, a host entry of no VM, host
-    /// entries whose VMs do not add up to the request's, a tenant or
+    /// or `with_fault_domains` would refuse, a host entry of no VM or out
+    /// of order, host entries whose VMs do not add up to the request's,
+    /// contributions that are not, bit for bit and in order, the ones
+    /// admission computes for the tenant's hosts, span and request (they
+    /// are recomputed, not trusted), a tenant or
     /// failed link listed twice, or an admit map that disagrees with the
     /// counters, is out of order or names a tenant that is not resident.
     /// An error in a tenant's request or hosts names the tenant. A count
@@ -409,7 +412,7 @@ impl AdmissionService {
         if let Some(t) = by_admit.values().find(|t| !resident(t)) {
             return Err(format!("an admission names tenant {}, not resident", t.0));
         }
-        let placer = SiloPlacer::from_parts(topo, mtu, next_id, failed, tenants, degraded);
+        let placer = SiloPlacer::from_parts(topo, mtu, next_id, failed, tenants, degraded)?;
         Ok(AdmissionService {
             placer,
             by_admit,
@@ -463,6 +466,13 @@ fn parse_hosts(
     for _ in 0..n {
         cur.keyword("host")?;
         let h = cur.below(free.len() as u64, "host")? as usize;
+        // Candidates list their hosts in order (`Topology::cuts` needs it).
+        if hosts
+            .last()
+            .is_some_and(|&(last, _): &(HostId, usize)| last.0 as usize > h)
+        {
+            return Err(format!("host {h} is listed out of order"));
+        }
         let k = cur.num::<usize>()?;
         if k == 0 {
             return Err(format!("host {h} holds no VM of the tenant"));
@@ -810,7 +820,11 @@ mod tests {
     /// service whose `Evict` of that admission panicked, the zero-rate
     /// uplink panicked in `SiloPlacer::new` (`tx_time`), and the last
     /// restored a NaN port load, which the netcalc curve refuses with a
-    /// panic once a placement examines that port.
+    /// panic once a placement examines that port. The next two restored a
+    /// placer that reserved less than its residents need: a tenant's rate
+    /// halved, and a tenant's contributions deleted. Host entries out of
+    /// order restored too; `Topology::cuts`, which `restore` now runs on
+    /// every resident tenant, requires them in order.
     #[test]
     fn restore_refuses_what_no_service_could_have_written() {
         let mut svc = AdmissionService::new(topo());
@@ -832,6 +846,35 @@ mod tests {
         (slow[5], slow[6]) = ("1", "4020000000000000");
         let nan =
             contrib.split(' ').take(2).collect::<Vec<_>>().join(" ") + " 7ff8000000000000 0 0 0 0";
+        let mut halved: Vec<String> = contrib.split(' ').map(String::from).collect();
+        let rate = f64::from_bits(u64::from_str_radix(&halved[2], 16).unwrap());
+        halved[2] = f64_hex(rate / 2.0);
+        // The first tenant with contributions, as one block of lines, and
+        // the same block with its contributions deleted and counted as 0.
+        let at = snap.find(contrib).unwrap();
+        let start = snap[..at].rfind("\ntenant ").unwrap() + 1;
+        let end = at
+            + snap[at..]
+                .find("\ntenant ")
+                .or(snap[at..].find("\ndegraded "))
+                .unwrap()
+            + 1;
+        let block = &snap[start..end];
+        let mut head: Vec<&str> = block.lines().next().unwrap().split(' ').collect();
+        *head.last_mut().unwrap() = "0";
+        let bare = std::iter::once(head.join(" "))
+            .chain(
+                block
+                    .lines()
+                    .skip(1)
+                    .filter(|l| !l.starts_with("contrib "))
+                    .map(String::from),
+            )
+            .map(|l| l + "\n")
+            .collect::<String>();
+        let hosts: Vec<&str> = block.lines().filter(|l| l.starts_with("host ")).collect();
+        let in_order = format!("{}\n{}\n", hosts[0], hosts[1]);
+        let swapped = format!("{}\n{}\n", hosts[1], hosts[0]);
         for (what, from, to) in [
             ("more VMs than slots", host, "host 0 99".to_string()),
             ("host out of range", host, "host 6 1".to_string()),
@@ -845,10 +888,20 @@ mod tests {
             ("a tenant named twice", admit1, "admit 1 0".into()),
             ("a zero-rate uplink", topo_line, slow.join(" ")),
             ("a NaN contribution", contrib, nan),
+            ("a halved contribution rate", contrib, halved.join(" ")),
+            ("contributions deleted", block, bare.clone()),
+            ("hosts out of order", &in_order, swapped),
         ] {
             let bad = snap.replacen(from, &to, 1);
             assert_ne!(bad, snap, "{what}: the edit must apply");
             assert!(AdmissionService::restore(&bad).is_err(), "{what} restored");
+        }
+        let id = block.split(' ').nth(1).unwrap();
+        for (from, to) in [(contrib, halved.join(" ")), (block, bare)] {
+            let err = AdmissionService::restore(&snap.replacen(from, &to, 1))
+                .err()
+                .unwrap();
+            assert!(err.starts_with(&format!("tenant {id}: ")), "{err}");
         }
     }
 

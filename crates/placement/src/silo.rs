@@ -5,7 +5,7 @@ use crate::load::{Contribution, PortLoad, NIC_HEADROOM};
 use crate::placer::{greedy_place_spread, Placement, Placer, RejectReason, SlotMap, TenantId};
 use silo_base::{Bytes, Dur, FxHashMap, Rate};
 use silo_netcalc::{path_delay_sfa, BoundCache, Curve, ServiceCurve};
-use silo_topology::{HostId, Level, LinkId, LinkTier, PortId, PortInfo, Topology};
+use silo_topology::{Cut, HostId, Level, LinkId, LinkTier, PortId, PortInfo, Topology};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -279,7 +279,8 @@ impl SiloPlacer {
     /// slots, loads, the contribution index, and the dead-host mask are
     /// all derived. Because loads are rebuilt by the same id-order fold
     /// the incremental paths maintain, the restored placer's float state
-    /// is bit-identical to the original's.
+    /// is bit-identical to the original's. `Err` naming the tenant when a
+    /// tenant's contributions are not the ones admission computes for it.
     pub(crate) fn from_parts(
         topo: Topology,
         mtu: Bytes,
@@ -287,7 +288,7 @@ impl SiloPlacer {
         mut failed: Vec<LinkId>,
         tenants: FxHashMap<TenantId, Box<TenantRecord>>,
         degraded: BTreeMap<TenantId, crate::degrade::DegradedRecord>,
-    ) -> SiloPlacer {
+    ) -> Result<SiloPlacer, String> {
         failed.sort_unstable();
         let mut p = SiloPlacer::new(topo);
         p.mtu = mtu;
@@ -296,6 +297,8 @@ impl SiloPlacer {
         // In id order, so every contribution appends to its port's list.
         for id in sorted_ids(&tenants) {
             let rec = &tenants[&id];
+            p.check_contribs(rec)
+                .map_err(|e| format!("tenant {}: {e}", id.0))?;
             p.add_contribs(id, &rec.contribs);
             p.slots.alloc(&p.topo, &rec.hosts);
         }
@@ -306,7 +309,7 @@ impl SiloPlacer {
         p.degraded = degraded;
         p.rebuild_mask();
         p.mask_rebuilds = 0;
-        p
+        Ok(p)
     }
 
     /// Index a tenant's contributions and fold them into the per-port
@@ -446,27 +449,12 @@ impl SiloPlacer {
         if !self.topo.connected(cand, &self.failed) {
             return false;
         }
-        let n = req.vms;
-        let g = &req.guarantee;
-        let host_link = self.topo.params().host_link;
         for cut in self.topo.cuts(cand) {
-            let m = cut.m;
-            if m == 0 || m >= n {
+            if cut.m == 0 || cut.m >= req.vms {
                 continue;
             }
             let kind = PortKind::of(cut.tier, cut.port.is_up());
-            let (prior, priors) = self.caps.prior_caps(level, kind);
-            let access_cap = host_link * cut.sending_hosts.max(1) as u64;
-            let c = Contribution::for_cut_capped(
-                m,
-                n,
-                g.b,
-                g.s,
-                g.bmax,
-                self.mtu,
-                &prior[..priors],
-                access_cap,
-            );
+            let c = self.contribution(&cut, kind, level, req);
             let TierPort { info, ingress } = self.tier_ports[kind as usize];
             let load = self.loads[cut.port.0 as usize].with(&c);
             if info.is_nic {
@@ -483,6 +471,63 @@ impl SiloPlacer {
             out.push((cut.port, c));
         }
         true
+    }
+
+    /// What a tenant of request `req` admitted at span `level` adds at
+    /// `cut`, a port of kind `kind` that `0 < cut.m < req.vms` of its VMs
+    /// send across: the one formula admission records and `restore`
+    /// re-derives, so both produce the same bits.
+    #[inline]
+    fn contribution(
+        &self,
+        cut: &Cut,
+        kind: PortKind,
+        level: Level,
+        req: &TenantRequest,
+    ) -> Contribution {
+        let g = &req.guarantee;
+        let (prior, priors) = self.caps.prior_caps(level, kind);
+        let access_cap = self.topo.params().host_link * cut.sending_hosts.max(1) as u64;
+        Contribution::for_cut_capped(
+            cut.m,
+            req.vms,
+            g.b,
+            g.s,
+            g.bmax,
+            self.mtu,
+            &prior[..priors],
+            access_cap,
+        )
+    }
+
+    /// `Err` unless `rec.contribs` is, bit for bit and in order, the list
+    /// admission computes for its hosts, span and request.
+    fn check_contribs(&self, rec: &TenantRecord) -> Result<(), String> {
+        let bits = |&(p, c): &(PortId, Contribution)| {
+            let f = [c.rate, c.burst, c.burst_rate, c.mtu_bytes].map(f64::to_bits);
+            (p, f, c.rate_unbounded)
+        };
+        let mut derived = self
+            .topo
+            .cuts(&rec.hosts)
+            .filter(|cut| cut.m != 0 && cut.m < rec.req.vms)
+            .map(|cut| {
+                let kind = PortKind::of(cut.tier, cut.port.is_up());
+                (cut.port, self.contribution(&cut, kind, rec.level, &rec.req))
+            });
+        let mut listed = rec.contribs.iter();
+        let mut i = 0;
+        loop {
+            match (derived.next(), listed.next()) {
+                (None, None) => return Ok(()),
+                (Some(d), Some(l)) if bits(&d) == bits(l) => i += 1,
+                _ => {
+                    return Err(format!(
+                        "contribution {i} is not the one admission computes"
+                    ))
+                }
+            }
+        }
     }
 
     /// Ordinary admission of `req` under the current (possibly degraded)

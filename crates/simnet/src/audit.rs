@@ -24,7 +24,7 @@
 //! through the observation spine (`observe.rs`).
 //!
 //! Violations are attributed to injected faults when they fall inside a
-//! fault's realized window (plus [`AuditConfig::attribution_slack`], which
+//! fault's realized window (plus [`ATTRIBUTION_SLACK`], which
 //! covers the backlog-drain tail after e.g. a pacer stall ends). A healthy
 //! run, or a faulty run whose every violation is explained by an injected
 //! fault, reports `unattributed == 0` — the property CI enforces over the
@@ -40,6 +40,7 @@
 //! exactly the non-conformant excess is flagged and the meter re-converges
 //! once the sender is conformant again.
 
+use crate::faults::FaultWindow;
 use silo_base::{Bytes, Dur, Rate, Time};
 use std::collections::VecDeque;
 
@@ -49,43 +50,35 @@ use std::collections::VecDeque;
 /// excess is one 84-byte frame).
 const METER_TOL_BYTES: f64 = 1e-3;
 
+/// How long after a fault window closes a violation is still attributed
+/// to that fault. Covers the drain of backlog accumulated during the
+/// window (e.g. a stalled pacer's queue flushing at line rate).
+pub const ATTRIBUTION_SLACK: Dur = Dur::from_ms(5);
+
+/// NIC scheduling-delay allowance for the conformance meters. A VM's
+/// wire schedule is its (exactly conformant) stamp schedule with each
+/// frame delayed by up to the NIC's transient backlog: in-batch
+/// sequencing behind other VMs' frames, void-frame rounding, and
+/// cross-VM burst collisions draining at line rate. Order-preserved
+/// delay of at most `D` inflates the apparent burst by at most
+/// `rate · D`, so each meter's capacity is raised by that much — the
+/// wire-level analogue of the one-batch-window slack the queue-bound
+/// check absorbs. Batching-scale jitter (µs) passes; fault-scale
+/// bursts (a stalled pacer releasing milliseconds of backlog) still
+/// overflow it.
+pub const CONFORMANCE_SLACK: Dur = Dur::from_us(500);
+
+/// Cap on retained violation details; counters keep exact totals.
+pub const DETAIL_CAP: usize = 64;
+
 /// Configuration of the audit layer (attach via `SimConfig::audit`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditConfig {
     /// Per-port backlog bounds in bytes, indexed by `PortId`. `None` (or an
     /// index past the end) disables the bound check for that port. Callers
     /// verifying the placement theorem fill this from
     /// `SiloPlacer::backlog_bounds()` plus a batching slack.
     pub port_bounds: Vec<Option<u64>>,
-    /// How long after a fault window closes a violation is still attributed
-    /// to that fault. Covers the drain of backlog accumulated during the
-    /// window (e.g. a stalled pacer's queue flushing at line rate).
-    pub attribution_slack: Dur,
-    /// NIC scheduling-delay allowance for the conformance meters. A VM's
-    /// wire schedule is its (exactly conformant) stamp schedule with each
-    /// frame delayed by up to the NIC's transient backlog: in-batch
-    /// sequencing behind other VMs' frames, void-frame rounding, and
-    /// cross-VM burst collisions draining at line rate. Order-preserved
-    /// delay of at most `D` inflates the apparent burst by at most
-    /// `rate · D`, so each meter's capacity is raised by that much — the
-    /// wire-level analogue of the one-batch-window slack the queue-bound
-    /// check absorbs. Batching-scale jitter (µs) passes; fault-scale
-    /// bursts (a stalled pacer releasing milliseconds of backlog) still
-    /// overflow it.
-    pub conformance_slack: Dur,
-    /// Cap on retained violation details; counters keep exact totals.
-    pub detail_cap: usize,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            port_bounds: Vec::new(),
-            attribution_slack: Dur::from_ms(5),
-            conformance_slack: Dur::from_us(500),
-            detail_cap: 64,
-        }
-    }
 }
 
 /// Which invariant a violation breaks.
@@ -115,7 +108,7 @@ impl AuditKind {
     }
 }
 
-/// One audit violation (retained up to `detail_cap`; counters are exact).
+/// One audit violation (retained up to [`DETAIL_CAP`]; counters are exact).
 #[derive(Debug, Clone)]
 pub struct AuditViolation {
     pub kind: AuditKind,
@@ -274,20 +267,23 @@ pub(crate) struct AuditSink {
     meters: Vec<[CurveMeter; 2]>,
     /// Per-host wire frontier: end of the last frame released by that NIC.
     wire_frontier: Vec<Time>,
-    /// Realized fault windows `(fault index, start, end)`.
-    windows: Vec<(u32, Time, Time)>,
+    /// The run's realized fault windows.
+    windows: Vec<FaultWindow>,
+    /// Violation details retained at most ([`DETAIL_CAP`] outside tests).
+    detail_cap: usize,
 }
 
 impl AuditSink {
+    /// `cslack` is [`CONFORMANCE_SLACK`] outside this module's tests.
     pub fn new(
         cfg: AuditConfig,
         nports: usize,
         nhosts: usize,
         vms: &[VmCurve],
         mtu: Bytes,
-        windows: Vec<(u32, Time, Time)>,
+        windows: Vec<FaultWindow>,
+        cslack: Dur,
     ) -> AuditSink {
-        let cslack = cfg.conformance_slack;
         AuditSink {
             cfg,
             report: AuditReport::default(),
@@ -299,8 +295,8 @@ impl AuditSink {
             meters: vms
                 .iter()
                 .map(|v| {
-                    // Burst allowance inflated by rate × conformance_slack
-                    // (see the config field doc).
+                    // Burst allowance inflated by rate × the slack (see
+                    // `CONFORMANCE_SLACK`).
                     [
                         CurveMeter::new(v.b, v.s + v.b.bytes_in(cslack)),
                         CurveMeter::new(v.bmax, mtu + v.bmax.bytes_in(cslack)),
@@ -309,6 +305,7 @@ impl AuditSink {
                 .collect(),
             wire_frontier: vec![Time::ZERO; nhosts],
             windows,
+            detail_cap: DETAIL_CAP,
         }
     }
 
@@ -323,8 +320,8 @@ impl AuditSink {
         let fault = self
             .windows
             .iter()
-            .find(|&&(_, ws, we)| ws <= at && at <= we + self.cfg.attribution_slack)
-            .map(|&(i, _, _)| i);
+            .find(|w| w.overlaps(at, at, ATTRIBUTION_SLACK))
+            .map(|w| w.fault);
         match kind {
             AuditKind::Conservation => self.report.conservation += 1,
             AuditKind::FifoCausality => self.report.fifo += 1,
@@ -337,7 +334,7 @@ impl AuditSink {
         } else {
             self.report.unattributed += 1;
         }
-        if self.report.details.len() < self.cfg.detail_cap {
+        if self.report.details.len() < self.detail_cap {
             self.report.details.push(AuditViolation {
                 kind,
                 at,
@@ -501,22 +498,24 @@ impl AuditSink {
 mod tests {
     use super::*;
 
-    /// Unit-test config: no conformance slack, so meter boundaries sit
-    /// exactly at the admitted `{B, S, Bmax}` parameters.
-    fn exact_cfg() -> AuditConfig {
-        AuditConfig {
-            conformance_slack: Dur::ZERO,
-            ..AuditConfig::default()
-        }
-    }
-
-    fn sink_with(windows: Vec<(u32, Time, Time)>) -> AuditSink {
+    /// Unit-test sinks pass no conformance slack (the last argument), so
+    /// meter boundaries sit exactly at the admitted `{B, S, Bmax}`
+    /// parameters.
+    fn sink_with(windows: Vec<FaultWindow>) -> AuditSink {
         let vms = [VmCurve {
             b: Rate::from_mbps(500),
             s: Bytes::from_kb(15),
             bmax: Rate::from_gbps(1),
         }];
-        AuditSink::new(exact_cfg(), 4, 2, &vms, Bytes(1500), windows)
+        AuditSink::new(
+            AuditConfig::default(),
+            4,
+            2,
+            &vms,
+            Bytes(1500),
+            windows,
+            Dur::ZERO,
+        )
     }
 
     #[test]
@@ -626,11 +625,8 @@ mod tests {
         }];
         let gap = Rate::from_gbps(1).tx_time(Bytes(1500));
         let jittered = |slack: Dur| {
-            let cfg = AuditConfig {
-                conformance_slack: slack,
-                ..AuditConfig::default()
-            };
-            let mut a = AuditSink::new(cfg, 1, 1, &vms, Bytes(1500), vec![]);
+            let cfg = AuditConfig::default();
+            let mut a = AuditSink::new(cfg, 1, 1, &vms, Bytes(1500), vec![], slack);
             let mut t = Time::from_ms(1);
             for _ in 0..12 {
                 a.on_wire_data(t, 0, Bytes(1500));
@@ -640,11 +636,8 @@ mod tests {
         };
         assert!(jittered(Dur::ZERO) > 0, "compressed gaps overdraw Bmax");
         assert_eq!(jittered(Dur::from_us(20)), 0, "slack absorbs the jitter");
-        let cfg = AuditConfig {
-            conformance_slack: Dur::from_us(20),
-            ..AuditConfig::default()
-        };
-        let mut a = AuditSink::new(cfg, 1, 1, &vms, Bytes(1500), vec![]);
+        let cfg = AuditConfig::default();
+        let mut a = AuditSink::new(cfg, 1, 1, &vms, Bytes(1500), vec![], Dur::from_us(20));
         let wire_gap = Rate::from_gbps(10).tx_time(Bytes(1500));
         let mut t = Time::from_ms(1);
         for _ in 0..12 {
@@ -659,9 +652,10 @@ mod tests {
 
     #[test]
     fn queue_bound_checked_only_where_configured() {
-        let mut cfg = exact_cfg();
-        cfg.port_bounds = vec![Some(2000), None];
-        let mut a = AuditSink::new(cfg, 4, 1, &[], Bytes(1500), vec![]);
+        let cfg = AuditConfig {
+            port_bounds: vec![Some(2000), None],
+        };
+        let mut a = AuditSink::new(cfg, 4, 1, &[], Bytes(1500), vec![], Dur::ZERO);
         a.on_enqueue(Time::from_us(1), 0, 1500, 0, 1500, true);
         a.on_enqueue(Time::from_us(2), 0, 1500, 0, 3000, true); // over bound
         a.on_enqueue(Time::from_us(3), 1, 9000, 0, 9000, true); // unbounded
@@ -672,7 +666,12 @@ mod tests {
 
     #[test]
     fn violations_inside_fault_windows_are_attributed() {
-        let w = vec![(2u32, Time::from_ms(10), Time::from_ms(20))];
+        let w = vec![FaultWindow {
+            fault: 2,
+            label: "link_down(0)".into(),
+            start: Time::from_ms(10),
+            end: Time::from_ms(20),
+        }];
         let mut a = sink_with(w);
         // Inside the window.
         a.on_enqueue(Time::from_ms(15), 0, 100, 0, 999, true);
@@ -716,9 +715,9 @@ mod tests {
 
     #[test]
     fn detail_cap_limits_memory_not_counters() {
-        let mut cfg = exact_cfg();
-        cfg.detail_cap = 3;
-        let mut a = AuditSink::new(cfg, 1, 1, &[], Bytes(1500), vec![]);
+        let cfg = AuditConfig::default();
+        let mut a = AuditSink::new(cfg, 1, 1, &[], Bytes(1500), vec![], Dur::ZERO);
+        a.detail_cap = 3;
         for i in 0..10 {
             a.on_enqueue(Time::from_us(i), 0, 1, 0, 12345, true);
         }
@@ -744,7 +743,8 @@ mod tests {
             s: Bytes(1000),
             bmax: Rate::from_gbps(10),
         }];
-        let mut a = AuditSink::new(exact_cfg(), 1, 1, &vms, Bytes(9000), vec![]);
+        let cfg = AuditConfig::default();
+        let mut a = AuditSink::new(cfg, 1, 1, &vms, Bytes(9000), vec![], Dur::ZERO);
         a.on_wire_data(Time::from_ms(1), 0, Bytes(9000));
         assert_eq!(a.report.conformance, 0);
         a.on_wire_data(Time::from_ms(1) + Dur::from_us(8), 0, Bytes(9000));

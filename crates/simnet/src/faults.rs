@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use silo_base::{json, Json, Time};
+use silo_base::{json, Dur, Json, Time};
 
 /// One class of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,14 +52,8 @@ impl FaultKind {
     /// Stable display/serialization label, e.g. `link_down(3)`.
     pub fn label(&self) -> String {
         match *self {
-            FaultKind::LinkDown { link } => format!("link_down({link})"),
-            FaultKind::PortDown { port } => format!("port_down({port})"),
-            FaultKind::PacerStall { host } => format!("pacer_stall({host})"),
-            FaultKind::PacerDrift { host, factor } => {
-                format!("pacer_drift({host},{factor})")
-            }
-            FaultKind::TenantDown { tenant } => format!("tenant_down({tenant})"),
-            FaultKind::TenantUp { tenant } => format!("tenant_up({tenant})"),
+            FaultKind::PacerDrift { host, factor } => format!("pacer_drift({host},{factor})"),
+            _ => format!("{}({})", self.name(), self.target()),
         }
     }
 }
@@ -82,6 +76,27 @@ impl FaultEvent {
         }
         let end = self.until.map_or(horizon, |u| u.min(horizon));
         Some((self.at, end))
+    }
+}
+
+/// The realized window of one injected fault (clamped to the horizon).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultWindow {
+    /// Index into the run's `FaultPlan::events`.
+    pub fault: u32,
+    /// Stable label from `FaultKind::label()` (e.g. `link_down(3)`).
+    pub label: String,
+    pub start: Time,
+    pub end: Time,
+}
+
+impl FaultWindow {
+    /// Does the closed interval `[start, end]` meet this window held open
+    /// `slack` past its end? The one test of what a fault explains: a late
+    /// message's lifetime (slack 0), an audit violation's instant (the
+    /// audit's drain allowance) and the explorer's aftershock check.
+    pub fn overlaps(&self, start: Time, end: Time, slack: Dur) -> bool {
+        self.start <= end && start.0 <= self.end.0.saturating_add(slack.0)
     }
 }
 
@@ -173,8 +188,9 @@ impl FaultPlan {
             .collect()
     }
 
-    /// `Err` naming the first structurally invalid event (out-of-range
-    /// target, inverted window, a stall without an end). `Sim::new` panics
+    /// `Err` naming the first event that is invalid in a cell of shape
+    /// `b` (out-of-range target, inverted window, a stall without an
+    /// end); the horizon is not checked. `Sim::new` panics
     /// on one; front ends that take plans from files check first and
     /// report it as a bad input.
     ///
@@ -182,13 +198,7 @@ impl FaultPlan {
     /// and heals at the same instant (start is dispatched before end —
     /// push order breaks the tie), which the schedule explorer generates
     /// when it shrinks a window to nothing. Only inverted windows reject.
-    pub fn validate(
-        &self,
-        num_links: usize,
-        num_ports: usize,
-        num_hosts: usize,
-        tenants: usize,
-    ) -> Result<(), String> {
+    pub fn validate(&self, b: &PlanBounds) -> Result<(), String> {
         for e in &self.events {
             let ensure = |ok: bool, what: &str| {
                 if ok {
@@ -200,40 +210,53 @@ impl FaultPlan {
             if let Some(u) = e.until {
                 ensure(u >= e.at, "fault window must not be inverted")?;
             }
+            let (noun, n) = b.targets(&e.kind);
+            if e.kind.target() as usize >= n {
+                return Err(format!("{noun} out of range: {e:?}"));
+            }
             match e.kind {
-                FaultKind::LinkDown { link } => {
-                    ensure((link as usize) < num_links, "link out of range")?;
-                }
-                FaultKind::PortDown { port } => {
-                    ensure((port as usize) < num_ports, "port out of range")?;
-                }
-                FaultKind::PacerStall { host } => {
-                    ensure((host as usize) < num_hosts, "host out of range")?;
+                FaultKind::PacerStall { .. } => {
                     ensure(e.until.is_some(), "a pacer stall needs an end")?;
                 }
-                FaultKind::PacerDrift { host, factor } => {
-                    ensure((host as usize) < num_hosts, "host out of range")?;
+                FaultKind::PacerDrift { factor, .. } => {
                     ensure(e.until.is_some(), "a pacer drift needs an end")?;
                     ensure(factor >= 1.0, "drift factor must be >= 1")?;
                 }
-                FaultKind::TenantDown { tenant } => {
-                    ensure((tenant as usize) < tenants, "tenant out of range")?;
-                }
-                FaultKind::TenantUp { tenant } => {
-                    ensure((tenant as usize) < tenants, "tenant out of range")?;
+                FaultKind::TenantUp { .. } => {
                     ensure(e.until.is_none(), "tenant_up has no window")?;
                 }
+                _ => {}
             }
         }
         Ok(())
+    }
+
+    /// Every event's realized window within a run of length `horizon`
+    /// ([`FaultEvent::window`]), in plan order, skipping events that
+    /// never strike. `Sim::new` realizes them once; the audit, violation
+    /// attribution and `Metrics::fault_windows` all read that list.
+    pub fn windows(&self, horizon: Time) -> Vec<FaultWindow> {
+        self.events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| {
+                let (start, end) = e.window(horizon)?;
+                Some(FaultWindow {
+                    fault: i as u32,
+                    label: e.kind.label(),
+                    start,
+                    end,
+                })
+            })
+            .collect()
     }
 }
 
 /// Structural bounds of one simulation cell: how many links, directed
 /// ports, hosts and tenants a plan may target, and the run horizon its
 /// instants must fall inside. The schedule explorer generates, mutates
-/// and sanitizes plans against these; [`Sim::new`](crate::Sim) enforces
-/// the same ranges via [`FaultPlan::validate`].
+/// and sanitizes plans against these, and [`FaultPlan::validate`] checks
+/// a plan against them ([`Sim::new`](crate::Sim) on its own cell).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanBounds {
     pub num_links: usize,
@@ -254,6 +277,17 @@ impl PlanBounds {
             num_hosts: topo.num_hosts(),
             tenants,
             horizon,
+        }
+    }
+
+    /// What a fault of this kind targets (`"link"`, `"port"`, `"host"` or
+    /// `"tenant"`) and how many of them the cell has.
+    pub fn targets(&self, kind: &FaultKind) -> (&'static str, usize) {
+        match kind {
+            FaultKind::LinkDown { .. } => ("link", self.num_links),
+            FaultKind::PortDown { .. } => ("port", self.num_ports),
+            FaultKind::PacerStall { .. } | FaultKind::PacerDrift { .. } => ("host", self.num_hosts),
+            FaultKind::TenantDown { .. } | FaultKind::TenantUp { .. } => ("tenant", self.tenants),
         }
     }
 }
@@ -283,6 +317,27 @@ impl FaultKind {
             FaultKind::PacerDrift { host, .. } => host,
             FaultKind::TenantDown { tenant } => tenant as u32,
             FaultKind::TenantUp { tenant } => tenant as u32,
+        }
+    }
+
+    /// The same fault aimed at `target`: the one way a plan edit rewrites
+    /// a target. Tenant ids are `u16`, so a tenant fault keeps the low 16
+    /// bits of `target`.
+    pub fn with_target(self, target: u32) -> FaultKind {
+        match self {
+            FaultKind::LinkDown { .. } => FaultKind::LinkDown { link: target },
+            FaultKind::PortDown { .. } => FaultKind::PortDown { port: target },
+            FaultKind::PacerStall { .. } => FaultKind::PacerStall { host: target },
+            FaultKind::PacerDrift { factor, .. } => FaultKind::PacerDrift {
+                host: target,
+                factor,
+            },
+            FaultKind::TenantDown { .. } => FaultKind::TenantDown {
+                tenant: target as u16,
+            },
+            FaultKind::TenantUp { .. } => FaultKind::TenantUp {
+                tenant: target as u16,
+            },
         }
     }
 }
@@ -391,40 +446,18 @@ impl FaultPlan {
         for e in &self.events {
             let at = Time(e.at.0.min(horizon.0));
             let until = e.until.map(|u| Time(u.0.clamp(at.0, horizon.0)));
-            let wrap = |t: u32, n: usize| -> Option<u32> { (n > 0).then(|| t % n as u32) };
-            let kind = match e.kind {
-                FaultKind::LinkDown { link } => match wrap(link, b.num_links) {
-                    Some(link) => FaultKind::LinkDown { link },
-                    None => continue,
-                },
-                FaultKind::PortDown { port } => match wrap(port, b.num_ports) {
-                    Some(port) => FaultKind::PortDown { port },
-                    None => continue,
-                },
-                FaultKind::PacerStall { host } => match wrap(host, b.num_hosts) {
-                    Some(host) => FaultKind::PacerStall { host },
-                    None => continue,
-                },
-                FaultKind::PacerDrift { host, factor } => match wrap(host, b.num_hosts) {
-                    Some(host) => FaultKind::PacerDrift {
-                        host,
-                        factor: if factor.is_finite() {
-                            factor.clamp(1.0, 64.0)
-                        } else {
-                            1.0
-                        },
-                    },
-                    None => continue,
-                },
-                FaultKind::TenantDown { tenant } => match wrap(tenant as u32, b.tenants) {
-                    Some(t) => FaultKind::TenantDown { tenant: t as u16 },
-                    None => continue,
-                },
-                FaultKind::TenantUp { tenant } => match wrap(tenant as u32, b.tenants) {
-                    Some(t) => FaultKind::TenantUp { tenant: t as u16 },
-                    None => continue,
-                },
-            };
+            let n = b.targets(&e.kind).1;
+            if n == 0 {
+                continue;
+            }
+            let mut kind = e.kind.with_target(e.kind.target() % n as u32);
+            if let FaultKind::PacerDrift { factor, .. } = &mut kind {
+                *factor = if factor.is_finite() {
+                    factor.clamp(1.0, 64.0)
+                } else {
+                    1.0
+                };
+            }
             // Kind-specific window shape (validate's other asserts).
             let until = match kind {
                 FaultKind::PacerStall { .. } | FaultKind::PacerDrift { .. } => {
@@ -536,16 +569,7 @@ impl FaultPlan {
                 let i = rng.random_range(0..plan.events.len());
                 let t = rng.random_range(0..u32::MAX as u64) as u32;
                 let e = &mut plan.events[i];
-                e.kind = match e.kind {
-                    FaultKind::LinkDown { .. } => FaultKind::LinkDown { link: t },
-                    FaultKind::PortDown { .. } => FaultKind::PortDown { port: t },
-                    FaultKind::PacerStall { .. } => FaultKind::PacerStall { host: t },
-                    FaultKind::PacerDrift { factor, .. } => {
-                        FaultKind::PacerDrift { host: t, factor }
-                    }
-                    FaultKind::TenantDown { .. } => FaultKind::TenantDown { tenant: t as u16 },
-                    FaultKind::TenantUp { .. } => FaultKind::TenantUp { tenant: t as u16 },
-                };
+                e.kind = e.kind.with_target(t);
             }
             // Add a fresh random event.
             6 => {
@@ -668,7 +692,10 @@ mod tests {
         // instant is structurally valid.
         FaultPlan::new()
             .link_down(Time::from_ms(5), Some(Time::from_ms(5)), 0)
-            .validate(4, 8, 2, 1)
+            .validate(&PlanBounds {
+                tenants: 1,
+                ..bounds()
+            })
             .unwrap();
     }
 
@@ -755,12 +782,15 @@ mod tests {
                 events: vec![window(1, Some(2), FaultKind::LinkDown { link: 3 }), bad],
             };
             assert_eq!(
-                plan.validate(4, 8, 2, 1),
+                plan.validate(&PlanBounds {
+                    tenants: 1,
+                    ..bounds()
+                }),
                 Err(format!("{what}: {bad:?}")),
                 "{what}"
             );
         }
-        rich_plan().validate(4, 8, 2, 2).unwrap();
+        rich_plan().validate(&bounds()).unwrap();
     }
 
     /// `Sim::new` on an invalid plan, next to its `SimConfig` check.
@@ -882,9 +912,7 @@ mod tests {
         };
         let clean = wild.sanitize(&b);
         assert_eq!(clean.events.len(), 4);
-        clean
-            .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
-            .unwrap();
+        clean.validate(&b).unwrap();
         // A plan with no valid dimension for an event drops it.
         let no_links = PlanBounds { num_links: 0, ..b };
         assert_eq!(wild.sanitize(&no_links).events.len(), 3);
@@ -897,8 +925,7 @@ mod tests {
         let mut plan = rich_plan();
         for _ in 0..200 {
             plan = plan.mutate(&mut rng, &b);
-            plan.validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
-                .unwrap();
+            plan.validate(&b).unwrap();
         }
         // Same seed, same trajectory.
         let mut rng2 = StdRng::seed_from_u64(42);
@@ -909,9 +936,7 @@ mod tests {
         assert_eq!(plan, plan2);
         // Empty plans grow instead of panicking.
         let grown = FaultPlan::new().mutate(&mut rng, &b);
-        grown
-            .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
-            .unwrap();
+        grown.validate(&b).unwrap();
     }
 
     #[test]
@@ -923,9 +948,7 @@ mod tests {
         for c in &cands {
             // Shrinks of a sanitized plan stay valid (only drop, shorten,
             // advance, or tame events).
-            c.sanitize(&b)
-                .validate(b.num_links, b.num_ports, b.num_hosts, b.tenants)
-                .unwrap();
+            c.sanitize(&b).validate(&b).unwrap();
             assert!(c.events.len() <= plan.events.len());
         }
         // Every single-event drop is offered: fewest-faults-first.

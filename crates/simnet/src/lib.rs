@@ -40,8 +40,8 @@ pub mod trace;
 
 pub use audit::{AuditConfig, AuditKind, AuditReport, AuditViolation};
 pub use config::{SimConfig, TenantSpec, TenantWorkload, TransportMode};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanBounds, FAULTPLAN_FORMAT};
-pub use metrics::{EvKind, EventProfile, FaultWindow, Metrics, MsgRecord, TenantStats, Violation};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultWindow, PlanBounds, FAULTPLAN_FORMAT};
+pub use metrics::{EvKind, EventProfile, Metrics, MsgRecord, TenantStats, Violation};
 pub use sim::Sim;
 pub use telemetry::{SelfProfile, TelemetryConfig, TelemetryLog, TenantWindow};
 pub use trace::{PktTag, TraceConfig, TraceEvent, TraceKind, TraceLog};

@@ -1,6 +1,7 @@
 //! Simulation results: per-message records and per-tenant aggregates.
 
 use crate::audit::AuditReport;
+use crate::faults::FaultWindow;
 use crate::telemetry::TelemetryLog;
 use crate::trace::TraceLog;
 use silo_base::{Dur, Summary, Time};
@@ -169,17 +170,6 @@ pub struct MsgRecord {
     /// Delivered over the vswitch loopback (sender and receiver VM on the
     /// same host) — excluded from network-latency analyses.
     pub same_host: bool,
-}
-
-/// The realized window of one injected fault (clamped to the horizon).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultWindow {
-    /// Index into the run's `FaultPlan::events`.
-    pub fault: u32,
-    /// Stable label from `FaultKind::label()` (e.g. `link_down(3)`).
-    pub label: String,
-    pub start: Time,
-    pub end: Time,
 }
 
 /// One message that completed *outside* its tenant's `{B, S, d, Bmax}`

@@ -25,8 +25,10 @@
 //! one built out of line and read back through the stack waits on every
 //! older store (DESIGN.md, "observer cost is store-miss latency").
 
+use crate::audit::CONFORMANCE_SLACK;
 use crate::audit::{AuditSink, VmCurve};
 use crate::config::{SimConfig, TenantSpec};
+use crate::faults::FaultWindow;
 use crate::metrics::Metrics;
 use crate::packet::{Pkt, PktKind};
 use crate::port::{Enqueue, QueuedPkt};
@@ -89,27 +91,20 @@ fn class(pkt: &Pkt) -> usize {
 impl Observers {
     /// `tenants` after the mode's adjustments (an Okto run is audited
     /// against the curve Okto enforces); `vm_tenants` is each VM's tenant
-    /// in VM order. Allocates nothing for a consumer that is not attached.
+    /// in VM order; `windows` are the run's realized fault windows, which
+    /// the audit attributes violations to. Allocates nothing for a
+    /// consumer that is not attached.
     pub fn new(
         cfg: &SimConfig,
         topo: &Topology,
         tenants: &[TenantSpec],
         vm_tenants: impl ExactSizeIterator<Item = u16>,
+        windows: &[FaultWindow],
     ) -> Observers {
         let hosts = topo.num_hosts();
         // Switch and NIC ports, then one vswitch loopback per host.
         let ports = topo.num_ports() + hosts;
         let audit = cfg.audit.as_ref().map(|ac| {
-            // Realized fault windows, so a violation during a planned
-            // outage is attributed to it.
-            let horizon = Time::ZERO + cfg.duration;
-            let windows = cfg
-                .faults
-                .events
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| e.window(horizon).map(|(ws, we)| (i as u32, ws, we)))
-                .collect();
             let curves: Vec<VmCurve> = vm_tenants
                 .map(|t| {
                     let t = &tenants[t as usize];
@@ -120,7 +115,15 @@ impl Observers {
                     }
                 })
                 .collect();
-            AuditSink::new(ac.clone(), ports, hosts, &curves, cfg.mtu, windows)
+            AuditSink::new(
+                ac.clone(),
+                ports,
+                hosts,
+                &curves,
+                cfg.mtu,
+                windows.to_vec(),
+                CONFORMANCE_SLACK,
+            )
         });
         let trace = cfg.trace.as_ref().map(|tc| TraceSink::new(tc, hosts));
         let telemetry = cfg

@@ -240,14 +240,10 @@ impl Sim {
     /// lifetime `[created, completed]` — the attribution recorded with a
     /// guarantee violation.
     pub(super) fn attribute_fault(&self, created: Time, completed: Time) -> Option<u32> {
-        let horizon = Time::ZERO + self.cfg.duration;
-        for (i, e) in self.cfg.faults.events.iter().enumerate() {
-            if let Some((ws, we)) = e.window(horizon) {
-                if ws <= completed && created <= we {
-                    return Some(i as u32);
-                }
-            }
-        }
-        None
+        self.metrics
+            .fault_windows
+            .iter()
+            .find(|w| w.overlaps(created, completed, Dur::ZERO))
+            .map(|w| w.fault)
     }
 }

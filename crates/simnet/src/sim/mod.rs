@@ -10,8 +10,8 @@
 use crate::config::{
     SimConfig, TenantSpec, TransportMode, ECN_K, HULL_GAMMA, HULL_THRESH, INIT_CWND, NIC_FIFO,
 };
-use crate::faults::FaultKind;
-use crate::metrics::{EvKind, EventProfile, FaultWindow, Metrics};
+use crate::faults::{FaultKind, PlanBounds};
+use crate::metrics::{EvKind, EventProfile, Metrics};
 use crate::observe::Observers;
 use crate::packet::{PathId, Pkt};
 use crate::port::{PhantomQueue, PortState};
@@ -190,12 +190,11 @@ impl Sim {
         if let Err(e) = cfg.validate() {
             panic!("invalid SimConfig: {e}");
         }
-        if let Err(e) = cfg.faults.validate(
-            topo.num_links(),
-            topo.num_ports(),
-            topo.num_hosts(),
-            tenants.len(),
-        ) {
+        let horizon = Time::ZERO + cfg.duration;
+        if let Err(e) = cfg
+            .faults
+            .validate(&PlanBounds::of(&topo, tenants.len(), horizon))
+        {
             panic!("invalid FaultPlan: {e}");
         }
         // Oktopus provides hose bandwidth only: no burst allowance, no
@@ -284,6 +283,7 @@ impl Sim {
             goodput: vec![0; tenants.len()],
             duration: cfg.duration,
             fault_drops: vec![0; nfaults],
+            fault_windows: cfg.faults.windows(horizon),
             ..Metrics::default()
         };
         // Nothing here is pre-sized: every queue grows from what the run
@@ -301,7 +301,13 @@ impl Sim {
                 _ => {}
             }
         }
-        let obs = Observers::new(&cfg, &topo, &tenants, vms.iter().map(|v: &Vm| v.tenant));
+        let obs = Observers::new(
+            &cfg,
+            &topo,
+            &tenants,
+            vms.iter().map(|v: &Vm| v.tenant),
+            &metrics.fault_windows,
+        );
         Sim {
             topo,
             cfg,
@@ -512,24 +518,6 @@ impl Sim {
         }
         for c in &self.conns {
             self.metrics.goodput[c.tenant as usize] += c.goodput_bytes;
-        }
-        if self.faults_on {
-            let horizon = Time::ZERO + dur;
-            self.metrics.fault_windows = self
-                .cfg
-                .faults
-                .events
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| {
-                    e.window(horizon).map(|(start, end)| FaultWindow {
-                        fault: i as u32,
-                        label: e.kind.label(),
-                        start,
-                        end,
-                    })
-                })
-                .collect();
         }
         // Token-bucket conservation: any over-spend the pacer's checked
         // invariant recorded surfaces here (must stay zero).

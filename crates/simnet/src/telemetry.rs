@@ -36,7 +36,8 @@
 //! rendered separately ([`SelfProfile::to_table`]), so `silo-obs diff` on
 //! two same-seed runs is always byte-clean.
 
-use crate::metrics::{EvKind, FaultWindow, LATENCY_HIST_SUB_BITS};
+use crate::faults::FaultWindow;
+use crate::metrics::{EvKind, LATENCY_HIST_SUB_BITS};
 use silo_base::{Dur, LogHistogram, Time};
 use std::time::Instant;
 

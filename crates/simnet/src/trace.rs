@@ -33,7 +33,7 @@
 //! are those of an immediate write (`staged_sink_matches_the_reference`
 //! holds it to one).
 
-use crate::metrics::FaultWindow;
+use crate::faults::FaultWindow;
 use crate::telemetry::us;
 use silo_base::{Dur, Time};
 

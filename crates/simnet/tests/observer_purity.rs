@@ -12,67 +12,14 @@
 //!
 //! A failure names the transport and the subset that broke it.
 
-use silo_base::{Bytes, Dur, Rate, Time};
+mod common;
+
+use common::{faults, racked_topo, tenants};
+use silo_base::Dur;
 use silo_simnet::{
-    AuditConfig, FaultPlan, Metrics, Sim, SimConfig, TelemetryConfig, TenantSpec, TenantWorkload,
-    TraceConfig, TraceKind, TransportMode,
+    AuditConfig, FaultPlan, Metrics, Sim, SimConfig, TelemetryConfig, TraceConfig, TraceKind,
+    TransportMode,
 };
-use silo_topology::{HostId, Topology, TreeParams};
-
-/// Four racks of four servers (the `serial_golden` topology) with an
-/// oversubscribed ToR uplink so cross-rack traffic actually queues.
-fn racked_topo() -> Topology {
-    Topology::build(TreeParams {
-        pods: 1,
-        racks_per_pod: 4,
-        servers_per_rack: 4,
-        vm_slots_per_server: 6,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 2.0,
-        agg_oversub: 1.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
-
-/// Rack-straddling tenants; the OLDI group carries a delay guarantee so
-/// telemetry's margin series is exercised.
-fn tenants() -> Vec<TenantSpec> {
-    vec![
-        TenantSpec {
-            vm_hosts: vec![HostId(0), HostId(5), HostId(10)],
-            b: Rate::from_mbps(500),
-            s: Bytes::from_kb(15),
-            bmax: Rate::from_gbps(1),
-            prio: 0,
-            delay: Some(Dur::from_ms(1)),
-            workload: TenantWorkload::OldiPeriodic {
-                msg: Bytes::from_kb(15),
-                period: Dur::from_ms(2),
-            },
-        },
-        TenantSpec {
-            vm_hosts: vec![HostId(2), HostId(6), HostId(11), HostId(15)],
-            b: Rate::from_gbps(3),
-            s: Bytes(1500),
-            bmax: Rate::from_gbps(10),
-            prio: 1,
-            delay: None,
-            workload: TenantWorkload::BulkAllToAll {
-                msg: Bytes::from_kb(256),
-            },
-        },
-    ]
-}
-
-/// A pacer stall (fault 0) and a ToR link outage (fault 1): the flush,
-/// fault-drop and fault-edge paths of every consumer.
-fn faults() -> FaultPlan {
-    FaultPlan::new()
-        .pacer_stall(Time::from_ms(4), Time::from_ms(8), 5)
-        .link_down(Time::from_ms(10), Some(Time::from_ms(15)), 2)
-}
 
 const AUDIT: u8 = 1;
 const TRACE: u8 = 2;

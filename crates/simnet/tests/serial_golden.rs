@@ -18,26 +18,13 @@ use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
     AuditConfig, FaultPlan, Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig, TransportMode,
 };
-use silo_topology::{HostId, Topology, TreeParams};
+use silo_topology::HostId;
+
+mod common;
+
+use common::racked_topo;
 
 const GOLDEN: &str = include_str!("golden/serial_golden.txt");
-
-/// Four racks of four servers under one aggregation switch, with an
-/// oversubscribed ToR uplink so cross-rack traffic actually queues.
-fn racked_topo() -> Topology {
-    Topology::build(TreeParams {
-        pods: 1,
-        racks_per_pod: 4,
-        servers_per_rack: 4,
-        vm_slots_per_server: 6,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 2.0,
-        agg_oversub: 1.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
 
 /// Tenants that straddle racks: a paced OLDI group spanning racks 0–2 and
 /// a bulk all-to-all spanning all four.

@@ -2,56 +2,11 @@
 //! balance their accounting. That tracing never perturbs physics is
 //! `tests/observer_purity.rs`.
 
-use silo_base::{Bytes, Dur, Rate, Time};
-use silo_simnet::{
-    FaultPlan, Metrics, Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig, TraceKind,
-    TransportMode,
-};
-use silo_topology::{HostId, Topology, TreeParams};
+mod common;
 
-fn small_topo(servers: usize) -> Topology {
-    Topology::build(TreeParams {
-        pods: 1,
-        racks_per_pod: 1,
-        servers_per_rack: servers,
-        vm_slots_per_server: 6,
-        host_link: Rate::from_gbps(10),
-        tor_oversub: 1.0,
-        agg_oversub: 1.0,
-        switch_buffer: Bytes::from_kb(312),
-        nic_buffer: Bytes::from_kb(64),
-        prop_delay: Dur::from_ns(500),
-    })
-}
-
-fn periodic_tenant(hosts: &[u32]) -> TenantSpec {
-    TenantSpec {
-        vm_hosts: hosts.iter().map(|&h| HostId(h)).collect(),
-        b: Rate::from_mbps(500),
-        s: Bytes::from_kb(15),
-        bmax: Rate::from_gbps(1),
-        prio: 0,
-        delay: None,
-        workload: TenantWorkload::OldiPeriodic {
-            msg: Bytes::from_kb(15),
-            period: Dur::from_ms(2),
-        },
-    }
-}
-
-fn bulk_tenant(hosts: &[u32]) -> TenantSpec {
-    TenantSpec {
-        vm_hosts: hosts.iter().map(|&h| HostId(h)).collect(),
-        b: Rate::from_gbps(3),
-        s: Bytes(1500),
-        bmax: Rate::from_gbps(10),
-        prio: 1,
-        delay: None,
-        workload: TenantWorkload::BulkAllToAll {
-            msg: Bytes::from_kb(256),
-        },
-    }
-}
+use common::{bulk_tenant, periodic_tenant, small_topo};
+use silo_base::{Dur, Time};
+use silo_simnet::{FaultPlan, Metrics, Sim, SimConfig, TraceConfig, TraceKind, TransportMode};
 
 fn run_cfg(mode: TransportMode, faults: FaultPlan, mutate: impl FnOnce(&mut SimConfig)) -> Metrics {
     let mut cfg = SimConfig::new(mode, Dur::from_ms(40), 7);
