@@ -3,7 +3,8 @@
 //!
 //! Grown for the flight-recorder interchange formats and now shared by
 //! every layer that reads structured artifacts back in: the observation
-//! file reader and Perfetto validator behind `silo-obs`
+//! file readers (`TraceLog::from_jsonl`, `TelemetryLog::from_jsonl` in
+//! `silo-simnet`), the Perfetto validator behind `silo-obs`
 //! (`silo-bench::obsfile`) and the replayable fault-schedule format
 //! (`silo-simnet::faults`). Writers in this workspace emit JSON by hand
 //! (deterministic, exact formatting); this is the matching reader.
@@ -17,8 +18,8 @@
 const MAX_DEPTH: usize = 16;
 
 /// A parsed JSON value. Numbers are kept as `f64` (the format's own
-/// model); the workspace's formats only emit integers that fit exactly,
-/// and [`Json::as_u64`] rejects anything that doesn't round-trip.
+/// model), so integers are exact only up to 2^53; [`Json::as_u64`]
+/// refuses anything larger, fractional or negative.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -58,6 +59,9 @@ impl Json {
         }
     }
 
+    /// A non-negative integer up to 2^53, the largest `f64` holds
+    /// exactly. The text `9007199254740993` parses to 2^53 too: a reader
+    /// that must refuse what it would round compares against its writer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),

@@ -2,8 +2,9 @@
 //! family and export exits 0, and a misspelled flag or an extra argument
 //! is a usage error (exit 2) rather than a check silently not run. So is a
 //! Perfetto flag on an OpenMetrics file; a diff across the two families
-//! exits 2 too. And the experiment binaries' shared writer reports an
-//! unwritable output path instead of panicking.
+//! exits 2 too. Two files whose rows agree but whose headers do not are a
+//! divergence (exit 1). And the experiment binaries' shared writer
+//! reports an unwritable output path instead of panicking.
 
 mod common;
 
@@ -13,9 +14,10 @@ use silo_simnet::FaultPlan;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The golden cell's four exports, written to a directory of their own.
-fn exports() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_args");
+/// The golden cell's four exports, written to a directory of their own:
+/// one per test, since the tests run at once.
+fn exports(test: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test);
     std::fs::create_dir_all(&dir).expect("create the export directory");
     for (name, text) in common::exports() {
         std::fs::write(dir.join(name), text).expect("write an export");
@@ -26,18 +28,28 @@ fn exports() -> PathBuf {
 /// Run `silo-obs` with `args` (file names resolved in `dir`): its exit
 /// code and stderr.
 fn silo_obs(dir: &Path, args: &[&str]) -> (i32, String) {
+    let (code, _, stderr) = silo_obs_out(dir, args);
+    (code, stderr)
+}
+
+/// The same, with stdout too.
+fn silo_obs_out(dir: &Path, args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_silo-obs"))
         .current_dir(dir)
         .args(args)
         .output()
         .expect("run the binary");
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    (out.status.code().expect("exited"), stderr)
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (
+        out.status.code().expect("exited"),
+        text(&out.stdout),
+        text(&out.stderr),
+    )
 }
 
 #[test]
 fn well_formed_invocations_pass_and_malformed_ones_are_usage_errors() {
-    let dir = exports();
+    let dir = exports("cli_args");
     let ok: [&[&str]; 12] = [
         &["dump", "t.jsonl"],
         &["dump", "t.jsonl", "--head", "5"],
@@ -84,6 +96,52 @@ fn well_formed_invocations_pass_and_malformed_ones_are_usage_errors() {
     let (code, stderr) = silo_obs(&dir, &["diff", "t.jsonl", "w.jsonl"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("cannot compare a trace with a telemetry file"));
+}
+
+#[test]
+fn a_header_that_differs_is_a_divergence() {
+    let dir = exports("cli_args_headers");
+    // Copy export `from` to `to` with `edits` made to its header line;
+    // every row stays as it is.
+    let edit = |from: &str, to: &str, edits: &[(&str, &str)]| {
+        let text = std::fs::read_to_string(dir.join(from)).expect("read an export");
+        let (header, rows) = text.split_once('\n').expect("a header line");
+        let header = edits
+            .iter()
+            .fold(header.to_string(), |h, (a, b)| h.replacen(a, b, 1));
+        std::fs::write(dir.join(to), format!("{header}\n{rows}")).expect("write a copy");
+    };
+    edit(
+        "t.jsonl",
+        "t7.jsonl",
+        &[
+            ("\"dropped\":0", "\"dropped\":7"),
+            ("\"tenants\":1", "\"tenants\":3"),
+        ],
+    );
+    edit("w.jsonl", "wl.jsonl", &[("\"sw_p1\"", "\"sw_q1\"")]);
+    let cases = [
+        (["t.jsonl", "t7.jsonl"], "dropped", "0", "7"),
+        (
+            ["w.jsonl", "wl.jsonl"],
+            "port_labels",
+            "[\"nic_p0\",\"sw_p1\",",
+            "[\"nic_p0\",\"sw_q1\",",
+        ),
+    ];
+    for ([a, b], field, left, right) in cases {
+        let (code, stdout, stderr) = silo_obs_out(&dir, &["diff", a, b]);
+        assert_eq!(code, 1, "{b}: {stdout}{stderr}");
+        let head = format!("first divergent header field: {field}\n  left:  {left}");
+        assert!(stdout.starts_with(&head), "{stdout}");
+        assert!(stdout.contains(&format!("\n  right: {right}")), "{stdout}");
+    }
+    // A telemetry geometry that differs is no divergence: exit 2.
+    let interval = [("\"interval_ps\":1000000000", "\"interval_ps\":2000000000")];
+    edit("w.jsonl", "wg.jsonl", &interval);
+    let (code, stderr) = silo_obs(&dir, &["diff", "w.jsonl", "wg.jsonl"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("incomparable geometries"), "{stderr}");
 }
 
 #[test]

@@ -9,10 +9,9 @@
 mod common;
 
 use silo_base::{Dur, Time};
-use silo_bench::obsfile::{
-    check_perfetto, diff, openmetrics_lint, parse, show, ObsFile, Row, Sample, Series,
-};
-use silo_simnet::{FaultPlan, Metrics};
+use silo_bench::obsfile::{check_perfetto, diff, openmetrics_lint, parse, show, ObsFile};
+use silo_simnet::telemetry::Series;
+use silo_simnet::{FaultPlan, Metrics, TelemetryLog};
 
 /// A delay guarantee so the margin series populates.
 fn telemetered_run(seed: u64, faults: FaultPlan, trace: bool) -> Metrics {
@@ -24,11 +23,16 @@ fn parsed(seed: u64, faults: FaultPlan) -> ObsFile {
     parse(&m.telemetry.expect("telemetered run").to_jsonl()).expect("parse")
 }
 
-fn rows(f: &ObsFile) -> &[Row<Sample>] {
+fn log(f: &ObsFile) -> &TelemetryLog {
     match f {
-        ObsFile::Telemetry(t) => &t.rows,
+        ObsFile::Telemetry(t) => t,
         ObsFile::Trace(_) => panic!("a telemetry file"),
     }
+}
+
+/// Each row's window and series, in file order.
+fn rows(f: &ObsFile) -> Vec<(u64, Series)> {
+    log(f).rows().collect()
 }
 
 #[test]
@@ -54,21 +58,19 @@ fn perturbed_fault_schedule_diverges_in_the_fault_window() {
     let d = diff(&a, &b)
         .expect("comparable")
         .expect("series must diverge");
-    assert!(d.index > 0, "runs agree before the perturbation");
-    let left = &rows(&a)
-        .get(d.index)
-        .expect("both files cover the window")
-        .body;
+    let index = d.index().expect("a row diverges");
+    assert!(index > 0, "runs agree before the perturbation");
+    let rows = rows(&a);
+    let (w, _) = *rows.get(index).expect("both files cover the window");
     assert!(
-        left.w == 9 || left.w == 10,
-        "divergence must sit in the perturbed fault's window, got {}",
-        left.w
+        w == 9 || w == 10,
+        "divergence must sit in the perturbed fault's window, got {w}"
     );
-    for r in &rows(&a)[..d.index] {
-        assert!(r.body.w <= left.w, "no earlier window may differ");
+    for &(earlier, _) in &rows[..index] {
+        assert!(earlier <= w, "no earlier window may differ");
     }
     let report = d.report();
-    assert!(report.contains(&format!("window {}", left.w)));
+    assert!(report.contains(&format!("window {w}")));
     assert!(report.contains("left raw:"));
 }
 
@@ -79,13 +81,22 @@ fn seed_change_diverges_exactly_where_a_hand_scan_says() {
     let d = diff(&a, &b)
         .expect("comparable")
         .expect("different seeds diverge");
-    let (a, b) = (rows(&a), rows(&b));
+    // Each row as the writer spells it, compared by hand.
+    let spelled = |f: &ObsFile| -> Vec<String> {
+        let t = log(f);
+        t.rows().map(|(w, s)| t.row(w, s)).collect()
+    };
+    let (a, b) = (spelled(&a), spelled(&b));
     let hand = a
         .iter()
         .zip(b.iter())
-        .position(|(x, y)| x.raw != y.raw)
+        .position(|(x, y)| x != y)
         .unwrap_or_else(|| a.len().min(b.len()));
-    assert_eq!(d.index, hand, "diff must agree with an exhaustive scan");
+    assert_eq!(
+        d.index(),
+        Some(hand),
+        "diff must agree with an exhaustive scan"
+    );
 }
 
 #[test]
@@ -103,11 +114,9 @@ fn show_renders_margins_and_fault_flags() {
     );
     // The flagged windows are exactly the grid windows the fault overlaps.
     let fault_rows: Vec<u64> = rows(&f)
-        .iter()
-        .filter_map(|r| match &r.body.series {
-            Series::Global { faults, .. } if !faults.is_empty() => Some(r.body.w),
-            _ => None,
-        })
+        .into_iter()
+        .filter(|&(w, s)| s == Series::Global && !log(&f).window_faults[w as usize].is_empty())
+        .map(|(w, _)| w)
         .collect();
     assert_eq!(fault_rows, vec![8, 9, 10, 11, 12]);
 }

@@ -9,7 +9,7 @@ mod common;
 
 use silo_base::{Dur, Time};
 use silo_bench::obsfile::{check_perfetto, diff, parse, show, ObsFile};
-use silo_simnet::{FaultPlan, TraceLog};
+use silo_simnet::{FaultPlan, TraceKind, TraceLog};
 
 fn traced_run(seed: u64, faults: FaultPlan) -> TraceLog {
     let log = common::run(seed, faults, None, true, false)
@@ -45,17 +45,18 @@ fn perturbed_fault_schedule_diverges_at_the_fault_marker() {
     let d = diff(&a, &b)
         .expect("comparable")
         .expect("schedules must diverge");
-    assert!(d.index > 0, "runs agree before the perturbation");
+    let index = d.index().expect("a row diverges");
+    assert!(index > 0, "runs agree before the perturbation");
     let ObsFile::Trace(ta) = &a else {
         panic!("a trace")
     };
-    let left = &ta
-        .rows
-        .get(d.index)
-        .expect("run A has the earlier event")
-        .body;
-    assert_eq!(left.kind, "fault_start", "divergence is the fault edge");
-    assert_eq!(left.t_ps, t0.0, "pinpointed at the exact instant");
+    let left = ta.events.get(index).expect("run A has the earlier event");
+    assert_eq!(
+        left.kind,
+        TraceKind::FaultStart,
+        "divergence is the fault edge"
+    );
+    assert_eq!(left.at, t0, "pinpointed at the exact instant");
     // The report names the instant and both states.
     let report = d.report();
     assert!(report.contains("fault_start"));
@@ -77,7 +78,11 @@ fn seed_change_diverges_exactly_where_a_hand_scan_says() {
         .zip(b.events.iter())
         .position(|(x, y)| x != y)
         .unwrap_or_else(|| a.events.len().min(b.events.len()));
-    assert_eq!(d.index, hand, "diff must agree with an exhaustive scan");
+    assert_eq!(
+        d.index(),
+        Some(hand),
+        "diff must agree with an exhaustive scan"
+    );
 }
 
 #[test]

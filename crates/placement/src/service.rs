@@ -875,6 +875,13 @@ mod tests {
         let hosts: Vec<&str> = block.lines().filter(|l| l.starts_with("host ")).collect();
         let in_order = format!("{}\n{}\n", hosts[0], hosts[1]);
         let swapped = format!("{}\n{}\n", hosts[1], hosts[0]);
+        // The tenant's first host loses its link too: a failed set no
+        // `fail_link` leaves behind, since it degrades or re-places a
+        // tenant that a failure cuts apart.
+        let failed = line_of("failed ");
+        assert_eq!(failed, "failed 1 0");
+        let first: u32 = hosts[0].split(' ').nth(1).unwrap().parse().unwrap();
+        let cut = format!("failed 2 0 {}", topo().host_link(HostId(first)).0);
         for (what, from, to) in [
             ("more VMs than slots", host, "host 0 99".to_string()),
             ("host out of range", host, "host 6 1".to_string()),
@@ -891,13 +898,14 @@ mod tests {
             ("a halved contribution rate", contrib, halved.join(" ")),
             ("contributions deleted", block, bare.clone()),
             ("hosts out of order", &in_order, swapped),
+            ("failed links cutting a tenant apart", failed, cut.clone()),
         ] {
             let bad = snap.replacen(from, &to, 1);
             assert_ne!(bad, snap, "{what}: the edit must apply");
             assert!(AdmissionService::restore(&bad).is_err(), "{what} restored");
         }
         let id = block.split(' ').nth(1).unwrap();
-        for (from, to) in [(contrib, halved.join(" ")), (block, bare)] {
+        for (from, to) in [(contrib, halved.join(" ")), (block, bare), (failed, cut)] {
             let err = AdmissionService::restore(&snap.replacen(from, &to, 1))
                 .err()
                 .unwrap();

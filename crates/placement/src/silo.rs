@@ -280,7 +280,8 @@ impl SiloPlacer {
     /// all derived. Because loads are rebuilt by the same id-order fold
     /// the incremental paths maintain, the restored placer's float state
     /// is bit-identical to the original's. `Err` naming the tenant when a
-    /// tenant's contributions are not the ones admission computes for it.
+    /// tenant's contributions are not the ones admission computes for it,
+    /// or when the failed links cut its hosts apart.
     pub(crate) fn from_parts(
         topo: Topology,
         mtu: Bytes,
@@ -297,6 +298,11 @@ impl SiloPlacer {
         // In id order, so every contribution appends to its port's list.
         for id in sorted_ids(&tenants) {
             let rec = &tenants[&id];
+            // `fail_link` degrades or re-places a tenant a failure cuts
+            // apart, so no service holds one as a resident.
+            if !p.topo.connected(&rec.hosts, &p.failed) {
+                return Err(format!("tenant {}: failed links cut its hosts apart", id.0));
+            }
             p.check_contribs(rec)
                 .map_err(|e| format!("tenant {}: {e}", id.0))?;
             p.add_contribs(id, &rec.contribs);
