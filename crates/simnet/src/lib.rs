@@ -28,6 +28,7 @@
 pub mod audit;
 pub mod config;
 pub mod faults;
+mod jsonl;
 pub mod metrics;
 pub mod msgqueue;
 mod observe;
@@ -41,6 +42,7 @@ pub mod trace;
 pub use audit::{AuditConfig, AuditKind, AuditReport, AuditViolation};
 pub use config::{SimConfig, TenantSpec, TenantWorkload, TransportMode};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultWindow, PlanBounds, FAULTPLAN_FORMAT};
+pub use jsonl::format_tag;
 pub use metrics::{EvKind, EventProfile, Metrics, MsgRecord, TenantStats, Violation};
 pub use sim::Sim;
 pub use telemetry::{SelfProfile, TelemetryConfig, TelemetryLog, TenantWindow};
