@@ -8,15 +8,20 @@
 //! of the canonical metrics, the flight-recorder log or the audit report
 //! fails here and names the cell.
 //!
+//! The same runs carry windowed telemetry, whose full JSONL export is
+//! pinned per cell in `tests/golden/telemetry_golden.txt`.
+//!
 //! To re-bless after an *intended* physics change, replace the cell's
 //! line in the golden file with the `got` line the failure prints.
 
 use std::hash::Hasher;
+use std::sync::OnceLock;
 
 use silo_base::fxhash::FxHasher;
 use silo_base::{Bytes, Dur, Rate, Time};
 use silo_simnet::{
-    AuditConfig, FaultPlan, Sim, SimConfig, TenantSpec, TenantWorkload, TraceConfig, TransportMode,
+    AuditConfig, FaultPlan, Sim, SimConfig, TelemetryConfig, TenantSpec, TenantWorkload,
+    TraceConfig, TransportMode,
 };
 use silo_topology::HostId;
 
@@ -25,6 +30,7 @@ mod common;
 use common::racked_topo;
 
 const GOLDEN: &str = include_str!("golden/serial_golden.txt");
+const TELEMETRY_GOLDEN: &str = include_str!("golden/telemetry_golden.txt");
 
 /// Tenants that straddle racks: a paced OLDI group spanning racks 0–2 and
 /// a bulk all-to-all spanning all four.
@@ -72,56 +78,82 @@ fn fx(s: &str) -> u64 {
     h.finish()
 }
 
-/// One golden-file line for a cell: its name and the hashes of the three
-/// observable streams.
-fn observe(name: &str, mode: TransportMode, faults: FaultPlan) -> String {
+/// The golden-file lines of one cell: its name and the hashes of the
+/// three streams `serial_golden.txt` pins, then its name and the hash of
+/// its telemetry export.
+fn observe(name: &str, mode: TransportMode, faults: FaultPlan) -> (String, String) {
     let mut cfg = SimConfig::new(mode, Dur::from_ms(20), 7);
     cfg.faults = faults;
     cfg.audit = Some(AuditConfig::default());
     cfg.trace = Some(TraceConfig::default());
+    cfg.telemetry = Some(TelemetryConfig::default());
     let m = Sim::new(racked_topo(), cfg, tenants()).run();
     let trace = m.trace.as_ref().expect("traced run").to_jsonl();
     let audit = m.audit.as_ref().expect("audited run");
     let report = format!("{}\n{:?}", audit.summary(), audit.details);
-    format!(
+    let telemetry = m.telemetry.as_ref().expect("telemetry run").to_jsonl();
+    let serial = format!(
         "{name} canonical={:016x} trace={:016x} audit={:016x}",
         fx(&m.canonical_json()),
         fx(&trace),
         fx(&report)
-    )
+    );
+    (serial, format!("{name} telemetry={:016x}", fx(&telemetry)))
+}
+
+/// Every cell, run once for both golden files.
+fn cells() -> &'static [(String, String, String)] {
+    static CELLS: OnceLock<Vec<(String, String, String)>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let modes = [
+            ("silo", TransportMode::Silo),
+            ("tcp", TransportMode::Tcp),
+            ("dctcp", TransportMode::Dctcp),
+        ];
+        let mut out = Vec::new();
+        for (mode_name, mode) in modes {
+            for (suffix, faults) in [("", FaultPlan::new()), ("+faults", fault_plan())] {
+                let name = format!("{mode_name}{suffix}");
+                let (serial, telemetry) = observe(&name, mode, faults);
+                out.push((name, serial, telemetry));
+            }
+        }
+        out
+    })
+}
+
+/// Compare each cell's line against `golden`'s line of the same name.
+fn check(golden: &str, file: &str, line: impl Fn(&(String, String, String)) -> &str) {
+    let mut mismatches = Vec::new();
+    for cell in cells() {
+        let name = &cell.0;
+        let want = golden
+            .lines()
+            .find(|l| l.split(' ').next() == Some(name.as_str()))
+            .unwrap_or_else(|| panic!("no {file} line for cell {name}"));
+        let got = line(cell);
+        if got != want {
+            mismatches.push(format!("cell {name}\n  want: {want}\n  got:  {got}"));
+        }
+    }
+    assert_eq!(
+        golden.lines().filter(|l| !l.starts_with('#')).count(),
+        cells().len(),
+        "{file} has lines no cell produced"
+    );
+    assert!(
+        mismatches.is_empty(),
+        "output moved against tests/golden/{file}:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]
 fn every_cell_matches_its_committed_hashes() {
-    let modes = [
-        ("silo", TransportMode::Silo),
-        ("tcp", TransportMode::Tcp),
-        ("dctcp", TransportMode::Dctcp),
-    ];
-    let mut seen = 0;
-    let mut mismatches = Vec::new();
-    for (mode_name, mode) in modes {
-        for (suffix, faults) in [("", FaultPlan::new()), ("+faults", fault_plan())] {
-            let name = format!("{mode_name}{suffix}");
-            let want = GOLDEN
-                .lines()
-                .find(|l| l.split(' ').next() == Some(name.as_str()))
-                .unwrap_or_else(|| panic!("no golden line for cell {name}"));
-            let got = observe(&name, mode, faults);
-            if got != want {
-                mismatches.push(format!("cell {name}\n  want: {want}\n  got:  {got}"));
-            }
-            seen += 1;
-        }
-    }
-    assert_eq!(
-        GOLDEN.lines().filter(|l| !l.starts_with('#')).count(),
-        seen,
-        "golden file has lines no cell produced"
-    );
-    assert!(
-        mismatches.is_empty(),
-        "physics moved against tests/golden/serial_golden.txt:\n{}",
-        mismatches.join("\n")
-    );
+    check(GOLDEN, "serial_golden.txt", |c| &c.1);
+}
+
+#[test]
+fn every_cell_telemetry_matches_its_committed_hash() {
+    check(TELEMETRY_GOLDEN, "telemetry_golden.txt", |c| &c.2);
 }
