@@ -102,11 +102,40 @@ impl Args {
     /// Parse `std::env::args`; on a bad command line print the error and
     /// exit with status 2.
     pub fn parse() -> Args {
+        Args::parse_with(Args::try_parse)
+    }
+
+    /// [`Args::parse`] for a binary that attaches no observer: an observer
+    /// flag is a bad command line too, rather than a flag silently
+    /// ignored.
+    pub fn parse_unobserved() -> Args {
+        Args::parse_with(Args::try_parse_unobserved)
+    }
+
+    fn parse_with(parse: fn(&[String]) -> Result<Args, String>) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        Args::try_parse(&argv).unwrap_or_else(|e| {
+        parse(&argv).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
+    }
+
+    /// [`Args::try_parse`], then an `Err` naming the first observer flag
+    /// (`--audit`, `--trace`, `--trace-perfetto`, `--telemetry`,
+    /// `--telemetry-openmetrics`) the command line set.
+    pub fn try_parse_unobserved(argv: &[String]) -> Result<Args, String> {
+        let a = Args::try_parse(argv)?;
+        let set = [
+            ("--audit", a.audit),
+            ("--trace", a.trace.is_some()),
+            ("--trace-perfetto", a.trace_perfetto.is_some()),
+            ("--telemetry", a.telemetry.is_some()),
+            ("--telemetry-openmetrics", a.telemetry_openmetrics.is_some()),
+        ];
+        match set.iter().find(|(_, on)| *on) {
+            Some((flag, _)) => Err(format!("{flag}: this binary attaches no observer")),
+            None => Ok(a),
+        }
     }
 
     /// Parse `--key value` pairs and bare switches. An unknown flag, a
@@ -181,6 +210,28 @@ mod tests {
         assert_eq!(a.runs, 2);
         assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
         assert_eq!(a.seed, Args::default().seed);
+    }
+
+    #[test]
+    fn an_unobserved_binary_refuses_every_observer_flag() {
+        let unobserved = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            Args::try_parse_unobserved(&argv)
+        };
+        assert!(unobserved(&["--scale", "0.1", "--runs", "2"]).is_ok());
+        for argv in [
+            &["--audit"][..],
+            &["--trace", "t.jsonl"],
+            &["--trace-perfetto", "t.json"],
+            &["--telemetry", "w.jsonl"],
+            &["--telemetry-openmetrics", "w.txt"],
+        ] {
+            let e = unobserved(argv).expect_err("an observer flag");
+            assert!(e.starts_with(&format!("{}: ", argv[0])), "{argv:?}: {e}");
+        }
+        // A bad command line is still reported as one.
+        let e = unobserved(&["--audit", "--bogus"]).expect_err("unknown flag");
+        assert!(e.starts_with("unknown flag --bogus"), "{e}");
     }
 
     #[test]

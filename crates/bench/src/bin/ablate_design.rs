@@ -65,7 +65,7 @@ fn run(cfg: SimConfig, burst: Bytes) -> Metrics {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     let dur = Dur::from_ms(args.duration_ms.max(200));
 
     println!("== Ablation 1: paced-IO batch window ==");

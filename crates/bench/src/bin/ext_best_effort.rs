@@ -14,7 +14,7 @@ use silo_simnet::{SimConfig, TenantSpec, TenantWorkload, TransportMode};
 use silo_topology::{HostId, Topology, TreeParams};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     let topo = Topology::build(TreeParams {
         pods: 1,
         racks_per_pod: 1,

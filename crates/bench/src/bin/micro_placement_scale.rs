@@ -12,7 +12,7 @@ use silo_topology::{Topology, TreeParams};
 use std::time::Instant;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     // Full scale: 100K hosts = 25 pods x 100 racks x 40 servers.
     let pods = ((25.0 * args.scale).round() as usize).max(2);
     let topo = Topology::build(TreeParams {

@@ -25,7 +25,7 @@ enum Tenants {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     let topo = Topology::build(TreeParams::testbed());
     let dur = Dur::from_ms(args.duration_ms.max(200));
     let cells = [

@@ -15,7 +15,7 @@ use silo_bench::{print_cdf, Args};
 use silo_simnet::TransportMode;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     let outs = run_ns2_sweep(&ALL_MODES, &args);
     let four = || {
         outs.iter().filter(|o| {

@@ -40,7 +40,7 @@ fn simulate(topo: &Topology, scheme: &str, occ: f64, x: Option<f64>, seed: u64) 
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     let topo = flow_topo(args.scale);
     // Fig 16a's rows, then Fig 16b's rows other than x = 1. Each cell is
     // self-contained, so the runner fans them across threads; results

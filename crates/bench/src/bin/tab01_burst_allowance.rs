@@ -7,7 +7,7 @@ use silo_bench::Args;
 use silo_simnet::msgqueue::table1;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_unobserved();
     let mut rng = seeded_rng(args.seed);
     let msg = Bytes::from_kb(15);
     let avg = Rate::from_mbps(100);

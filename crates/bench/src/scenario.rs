@@ -251,3 +251,31 @@ pub fn testbed_tenants(req: &TestbedReq, burst: Bytes, with_b: bool, load: f64) 
     }
     tenants
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use silo_placement::RejectReason;
+
+    /// Fig 15's class-A threshold: on an empty §6.3 datacenter, at the
+    /// table's scale and the paper's, a class-A tenant of 32 VMs is
+    /// admitted and one of 33 is refused on the network, whatever the
+    /// free slots. The sum of the senders' 15 KB bursts at one receiver's
+    /// downlink is what refuses it (EXPERIMENTS.md, Fig 15).
+    #[test]
+    fn class_a_is_refused_from_33_vms_on_an_empty_flow_topo() {
+        for scale in [0.1, 1.0] {
+            let place = |vms| {
+                SiloPlacer::new(flow_topo(scale))
+                    .try_place(&TenantRequest::new(vms, Guarantee::class_a()))
+                    .map(|_| ())
+            };
+            assert_eq!(place(32), Ok(()), "scale {scale}: 32 VMs");
+            assert_eq!(
+                place(33),
+                Err(RejectReason::NetworkUnsatisfiable),
+                "scale {scale}: 33 VMs"
+            );
+        }
+    }
+}

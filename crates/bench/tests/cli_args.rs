@@ -4,7 +4,9 @@
 //! Perfetto flag on an OpenMetrics file; a diff across the two families
 //! exits 2 too. Two files whose rows agree but whose headers do not are a
 //! divergence (exit 1). And the experiment binaries' shared writer
-//! reports an unwritable output path instead of panicking.
+//! reports an unwritable output path instead of panicking, and a binary
+//! that attaches no observer refuses the observer flags (exit 2) instead
+//! of ignoring them.
 
 mod common;
 
@@ -160,5 +162,43 @@ fn an_unwritable_output_path_is_an_error_not_a_panic() {
         set(&mut args, bad.clone());
         let err = write_observer_outputs(&args, &m).expect_err("the directory does not exist");
         assert!(err.starts_with(&format!("{bad}: ")), "export {i}: {err}");
+    }
+}
+
+#[test]
+fn binaries_that_attach_no_observer_refuse_the_observer_flags() {
+    let binaries = [
+        env!("CARGO_BIN_EXE_sec61_testbed"),
+        env!("CARGO_BIN_EXE_sec62_packet"),
+        env!("CARGO_BIN_EXE_sec63_flow"),
+        env!("CARGO_BIN_EXE_ablate_design"),
+        env!("CARGO_BIN_EXE_ext_best_effort"),
+        env!("CARGO_BIN_EXE_micro_placement_scale"),
+        env!("CARGO_BIN_EXE_tab01_burst_allowance"),
+    ];
+    let flags: [&[&str]; 5] = [
+        &["--audit"],
+        &["--trace", "t.jsonl"],
+        &["--trace-perfetto", "t.perfetto.json"],
+        &["--telemetry", "w.jsonl"],
+        &["--telemetry-openmetrics", "w.openmetrics.txt"],
+    ];
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_args_unobserved");
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    for bin in binaries {
+        for args in flags {
+            let out = Command::new(bin)
+                .current_dir(&dir)
+                .args(args)
+                .output()
+                .expect("run the binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("error: {}: ", args[0])),
+                "{bin} {args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
+        }
     }
 }

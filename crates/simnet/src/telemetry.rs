@@ -40,7 +40,6 @@ use crate::faults::FaultWindow;
 use crate::jsonl;
 use crate::metrics::{EvKind, LATENCY_HIST_SUB_BITS};
 use silo_base::{Dur, LogHistogram, Time};
-use std::time::Instant;
 
 /// Configuration of the windowed recorder.
 #[derive(Debug, Clone)]
@@ -115,13 +114,19 @@ pub struct GlobalWindow {
 /// deterministic exports.
 #[derive(Debug, Clone, Default)]
 pub struct SelfProfile {
-    /// Total wall time of the dispatch loop (`Sim::run_inner`).
+    /// Total wall time of the dispatch loop (in `Sim::run`).
     pub wall_ns: u64,
     /// Per-event-kind dispatch wall time (sampled: every 64th dispatched
     /// event is timed; sums are raw sampled time, not scaled).
     pub dispatch_ns: [u64; EvKind::COUNT],
     /// Sample counts matching `dispatch_ns`.
     pub dispatch_samples: [u64; EvKind::COUNT],
+    /// Wall time the observer worker spent applying chunks of records
+    /// (on its own thread, beside the dispatch loop).
+    pub worker_busy_ns: u64,
+    /// Wall time the dispatch loop waited for the observer worker to hand
+    /// back an empty chunk (part of `wall_ns`).
+    pub engine_wait_ns: u64,
 }
 
 impl SelfProfile {
@@ -130,7 +135,7 @@ impl SelfProfile {
         self.dispatch_ns.iter().sum()
     }
 
-    /// Aligned text table for `--profile` output.
+    /// Aligned text table, as `sim_profile` prints it.
     pub fn to_table(&self) -> String {
         let mut out = format!(
             "engine self-profile: wall {:.3} ms, sampled dispatch {:.1} us ({} samples)\n",
@@ -138,6 +143,11 @@ impl SelfProfile {
             self.dispatch_total_ns() as f64 / 1e3,
             self.dispatch_samples.iter().sum::<u64>()
         );
+        out.push_str(&format!(
+            "observer worker: busy {:.3} ms applying records, engine waited {:.3} ms for it\n",
+            self.worker_busy_ns as f64 / 1e6,
+            self.engine_wait_ns as f64 / 1e6
+        ));
         out.push_str(&format!(
             "{:<12} {:>14} {:>12}\n",
             "event", "dispatch_us", "samples"
@@ -187,9 +197,7 @@ pub(crate) struct TelemetrySink {
     window_ports: Vec<Vec<(usize, PortWindow)>>,
     global_series: Vec<GlobalWindow>,
     // ---- self-profile (wall clock; never touches sim state) ----
-    wall_start: Option<Instant>,
     wall_ns: u64,
-    ev_count: u64,
     dispatch_ns: [u64; EvKind::COUNT],
     dispatch_samples: [u64; EvKind::COUNT],
 }
@@ -220,9 +228,7 @@ impl TelemetrySink {
             tenant_series: vec![Vec::new(); ntenants],
             window_ports: Vec::new(),
             global_series: Vec::new(),
-            wall_start: None,
             wall_ns: 0,
-            ev_count: 0,
             dispatch_ns: [0; EvKind::COUNT],
             dispatch_samples: [0; EvKind::COUNT],
         }
@@ -321,25 +327,9 @@ impl TelemetrySink {
 
     // ---- self-profile hooks (wall clock only) ----
 
-    /// Mark the start of the dispatch loop.
-    pub fn wall_start(&mut self) {
-        self.wall_start = Some(Instant::now());
-    }
-
-    /// Mark the end of the dispatch loop.
-    pub fn wall_end(&mut self) {
-        if let Some(t0) = self.wall_start.take() {
-            self.wall_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Per-event tick; returns whether this dispatch should be timed
-    /// (every 64th — two clock reads per sample; at ~32 ns a read the
-    /// amortized cost is ~1 ns/event, well inside the overhead budget).
-    #[inline]
-    pub fn dispatch_tick(&mut self) -> bool {
-        self.ev_count += 1;
-        self.ev_count & 63 == 0
+    /// Add the dispatch loop's wall time.
+    pub fn add_wall_ns(&mut self, ns: u64) {
+        self.wall_ns += ns;
     }
 
     /// Record one sampled dispatch span.
@@ -381,6 +371,7 @@ impl TelemetrySink {
             wall_ns: self.wall_ns,
             dispatch_ns: self.dispatch_ns,
             dispatch_samples: self.dispatch_samples,
+            ..SelfProfile::default()
         };
         TelemetryLog {
             interval: Dur(self.interval_ps),

@@ -25,10 +25,12 @@
 //! `STAGE_RECORDS` entries, and `flush` (when the buffer fills, and at
 //! the top of `finish`) moves the records to their rings in record
 //! order. A ring line is cold by the time it is overwritten, and x86
-//! commits stores in order: written from the hook, every such miss held
-//! up the engine's own stores behind it; written back to back from one
-//! loop, the misses overlap each other instead (DESIGN.md, "observer cost
-//! is store-miss latency"). Staging changes *when* a ring is written,
+//! commits stores in order: written from the hook, every such miss holds
+//! up the stores behind it; written back to back from one loop, the
+//! misses overlap each other instead (DESIGN.md, "observer cost is
+//! store-miss latency"). The hooks run on the observer worker thread
+//! (`observe.rs`), where staging still cuts that thread's busy time by a
+//! tenth. Staging changes *when* a ring is written,
 //! never what or in which order, so retention, eviction counts and `seq`
 //! are those of an immediate write (`staged_sink_matches_the_reference`
 //! holds it to one).

@@ -102,7 +102,9 @@ fn margins_and_fault_attribution_populate() {
 }
 
 /// Engine self-profile smoke: the loop is timed, sampled dispatch spans
-/// land, and the sampled time never exceeds the loop's wall time.
+/// land, and the sampled time never exceeds the loop's wall time; the
+/// observer worker is timed, and the engine's wait for it is part of the
+/// loop.
 #[test]
 fn self_profile_spans_are_nonzero_and_bounded() {
     let m = run(TransportMode::Silo, FaultPlan::new());
@@ -115,6 +117,15 @@ fn self_profile_spans_are_nonzero_and_bounded() {
         p.dispatch_total_ns(),
         p.wall_ns
     );
+    assert!(p.worker_busy_ns > 0, "the observer worker must be timed");
+    assert!(
+        p.engine_wait_ns <= p.wall_ns,
+        "waited {} ns for the worker in a loop of {} ns",
+        p.engine_wait_ns,
+        p.wall_ns
+    );
+    let table = p.to_table();
+    assert!(table.contains("observer worker: busy"), "{table}");
 }
 
 /// Window geometry follows the config: a non-default interval yields
