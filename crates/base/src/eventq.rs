@@ -21,14 +21,19 @@
 //! an entry cascades through at most 7 slots over its whole lifetime. A
 //! level-0 slot is one tick, not one instant: the drain sorts it by
 //! `(t, seq)`, which is what keeps the order exact on the coarser grid.
-//! Slot vectors are recycled through a pool, so steady-state operation
-//! allocates nothing.
+//! Drained slot vectors are recycled through a pool, so steady-state
+//! operation allocates nothing, except that a vector grown past
+//! `SPARE_CAP` entries by one large cascade is freed rather than
+//! pooled: the wheel's memory follows its live entries, not the largest
+//! burst the run ever filed into one slot.
 //!
 //! # Lanes
 //!
 //! Most simulator events are not timers: an egress port's `PortFree` and
 //! `Arrive` events, and a NIC's frame arrivals, are each pushed in
-//! non-decreasing time order by their source. [`EventQueue::push_lane`]
+//! non-decreasing time order by their source, and so are a NIC's paced
+//! stamps when the pacer's batcher files them one lane per sender (the
+//! host's ACKs, then each of its VMs). [`EventQueue::push_lane`]
 //! appends such an event to its source's FIFO under the shared `seq`
 //! counter, and `pop` returns the `(t, seq)`-minimum of a small binary
 //! heap over the lane heads and the wheel's head — the same total order,
@@ -75,6 +80,12 @@ const BITS: u32 = 6;
 const SLOTS: usize = 1 << BITS; // 64
 const LEVELS: usize = 8;
 const MASK: u64 = (SLOTS as u64) - 1;
+
+/// Largest slot-vector capacity the wheel pools for reuse. A drained
+/// vector above it (one burst filed into one slot) is freed, so a run's
+/// retained wheel memory tracks its live entries rather than its largest
+/// cascade.
+const SPARE_CAP: usize = 256;
 
 /// `Entry.key` value for plain (non-cancelable) pushes.
 const NO_KEY: u64 = u64::MAX;
@@ -146,7 +157,8 @@ struct Wheel<E> {
     /// Entries beyond the wheel horizon (`cur + 2^58` ps); re-filed when
     /// the wheel runs dry.
     overflow: Vec<Entry<E>>,
-    /// Recycled slot vectors: steady state never allocates.
+    /// Recycled slot vectors of at most `SPARE_CAP` capacity (see
+    /// [`Wheel::recycle`]).
     spare: Vec<Vec<Entry<E>>>,
     len: usize,
 }
@@ -337,13 +349,24 @@ impl<E> Wheel<E> {
                     }
                     self.ready.push_back(e);
                 }
-                self.spare.push(batch);
+                self.recycle(batch);
                 return;
             }
             // Cascade: re-file the slot's entries one level (or more) down.
             for e in batch.drain(..) {
                 self.file(e, slab);
             }
+            self.recycle(batch);
+        }
+    }
+
+    /// Pool a drained slot vector for the next slot that empties, unless
+    /// one burst grew it past `SPARE_CAP`: then it is freed, and the slot
+    /// that next needs that much grows again.
+    #[inline]
+    fn recycle(&mut self, batch: Vec<Entry<E>>) {
+        debug_assert!(batch.is_empty());
+        if batch.capacity() <= SPARE_CAP {
             self.spare.push(batch);
         }
     }

@@ -1,6 +1,6 @@
 //! Minimal CLI parsing (no external crates).
 
-use silo_base::Time;
+use silo_base::{Dur, Time};
 use silo_simnet::{PlanBounds, Sim, SimConfig, TenantSpec};
 use silo_topology::Topology;
 
@@ -80,6 +80,24 @@ fn positive_up_to(key: &str, val: &str, max: f64) -> Result<f64, String> {
     }
 }
 
+/// Largest accepted `--duration-ms`: the longest horizon whose picosecond
+/// count fits in a `u64` (about 213 days). `Dur::from_ms` multiplies
+/// unchecked, so a longer one would wrap to a short cell.
+const MAX_DURATION_MS: u64 = u64::MAX / Dur::from_ms(1).0;
+
+/// A `--duration-ms` no longer than [`MAX_DURATION_MS`].
+fn duration_ms(key: &str, val: &str) -> Result<u64, String> {
+    let ms: u64 = number(key, val)?;
+    if ms <= MAX_DURATION_MS {
+        Ok(ms)
+    } else {
+        Err(format!(
+            "{key}: {val} ms overflows the picosecond clock (at most \
+             {MAX_DURATION_MS}); known: {KNOWN_FLAGS}"
+        ))
+    }
+}
+
 /// `Sim::new(topo, cfg, tenants)` if [`SimConfig::validate`] accepts the
 /// configuration and [`FaultPlan::validate`](silo_simnet::FaultPlan::validate)
 /// its fault plan on this cell; otherwise report the defect the way
@@ -139,8 +157,9 @@ impl Args {
     }
 
     /// Parse `--key value` pairs and bare switches. An unknown flag, a
-    /// missing value, an unparsable number, a `--scale` outside `(0, 8]`
-    /// or an `--occupancy` outside `(0, 1]` is an `Err` that names the
+    /// missing value, an unparsable number, a `--scale` outside `(0, 8]`,
+    /// an `--occupancy` outside `(0, 1]` or a `--duration-ms` whose
+    /// horizon overflows the picosecond clock is an `Err` that names the
     /// flag and lists the known ones.
     pub fn try_parse(argv: &[String]) -> Result<Args, String> {
         let mut a = Args::default();
@@ -155,7 +174,7 @@ impl Args {
                 "--audit" => a.audit = true,
                 "--scale" => a.scale = positive_up_to(key, val()?, MAX_SCALE)?,
                 "--seed" => a.seed = number(key, val()?)?,
-                "--duration-ms" => a.duration_ms = number(key, val()?)?,
+                "--duration-ms" => a.duration_ms = duration_ms(key, val()?)?,
                 "--runs" => a.runs = number(key, val()?)?,
                 "--occupancy" => a.occupancy = positive_up_to(key, val()?, 1.0)?,
                 "--threads" => a.threads = number(key, val()?)?,
@@ -249,10 +268,26 @@ mod tests {
             (&["--scale", "0"][..], "--scale: 0 is outside (0, 8]"),
             (&["--occupancy", "2"][..], "--occupancy: 2 is outside"),
             (&["--occupancy", "NaN"][..], "--occupancy: NaN is outside"),
+            (
+                &["--duration-ms", "18446744074"][..],
+                "--duration-ms: 18446744074 ms overflows",
+            ),
+            (
+                &["--duration-ms", "18446744073709551615"][..],
+                "--duration-ms: 18446744073709551615 ms overflows",
+            ),
         ] {
             let err = parse(argv).expect_err("must be rejected");
             assert!(err.contains(needle), "{argv:?}: {err}");
             assert!(err.contains(KNOWN_FLAGS), "{argv:?} must list the flags");
         }
+    }
+
+    #[test]
+    fn the_longest_duration_fits_the_picosecond_clock() {
+        let a = parse(&["--duration-ms", "18446744073"]).expect("fits");
+        let horizon = Dur::from_ms(a.duration_ms).as_ps();
+        assert_eq!(horizon, 18_446_744_073_000_000_000);
+        assert!(horizon.checked_add(Dur::from_ms(1).as_ps()).is_none());
     }
 }

@@ -4,9 +4,10 @@
 //! Perfetto flag on an OpenMetrics file; a diff across the two families
 //! exits 2 too. Two files whose rows agree but whose headers do not are a
 //! divergence (exit 1). And the experiment binaries' shared writer
-//! reports an unwritable output path instead of panicking, and a binary
+//! reports an unwritable output path instead of panicking, a binary
 //! that attaches no observer refuses the observer flags (exit 2) instead
-//! of ignoring them.
+//! of ignoring them, and a `--duration-ms` too long for the picosecond
+//! clock is refused (exit 2) instead of wrapping to a short cell.
 
 mod common;
 
@@ -201,4 +202,18 @@ fn binaries_that_attach_no_observer_refuse_the_observer_flags() {
             assert!(out.stdout.is_empty(), "{bin} {args:?} ran anyway");
         }
     }
+}
+
+#[test]
+fn a_duration_past_the_picosecond_clock_is_refused() {
+    // One millisecond past the longest horizon a `u64` of picoseconds
+    // holds: it used to wrap to a 0.29 ms cell and run it.
+    let out = Command::new(env!("CARGO_BIN_EXE_sim_profile"))
+        .args(["--duration-ms", "18446744074", "--scale", "0.05"])
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: --duration-ms: "), "{stderr}");
+    assert!(out.stdout.is_empty(), "sim_profile ran anyway");
 }

@@ -86,6 +86,9 @@ impl Ev {
 /// Per-VM state: pacer buckets and application role.
 struct Vm {
     tenant: u16,
+    /// This VM's stamp lane in its host's batcher (`1..=` the host's VM
+    /// count; lane 0 carries the host's ACKs).
+    lane: u16,
     host: HostId,
     /// `{B, S}` bucket (middle of Fig. 8).
     tb_bs: TokenBucket,
@@ -110,14 +113,15 @@ enum VmApp {
 /// Per-host NIC state for the paced modes.
 struct HostNic {
     batcher: PacedBatcher<Pkt>,
-    /// Handle of the armed `NicPull`, `None` when no pull is pending. A
-    /// superseding arm moves the pending pull in place (`Sim::rearm`).
-    pull_key: Option<EvKey>,
-    /// Instant of the armed `NicPull`, `None` when no pull is pending.
-    /// The fast-forward path (`Sim::ensure_pull`) compares against it to
-    /// skip re-arms that would land at the same instant.
-    pull_at: Option<Time>,
+    /// The armed `NicPull`'s handle and instant, `None` when no pull is
+    /// pending. A superseding arm moves the pending pull in place
+    /// (`Sim::rearm`); the fast-forward path (`Sim::ensure_pull`)
+    /// compares against the instant to skip re-arms that would land at
+    /// the same one.
+    pull: Option<(EvKey, Time)>,
     busy_until: Time,
+    /// VMs placed on this host: their stamp lanes are `1..=vms`.
+    vms: u16,
 }
 
 /// The simulator. Build with [`Sim::new`], run with [`Sim::run`].
@@ -239,6 +243,7 @@ impl Sim {
                 ids.push(vms.len() as u32);
                 vms.push(Vm {
                     tenant: ti as u16,
+                    lane: 0,
                     host: h,
                     tb_bs: TokenBucket::new(t.b, t.s),
                     tb_max: TokenBucket::new(t.bmax, cfg.mtu),
@@ -248,14 +253,19 @@ impl Sim {
             }
             tenant_vms.push(ids);
         }
-        let nics = (0..topo.num_hosts())
+        let mut nics: Vec<HostNic> = (0..topo.num_hosts())
             .map(|_| HostNic {
                 batcher: PacedBatcher::new(topo.params().host_link, cfg.batch_window, cfg.mtu),
-                pull_key: None,
-                pull_at: None,
+                pull: None,
                 busy_until: Time::ZERO,
+                vms: 0,
             })
             .collect();
+        for v in vms.iter_mut() {
+            let nic = &mut nics[v.host.0 as usize];
+            nic.vms = nic.vms.checked_add(1).expect("at most 65 535 VMs a host");
+            v.lane = nic.vms;
+        }
         // One loopback (vswitch) port per host for same-host VM pairs:
         // finite memory-copy bandwidth and a few microseconds of stack
         // latency. Without this, co-located bulk flows would transfer

@@ -22,11 +22,16 @@ impl Sim {
             // charging them to `B` would structurally oversubscribe a
             // backlogged tenant by the ~4% ACK ratio). They still ride
             // the batched NIC.
-            let stamp = if pkt.kind() == PktKind::Ack {
-                self.now
+            // Each sender's stamps are non-decreasing (a VM's buckets
+            // answer no earlier than their last commit; ACKs go at `now`),
+            // so each rides its own lane of the batcher: lane 0 for the
+            // host's ACKs, the VM's own lane for its data.
+            let (lane, stamp) = if pkt.kind() == PktKind::Ack {
+                (0, self.now)
             } else {
                 let dst_vm = self.peer_vm(&pkt);
-                self.stamp_packet(vm, dst_vm, pkt.size())
+                let lane = self.vms[vm as usize].lane as usize;
+                (lane, self.stamp_packet(vm, dst_vm, pkt.size()))
             };
             {
                 let c = &mut self.conns[pkt.conn as usize];
@@ -34,7 +39,9 @@ impl Sim {
             }
             self.obs.token_wait(self.now, vm, stamp, &pkt);
             let host = self.vms[vm as usize].host.0 as usize;
-            self.nics[host].batcher.enqueue(stamp, pkt.size(), pkt);
+            self.nics[host]
+                .batcher
+                .enqueue_from(lane, stamp, pkt.size(), pkt);
             if self.fast_forward(host) {
                 // Enqueue-resurrection: arm (or tighten) the pull only if
                 // the new stamp moves the next batch start earlier.
@@ -90,10 +97,9 @@ impl Sim {
         } else {
             at
         };
-        let old = self.nics[host].pull_key;
+        let old = self.nics[host].pull.map(|(key, _)| key);
         let key = self.rearm(old, at, Ev::NicPull { host: host as u32 });
-        self.nics[host].pull_key = Some(key);
-        self.nics[host].pull_at = Some(at);
+        self.nics[host].pull = Some((key, at));
     }
 
     /// Fast-forward arming: ensure a pull is pending at the earliest
@@ -109,7 +115,7 @@ impl Sim {
             return;
         };
         let want = s.max(self.nics[host].busy_until).max(self.now);
-        if self.nics[host].pull_at.is_none_or(|cur| cur > want) {
+        if self.nics[host].pull.is_none_or(|(_, cur)| cur > want) {
             self.arm_nic(host, want);
         }
     }
@@ -128,13 +134,12 @@ impl Sim {
 
     pub(super) fn on_nic_pull(&mut self, host: u32) {
         let h = host as usize;
-        if self.nics[h].pull_key.take().is_none() {
+        // The armed pull just fired: its key left the queue.
+        if self.nics[h].pull.take().is_none() {
             // Must never happen (see `on_rto`).
             self.profile.stale[EvKind::NicPull as usize] += 1;
             return;
         }
-        // The armed pull just fired: its key left the queue.
-        self.nics[h].pull_at = None;
         if self.faults_on && self.now < self.nic_stall_until[h] {
             // The pacer timer is stalled: defer this pull to the window
             // end (arm_nic re-applies the stall clamp).
